@@ -1,9 +1,9 @@
 """Optimal unambiguous discrimination of two mixed quantum states.
 
 Analytic measurement constructions for the two known exact solution
-families, optimality certificates to gate them, a seeded numerical
-oracle to cross-check them, and the weak-coherent-pulse application
-curves, all behind a small CLI.
+families, optimality certificates to gate them, an interior-point
+oracle that solves the discrimination SDP to cross-check them, and the
+weak-coherent-pulse application curves, all behind a small CLI.
 """
 
 from .bb84 import (
@@ -83,6 +83,7 @@ from .solvers import (
     HostState,
     SolutionReport,
     SplitOffSubspace,
+    audit_report,
     gu_kernel_spectrum,
     projectivity_check,
     solve_first_class,

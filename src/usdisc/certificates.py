@@ -109,8 +109,13 @@ def _kernel_cols(a: np.ndarray, cut: float = REL_CUTOFF) -> np.ndarray:
 
 
 def fit_certificate(p: UsdProblem, m: Povm, tol: float = CERT_TOL,
-                    iters: int = 4000) -> Optional[OptimalityCertificate]:
+                    iters: int = 4000,
+                    candidate: Optional[np.ndarray] = None) -> Optional[OptimalityCertificate]:
     """Search for a witness certifying the given measurement.
+
+    A candidate witness, such as the oracle's dual solution, is returned
+    as it is when it verifies; the search runs only when it is absent or
+    fails.
 
     The annihilation condition restricts Z to the orthogonal complement
     of the inconclusive element's support, so the search runs in that
@@ -124,6 +129,12 @@ def fit_certificate(p: UsdProblem, m: Povm, tol: float = CERT_TOL,
     the margin. Absence of a result means "not certified", which is
     weaker than "refuted".
     """
+    if candidate is not None:
+        cert = OptimalityCertificate(z=candidate, success_trace=float(np.trace(candidate).real))
+        rep = verify_certificate(p, m, cert, tol)
+        if rep.ok:
+            cert.residuals = rep.residuals
+            return cert
     d = p.dim
     r0, r1 = p.rho0.matrix, p.rho1.matrix
     c = _kernel_cols(m.eq)

@@ -9,15 +9,10 @@ import argparse
 import sys
 
 from . import bb84, serialize
-from .bounds import rank_condition_check
-from .certificates import fit_certificate, verify_certificate
+from .certificates import fit_certificate
 from .errors import (
-    BracketFail,
     CertificateRejected,
-    DegenerateBound,
     DomainError,
-    EigenDecompositionError,
-    NotPositiveSemidefinite,
     OverlappingSupports,
     PreconditionFail,
     ProblemFormatError,
@@ -28,7 +23,7 @@ from .errors import (
 from .linalg import PSD_TOL, REL_CUTOFF
 from .oracle import oracle_optimize
 from .problem import failure_probability, validate_problem
-from .solvers import Branch, SolutionReport, solve_first_class, solve_gu_4d
+from .solvers import Branch, SolutionReport, audit_report, solve_first_class, solve_gu_4d
 
 _VALIDATION_ERRORS = (
     ProblemFormatError,
@@ -36,14 +31,6 @@ _VALIDATION_ERRORS = (
     PreconditionFail,
     OverlappingSupports,
     RankConditionsFail,
-)
-_NUMERICAL_ERRORS = (
-    CertificateRejected,
-    SpectrumAnomaly,
-    EigenDecompositionError,
-    NotPositiveSemidefinite,
-    BracketFail,
-    DegenerateBound,
 )
 
 
@@ -72,8 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("solve", help="optimal measurement for a problem file")
     add_io(sp, True)
     add_tols(sp)
-    sp.add_argument("--seed", type=int, default=7)
-    sp.add_argument("--restarts", type=int, default=16)
     sp.add_argument("--renormalize", action="store_true",
                     help="rescale input states to unit trace")
 
@@ -84,8 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("oracle", help="numerical optimization only")
     add_io(sp, True)
     add_tols(sp)
-    sp.add_argument("--seed", type=int, default=7)
-    sp.add_argument("--restarts", type=int, default=16)
     sp.add_argument("--renormalize", action="store_true")
 
     sp = sub.add_parser("bb84-sweep", help="failure-probability table over photon numbers")
@@ -121,30 +104,33 @@ def _load_problem(args):
 
 
 def _solve_route(p, args) -> SolutionReport:
+    # an analytic branch that fails its own checks hands over to the oracle
     if p.gu_involution is not None and p.dim == 4 and abs(p.eta0 - p.eta1) <= 1e-12:
         try:
             report, _ = solve_gu_4d(p)
             return report
-        except PreconditionFail:
+        except (PreconditionFail, SpectrumAnomaly, CertificateRejected):
             pass
     try:
         return solve_first_class(p, tol=args.tol_psd)
-    except RankConditionsFail:
-        result = oracle_optimize(p, restarts=args.restarts, seed=args.seed)
-        q, q0, q1 = failure_probability(p, result.best_povm)
-        cert = fit_certificate(p, result.best_povm)
-        diagnostics = {
-            "oracle_iterations": float(result.iterations),
-            "oracle_converged": float(result.converged),
-            "oracle_restarts": float(result.restarts_used),
-        }
-        return SolutionReport(
-            q_opt=q, q0=q0, q1=q1,
-            povm=result.best_povm,
-            branch=Branch.ORACLE_ONLY,
-            diagnostics=diagnostics,
-            certificate=cert,
-        )
+    except (RankConditionsFail, SpectrumAnomaly, CertificateRejected):
+        pass
+    result = oracle_optimize(p)
+    q, q0, q1 = failure_probability(p, result.povm)
+    # the oracle's dual is the witness; the search runs only if it fails
+    cert = fit_certificate(p, result.povm, candidate=result.certificate.z)
+    diagnostics = {
+        "oracle_iterations": float(result.iterations),
+        "oracle_converged": float(result.converged),
+        "oracle_duality_gap": result.duality_gap,
+    }
+    return SolutionReport(
+        q_opt=q, q0=q0, q1=q1,
+        povm=result.povm,
+        branch=Branch.ORACLE_ONLY,
+        diagnostics=diagnostics,
+        certificate=cert,
+    )
 
 
 def _cmd_solve(args) -> int:
@@ -158,9 +144,7 @@ def _cmd_certify(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         obj = serialize.loads(fh.read())
     p, report = serialize.report_from_obj(obj)
-    if report.certificate is None:
-        raise ProblemFormatError("report carries no certificate to verify")
-    rep = verify_certificate(p, report.povm, report.certificate)
+    rep = audit_report(p, report, tol_psd=args.tol_psd, tol_rank=args.tol_rank)
     lines = [f"{name}: {value:.6e}" for name, value in sorted(rep.residuals.items())]
     lines.append("PASS" if rep.ok else "FAIL: " + ", ".join(rep.failures))
     _emit("\n".join(lines) + "\n", args.output)
@@ -169,16 +153,16 @@ def _cmd_certify(args) -> int:
 
 def _cmd_oracle(args) -> int:
     p = _load_problem(args)
-    result = oracle_optimize(p, restarts=args.restarts, seed=args.seed)
-    q, q0, q1 = failure_probability(p, result.best_povm)
+    result = oracle_optimize(p)
+    q, q0, q1 = failure_probability(p, result.povm)
     obj = {
-        "best_q": result.best_q,
+        "q_opt": q,
         "q0": q0,
         "q1": q1,
         "iterations": result.iterations,
         "converged": result.converged,
-        "restarts_used": result.restarts_used,
-        "povm": serialize.povm_to_obj(result.best_povm),
+        "duality_gap": result.duality_gap,
+        "povm": serialize.povm_to_obj(result.povm),
     }
     _emit(serialize.dumps(obj), args.output)
     return 0
@@ -218,9 +202,6 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         sys.stderr.write(f"error: cannot read {exc.filename}\n")
         return 1
-    except _NUMERICAL_ERRORS as exc:
-        sys.stderr.write(f"numerical failure: {exc}\n")
-        return 2
     except UsdError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 2

@@ -21,14 +21,7 @@ class NotPositiveSemidefinite(UsdError):
 
 
 class EigenDecompositionError(UsdError):
-    """The iterative eigensolver failed to converge.
-
-    ``iterations`` carries the iteration budget that was exhausted.
-    """
-
-    def __init__(self, message, iterations=None):
-        super().__init__(message)
-        self.iterations = iterations
+    """The iterative eigensolver failed to converge."""
 
 
 class OverlappingSupports(UsdError):

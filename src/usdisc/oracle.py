@@ -1,13 +1,28 @@
-"""Brute-force numerical optimizer used to cross-check the analytic solvers.
+"""Primal-dual interior-point oracle used to cross-check the analytic solvers.
 
-The search runs projected gradient ascent on the success probability
-over pairs (E0, E1) confined to the kernels of the opposite states,
-which enforces the error-free conditions exactly. Feasibility (both
-elements PSD, their sum capped by the identity) is restored after every
-step by cyclic projection with correction buffers; the projection
-accuracy is what ultimately limits the achievable objective accuracy,
-so the final polish phase runs it much tighter than the exploratory
-phase. All restarts advance together as one batched array.
+Unambiguous discrimination is a semidefinite program (Eldar, IEEE Trans.
+Inf. Theory 49, 446 (2003)). With V0 and V1 orthonormal bases of the
+kernels of rho0 and rho1, the primal is
+
+    max  eta0 Tr(A V1^H rho0 V1) + eta1 Tr(B V0^H rho1 V0)
+    s.t. A >= 0,  B >= 0,  Eq = I - V1 A V1^H - V0 B V0^H >= 0,
+
+so E0 = V1 A V1^H and E1 = V0 B V0^H are error free by construction. Its
+dual is
+
+    min  Tr Z
+    s.t. Z >= 0,  V1^H (Z - eta0 rho0) V1 >= 0,  V0^H (Z - eta1 rho1) V0 >= 0,
+
+and an optimal Z is exactly the witness that certificates.verify_certificate
+checks. The solver takes Mehrotra predictor-corrector steps along the HKM
+direction (Helmberg, Rendl, Vanderbei and Wolkowicz, SIAM J. Optim. 6, 342
+(1996)), with the three cone blocks held as one block-diagonal matrix.
+Both sides stay exactly feasible: the dual slacks are computed from Z and
+Eq from A and B, so the Newton steps only have to close the
+complementarity gap. Pure centring steps pull the iterate back onto the
+central path, where Z Eq = mu I, whenever it strays, and again once the
+gap is small. Off the path the cross terms of Z Eq decay only like
+sqrt(mu), and the witness would miss the certificate tolerance.
 
 This module must stay independent of the analytic solution formulas:
 it exists to disagree with them when they are wrong.
@@ -17,147 +32,167 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certificates import OptimalityCertificate
 from .errors import OverlappingSupports
-from .linalg import support_decomposition
-from .problem import Povm, UsdProblem, standard_form_report
+from .linalg import REL_CUTOFF
+from .problem import Povm, UsdProblem, failure_probability
+
+# Duality gap at which path following stops. Both objectives lie in
+# [0, 1], so it is also the relative gap.
+GAP_TOL = 1e-9
+# Frobenius norm of X S the centring steps must reach. It bounds the
+# witness's equality residuals, which the certificate checks at 1e-7.
+COMPL_TOL = 1e-8
+# A centring step replaces the predictor-corrector step while |X S|
+# exceeds this multiple of its central-path value mu sqrt(n).
+OFF_CENTRE = 10.0
+MAX_STEPS = 80
+MAX_CENTRING = 16
 
 
 @dataclass(frozen=True)
 class OracleResult:
-    best_povm: Povm
-    best_q: float
+    povm: Povm
+    q_opt: float
+    certificate: OptimalityCertificate
     iterations: int
     converged: bool
-    restarts_used: int
+    duality_gap: float
 
 
-def _bherm(a: np.ndarray) -> np.ndarray:
+def _herm(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
 
 
-def oracle_optimize(p: UsdProblem, restarts: int = 16, max_iters: int = 5000,
-                    seed: int = 7, *, flight_iters: int = 400,
-                    polish_iters: int = 1500, projection_cap: int = 400,
-                    stall_window: int = 50, stall_rtol: float = 1e-10) -> OracleResult:
-    """Maximize eta0 Tr(E0 rho0) + eta1 Tr(E1 rho1) by projected ascent.
+def _dag(a: np.ndarray) -> np.ndarray:
+    return np.conj(np.swapaxes(a, -1, -2))
 
-    Deterministic for a fixed seed. Restarts are merged by best
-    objective with ties going to the lowest restart index. Convergence
-    means the polished leader's relative improvement stayed below
-    stall_rtol over stall_window accepted steps.
+
+def _kernel_basis(rho: np.ndarray):
+    """Orthonormal kernel columns and the rank, at the package's rank cutoff."""
+    w, v = np.linalg.eigh(rho)
+    support = w > REL_CUTOFF * max(float(w[-1]), 0.0)
+    return v[:, ~support], int(support.sum())
+
+
+def oracle_optimize(p: UsdProblem) -> OracleResult:
+    """Maximize eta0 Tr(E0 rho0) + eta1 Tr(E1 rho1) over error-free
+    measurements, and return the optimal dual Z as the certificate.
+
+    duality_gap is Tr Z - (1 - q_opt). Both iterates stay feasible, so it
+    bounds the distance of q_opt from the true optimum. The result is a
+    deterministic function of the problem; iterations counts Newton steps.
     """
-    if standard_form_report(p).supports_overlap:
+    r0m, r1m = p.rho0.matrix, p.rho1.matrix
+    v0, rank0 = _kernel_basis(r0m)
+    v1, rank1 = _kernel_basis(r1m)
+    if rank0 + rank1 > _kernel_basis(_herm(r0m + r1m))[1]:
         raise OverlappingSupports(
             "state supports overlap; no error-free measurement can succeed on both"
         )
-    r0 = p.rho0.matrix
-    r1 = p.rho1.matrix
     d = p.dim
-    eye = np.eye(d)
-    k0 = support_decomposition(r0).kernel_projector
-    k1 = support_decomposition(r1).kernel_projector
-    # ascent directions are constant: the objective is linear in (E0, E1)
-    g0 = _bherm((k1 @ (p.eta0 * r0) @ k1)[None])[0]
-    g1 = _bherm((k0 @ (p.eta1 * r1) @ k0)[None])[0]
-    w0, w1 = p.eta0 * r0, p.eta1 * r1
-    win = stall_window
+    eye = np.eye(d, dtype=complex)
+    # X = diag(Eq, A, B) pairs with S = diag(Z, V1^H Z V1 - C_A, V0^H Z V0 - C_B);
+    # W = [I V1 V0] maps the blocks into C^d, wk[k] keeps only block k's columns
+    w = np.hstack([eye, v1, v0])
+    sizes = (d, v1.shape[1], v0.shape[1])
+    n = sum(sizes)
+    edges = np.cumsum((0,) + sizes)
+    blocks = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    mask = np.zeros((n, n), bool)
+    wk = np.zeros((3, d, n), complex)
+    for k, blk in enumerate(blocks):
+        mask[blk, blk] = True
+        wk[k][:, blk] = w[:, blk]
+    qb, ab, bb = blocks
+    w_ab = wk[1] + wk[2]
+    c = np.zeros((n, n), complex)
+    c[ab, ab] = p.eta0 * _dag(v1) @ r0m @ v1
+    c[bb, bb] = p.eta1 * _dag(v0) @ r1m @ v0
+    c = _herm(c)
 
-    def clip_cone(a, kp):
-        w, v = np.linalg.eigh(_bherm(kp @ a @ kp))
-        return _bherm((v * np.clip(w, 0, None)[:, None, :]) @ np.conj(np.swapaxes(v, -1, -2)))
+    def with_inconclusive(x):
+        x[qb, qb] = _herm(eye - w_ab @ x @ _dag(w_ab))
+        return x
 
-    def proj_sum(a0, a1):
-        w, v = np.linalg.eigh(_bherm(a0 + a1 - eye))
-        pos = np.clip(w, 0.0, None)
-        exc = _bherm((v * pos[:, None, :]) @ np.conj(np.swapaxes(v, -1, -2)))
-        return a0 - 0.5 * exc, a1 - 0.5 * exc
+    def slack(z):
+        return np.where(mask, _herm(_dag(w) @ z @ w), 0.0) - c
 
-    def project(a0, a1, tol, cap):
-        # cyclic projection with correction buffers; the final rescale
-        # guarantees the sum cap holds exactly even when cap is hit
-        x0, x1 = a0, a1
-        u0 = np.zeros_like(a0)
-        u1 = np.zeros_like(a1)
-        v0 = np.zeros_like(a0)
-        v1 = np.zeros_like(a1)
-        for _ in range(cap):
-            y0, y1 = proj_sum(x0 + u0, x1 + u1)
-            u0 = x0 + u0 - y0
-            u1 = x1 + u1 - y1
-            px0, px1 = x0, x1
-            x0 = clip_cone(y0 + v0, k1)
-            x1 = clip_cone(y1 + v1, k0)
-            v0 = y0 + v0 - x0
-            v1 = y1 + v1 - x1
-            if max(np.abs(x0 - px0).max(), np.abs(x1 - px1).max()) < tol:
-                break
-        wm = np.linalg.eigvalsh(_bherm(x0 + x1))[:, -1]
-        s = 1.0 / np.maximum(1.0, wm)
-        return x0 * s[:, None, None], x1 * s[:, None, None]
+    # A = B = I/3 keeps Eq >= I/3; Z = I leaves each kernel slack >= (1 - eta) I
+    x = with_inconclusive(np.eye(n, dtype=complex) / 3.0)
+    z = eye.copy()
+    s = slack(z)
 
-    def objective(a0, a1):
-        return (np.einsum("rij,ji->r", a0, w0) + np.einsum("rij,ji->r", a1, w1)).real
+    steps = 0
+    centring = 0
+    converged = False
+    while steps < MAX_STEPS:
+        xs = x @ s
+        mu = float(np.trace(xs).real) / n
+        gap = float(np.trace(z).real - np.vdot(c, x).real)
+        compl = float(np.linalg.norm(xs))
+        small_gap = gap <= GAP_TOL
+        if small_gap and compl <= COMPL_TOL:
+            converged = True
+            break
+        if centring == MAX_CENTRING:
+            break
+        try:
+            sinv = np.linalg.inv(s)
+            # Schur complement of the HKM system on row-major vec(dZ): the
+            # sum over blocks of sym(P dZ Q), P = W X W^H and Q = W S^-1 W^H
+            pk = wk @ x @ _dag(wk)
+            qk = wk @ sinv @ _dag(wk)
+            m = 0.5 * np.einsum("bik,blj->ijkl", np.concatenate([pk, qk]),
+                                np.concatenate([qk, pk])).reshape(d * d, d * d)
 
-    def climb(e0, e1, f, t, budget, rt, ptol, pcap):
-        n = len(f)
-        active = np.ones(n, bool)
-        ring = np.tile(f, (win + 1, 1))
-        acc_cnt = np.zeros(n, int)
-        it = 0
-        stalled = np.zeros(n, bool)
-        while it < budget and active.any():
-            it += 1
-            c0 = e0 + t[:, None, None] * g0
-            c1 = e1 + t[:, None, None] * g1
-            c0, c1 = project(c0, c1, ptol, pcap)
-            fn = objective(c0, c1)
-            acc = (fn >= f) & active
-            rej = (~acc) & active
-            e0[acc], e1[acc], f[acc] = c0[acc], c1[acc], fn[acc]
-            t[acc] = np.minimum(t[acc] * 1.5, 1e6)
-            t[rej] *= 0.5
-            acc_cnt[acc] += 1
-            ring[acc_cnt[acc] % (win + 1), acc] = f[acc]
-            chk = acc & (acc_cnt >= win)
-            if chk.any():
-                old = ring[(acc_cnt[chk] - win) % (win + 1), chk]
-                stall = (f[chk] - old) < rt * np.maximum(1.0, np.abs(f[chk]))
-                idx = np.flatnonzero(chk)
-                active[idx[stall]] = False
-                stalled[idx[stall]] = True
-            floored = active & (t <= 1e-15)
-            stalled |= floored
-            active &= t > 1e-15
-        return e0, e1, f, it, stalled
+            def direction(r):
+                dz = _herm(np.linalg.solve(m, (w @ r @ _dag(w)).ravel()).reshape(d, d))
+                ds = np.where(mask, _herm(_dag(w) @ dz @ w), 0.0)
+                dx = _herm(r - x @ ds @ sinv)
+                # Eq follows A and B exactly, which keeps the primal feasible
+                dx[qb, qb] = -_herm(w_ab @ dx @ _dag(w_ab))
+                return dz, dx, ds
 
-    rng = np.random.default_rng(seed)
-    r = max(1, int(restarts))
-    b0 = (rng.standard_normal((r, d, d)) + 1j * rng.standard_normal((r, d, d))) / np.sqrt(2)
-    b1 = (rng.standard_normal((r, d, d)) + 1j * rng.standard_normal((r, d, d))) / np.sqrt(2)
-    e0 = _bherm(k1 @ b0 @ np.conj(np.swapaxes(b0, -1, -2)) @ k1)
-    e1 = _bherm(k0 @ b1 @ np.conj(np.swapaxes(b1, -1, -2)) @ k0)
-    e0, e1 = project(e0, e1, 1e-10, min(60, projection_cap))
-    f = objective(e0, e1)
-    t = np.ones(r)
-    flight = min(flight_iters, max_iters)
-    e0, e1, f, it1, _ = climb(e0, e1, f, t, flight, stall_rtol, 1e-10, min(60, projection_cap))
+            def longest(dx, ds):
+                """Largest steps keeping X + a dX and S + a dS PSD."""
+                lo = np.linalg.inv(np.linalg.cholesky(np.stack([x, s])))
+                low = np.linalg.eigvalsh(_herm(lo @ np.stack([dx, ds]) @ _dag(lo)))[:, 0]
+                return [np.inf if v >= 0.0 else -1.0 / v for v in low]
 
-    best = int(np.argmax(f))
-    pe0, pe1, pf = e0[best:best + 1], e1[best:best + 1], f[best:best + 1]
-    budget = min(polish_iters, max_iters)
-    pe0, pe1, pf, it2, stalled = climb(
-        pe0, pe1, pf, np.ones(1), budget, 1e-12, 1e-15, projection_cap
-    )
-    pe0, pe1 = project(pe0, pe1, 1e-16, max(projection_cap, 1000))
+            if small_gap:
+                centring += 1
+            if small_gap or compl > OFF_CENTRE * mu * np.sqrt(n):
+                r = mu * sinv - x
+            else:
+                dz, dx, ds = direction(-x)
+                ap, ad = (min(1.0, t) for t in longest(dx, ds))
+                mu_aff = float(np.vdot(x + ap * dx, s + ad * ds).real) / n
+                # aim no lower than a quarter of the stopping gap: centring
+                # far below it runs into rounding
+                sigma = min(1.0, max((mu_aff / mu) ** 3, 0.25 * GAP_TOL / (n * mu)))
+                r = sigma * mu * sinv - x - _herm(dx @ ds @ sinv)
+            dz, dx, ds = direction(r)
+            ap, ad = longest(dx, ds)
+        except np.linalg.LinAlgError:
+            # an iterate lost definiteness to rounding: keep the last one
+            break
+        frac = 0.9 + 0.09 * min(ap, ad, 1.0)
+        x = with_inconclusive(_herm(x + min(1.0, frac * ap) * dx))
+        z = _herm(z + min(1.0, frac * ad) * dz)
+        s = slack(z)
+        steps += 1
 
-    e0f = pe0[0]
-    e1f = pe1[0]
-    eqf = _bherm((eye - e0f - e1f)[None])[0]
-    best_q = float(1.0 - objective(pe0, pe1)[0])
+    e0 = _herm(v1 @ x[ab, ab] @ _dag(v1))
+    e1 = _herm(v0 @ x[bb, bb] @ _dag(v0))
+    povm = Povm(e0=e0, e1=e1, eq=_herm(eye - e0 - e1))
+    q = float(failure_probability(p, povm)[0])
+    trace = float(np.trace(z).real)
     return OracleResult(
-        best_povm=Povm(e0=e0f, e1=e1f, eq=eqf),
-        best_q=min(1.0, max(0.0, best_q)),
-        iterations=it1 + it2,
-        converged=bool(stalled[0]),
-        restarts_used=r,
+        povm=povm,
+        q_opt=q,
+        certificate=OptimalityCertificate(z=z, success_trace=trace),
+        iterations=steps,
+        converged=converged,
+        duality_gap=trace - (1.0 - q),
     )

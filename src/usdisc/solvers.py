@@ -49,12 +49,17 @@ from .problem import (
     failure_probability,
     standard_form_report,
     validate_povm,
+    validate_problem,
     verify_gu_structure,
 )
 
 # eigenvalue threshold treated as "equals one" when hunting unit
 # eigenvectors of measurement elements (their spectra live in [0, 1])
 UNIT_EIG_THRESHOLD = 1.0 - 1e-7
+
+# A stored failure probability must match the one recomputed from the
+# stored measurement; a report written by this package matches to rounding.
+STORED_Q_TOL = 1e-10
 
 
 class Branch(Enum):
@@ -77,6 +82,30 @@ class SolutionReport:
     branch: Branch
     diagnostics: dict = field(default_factory=dict)
     certificate: Optional[OptimalityCertificate] = None
+
+
+def audit_report(p: UsdProblem, report: SolutionReport, tol_psd: float = PSD_TOL,
+                 tol_rank: float = REL_CUTOFF) -> ValidationReport:
+    """Re-check what a stored report claims: the problem, the measurement,
+    the stored failure probabilities and the witness.
+
+    The branch label is not re-derived; that would cost a fidelity
+    computation on every audit.
+    """
+    rep = validate_problem(p, tol_psd=tol_psd, tol_rank=tol_rank)
+    parts = [validate_povm(p, report.povm)]
+    if report.certificate is None:
+        rep.failures.append("certificate_missing")
+    else:
+        parts.append(verify_certificate(p, report.povm, report.certificate))
+    for part in parts:
+        rep.residuals.update(part.residuals)
+        rep.failures.extend(part.failures)
+    recomputed = failure_probability(p, report.povm)
+    for name, stored, value in zip(("q_opt", "q0", "q1"),
+                                   (report.q_opt, report.q0, report.q1), recomputed):
+        rep.check(f"{name}_stored", abs(stored - value), STORED_Q_TOL)
+    return rep
 
 
 @dataclass(frozen=True)

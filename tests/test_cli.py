@@ -54,15 +54,30 @@ def test_solve_falls_back_to_oracle(tmp_path):
     inp = tmp_path / "problem.json"
     out = tmp_path / "report.json"
     write_problem(inp, bare)
-    code = main(["solve", "--input", str(inp), "--output", str(out),
-                 "--seed", "3", "--restarts", "6"])
+    code = main(["solve", "--input", str(inp), "--output", str(out)])
     assert code == 0
     obj = json.loads(out.read_text())
     assert obj["branch"] == "OracleOnly"
-    assert obj["diagnostics"]["oracle_restarts"] == 6.0
     # the oracle lands on the same optimum the symmetric solver proves
     rep, _ = usdisc.solve_gu_4d(p)
     assert abs(obj["q_opt"] - rep.q_opt) <= 1e-5
+    assert obj["q_opt"] - rep.q_opt <= obj["diagnostics"]["oracle_duality_gap"] + 1e-12
+    assert obj["diagnostics"]["oracle_converged"] == 1.0
+    assert main(["certify", "--input", str(out)]) == 0
+
+
+def test_solve_falls_back_when_projective_certificate_fails(tmp_path, monkeypatch):
+    # an analytic branch that cannot certify itself hands over to the oracle
+    import usdisc.solvers
+
+    monkeypatch.setattr(usdisc.solvers, "fit_certificate", lambda *args, **kwargs: None)
+    inp = tmp_path / "problem.json"
+    out = tmp_path / "report.json"
+    write_problem(inp, bit_problem(0.3))
+    assert main(["solve", "--input", str(inp), "--output", str(out)]) == 0
+    obj = json.loads(out.read_text())
+    assert obj["branch"] == "OracleOnly"
+    assert "certificate" in obj
 
 
 def test_certify_round_trip(tmp_path, capsys):
@@ -95,18 +110,76 @@ def test_certify_rejects_tampered_witness(tmp_path, capsys):
     assert "FAIL" in captured.out
 
 
+def _certify_tampered(tmp_path, capsys, tamper, *flags):
+    """Solve the bit pair, alter the report, certify it; returns the exit
+    code and the verdict line."""
+    inp = tmp_path / "problem.json"
+    rpt = tmp_path / "report.json"
+    write_problem(inp, bit_problem(0.3))
+    assert main(["solve", "--input", str(inp), "--output", str(rpt)]) == 0
+    obj = json.loads(rpt.read_text())
+    tamper(obj)
+    rpt.write_text(serialize.dumps(obj))
+    code = main(["certify", "--input", str(rpt), *flags])
+    return code, capsys.readouterr().out.strip().splitlines()[-1]
+
+
+def _matrix(obj):
+    return np.array(obj["re"]) + 1j * np.array(obj["im"])
+
+
+def test_certify_rejects_tampered_failure_probability(tmp_path, capsys):
+    def halve(obj):
+        obj["q_opt"] = 0.5 * obj["q_opt"]
+
+    code, verdict = _certify_tampered(tmp_path, capsys, halve)
+    assert code == 1
+    assert verdict.startswith("FAIL") and "q_opt_stored" in verdict
+
+
+def test_certify_rejects_tampered_measurement(tmp_path, capsys):
+    def negate_e0(obj):
+        obj["povm"]["e0"] = serialize.matrix_to_obj(-_matrix(obj["povm"]["e0"]))
+
+    code, verdict = _certify_tampered(tmp_path, capsys, negate_e0)
+    assert code == 1
+    assert verdict.startswith("FAIL") and "e0_psd" in verdict
+
+
+def test_certify_rejects_report_without_witness(tmp_path, capsys):
+    code, verdict = _certify_tampered(tmp_path, capsys, lambda obj: obj.pop("certificate"))
+    assert code == 1
+    assert verdict.startswith("FAIL") and "certificate_missing" in verdict
+
+
+def test_certify_validates_problem_with_tolerance_flags(tmp_path, capsys):
+    # push rho0 off the PSD cone by 1e-6 along a kernel direction, keeping
+    # it Hermitian with unit trace
+    def bend_rho0(obj):
+        rho0 = _matrix(obj["problem"]["rho0"])
+        w, v = np.linalg.eigh(rho0)
+        bent = rho0 + 1e-6 * (np.outer(v[:, -1], v[:, -1].conj())
+                              - np.outer(v[:, 0], v[:, 0].conj()))
+        obj["problem"]["rho0"] = serialize.matrix_to_obj(bent)
+
+    code, verdict = _certify_tampered(tmp_path, capsys, bend_rho0)
+    assert code == 1
+    assert "rho0_psd" in verdict
+    _, verdict = _certify_tampered(tmp_path, capsys, bend_rho0, "--tol-psd", "1e-3")
+    assert "rho0_psd" not in verdict
+
+
 def test_oracle_command(tmp_path):
     inp = tmp_path / "problem.json"
     out = tmp_path / "oracle.json"
     write_problem(inp, bit_problem(0.5))
-    code = main(["oracle", "--input", str(inp), "--output", str(out),
-                 "--seed", "7", "--restarts", "4"])
+    code = main(["oracle", "--input", str(inp), "--output", str(out)])
     assert code == 0
     import usdisc
 
     obj = json.loads(out.read_text())
     rep, _ = usdisc.solve_gu_4d(bit_problem(0.5))
-    assert abs(obj["best_q"] - rep.q_opt) <= 1e-5
+    assert abs(obj["q_opt"] - rep.q_opt) <= 1e-5
 
 
 def test_invalid_priors_exit_code(tmp_path, capsys):

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
-from conftest import first_class_instance, random_gu4_problem
+from conftest import first_class_instance, random_gu4_problem, random_problem
 from usdisc import (
     DensityMatrix,
     UsdProblem,
     failure_lower_bound,
     oracle_optimize,
+    rank_condition_check,
     solve_gu_4d,
     validate_povm,
+    verify_certificate,
 )
+from usdisc.certificates import CERT_TOL
 from usdisc.errors import OverlappingSupports
 from usdisc.linalg import psd_check
 
@@ -28,34 +31,34 @@ def _pure_pair(s, eta0=0.5):
 def test_oracle_matches_pure_state_overlap():
     # equal priors: the optimal failure probability is the overlap itself
     for s in (0.3, 0.6, 0.8):
-        res = oracle_optimize(_pure_pair(s), restarts=4, max_iters=400, seed=0)
-        assert res.best_q == pytest.approx(s, abs=1e-6)
+        res = oracle_optimize(_pure_pair(s))
+        assert res.q_opt == pytest.approx(s, abs=1e-6)
 
 
 def test_oracle_output_is_a_valid_povm():
     p = _pure_pair(0.6)
-    res = oracle_optimize(p, restarts=2, max_iters=200, seed=1)
-    out = validate_povm(p, res.best_povm)
+    res = oracle_optimize(p)
+    out = validate_povm(p, res.povm)
     assert out.ok, out.failures
 
 
-def test_oracle_deterministic_for_fixed_seed():
-    p = _pure_pair(0.45)
-    r1 = oracle_optimize(p, restarts=3, max_iters=150, seed=11)
-    r2 = oracle_optimize(p, restarts=3, max_iters=150, seed=11)
-    assert r1.best_q == r2.best_q
-    assert np.array_equal(r1.best_povm.e0, r2.best_povm.e0)
-    assert np.array_equal(r1.best_povm.e1, r2.best_povm.e1)
-    assert r1.iterations == r2.iterations
+def test_oracle_is_deterministic():
+    rng = np.random.default_rng(12)
+    p = random_problem(rng, 5)
+    r1 = oracle_optimize(p)
+    r2 = oracle_optimize(p)
+    for a, b in ((r1.povm.e0, r2.povm.e0), (r1.povm.e1, r2.povm.e1),
+                 (r1.povm.eq, r2.povm.eq), (r1.certificate.z, r2.certificate.z)):
+        assert a.tobytes() == b.tobytes()
+    assert (r1.q_opt, r1.iterations, r1.duality_gap) == (r2.q_opt, r2.iterations, r2.duality_gap)
 
 
 def test_oracle_reaches_fidelity_bound_on_first_class_instances():
     rng = np.random.default_rng(2)
     for i in range(5):
         p = first_class_instance(rng, int(rng.integers(2, 7)))
-        res = oracle_optimize(p, restarts=3, max_iters=300, seed=i,
-                              projection_cap=120)
-        assert abs(res.best_q - failure_lower_bound(p)) <= 1e-5
+        res = oracle_optimize(p)
+        assert abs(res.q_opt - failure_lower_bound(p)) <= 1e-5
 
 
 def test_oracle_agrees_with_projective_branch():
@@ -67,17 +70,34 @@ def test_oracle_agrees_with_projective_branch():
         if gu is None:
             continue
         checked += 1
-        res = oracle_optimize(p, restarts=3, max_iters=300, seed=checked,
-                              projection_cap=120)
-        assert abs(res.best_q - rep.q_opt) <= 1e-5
+        res = oracle_optimize(p)
+        assert abs(res.q_opt - rep.q_opt) <= 1e-5
+        # weak duality: q_opt - gap <= q* <= q_opt; the 1e-12 absorbs
+        # rounding in the analytic value
+        assert -1e-12 <= res.q_opt - rep.q_opt <= res.duality_gap + 1e-12
 
 
 def test_oracle_never_undercuts_lower_bound():
     rng = np.random.default_rng(4)
     for i in range(6):
         p = random_gu4_problem(rng)
-        res = oracle_optimize(p, restarts=1, max_iters=60, seed=i)
-        assert res.best_q >= failure_lower_bound(p) - 1e-6
+        res = oracle_optimize(p)
+        assert res.q_opt >= failure_lower_bound(p) - 1e-6
+
+
+def test_oracle_witness_verifies_where_rank_conditions_fail():
+    rng = np.random.default_rng(5)
+    for d in (3, 4, 5):
+        found = 0
+        while found < 4:
+            p = random_problem(rng, d)
+            if rank_condition_check(p).both_psd:
+                continue
+            found += 1
+            res = oracle_optimize(p)
+            assert res.converged
+            rep = verify_certificate(p, res.povm, res.certificate, CERT_TOL)
+            assert rep.ok, (d, rep.failures)
 
 
 def test_oracle_rejects_overlapping_supports():
@@ -89,9 +109,11 @@ def test_oracle_rejects_overlapping_supports():
 
 def test_oracle_result_fields():
     p = _pure_pair(0.5)
-    res = oracle_optimize(p, restarts=2, max_iters=120, seed=5)
-    assert res.restarts_used == 2
+    res = oracle_optimize(p)
     assert res.iterations > 0
-    assert 0.0 <= res.best_q <= 1.0
-    mn = psd_check(res.best_povm.eq)[1]
+    assert res.converged
+    assert 0.0 <= res.duality_gap <= 1e-8
+    assert 0.0 <= res.q_opt <= 1.0
+    assert res.certificate.success_trace == float(np.trace(res.certificate.z).real)
+    mn = psd_check(res.povm.eq)[1]
     assert mn >= -1e-9
