@@ -16,8 +16,6 @@ import numpy as np
 from .errors import BracketFail, DomainError, UsdError
 from .problem import DensityMatrix, UsdProblem, verify_gu_structure
 from .solvers import Branch, solve_first_class, solve_gu_4d
-from .bounds import fidelity_operators
-from .linalg import psd_check
 
 MU0_BRACKET = (0.1, 2.0)
 DEFAULT_GRID = (0.05, 3.0, 0.05)
@@ -37,6 +35,14 @@ class Bb84States:
     rho_1: DensityMatrix
     u_basis: np.ndarray
     u_bit: np.ndarray
+
+    def basis_problem(self) -> UsdProblem:
+        return UsdProblem(rho0=self.rho_r, rho1=self.rho_i, eta0=0.5, eta1=0.5,
+                          gu_involution=self.u_basis)
+
+    def bit_problem(self) -> UsdProblem:
+        return UsdProblem(rho0=self.rho_0, rho1=self.rho_1, eta0=0.5, eta1=0.5,
+                          gu_involution=self.u_bit)
 
 
 @dataclass(frozen=True)
@@ -119,15 +125,11 @@ def build_states(mu: float) -> Bb84States:
 
 
 def basis_problem(mu: float) -> UsdProblem:
-    s = build_states(mu)
-    return UsdProblem(rho0=s.rho_r, rho1=s.rho_i, eta0=0.5, eta1=0.5,
-                      gu_involution=s.u_basis)
+    return build_states(mu).basis_problem()
 
 
 def bit_problem(mu: float) -> UsdProblem:
-    s = build_states(mu)
-    return UsdProblem(rho0=s.rho_0, rho1=s.rho_1, eta0=0.5, eta1=0.5,
-                      gu_involution=s.u_bit)
+    return build_states(mu).bit_problem()
 
 
 def q_basis_closed_form(mu: float) -> float:
@@ -193,17 +195,15 @@ def sweep(mu_start: float = DEFAULT_GRID[0], mu_end: float = DEFAULT_GRID[1],
     for i in range(count):
         mu = mu_start + i * step
         try:
-            basis_report = solve_first_class(basis_problem(mu))
+            states = build_states(mu)
+            basis_report = solve_first_class(states.basis_problem())
             closed = q_basis_closed_form(mu)
             if abs(basis_report.q_opt - closed) > 1e-8:
                 raise UsdError(
                     f"basis failure probability {basis_report.q_opt!r} deviates "
                     f"from closed form {closed!r}"
                 )
-            bit = bit_problem(mu)
-            bit_report, _ = solve_gu_4d(bit)
-            fd = fidelity_operators(bit)
-            _, min_eig = psd_check(bit.rho0.matrix - fd.f0)
+            bit_report, _ = solve_gu_4d(states.bit_problem())
         except UsdError as exc:
             raise type(exc)(f"sweep failed at mu={mu!r}: {exc}") from exc
         rows.append(
@@ -212,7 +212,7 @@ def sweep(mu_start: float = DEFAULT_GRID[0], mu_end: float = DEFAULT_GRID[1],
                 q_basis=basis_report.q_opt,
                 q_bit=bit_report.q_opt,
                 branch_bit=bit_report.branch,
-                min_eig_rho0_minus_f0=min_eig,
+                min_eig_rho0_minus_f0=bit_report.diagnostics["op0_min_eig"],
             )
         )
     return rows

@@ -13,16 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBound, DomainError, OverlappingSupports, PreconditionFail
-from .linalg import (
-    PSD_TOL,
-    REL_CUTOFF,
-    hermitize,
-    pseudo_inverse,
-    psd_check,
-    sqrt_psd,
-    support_decomposition,
-)
-from .problem import UsdProblem, standard_form_report
+from .linalg import PSD_TOL, REL_CUTOFF, hermitize, nonzero_mask, psd_check, sqrt_psd
+from .problem import UsdProblem
 
 
 @dataclass(frozen=True)
@@ -30,8 +22,6 @@ class FidelityData:
     f0: np.ndarray
     f1: np.ndarray
     fidelity: float
-    sigma: np.ndarray
-    sigma_pinv: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -42,15 +32,14 @@ class RankConditionReport:
 
 
 def fidelity_operators(p: UsdProblem) -> FidelityData:
-    """Both fidelity operators, their shared trace, and the state-sum
-    pseudo-inverse used by the measurement formulas.
+    """Both fidelity operators and their shared trace.
 
     The mirror trace is computed independently and cross checked rather
     than assumed equal; a mismatch means the eigensolver drifted.
     """
     r0, r1 = p.rho0.matrix, p.rho1.matrix
-    s0 = sqrt_psd(r0)
-    s1 = sqrt_psd(r1)
+    s0 = p.rho0.sqrt
+    s1 = p.rho1.sqrt
     f0 = sqrt_psd(hermitize(s0 @ r1 @ s0))
     f1 = sqrt_psd(hermitize(s1 @ r0 @ s1))
     t0 = float(np.trace(f0).real)
@@ -59,14 +48,7 @@ def fidelity_operators(p: UsdProblem) -> FidelityData:
         raise DomainError(
             f"fidelity operator traces disagree: {t0!r} vs {t1!r}"
         )
-    sigma = hermitize(r0 + r1)
-    return FidelityData(
-        f0=f0,
-        f1=f1,
-        fidelity=t0,
-        sigma=sigma,
-        sigma_pinv=pseudo_inverse(sigma),
-    )
+    return FidelityData(f0=f0, f1=f1, fidelity=t0)
 
 
 def failure_lower_bound(p: UsdProblem) -> float:
@@ -79,8 +61,7 @@ def rank_condition_check(p: UsdProblem, tol: float = PSD_TOL,
                          fd: FidelityData = None) -> RankConditionReport:
     """Minimum eigenvalues of the two operators whose joint positivity
     marks the regime where the fidelity bound is attained."""
-    report = standard_form_report(p)
-    if report.supports_overlap:
+    if p.supports_overlap:
         raise OverlappingSupports(
             "state supports overlap; reduce the problem before testing rank conditions"
         )
@@ -103,8 +84,8 @@ def prior_regime_bounds(p: UsdProblem, fd: FidelityData = None):
         raise DegenerateBound(
             "states are perfectly distinguishable; the prior window is vacuous"
         )
-    p0 = support_decomposition(p.rho0.matrix).support_projector
-    p1 = support_decomposition(p.rho1.matrix).support_projector
+    p0 = p.rho0.support.support_projector
+    p1 = p.rho1.support.support_projector
     low = float(np.trace(p1 @ p.rho0.matrix).real) / fd.fidelity
     denom = float(np.trace(p0 @ p.rho1.matrix).real)
     high = math.inf if denom <= 0.0 else fd.fidelity / denom
@@ -127,12 +108,11 @@ def tighter_q0_bound(p: UsdProblem, rel_cutoff: float = REL_CUTOFF):
             "declares no involution",
             cause="gu_involution",
         )
-    d1 = support_decomposition(p.rho1.matrix, rel_cutoff)
+    d1 = p.rho1.spectrum.support(rel_cutoff)
     k1 = d1.kernel_projector
     compressed = hermitize(k1 @ p.rho0.matrix @ k1)
     w = np.linalg.eigvalsh(compressed)
-    lmax = float(w[-1]) if w.size else 0.0
-    nonzero = w[w > rel_cutoff * max(lmax, 0.0)]
+    nonzero = w[nonzero_mask(w, rel_cutoff)]
     if nonzero.size == 0:
         raise DegenerateBound("kernel-compressed state vanishes; bound undefined")
     lambda_min = float(nonzero[0])

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import REL_CUTOFF, eigh, hermitize, spectral_norm, sqrt_psd, support_decomposition
+from .linalg import eigh, hermitize, spectral_norm
 from .problem import Povm, UsdProblem, ValidationReport, failure_probability
 
 CERT_TOL = 1e-7
@@ -35,8 +35,8 @@ def build_fidelity_certificate(p: UsdProblem) -> OptimalityCertificate:
     SVD completion is used on any rank-deficient part, which leaves the
     certificate conditions untouched.
     """
-    s0 = sqrt_psd(p.rho0.matrix)
-    s1 = sqrt_psd(p.rho1.matrix)
+    s0 = p.rho0.sqrt
+    s1 = p.rho1.sqrt
     w, _, vh = np.linalg.svd(s0 @ s1)
     vpol = w @ vh
     ydag = -math.sqrt(p.eta0) * vpol.conj().T @ s0 + math.sqrt(p.eta1) * s1
@@ -55,8 +55,8 @@ def verify_certificate(p: UsdProblem, m: Povm, c: OptimalityCertificate,
     rep = ValidationReport()
     z = hermitize(np.asarray(c.z, dtype=complex))
     r0, r1 = p.rho0.matrix, p.rho1.matrix
-    k0 = support_decomposition(r0).kernel_projector
-    k1 = support_decomposition(r1).kernel_projector
+    k0 = p.rho0.support.kernel_projector
+    k1 = p.rho1.support.kernel_projector
 
     zmin = float(np.linalg.eigvalsh(z)[0])
     rep.residuals["z_min_eig"] = zmin
@@ -100,14 +100,6 @@ def _herm_basis(n: int):
     return out
 
 
-def _kernel_cols(a: np.ndarray, cut: float = REL_CUTOFF) -> np.ndarray:
-    sys = eigh(a)
-    w = sys.eigenvalues
-    lmax = float(w[-1]) if w.size else 0.0
-    keep = w > cut * lmax if lmax > 0 else np.zeros_like(w, bool)
-    return sys.eigenvectors[:, ~keep]
-
-
 def fit_certificate(p: UsdProblem, m: Povm, tol: float = CERT_TOL,
                     iters: int = 4000,
                     candidate: Optional[np.ndarray] = None) -> Optional[OptimalityCertificate]:
@@ -137,7 +129,7 @@ def fit_certificate(p: UsdProblem, m: Povm, tol: float = CERT_TOL,
             return cert
     d = p.dim
     r0, r1 = p.rho0.matrix, p.rho1.matrix
-    c = _kernel_cols(m.eq)
+    c = eigh(m.eq).kernel_columns()
     k = c.shape[1]
     if k == 0:
         # witness would have to vanish; only optimal for the trivial case
@@ -184,8 +176,8 @@ def fit_certificate(p: UsdProblem, m: Povm, tol: float = CERT_TOL,
             hermitize(np.tensordot(theta, basis_arr, axes=(0, 0))),
             np.tensordot(nullspace.T, basis_arr, axes=(1, 0)),
         )]
-        for fr, off in ((_kernel_cols(r1), -p.eta0 * r0),
-                        (_kernel_cols(r0), -p.eta1 * r1)):
+        for fr, off in ((p.rho1.spectrum.kernel_columns(), -p.eta0 * r0),
+                        (p.rho0.spectrum.kernel_columns(), -p.eta1 * r1)):
             if fr.shape[1] == 0:
                 continue
             off_t = hermitize(fr.conj().T @ (zoff + off) @ fr)

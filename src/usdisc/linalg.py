@@ -1,11 +1,12 @@
-"""Deterministic dense Hermitian linear algebra for small dimensions.
+"""Dense Hermitian linear algebra for small dimensions.
 
 Everything downstream (fidelity operators, measurement construction,
 certificates) reduces to eigendecompositions of complex Hermitian
-matrices of dimension at most ~16, so this module wraps the dense
-eigensolver with fixed tie-breaking and exposes the handful of spectral
+matrices of dimension at most ~16. This module wraps the dense
+eigensolver and derives from one decomposition the handful of spectral
 primitives the rest of the package needs: operator square root,
-pseudo-inverse, support and kernel projectors, positivity tests.
+pseudo-inverse, support and kernel projectors, all under one relative
+rank cutoff. Positivity tests use eigenvalues alone.
 """
 
 from dataclasses import dataclass
@@ -60,12 +61,17 @@ def spectral_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-@dataclass(frozen=True)
-class EigenSystem:
-    """Ascending eigenvalues and matching orthonormal eigenvector columns."""
+def nonzero_mask(w: np.ndarray, rel_cutoff: float = REL_CUTOFF,
+                 indefinite: bool = False) -> np.ndarray:
+    """The relative rank cutoff: which eigenvalues count as nonzero.
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    An eigenvalue counts when it exceeds rel_cutoff times the largest
+    one. For an indefinite spectrum (indefinite=True) magnitudes are
+    compared instead, so negative eigenvalues can count too.
+    """
+    w = np.abs(w) if indefinite else np.asarray(w)
+    top = float(w.max()) if w.size else 0.0
+    return w > rel_cutoff * max(top, 0.0)
 
 
 @dataclass(frozen=True)
@@ -75,104 +81,92 @@ class SupportDecomposition:
     support_projector: np.ndarray
     kernel_projector: np.ndarray
     rank: int
-    cutoff_used: float
-
-
-def _canonical_columns(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Fix eigenvector gauge so identical inputs give identical outputs.
-
-    Each column is rotated so its largest-magnitude entry is real and
-    positive. Within a degenerate eigenvalue cluster, columns are ordered
-    by lexicographic comparison of their rounded coordinate vectors.
-    """
-    v = v.copy()
-    n = v.shape[1]
-    for k in range(n):
-        col = v[:, k]
-        j = int(np.argmax(np.abs(col)))
-        pivot = col[j]
-        if np.abs(pivot) > 0:
-            v[:, k] = col * (np.abs(pivot) / pivot)
-    # group indistinguishable eigenvalues, then sort the group columns
-    scale = max(1.0, float(np.abs(w).max()) if n else 1.0)
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and abs(w[stop] - w[start]) <= 1e-12 * scale:
-            stop += 1
-        if stop - start > 1:
-            block = v[:, start:stop]
-            keys = [
-                tuple(np.round(np.stack([block[:, i].real, block[:, i].imag], 1).ravel(), 9))
-                for i in range(stop - start)
-            ]
-            order = sorted(range(stop - start), key=lambda i: keys[i])
-            v[:, start:stop] = block[:, order]
-        start = stop
-    return v
-
-
-def eigh(h: np.ndarray) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix with fixed tie-breaking."""
-    h = np.asarray(h, dtype=complex)
-    try:
-        w, v = np.linalg.eigh(hermitize(h))
-    except np.linalg.LinAlgError as exc:
-        raise EigenDecompositionError(f"eigensolver did not converge: {exc}") from exc
-    return EigenSystem(eigenvalues=w, eigenvectors=_canonical_columns(w, v))
 
 
 def _assemble(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return hermitize((v * w[None, :]) @ v.conj().T)
 
 
-def sqrt_psd(a: np.ndarray, tol: float = PSD_TOL, rel_cutoff: float = REL_CUTOFF) -> np.ndarray:
-    """Unique PSD square root of a PSD matrix.
+@dataclass(frozen=True)
+class EigenSystem:
+    """Ascending eigenvalues and matching orthonormal eigenvector columns,
+    and the spectral quantities derived from them, so that a caller who
+    holds the decomposition of a matrix never decomposes it again."""
 
-    Eigenvalues below rel_cutoff times the largest are zeroed, not just
-    the negative ones. Taking sqrt of eigenvalue-scale noise would
-    otherwise promote it above the rank cutoff and corrupt every support
-    computed downstream.
-    """
-    sys = eigh(a)
-    w = sys.eigenvalues
-    lmax = float(w[-1]) if w.size else 0.0
-    bound = tol * max(abs(w[0]) if w.size else 0.0, lmax, 1e-300)
-    if w.size and w[0] < -bound:
-        raise NotPositiveSemidefinite(
-            f"matrix has eigenvalue {w[0]:.6e} below -{bound:.3e}",
-            min_eigenvalue=float(w[0]),
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+    def rank(self, rel_cutoff: float = REL_CUTOFF) -> int:
+        return int(np.count_nonzero(nonzero_mask(self.eigenvalues, rel_cutoff)))
+
+    def kernel_columns(self, rel_cutoff: float = REL_CUTOFF) -> np.ndarray:
+        """Orthonormal basis of the below-cutoff eigenspace."""
+        return self.eigenvectors[:, ~nonzero_mask(self.eigenvalues, rel_cutoff)]
+
+    def support(self, rel_cutoff: float = REL_CUTOFF) -> SupportDecomposition:
+        """Projectors onto the span of above-cutoff eigenvectors and its complement."""
+        mask = nonzero_mask(self.eigenvalues, rel_cutoff)
+        cols = self.eigenvectors[:, mask]
+        p = hermitize(cols @ cols.conj().T)
+        return SupportDecomposition(
+            support_projector=p,
+            kernel_projector=hermitize(np.eye(p.shape[0]) - p),
+            rank=int(np.count_nonzero(mask)),
         )
-    w = np.where(w > rel_cutoff * max(lmax, 0.0), w, 0.0)
-    return _assemble(np.sqrt(w), sys.eigenvectors)
+
+    def sqrt(self, tol: float = PSD_TOL, rel_cutoff: float = REL_CUTOFF) -> np.ndarray:
+        """Unique PSD square root; raises if the matrix is not PSD.
+
+        Eigenvalues below rel_cutoff times the largest are zeroed, not
+        just the negative ones. Taking sqrt of eigenvalue-scale noise
+        would otherwise promote it above the rank cutoff and corrupt
+        every support computed downstream.
+        """
+        w = self.eigenvalues
+        lmax = float(w[-1]) if w.size else 0.0
+        bound = tol * max(abs(w[0]) if w.size else 0.0, lmax, 1e-300)
+        if w.size and w[0] < -bound:
+            raise NotPositiveSemidefinite(
+                f"matrix has eigenvalue {w[0]:.6e} below -{bound:.3e}",
+                min_eigenvalue=float(w[0]),
+            )
+        w = np.where(nonzero_mask(w, rel_cutoff), w, 0.0)
+        return _assemble(np.sqrt(w), self.eigenvectors)
+
+    def pinv(self, rel_cutoff: float = REL_CUTOFF) -> np.ndarray:
+        """Spectral pseudo-inverse; components below cutoff are dropped."""
+        w = self.eigenvalues
+        mask = nonzero_mask(w, rel_cutoff, indefinite=True)
+        inv = np.zeros_like(w)
+        inv[mask] = 1.0 / w[mask]
+        return _assemble(inv, self.eigenvectors)
+
+
+def eigh(h: np.ndarray) -> EigenSystem:
+    """Eigendecomposition of a Hermitian matrix. The eigenvector gauge is
+    LAPACK's, a fixed function of the input; every consumer uses only
+    gauge-invariant quantities."""
+    h = np.asarray(h, dtype=complex)
+    try:
+        w, v = np.linalg.eigh(hermitize(h))
+    except np.linalg.LinAlgError as exc:
+        raise EigenDecompositionError(f"eigensolver did not converge: {exc}") from exc
+    return EigenSystem(eigenvalues=w, eigenvectors=v)
+
+
+def sqrt_psd(a: np.ndarray, tol: float = PSD_TOL, rel_cutoff: float = REL_CUTOFF) -> np.ndarray:
+    """Unique PSD square root of a PSD matrix (see EigenSystem.sqrt)."""
+    return eigh(a).sqrt(tol, rel_cutoff)
 
 
 def support_decomposition(a: np.ndarray, rel_cutoff: float = REL_CUTOFF) -> SupportDecomposition:
     """Projectors onto the span of above-cutoff eigenvectors and its complement."""
-    sys = eigh(a)
-    w = sys.eigenvalues
-    lmax = float(w[-1]) if w.size else 0.0
-    mask = w > rel_cutoff * max(lmax, 0.0)
-    cols = sys.eigenvectors[:, mask]
-    p = hermitize(cols @ cols.conj().T)
-    eye = np.eye(a.shape[0])
-    return SupportDecomposition(
-        support_projector=p,
-        kernel_projector=hermitize(eye - p),
-        rank=int(np.count_nonzero(mask)),
-        cutoff_used=rel_cutoff,
-    )
+    return eigh(a).support(rel_cutoff)
 
 
 def pseudo_inverse(a: np.ndarray, rel_cutoff: float = REL_CUTOFF) -> np.ndarray:
     """Spectral pseudo-inverse; components below cutoff are dropped."""
-    sys = eigh(a)
-    w = sys.eigenvalues
-    amax = float(np.abs(w).max()) if w.size else 0.0
-    mask = np.abs(w) > rel_cutoff * amax
-    inv = np.zeros_like(w)
-    inv[mask] = 1.0 / w[mask]
-    return _assemble(inv, sys.eigenvectors)
+    return eigh(a).pinv(rel_cutoff)
 
 
 def psd_check(a: np.ndarray, tol: float = PSD_TOL):

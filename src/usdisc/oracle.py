@@ -34,7 +34,6 @@ import numpy as np
 
 from .certificates import OptimalityCertificate
 from .errors import OverlappingSupports
-from .linalg import REL_CUTOFF
 from .problem import Povm, UsdProblem, failure_probability
 
 # Duality gap at which path following stops. Both objectives lie in
@@ -68,13 +67,6 @@ def _dag(a: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(a, -1, -2))
 
 
-def _kernel_basis(rho: np.ndarray):
-    """Orthonormal kernel columns and the rank, at the package's rank cutoff."""
-    w, v = np.linalg.eigh(rho)
-    support = w > REL_CUTOFF * max(float(w[-1]), 0.0)
-    return v[:, ~support], int(support.sum())
-
-
 def oracle_optimize(p: UsdProblem) -> OracleResult:
     """Maximize eta0 Tr(E0 rho0) + eta1 Tr(E1 rho1) over error-free
     measurements, and return the optimal dual Z as the certificate.
@@ -83,13 +75,13 @@ def oracle_optimize(p: UsdProblem) -> OracleResult:
     bounds the distance of q_opt from the true optimum. The result is a
     deterministic function of the problem; iterations counts Newton steps.
     """
-    r0m, r1m = p.rho0.matrix, p.rho1.matrix
-    v0, rank0 = _kernel_basis(r0m)
-    v1, rank1 = _kernel_basis(r1m)
-    if rank0 + rank1 > _kernel_basis(_herm(r0m + r1m))[1]:
+    if p.supports_overlap:
         raise OverlappingSupports(
             "state supports overlap; no error-free measurement can succeed on both"
         )
+    r0m, r1m = p.rho0.matrix, p.rho1.matrix
+    v0 = p.rho0.spectrum.kernel_columns()
+    v1 = p.rho1.spectrum.kernel_columns()
     d = p.dim
     eye = np.eye(d, dtype=complex)
     # X = diag(Eq, A, B) pairs with S = diag(Z, V1^H Z V1 - C_A, V0^H Z V0 - C_B);

@@ -8,6 +8,7 @@ command line can surface every violation at once.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -17,7 +18,9 @@ from .linalg import (
     HERM_TOL,
     PSD_TOL,
     REL_CUTOFF,
-    hermitize,
+    EigenSystem,
+    SupportDecomposition,
+    eigh,
     psd_check,
     require_hermitian,
     support_decomposition,
@@ -30,12 +33,29 @@ COMPLETENESS_TOL = 1e-9
 
 @dataclass(frozen=True)
 class DensityMatrix:
+    """A unit-trace state. Its eigendecomposition is taken once, on first
+    use, and every spectral quantity of the state is derived from it; the
+    matrix must therefore never be modified in place."""
+
     matrix: np.ndarray
     declared_rank: Optional[int] = None
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def spectrum(self) -> EigenSystem:
+        return eigh(self.matrix)
+
+    @cached_property
+    def support(self) -> SupportDecomposition:
+        """Support and kernel projectors at the package's rank cutoff."""
+        return self.spectrum.support()
+
+    @cached_property
+    def sqrt(self) -> np.ndarray:
+        return self.spectrum.sqrt()
 
     @staticmethod
     def from_matrix(matrix, declared_rank=None, renormalize: bool = False):
@@ -63,6 +83,17 @@ class UsdProblem:
     @property
     def dim(self) -> int:
         return self.rho0.dim
+
+    @cached_property
+    def sum_spectrum(self) -> EigenSystem:
+        """Eigendecomposition of rho0 + rho1."""
+        return eigh(self.rho0.matrix + self.rho1.matrix)
+
+    @cached_property
+    def supports_overlap(self) -> bool:
+        """Whether the supports share a direction: their ranks add up to
+        more than the rank of their sum."""
+        return self.rho0.support.rank + self.rho1.support.rank > self.sum_spectrum.rank()
 
 
 @dataclass(frozen=True)
@@ -120,7 +151,7 @@ def validate_problem(p: UsdProblem, tol_psd: float = PSD_TOL,
         rep.check(f"{name}_psd", max(0.0, -mn), tol_psd * max(1.0, np.abs(m).max()))
         rep.check(f"{name}_trace", abs(np.trace(m).real - 1.0), TRACE_TOL)
         if state.declared_rank is not None:
-            rank = support_decomposition(hermitize(m), tol_rank).rank
+            rank = state.spectrum.rank(tol_rank)
             rep.check(f"{name}_declared_rank", abs(rank - state.declared_rank), 0)
     rep.check("priors_sum", abs(p.eta0 + p.eta1 - 1.0), PRIOR_TOL)
     for name, eta in (("eta0", p.eta0), ("eta1", p.eta1)):
@@ -157,21 +188,18 @@ def failure_probability(p: UsdProblem, m: Povm):
 def _intersection_dim(pa: np.ndarray, pb: np.ndarray, rel_cutoff: float = REL_CUTOFF) -> int:
     # dim(A meet B) = rank(P_A) + rank(P_B) - dim(A join B); the join is
     # the support of the projector sum, which avoids principal-angle
-    # computations that get ill conditioned at these dimensions
-    ra = support_decomposition(pa, rel_cutoff).rank
-    rb = support_decomposition(pb, rel_cutoff).rank
-    runion = support_decomposition(hermitize(pa + pb), rel_cutoff).rank
-    return max(0, ra + rb - runion)
+    # computations that get ill conditioned at these dimensions. The
+    # rank of an orthogonal projector is its trace.
+    ranks = round(np.trace(pa).real) + round(np.trace(pb).real)
+    return max(0, ranks - support_decomposition(pa + pb, rel_cutoff).rank)
 
 
 def standard_form_report(p: UsdProblem, rel_cutoff: float = REL_CUTOFF) -> StandardFormReport:
     """Support geometry diagnostics for reduction preconditions."""
-    d0 = support_decomposition(p.rho0.matrix, rel_cutoff)
-    d1 = support_decomposition(p.rho1.matrix, rel_cutoff)
-    sigma = support_decomposition(hermitize(p.rho0.matrix + p.rho1.matrix), rel_cutoff)
-    overlap = d0.rank + d1.rank > sigma.rank
+    d0 = p.rho0.spectrum.support(rel_cutoff)
+    d1 = p.rho1.spectrum.support(rel_cutoff)
     return StandardFormReport(
-        supports_overlap=overlap,
+        supports_overlap=d0.rank + d1.rank > p.sum_spectrum.rank(rel_cutoff),
         dim_equals_r0_plus_r1=(d0.rank + d1.rank == p.dim),
         kernel0_meets_support1_dim=_intersection_dim(
             d0.kernel_projector, d1.support_projector, rel_cutoff

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import fidelity_operators, rank_condition_check
+from .bounds import FidelityData, fidelity_operators, rank_condition_check
 from .certificates import (
     CERT_TOL,
     OptimalityCertificate,
@@ -31,15 +31,16 @@ from .errors import (
     PreconditionFail,
     RankConditionsFail,
     SpectrumAnomaly,
+    UsdError,
 )
 from .linalg import (
     PSD_TOL,
     REL_CUTOFF,
     eigh,
     hermitize,
+    nonzero_mask,
     psd_check,
     spectral_norm,
-    sqrt_psd,
     support_decomposition,
 )
 from .problem import (
@@ -47,7 +48,6 @@ from .problem import (
     UsdProblem,
     ValidationReport,
     failure_probability,
-    standard_form_report,
     validate_povm,
     validate_problem,
     verify_gu_structure,
@@ -84,15 +84,32 @@ class SolutionReport:
     certificate: Optional[OptimalityCertificate] = None
 
 
+def _branch_holds(p: UsdProblem, report: SolutionReport, tol_psd: float) -> bool:
+    try:
+        if report.branch is Branch.FIRST_CLASS_FIDELITY:
+            return rank_condition_check(p, tol_psd).both_psd
+        if report.branch is Branch.GU_PROJECTIVE:
+            _require_gu_4d(p)
+            return projectivity_check(report.povm).ok
+    except UsdError:
+        # the problem fails the branch's preconditions
+        return False
+    return True
+
+
 def audit_report(p: UsdProblem, report: SolutionReport, tol_psd: float = PSD_TOL,
                  tol_rank: float = REL_CUTOFF) -> ValidationReport:
     """Re-check what a stored report claims: the problem, the measurement,
-    the stored failure probabilities and the witness.
+    the stored failure probabilities, the witness and the branch label.
 
-    The branch label is not re-derived; that would cost a fidelity
-    computation on every audit.
+    A FirstClassFidelity label needs both rank-condition operators PSD at
+    tol_psd. A GuProjective label needs the symmetric solver's
+    preconditions (an equal-prior involution pair of rank-2 states in
+    dimension 4) and a projective measurement. OracleOnly claims nothing
+    the other checks leave open.
     """
     rep = validate_problem(p, tol_psd=tol_psd, tol_rank=tol_rank)
+    rep.check("branch_label", 0.0 if _branch_holds(p, report, tol_psd) else 1.0, 0.0)
     parts = [validate_povm(p, report.povm)]
     if report.certificate is None:
         rep.failures.append("certificate_missing")
@@ -145,7 +162,8 @@ def _gate_solution(p: UsdProblem, m: Povm, cert: OptimalityCertificate) -> dict:
     return merged
 
 
-def solve_first_class(p: UsdProblem, tol: float = PSD_TOL) -> SolutionReport:
+def solve_first_class(p: UsdProblem, tol: float = PSD_TOL,
+                      fd: FidelityData = None) -> SolutionReport:
     """Optimal measurement when the failure probability meets the
     fidelity bound.
 
@@ -155,7 +173,8 @@ def solve_first_class(p: UsdProblem, tol: float = PSD_TOL) -> SolutionReport:
     extrapolates beyond the equal-prior display, the certificate gate
     is what makes the output trustworthy.
     """
-    fd = fidelity_operators(p)
+    if fd is None:
+        fd = fidelity_operators(p)
     rc = rank_condition_check(p, tol, fd=fd)
     if not rc.both_psd:
         raise RankConditionsFail(
@@ -164,9 +183,9 @@ def solve_first_class(p: UsdProblem, tol: float = PSD_TOL) -> SolutionReport:
         )
     r0, r1 = p.rho0.matrix, p.rho1.matrix
     gamma = math.sqrt(p.eta1 / p.eta0)
-    s0 = sqrt_psd(r0)
-    s1 = sqrt_psd(r1)
-    pinv = fd.sigma_pinv
+    s0 = p.rho0.sqrt
+    s1 = p.rho1.sqrt
+    pinv = p.sum_spectrum.pinv()
     e0 = hermitize(pinv @ s0 @ (r0 - gamma * fd.f0) @ s0 @ pinv)
     e1 = hermitize(pinv @ s1 @ (r1 - fd.f1 / gamma) @ s1 @ pinv)
     eq = hermitize(np.eye(p.dim) - e0 - e1)
@@ -190,7 +209,7 @@ def solve_first_class(p: UsdProblem, tol: float = PSD_TOL) -> SolutionReport:
 def _require_gu_4d(p: UsdProblem):
     """Shared preconditions for the involution-symmetric 4D solvers.
 
-    Returns the two support decompositions and the involution.
+    Returns the involution and its compression onto the kernel of rho1.
     """
     if p.dim != 4:
         raise PreconditionFail(
@@ -210,28 +229,21 @@ def _require_gu_4d(p: UsdProblem):
             f"involution structure invalid: {gu.failures}",
             cause="involution_invalid",
         )
-    d0 = support_decomposition(p.rho0.matrix)
-    d1 = support_decomposition(p.rho1.matrix)
-    if d0.rank != 2 or d1.rank != 2:
-        raise PreconditionFail(
-            f"solver requires rank (2, 2), got ({d0.rank}, {d1.rank})", cause="rank"
-        )
-    if standard_form_report(p).supports_overlap:
+    ranks = (p.rho0.support.rank, p.rho1.support.rank)
+    if ranks != (2, 2):
+        raise PreconditionFail(f"solver requires rank (2, 2), got {ranks}", cause="rank")
+    if p.supports_overlap:
         raise OverlappingSupports("state supports overlap")
-    return d0, d1, np.asarray(p.gu_involution, dtype=complex)
-
-
-def _kernel_compressed_involution(d1, u):
-    return hermitize(d1.kernel_projector @ u @ d1.kernel_projector)
+    u = np.asarray(p.gu_involution, dtype=complex)
+    k1 = p.rho1.support.kernel_projector
+    return u, hermitize(k1 @ u @ k1)
 
 
 def _signed_kernel_eigs(k: np.ndarray):
     """Nonzero eigenpairs of the kernel-compressed involution, positive first."""
     sys = eigh(k)
-    w = sys.eigenvalues
-    amax = float(np.abs(w).max()) if w.size else 0.0
-    mask = np.abs(w) > REL_CUTOFF * amax
-    vals = w[mask]
+    mask = nonzero_mask(sys.eigenvalues, indefinite=True)
+    vals = sys.eigenvalues[mask]
     vecs = sys.eigenvectors[:, mask]
     order = np.argsort(-vals)
     return vals[order], vecs[:, order]
@@ -247,14 +259,12 @@ def solve_gu_4d(p: UsdProblem):
     projective measurement determined by the signed eigenpair of the
     kernel-compressed involution.
     """
-    d0, d1, u = _require_gu_4d(p)
+    u, k = _require_gu_4d(p)
     fd = fidelity_operators(p)
     both_psd, mn = psd_check(p.rho0.matrix - fd.f0, PSD_TOL)
     if both_psd:
-        report = solve_first_class(p)
-        return report, None
+        return solve_first_class(p, fd=fd), None
 
-    k = _kernel_compressed_involution(d1, u)
     vals, vecs = _signed_kernel_eigs(k)
     npos = int((vals > 0).sum())
     nneg = int((vals < 0).sum())
@@ -305,6 +315,7 @@ def solve_gu_4d(p: UsdProblem):
     diagnostics.update(cert.residuals)
     diagnostics["kernel_eig_pos"] = a
     diagnostics["kernel_eig_neg"] = -b
+    diagnostics["op0_min_eig"] = mn
     diagnostics["success_crosscheck_gap"] = success - expanded
     report = SolutionReport(
         q_opt=q, q0=q0, q1=q1, povm=m,
@@ -320,8 +331,7 @@ def solve_gu_4d(p: UsdProblem):
 def gu_kernel_spectrum(p: UsdProblem) -> np.ndarray:
     """Nonzero eigenvalues of the kernel-compressed involution, sorted
     descending so the expected sign pattern reads (positive, negative)."""
-    _, d1, u = _require_gu_4d(p)
-    vals, _ = _signed_kernel_eigs(_kernel_compressed_involution(d1, u))
+    vals, _ = _signed_kernel_eigs(_require_gu_4d(p)[1])
     return vals
 
 
@@ -333,12 +343,13 @@ def spectrum_negation_check(p: UsdProblem, tol: float = 1e-9) -> bool:
             "problem declares no involution", cause="involution_missing"
         )
     u = np.asarray(p.gu_involution, dtype=complex)
-    d0 = support_decomposition(p.rho0.matrix)
+    d0 = p.rho0.support
     inside = np.linalg.eigvalsh(hermitize(d0.support_projector @ u @ d0.support_projector))
     outside = np.linalg.eigvalsh(hermitize(d0.kernel_projector @ u @ d0.kernel_projector))
-    amax = max(np.abs(inside).max(), np.abs(outside).max(), 0.0)
-    s_in = np.sort(inside[np.abs(inside) > REL_CUTOFF * amax])
-    s_out = np.sort(outside[np.abs(outside) > REL_CUTOFF * amax])
+    # one cutoff for both spectra, relative to the larger of the two
+    keep = nonzero_mask(np.concatenate([inside, outside]), indefinite=True)
+    s_in = np.sort(inside[keep[:inside.size]])
+    s_out = np.sort(outside[keep[inside.size:]])
     if s_in.size != s_out.size:
         return False
     return bool(np.all(np.abs(s_in + s_out[::-1]) <= tol))
@@ -391,8 +402,7 @@ def split_off_extraction(p: UsdProblem, m: Povm, tol: float = 1e-7):
     if eq_unit.shape[1] == 0:
         return None
     for host, partner in ((HostState.RHO0, m.e1), (HostState.RHO1, m.e0)):
-        rho = p.rho0.matrix if host is HostState.RHO0 else p.rho1.matrix
-        dec = support_decomposition(rho)
+        dec = (p.rho0 if host is HostState.RHO0 else p.rho1).support
         e_vec, e_proj = _best_in_subspace(eq_unit, dec.support_projector)
         if e_vec is None or e_proj < 1.0 - tol:
             continue

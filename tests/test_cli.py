@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import first_class_instance
-from usdisc import serialize
+from usdisc import DensityMatrix, UsdProblem, serialize
 from usdisc.bb84 import bit_problem
 from usdisc.cli import main
 
@@ -24,14 +24,38 @@ def test_solve_projective_branch(tmp_path):
     assert obj["certificate"] is not None
 
 
+def _bare_bit_pair():
+    # rank conditions violated and no involution declared: only the oracle applies
+    p = bit_problem(0.3)
+    return UsdProblem(p.rho0, p.rho1, 0.5, 0.5)
+
+
+def _degenerate_pair():
+    # each state is maximally mixed on its support, so each spectrum is
+    # (1/2, 1/2, 0, 0) and the eigenvectors inside each eigenspace are
+    # whatever the eigensolver picks
+    rng = np.random.default_rng(4)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    rho1 = q[:, :2] @ q[:, :2].conj().T / 2.0
+    return UsdProblem(DensityMatrix.from_matrix(np.diag([0.5, 0.5, 0.0, 0.0])),
+                      DensityMatrix.from_matrix(rho1), 0.5, 0.5)
+
+
 def test_solve_is_byte_identical_across_runs(tmp_path):
-    inp = tmp_path / "problem.json"
-    write_problem(inp, bit_problem(0.55))
-    out1 = tmp_path / "a.json"
-    out2 = tmp_path / "b.json"
-    assert main(["solve", "--input", str(inp), "--output", str(out1)]) == 0
-    assert main(["solve", "--input", str(inp), "--output", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+    cases = (
+        ("first_class", first_class_instance(np.random.default_rng(0), 4), "FirstClassFidelity"),
+        ("projective", bit_problem(0.55), "GuProjective"),
+        ("oracle", _bare_bit_pair(), "OracleOnly"),
+        ("degenerate", _degenerate_pair(), "FirstClassFidelity"),
+    )
+    for name, p, branch in cases:
+        inp = tmp_path / f"{name}.json"
+        write_problem(inp, p)
+        outs = [tmp_path / f"{name}_{run}.out.json" for run in (1, 2)]
+        for out in outs:
+            assert main(["solve", "--input", str(inp), "--output", str(out)]) == 0, name
+        assert outs[0].read_bytes() == outs[1].read_bytes(), name
+        assert json.loads(outs[0].read_text())["branch"] == branch, name
 
 
 def test_solve_first_class_branch(tmp_path):
@@ -110,12 +134,12 @@ def test_certify_rejects_tampered_witness(tmp_path, capsys):
     assert "FAIL" in captured.out
 
 
-def _certify_tampered(tmp_path, capsys, tamper, *flags):
-    """Solve the bit pair, alter the report, certify it; returns the exit
-    code and the verdict line."""
+def _certify_tampered(tmp_path, capsys, tamper, *flags, problem=None):
+    """Solve the problem (by default the projective bit pair), alter the
+    report, certify it; returns the exit code and the verdict line."""
     inp = tmp_path / "problem.json"
     rpt = tmp_path / "report.json"
-    write_problem(inp, bit_problem(0.3))
+    write_problem(inp, bit_problem(0.3) if problem is None else problem)
     assert main(["solve", "--input", str(inp), "--output", str(rpt)]) == 0
     obj = json.loads(rpt.read_text())
     tamper(obj)
@@ -150,6 +174,25 @@ def test_certify_rejects_report_without_witness(tmp_path, capsys):
     code, verdict = _certify_tampered(tmp_path, capsys, lambda obj: obj.pop("certificate"))
     assert code == 1
     assert verdict.startswith("FAIL") and "certificate_missing" in verdict
+
+
+@pytest.mark.parametrize("problem, label, swapped", [
+    (bit_problem(0.3), "GuProjective", "FirstClassFidelity"),
+    (bit_problem(1.5), "FirstClassFidelity", "GuProjective"),
+    (first_class_instance(np.random.default_rng(0), 4), "FirstClassFidelity", "GuProjective"),
+], ids=["projective", "symmetric_first_class", "first_class"])
+def test_certify_rejects_swapped_branch_label(tmp_path, capsys, problem, label, swapped):
+    def keep(obj):
+        assert obj["branch"] == label
+
+    def swap(obj):
+        obj["branch"] = swapped
+
+    code, verdict = _certify_tampered(tmp_path, capsys, keep, problem=problem)
+    assert code == 0 and verdict == "PASS"
+    code, verdict = _certify_tampered(tmp_path, capsys, swap, problem=problem)
+    assert code == 1
+    assert verdict.startswith("FAIL") and "branch_label" in verdict
 
 
 def test_certify_validates_problem_with_tolerance_flags(tmp_path, capsys):

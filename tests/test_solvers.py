@@ -239,3 +239,24 @@ def test_reports_carry_diagnostics_and_certificates():
     assert rep.q_opt == pytest.approx(q, abs=1e-12)
     assert rep.q0 == pytest.approx(q0, abs=1e-12)
     assert rep.q1 == pytest.approx(q1, abs=1e-12)
+    assert rep.diagnostics["op0_min_eig"] < 0.0
+
+
+@pytest.mark.parametrize("make, solve", [
+    (lambda: first_class_instance(np.random.default_rng(3), 4), solve_first_class),
+    (lambda: bit_problem(1.5), solve_gu_4d),
+], ids=["first_class", "symmetric_first_class"])
+def test_solve_decomposes_each_state_once(monkeypatch, make, solve):
+    # rho0, rho1, rho0 + rho1 and the two fidelity operators: every other
+    # spectral quantity is derived from these decompositions
+    p = make()
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    solve(p)
+    assert len(calls) <= 6
