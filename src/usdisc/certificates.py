@@ -5,8 +5,11 @@ Z exists that annihilates the inconclusive element, agrees with the
 weighted states on the conclusive elements, dominates them on the
 kernel compressions, and whose trace equals the success probability.
 In the fidelity-bound regime the witness has a closed construction from
-a polar decomposition; outside it the witness is fitted numerically in
-the linear subspace the equality conditions leave free.
+a polar decomposition. For the projective measurement of an equal-prior
+involution pair it has a closed form on the span of the two conclusive
+directions. Otherwise, and whenever a candidate fails verification, the
+witness is fitted numerically in the linear subspace the equality
+conditions leave free.
 """
 
 import math
@@ -42,6 +45,35 @@ def build_fidelity_certificate(p: UsdProblem) -> OptimalityCertificate:
     ydag = -math.sqrt(p.eta0) * vpol.conj().T @ s0 + math.sqrt(p.eta1) * s1
     z = hermitize(ydag.conj().T @ ydag)
     return OptimalityCertificate(z=z, success_trace=float(np.trace(z).real))
+
+
+def symmetric_projective_witness(p: UsdProblem, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Closed-form witness for the projective measurement E0 = |x><x|,
+    E1 = U E0 U of an equal-prior involution pair.
+
+    Annihilating the inconclusive element confines Z to span{x, Ux}; the
+    two equality conditions fix both diagonal entries at
+    alpha = eta0 <x|rho0|x>, and averaging with U Z U keeps a witness a
+    witness, so the off-diagonal c can be taken real. In the kernel of
+    rho1, spanned by x and its orthogonal partner x_perp, the compression
+    of Z - eta0 rho0 has a zero (x, x) entry, so positivity forces its
+    (x, x_perp) entry to vanish; that fixes c. The rho0-kernel inequality
+    is the U-image of the rho1 one.
+    """
+    y = u @ x
+    alpha = p.eta0 * float((x.conj() @ p.rho0.matrix @ x).real)
+    # x lies in the two-dimensional kernel of rho1; in a basis of that
+    # kernel, (-conj a1, conj a0) is orthogonal to x's coordinates (a0, a1)
+    kcols = p.rho1.spectrum.kernel_columns()
+    a = kcols.conj().T @ x
+    x_perp = kcols @ np.array([-a[1].conj(), a[0].conj()])
+    m = -p.eta0 * complex(x.conj() @ p.rho0.matrix @ x_perp)
+    t = complex(y.conj() @ x_perp)
+    t2 = abs(t) ** 2
+    # t = 0 leaves c free of the kernel condition, and c = 0 keeps Z PSD
+    c = -(m * t.conjugate()).real / t2 if t2 > 0.0 else 0.0
+    xx, yy, xy = np.outer(x, x.conj()), np.outer(y, y.conj()), np.outer(x, y.conj())
+    return alpha * (xx + yy) + c * (xy + xy.conj().T)
 
 
 def verify_certificate(p: UsdProblem, m: Povm, c: OptimalityCertificate,
@@ -105,9 +137,9 @@ def fit_certificate(p: UsdProblem, m: Povm, tol: float = CERT_TOL,
                     candidate: Optional[np.ndarray] = None) -> Optional[OptimalityCertificate]:
     """Search for a witness certifying the given measurement.
 
-    A candidate witness, such as the oracle's dual solution, is returned
-    as it is when it verifies; the search runs only when it is absent or
-    fails.
+    A candidate witness, such as the oracle's dual solution or the
+    closed-form symmetric witness, is returned as it is when it
+    verifies; the search runs only when it is absent or fails.
 
     The annihilation condition restricts Z to the orthogonal complement
     of the inconclusive element's support, so the search runs in that

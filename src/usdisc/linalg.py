@@ -58,7 +58,7 @@ def require_hermitian(a, tol: float = HERM_TOL, name: str = "matrix") -> np.ndar
 
 def spectral_norm(a: np.ndarray) -> float:
     """Largest singular value; for Hermitian input the largest |eigenvalue|."""
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def nonzero_mask(w: np.ndarray, rel_cutoff: float = REL_CUTOFF,

@@ -23,6 +23,7 @@ from .certificates import (
     OptimalityCertificate,
     build_fidelity_certificate,
     fit_certificate,
+    symmetric_projective_witness,
     verify_certificate,
 )
 from .errors import (
@@ -299,7 +300,7 @@ def solve_gu_4d(p: UsdProblem):
         )
 
     q, q0, q1 = failure_probability(p, m)
-    cert = fit_certificate(p, m)
+    cert = fit_certificate(p, m, candidate=symmetric_projective_witness(p, x, u))
     if cert is None:
         raise CertificateRejected(
             "no certificate found for the projective construction",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import first_class_instance
+from conftest import first_class_instance, random_gu4_problem
 from usdisc import (
     DensityMatrix,
     OptimalityCertificate,
@@ -10,13 +10,15 @@ from usdisc import (
     always_fail_povm,
     build_fidelity_certificate,
     failure_lower_bound,
+    failure_probability,
     fit_certificate,
     solve_first_class,
     solve_gu_4d,
     verify_certificate,
 )
 from usdisc.bb84 import basis_problem, bit_problem
-from usdisc.linalg import hermitize
+from usdisc.certificates import CERT_TOL, symmetric_projective_witness
+from usdisc.linalg import hermitize, spectral_norm, support_decomposition
 
 GRID = [round(0.05 * k, 2) for k in range(1, 61)]
 
@@ -141,3 +143,27 @@ def test_verify_reports_all_residual_names():
     ):
         assert name in out.residuals
     assert out.ok, out.failures
+
+
+def test_projective_witness_is_the_closed_form():
+    """On the projective branch the solver's witness is the closed-form
+    symmetric candidate itself, so the numerical search never runs."""
+    rng = np.random.default_rng(17)
+    problems = [bit_problem(mu) for mu in GRID]
+    problems += [random_gu4_problem(rng) for _ in range(200)]
+    checked = 0
+    for p in problems:
+        rep, gu = solve_gu_4d(p)
+        if gu is None:
+            continue
+        checked += 1
+        u = p.gu_involution
+        z = rep.certificate.z
+        assert np.array_equal(z, symmetric_projective_witness(p, gu.x_vector, u))
+        out = verify_certificate(p, rep.povm, rep.certificate, CERT_TOL)
+        assert out.ok, out.failures
+        assert spectral_norm(u @ z @ u - z) <= 1e-12
+        assert support_decomposition(z).rank <= 2
+        q, _, _ = failure_probability(p, rep.povm)
+        assert abs(np.trace(z).real - (1.0 - q)) <= 1e-12
+    assert checked >= 100

@@ -245,9 +245,11 @@ def test_reports_carry_diagnostics_and_certificates():
 @pytest.mark.parametrize("make, solve", [
     (lambda: first_class_instance(np.random.default_rng(3), 4), solve_first_class),
     (lambda: bit_problem(1.5), solve_gu_4d),
-], ids=["first_class", "symmetric_first_class"])
+    (lambda: bit_problem(0.3), solve_gu_4d),
+], ids=["first_class", "symmetric_first_class", "projective"])
 def test_solve_decomposes_each_state_once(monkeypatch, make, solve):
-    # rho0, rho1, rho0 + rho1 and the two fidelity operators: every other
+    # rho0, rho1, rho0 + rho1 and the two fidelity operators (plus the
+    # kernel-compressed involution on the projective side): every other
     # spectral quantity is derived from these decompositions
     p = make()
     calls = []
