@@ -6,6 +6,7 @@ invocations produce byte-identical output.
 """
 
 import argparse
+import functools
 import sys
 
 from . import bb84, serialize
@@ -43,6 +44,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+# built on the first main() call and shared after; nothing mutates the
+# parser once it is built, and parse_args keeps no state between calls
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="usdisc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -109,7 +113,7 @@ def _solve_route(p, args) -> SolutionReport:
         try:
             report, _ = solve_gu_4d(p)
             return report
-        except (PreconditionFail, SpectrumAnomaly, CertificateRejected):
+        except (PreconditionFail, RankConditionsFail, SpectrumAnomaly, CertificateRejected):
             pass
     try:
         return solve_first_class(p, tol=args.tol_psd)

@@ -1,12 +1,17 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 from conftest import first_class_instance
-from usdisc import DensityMatrix, UsdProblem, serialize
-from usdisc.bb84 import bit_problem
+from usdisc import DensityMatrix, UsdProblem, cli, serialize
+from usdisc.bb84 import bit_problem, find_mu0
 from usdisc.cli import main
+from usdisc.errors import RankConditionsFail
+from usdisc.linalg import PSD_TOL
+from usdisc.problem import validate_problem
+from usdisc.solvers import solve_gu_4d
 
 
 def write_problem(path, p):
@@ -102,6 +107,64 @@ def test_solve_falls_back_when_projective_certificate_fails(tmp_path, monkeypatc
     obj = json.loads(out.read_text())
     assert obj["branch"] == "OracleOnly"
     assert "certificate" in obj
+
+
+def _near_threshold_involution_pair():
+    # the bit pair just below mu0, with rho1 moved by at most 4e-10 inside
+    # its own support. For the fifth draw, op0 alone passes the rank check,
+    # so solve_gu_4d takes its first-class side, where op1 then fails it
+    base = bit_problem(find_mu0() - 2.7e-9)
+    proj = base.rho1.support.support_projector
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    bend = proj @ (g + g.conj().T) @ proj
+    bend -= np.trace(bend).real * proj / np.trace(proj).real
+    bend *= 4e-10 / np.abs(bend).max()
+    return UsdProblem(base.rho0, DensityMatrix.from_matrix(base.rho1.matrix + bend),
+                      base.eta0, base.eta1, base.gu_involution)
+
+
+def test_solve_falls_back_when_symmetric_rank_conditions_fail(tmp_path, capsys):
+    p = _near_threshold_involution_pair()
+    assert validate_problem(p).ok
+    with pytest.raises(RankConditionsFail):
+        solve_gu_4d(p)
+    inp = tmp_path / "problem.json"
+    out = tmp_path / "report.json"
+    write_problem(inp, p)
+    assert main(["solve", "--input", str(inp), "--output", str(out)]) == 0
+    obj = json.loads(out.read_text())
+    assert obj["branch"] == "OracleOnly"
+    assert abs(obj["q_opt"] - 0.487084) <= 1e-6
+    assert main(["certify", "--input", str(out)]) == 0
+    assert capsys.readouterr().out.strip().endswith("PASS")
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys, monkeypatch):
+    inp = tmp_path / "problem.json"
+    rpt = tmp_path / "report.json"
+    write_problem(inp, bit_problem(0.3))
+    assert main(["bb84-mu0"]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["solve", "--no-such-flag"]) == 1
+    assert main(["--help"]) == 0
+    assert main(["solve", "--input", str(inp), "--output", str(rpt), "--tol-psd", "1e-3"]) == 0
+    assert main(["certify", "--input", str(rpt)]) == 0
+    assert main(["bb84-mu0"]) == 0
+    capsys.readouterr()
+    assert built == []
+    assert cli._build_parser() is cli._build_parser()
+    args = cli._build_parser().parse_args(["solve", "--input", str(inp)])
+    assert args.tol_psd == PSD_TOL == 1e-9
+    assert not args.renormalize and args.output is None
 
 
 def test_certify_round_trip(tmp_path, capsys):
