@@ -84,6 +84,9 @@ from .solvers import (
     SolutionReport,
     SplitOffSubspace,
     audit_report,
+    gu_4d_preconditions,
+    gu_4d_projective,
+    gu_4d_regime,
     gu_kernel_spectrum,
     projectivity_check,
     solve_first_class,

@@ -6,6 +6,11 @@ whose failure probability has a closed form for every mu. Which bit was
 sent: an involution-symmetric problem that changes solution family at a
 threshold photon number, located here by bisection on the closed-form
 spectrum.
+
+A sweep builds each question's states for the whole grid as one stack
+of 4 x 4 matrices and solves it in one pass through the analytic
+solvers (see solvers); each instance gets the bits a solve at its
+photon number alone would give.
 """
 
 import math
@@ -15,7 +20,13 @@ import numpy as np
 
 from .errors import BracketFail, DomainError, UsdError
 from .problem import DensityMatrix, UsdProblem, verify_gu_structure
-from .solvers import Branch, solve_first_class, solve_gu_4d
+from .solvers import (
+    Branch,
+    gu_4d_preconditions,
+    gu_4d_projective,
+    gu_4d_regime,
+    solve_first_class,
+)
 
 MU0_BRACKET = (0.1, 2.0)
 DEFAULT_GRID = (0.05, 3.0, 0.05)
@@ -71,36 +82,44 @@ def coefficients(mu: float) -> CoherentBb84Model:
     return CoherentBb84Model(mu=mu, c=(c0, c1, c2, c3))
 
 
-def build_states(mu: float) -> Bb84States:
-    """The two basis-question states, the two bit-question states, and
-    the involutions relating each pair. Both conjugation identities are
-    verified at 1e-12 before returning."""
-    if mu <= 0:
-        raise DomainError(f"mean photon number must be positive, got {mu!r}")
+def _state_entries(mu: float):
+    """Entries of rho_r and rho_0 at one photon number, in Python floats."""
     c0, c1, c2, c3 = coefficients(mu).c
-    rho_r = np.array(
-        [
-            [c0 * c0, 0.0, c0 * c2, 0.0],
-            [0.0, c1 * c1, 0.0, c1 * c3],
-            [c0 * c2, 0.0, c2 * c2, 0.0],
-            [0.0, c1 * c3, 0.0, c3 * c3],
-        ],
-        dtype=complex,
-    )
-    u_basis = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
-    rho_i = u_basis @ rho_r @ u_basis
-
+    rho_r = [
+        [c0 * c0, 0.0, c0 * c2, 0.0],
+        [0.0, c1 * c1, 0.0, c1 * c3],
+        [c0 * c2, 0.0, c2 * c2, 0.0],
+        [0.0, c1 * c3, 0.0, c3 * c3],
+    ]
     pm = (1.0 - 1j) / 2.0
     mp = (1.0 + 1j) / 2.0
-    rho_0 = np.array(
-        [
-            [c0 * c0, pm * c0 * c1, 0.0, mp * c0 * c3],
-            [mp * c1 * c0, c1 * c1, pm * c1 * c2, 0.0],
-            [0.0, mp * c2 * c1, c2 * c2, pm * c2 * c3],
-            [pm * c3 * c0, 0.0, mp * c3 * c2, c3 * c3],
-        ],
-        dtype=complex,
-    )
+    rho_0 = [
+        [c0 * c0, pm * c0 * c1, 0.0, mp * c0 * c3],
+        [mp * c1 * c0, c1 * c1, pm * c1 * c2, 0.0],
+        [0.0, mp * c2 * c1, c2 * c2, pm * c2 * c3],
+        [pm * c3 * c0, 0.0, mp * c3 * c2, c3 * c3],
+    ]
+    return rho_r, rho_0
+
+
+def build_states(mu) -> Bb84States:
+    """The two basis-question states, the two bit-question states, and
+    the involutions relating each pair. Both conjugation identities are
+    verified at 1e-12 before returning.
+
+    mu is one photon number or a sequence of N of them; for a sequence
+    each state is an (N, 4, 4) stack whose instances are bit for bit the
+    states built at each photon number alone.
+    """
+    if np.any(np.asarray(mu) <= 0):
+        raise DomainError(f"mean photon number must be positive, got {mu!r}")
+    entries = [_state_entries(m) for m in np.atleast_1d(mu).tolist()]
+    rho_r = np.array([r for r, _ in entries], dtype=complex)
+    rho_0 = np.array([r for _, r in entries], dtype=complex)
+    if np.ndim(mu) == 0:
+        rho_r, rho_0 = rho_r[0], rho_0[0]
+    u_basis = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
+    rho_i = u_basis @ rho_r @ u_basis
     u_bit = np.diag([1.0, -1.0, 1.0, -1.0]).astype(complex)
     rho_1 = u_bit @ rho_0 @ u_bit
 
@@ -178,12 +197,56 @@ def find_mu0(tol: float = 1e-9) -> float:
     return locate_threshold(tol)[0]
 
 
+def _solve_points(mu):
+    """Sweep rows at one photon number (a float) or over a grid of them
+    (a list), each question solved as one stack."""
+    mus = np.atleast_1d(mu).tolist()
+    states = build_states(mu)
+    q_basis = np.atleast_1d(solve_first_class(states.basis_problem()).q_opt)
+    for m, q in zip(mus, q_basis):
+        closed = q_basis_closed_form(m)
+        if abs(q - closed) > 1e-8:
+            raise UsdError(
+                f"basis failure probability {q!r} deviates "
+                f"from closed form {closed!r}"
+            )
+
+    bit = states.bit_problem()
+    u, k = gu_4d_preconditions(bit)
+    first_class, mn, fd = gu_4d_regime(bit)
+    first_class = np.atleast_1d(first_class)
+    q_bit = np.empty(len(mus))
+    for side in (True, False):
+        rows = np.flatnonzero(first_class == side)
+        if rows.size == 0:
+            continue
+        # the whole stack when every instance is on this side
+        whole = rows.size == len(mus)
+        part = bit if whole else bit.take(rows)
+        if side:
+            report = solve_first_class(part, fd=fd if whole else None)
+        else:
+            report, _ = gu_4d_projective(part, u, k if whole else k[rows],
+                                         mn if whole else mn[rows])
+        q_bit[rows] = report.q_opt
+    return [
+        Bb84SweepRow(
+            mu=m, q_basis=qb, q_bit=qt,
+            branch_bit=Branch.FIRST_CLASS_FIDELITY if first else Branch.GU_PROJECTIVE,
+            min_eig_rho0_minus_f0=me,
+        )
+        for m, qb, qt, first, me in zip(mus, q_basis, q_bit, first_class, np.atleast_1d(mn))
+    ]
+
+
 def sweep(mu_start: float = DEFAULT_GRID[0], mu_end: float = DEFAULT_GRID[1],
           step: float = DEFAULT_GRID[2]):
     """Failure probabilities of both questions across a photon-number grid.
 
-    Every basis-question value is checked against its closed form at
-    1e-8 before the row is emitted.
+    The grid is solved as one stack. Every basis-question value is
+    checked against its closed form at 1e-8 before the rows are emitted.
+    If that pass raises, the grid is solved again one photon number at a
+    time, so that the error names the photon number where it arises.
     """
     if not (0 < mu_start < mu_end) or step <= 0:
         raise DomainError(
@@ -191,30 +254,17 @@ def sweep(mu_start: float = DEFAULT_GRID[0], mu_end: float = DEFAULT_GRID[1],
             f"({mu_start!r}, {mu_end!r}, {step!r})"
         )
     count = int(math.floor((mu_end - mu_start) / step + 1e-9)) + 1
+    mus = [mu_start + i * step for i in range(count)]
+    try:
+        return _solve_points(mus)
+    except UsdError:
+        pass
     rows = []
-    for i in range(count):
-        mu = mu_start + i * step
+    for mu in mus:
         try:
-            states = build_states(mu)
-            basis_report = solve_first_class(states.basis_problem())
-            closed = q_basis_closed_form(mu)
-            if abs(basis_report.q_opt - closed) > 1e-8:
-                raise UsdError(
-                    f"basis failure probability {basis_report.q_opt!r} deviates "
-                    f"from closed form {closed!r}"
-                )
-            bit_report, _ = solve_gu_4d(states.bit_problem())
+            rows.extend(_solve_points(mu))
         except UsdError as exc:
             raise type(exc)(f"sweep failed at mu={mu!r}: {exc}") from exc
-        rows.append(
-            Bb84SweepRow(
-                mu=mu,
-                q_basis=basis_report.q_opt,
-                q_bit=bit_report.q_opt,
-                branch_bit=bit_report.branch,
-                min_eig_rho0_minus_f0=bit_report.diagnostics["op0_min_eig"],
-            )
-        )
     return rows
 
 

@@ -4,7 +4,9 @@ The two operators sqrt(sqrt(rho0) rho1 sqrt(rho0)) and its mirror share
 a trace, the fidelity F, which caps how well any error-free measurement
 can do: the inconclusive probability can never drop below
 2 sqrt(eta0 eta1) F. Whether that cap is attained is decided by the two
-rank-condition operators tested here.
+rank-condition operators tested here. fidelity_operators and
+rank_condition_check also take a stacked problem and return per-instance
+values.
 """
 
 import math
@@ -13,10 +15,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBound, DomainError, OverlappingSupports, PreconditionFail
-from .linalg import PSD_TOL, REL_CUTOFF, hermitize, nonzero_mask, psd_check, sqrt_psd
+from .linalg import (
+    PSD_TOL,
+    REL_CUTOFF,
+    any_true,
+    hermitize,
+    item_or_array,
+    nonzero_mask,
+    psd_check,
+    sqrt_psd,
+    trace,
+)
 from .problem import UsdProblem
 
 
+# For a stacked problem each field of these two holds per-instance values.
 @dataclass(frozen=True)
 class FidelityData:
     f0: np.ndarray
@@ -42,13 +55,16 @@ def fidelity_operators(p: UsdProblem) -> FidelityData:
     s1 = p.rho1.sqrt
     f0 = sqrt_psd(hermitize(s0 @ r1 @ s0))
     f1 = sqrt_psd(hermitize(s1 @ r0 @ s1))
-    t0 = float(np.trace(f0).real)
-    t1 = float(np.trace(f1).real)
-    if abs(t0 - t1) > 1e-9:
+    t0 = trace(f0).real
+    t1 = trace(f1).real
+    gap = np.abs(t0 - t1)
+    if any_true(gap > 1e-9):
+        i = np.argmax(gap)
         raise DomainError(
-            f"fidelity operator traces disagree: {t0!r} vs {t1!r}"
+            f"fidelity operator traces disagree: "
+            f"{np.ravel(t0)[i].item()!r} vs {np.ravel(t1)[i].item()!r}"
         )
-    return FidelityData(f0=f0, f1=f1, fidelity=t0)
+    return FidelityData(f0=f0, f1=f1, fidelity=item_or_array(t0))
 
 
 def failure_lower_bound(p: UsdProblem) -> float:
@@ -70,7 +86,8 @@ def rank_condition_check(p: UsdProblem, tol: float = PSD_TOL,
     gamma = math.sqrt(p.eta1 / p.eta0)
     ok0, mn0 = psd_check(p.rho0.matrix - gamma * fd.f0, tol)
     ok1, mn1 = psd_check(p.rho1.matrix - fd.f1 / gamma, tol)
-    return RankConditionReport(op0_min_eig=mn0, op1_min_eig=mn1, both_psd=ok0 and ok1)
+    return RankConditionReport(op0_min_eig=mn0, op1_min_eig=mn1,
+                               both_psd=ok0 & ok1)
 
 
 def prior_regime_bounds(p: UsdProblem, fd: FidelityData = None):

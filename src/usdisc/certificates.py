@@ -10,6 +10,9 @@ involution pair it has a closed form on the span of the two conclusive
 directions. Otherwise, and whenever a candidate fails verification, the
 witness is fitted numerically in the linear subspace the equality
 conditions leave free.
+
+The two closed forms and verify_certificate also take a stacked
+problem; the numerical fit works on one problem at a time.
 """
 
 import math
@@ -18,7 +21,19 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import eigh, hermitize, spectral_norm
+from .linalg import (
+    at_least,
+    dagger,
+    eigh,
+    form,
+    hermitize,
+    inner,
+    item_or_array,
+    matvec,
+    outer,
+    spectral_norm,
+    trace,
+)
 from .problem import Povm, UsdProblem, ValidationReport, failure_probability
 
 CERT_TOL = 1e-7
@@ -42,9 +57,19 @@ def build_fidelity_certificate(p: UsdProblem) -> OptimalityCertificate:
     s1 = p.rho1.sqrt
     w, _, vh = np.linalg.svd(s0 @ s1)
     vpol = w @ vh
-    ydag = -math.sqrt(p.eta0) * vpol.conj().T @ s0 + math.sqrt(p.eta1) * s1
-    z = hermitize(ydag.conj().T @ ydag)
-    return OptimalityCertificate(z=z, success_trace=float(np.trace(z).real))
+    ydag = -math.sqrt(p.eta0) * dagger(vpol) @ s0 + math.sqrt(p.eta1) * s1
+    z = hermitize(dagger(ydag) @ ydag)
+    return OptimalityCertificate(z=z, success_trace=item_or_array(trace(z).real))
+
+
+def _witness_cross_term(m: complex, t: complex) -> float:
+    # Python arithmetic, one instance at a time: Python's abs(t) ** 2 (libm's
+    # pow) and numpy's square of an array can differ in the last bit, and a
+    # witness must not depend on whether its problem came in a stack
+    m, t = complex(m), complex(t)
+    t2 = abs(t) ** 2
+    # t = 0 leaves c free of the kernel condition, and c = 0 keeps Z PSD
+    return -(m * t.conjugate()).real / t2 if t2 > 0.0 else 0.0
 
 
 def symmetric_projective_witness(p: UsdProblem, x: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -60,20 +85,20 @@ def symmetric_projective_witness(p: UsdProblem, x: np.ndarray, u: np.ndarray) ->
     (x, x_perp) entry to vanish; that fixes c. The rho0-kernel inequality
     is the U-image of the rho1 one.
     """
-    y = u @ x
-    alpha = p.eta0 * float((x.conj() @ p.rho0.matrix @ x).real)
+    y = matvec(u, x)
+    alpha = p.eta0 * form(x, p.rho0.matrix, x).real
     # x lies in the two-dimensional kernel of rho1; in a basis of that
     # kernel, (-conj a1, conj a0) is orthogonal to x's coordinates (a0, a1)
     kcols = p.rho1.spectrum.kernel_columns()
-    a = kcols.conj().T @ x
-    x_perp = kcols @ np.array([-a[1].conj(), a[0].conj()])
-    m = -p.eta0 * complex(x.conj() @ p.rho0.matrix @ x_perp)
-    t = complex(y.conj() @ x_perp)
-    t2 = abs(t) ** 2
-    # t = 0 leaves c free of the kernel condition, and c = 0 keeps Z PSD
-    c = -(m * t.conjugate()).real / t2 if t2 > 0.0 else 0.0
-    xx, yy, xy = np.outer(x, x.conj()), np.outer(y, y.conj()), np.outer(x, y.conj())
-    return alpha * (xx + yy) + c * (xy + xy.conj().T)
+    perp = matvec(dagger(kcols), x)[..., ::-1].conj()
+    perp[..., 0] = -perp[..., 0]
+    x_perp = matvec(kcols, perp)
+    m = -p.eta0 * form(x, p.rho0.matrix, x_perp)
+    t = inner(y, x_perp)
+    c = np.reshape([_witness_cross_term(*mt) for mt in zip(np.ravel(m), np.ravel(t))],
+                   np.shape(m))
+    xx, yy, xy = outer(x, x), outer(y, y), outer(x, y)
+    return alpha[..., None, None] * (xx + yy) + c[..., None, None] * (xy + dagger(xy))
 
 
 def verify_certificate(p: UsdProblem, m: Povm, c: OptimalityCertificate,
@@ -90,26 +115,23 @@ def verify_certificate(p: UsdProblem, m: Povm, c: OptimalityCertificate,
     k0 = p.rho0.support.kernel_projector
     k1 = p.rho1.support.kernel_projector
 
-    zmin = float(np.linalg.eigvalsh(z)[0])
+    zmin = item_or_array(np.linalg.eigvalsh(z)[..., 0])
     rep.residuals["z_min_eig"] = zmin
-    rep.check("z_psd", max(0.0, -zmin), tol)
+    rep.check("z_psd", at_least(-zmin, 0.0), tol)
     rep.check("z_annihilates_eq", spectral_norm(z @ m.eq), tol)
     rep.check("e0_equality", spectral_norm(m.e0 @ (z - p.eta0 * r0) @ m.e0), tol)
     rep.check("e1_equality", spectral_norm(m.e1 @ (z - p.eta1 * r1) @ m.e1), tol)
-    mn1 = float(np.linalg.eigvalsh(hermitize(k1 @ (z - p.eta0 * r0) @ k1))[0])
-    mn0 = float(np.linalg.eigvalsh(hermitize(k0 @ (z - p.eta1 * r1) @ k0))[0])
+    mn1 = item_or_array(np.linalg.eigvalsh(hermitize(k1 @ (z - p.eta0 * r0) @ k1))[..., 0])
+    mn0 = item_or_array(np.linalg.eigvalsh(hermitize(k0 @ (z - p.eta1 * r1) @ k0))[..., 0])
     rep.residuals["kernel1_inequality_min_eig"] = mn1
     rep.residuals["kernel0_inequality_min_eig"] = mn0
-    rep.check("kernel1_inequality", max(0.0, -mn1), tol)
-    rep.check("kernel0_inequality", max(0.0, -mn0), tol)
+    rep.check("kernel1_inequality", at_least(-mn1, 0.0), tol)
+    rep.check("kernel0_inequality", at_least(-mn0, 0.0), tol)
 
     q, _, _ = failure_probability(p, m)
-    rep.check("trace_identity", abs(float(np.trace(z).real) - (1.0 - q)), tol)
-    rep.check(
-        "success_trace_consistency",
-        abs(float(np.trace(z).real) - c.success_trace),
-        1e-12,
-    )
+    tz = trace(z).real
+    rep.check("trace_identity", abs(tz - (1.0 - q)), tol)
+    rep.check("success_trace_consistency", abs(tz - c.success_trace), 1e-12)
     return rep
 
 
@@ -154,11 +176,15 @@ def fit_certificate(p: UsdProblem, m: Povm, tol: float = CERT_TOL,
     weaker than "refuted".
     """
     if candidate is not None:
-        cert = OptimalityCertificate(z=candidate, success_trace=float(np.trace(candidate).real))
+        cert = OptimalityCertificate(z=candidate,
+                                     success_trace=item_or_array(trace(candidate).real))
         rep = verify_certificate(p, m, cert, tol)
         if rep.ok:
             cert.residuals = rep.residuals
             return cert
+    if m.eq.ndim > 2:
+        # the search below works on one problem at a time
+        return None
     d = p.dim
     r0, r1 = p.rho0.matrix, p.rho1.matrix
     c = eigh(m.eq).kernel_columns()

@@ -107,16 +107,23 @@ def _load_problem(args):
     return p
 
 
-def _solve_route(p, args) -> SolutionReport:
-    # an analytic branch that fails its own checks hands over to the oracle
+def _solve_analytic(p, tol) -> SolutionReport:
+    # the symmetric solver where its scope covers the problem, otherwise
+    # the general first-class branch; the symmetric solver runs the
+    # first-class checks itself, so a failure there is final
     if p.gu_involution is not None and p.dim == 4 and abs(p.eta0 - p.eta1) <= 1e-12:
         try:
-            report, _ = solve_gu_4d(p)
+            report, _ = solve_gu_4d(p, tol=tol)
             return report
-        except (PreconditionFail, RankConditionsFail, SpectrumAnomaly, CertificateRejected):
+        except PreconditionFail:
             pass
+    return solve_first_class(p, tol=tol)
+
+
+def _solve_route(p, args) -> SolutionReport:
+    # an analytic branch that fails its own checks hands over to the oracle
     try:
-        return solve_first_class(p, tol=args.tol_psd)
+        return _solve_analytic(p, args.tol_psd)
     except (RankConditionsFail, SpectrumAnomaly, CertificateRejected):
         pass
     result = oracle_optimize(p)

@@ -7,13 +7,24 @@ eigensolver and derives from one decomposition the handful of spectral
 primitives the rest of the package needs: operator square root,
 pseudo-inverse, support and kernel projectors, all under one relative
 rank cutoff. Positivity tests use eigenvalues alone.
+
+Every function here also takes a stack of same-shape matrices along
+leading axes and works on each matrix of it; numpy's stacked eigen,
+SVD and matrix-product calls give each matrix the same bits as a call
+on that matrix alone. A stack shares one rank: the support and kernel
+columns are slices, so a stack that mixes ranks is refused.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EigenDecompositionError, NotPositiveSemidefinite
+from .errors import (
+    DomainError,
+    EigenDecompositionError,
+    NotPositiveSemidefinite,
+    PreconditionFail,
+)
 
 # Relative rank cutoff: eigenvalues below this fraction of the largest one
 # are treated as zero. Well above double-precision eigenvalue noise at
@@ -30,13 +41,69 @@ HERM_TOL = 1e-12
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    return a.conj().swapaxes(-1, -2)
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
     """Symmetrize away floating-point skew; callers must already be
     Hermitian up to rounding."""
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
+
+
+def max_abs(a: np.ndarray):
+    """Largest entry magnitude of each matrix."""
+    return np.abs(a).max(axis=(-2, -1))
+
+
+def trace(a: np.ndarray):
+    """Trace of each matrix."""
+    return a.trace(axis1=-2, axis2=-1)
+
+
+def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a x for each matrix and vector of a stack."""
+    return (a @ x[..., None])[..., 0]
+
+
+def inner(x: np.ndarray, y: np.ndarray):
+    """<x|y> for each pair of vectors of a stack."""
+    return (x.conj()[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def form(x: np.ndarray, a: np.ndarray, y: np.ndarray):
+    """<x|a|y> for each instance of a stack."""
+    return ((x.conj()[..., None, :] @ a) @ y[..., :, None])[..., 0, 0]
+
+
+def outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """|x><y| for each pair of vectors of a stack."""
+    return x[..., :, None] * y.conj()[..., None, :]
+
+
+# The helpers below take Python's scalar path for a value computed from
+# one matrix (a numpy or Python scalar), where a numpy call costs more
+# than the arithmetic, and numpy's for a stack.
+
+def at_least(x, floor: float):
+    """max(floor, x) as Python computes it (floor unless x > floor), for
+    each entry of a stack."""
+    return np.where(x > floor, x, floor) if isinstance(x, np.ndarray) else max(floor, x)
+
+
+def any_true(flags) -> bool:
+    """Whether a flag, or any flag of a stack, is set."""
+    return bool(flags.any() if isinstance(flags, np.ndarray) else flags)
+
+
+def all_true(flags) -> bool:
+    """Whether a flag, or every flag of a stack, is set."""
+    return bool(flags.all() if isinstance(flags, np.ndarray) else flags)
+
+
+def item_or_array(x):
+    """A value computed for one matrix as a Python scalar; the values
+    computed for a stack as their array."""
+    return x if x.ndim else x.item()
 
 
 def require_hermitian(a, tol: float = HERM_TOL, name: str = "matrix") -> np.ndarray:
@@ -45,20 +112,22 @@ def require_hermitian(a, tol: float = HERM_TOL, name: str = "matrix") -> np.ndar
     The residual is measured in the max norm relative to max(1, |a|_max).
     """
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise DomainError(f"{name} must be square, got shape {a.shape}")
-    skew = np.abs(a - a.conj().T).max()
-    scale = max(1.0, np.abs(a).max())
-    if skew > tol * scale:
+    skew = max_abs(a - dagger(a))
+    scale = at_least(max_abs(a), 1.0)
+    if any_true(skew > tol * scale):
         raise DomainError(
-            f"{name} is not Hermitian: skew {skew:.3e} exceeds {tol:.0e} * {scale:.3e}"
+            f"{name} is not Hermitian: skew {np.max(skew):.3e} exceeds "
+            f"{tol:.0e} * {np.max(scale):.3e}"
         )
     return hermitize(a)
 
 
-def spectral_norm(a: np.ndarray) -> float:
-    """Largest singular value; for Hermitian input the largest |eigenvalue|."""
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+def spectral_norm(a: np.ndarray):
+    """Largest singular value of each matrix; for Hermitian input the
+    largest |eigenvalue|."""
+    return item_or_array(np.linalg.svd(a, compute_uv=False)[..., 0])
 
 
 def nonzero_mask(w: np.ndarray, rel_cutoff: float = REL_CUTOFF,
@@ -70,8 +139,11 @@ def nonzero_mask(w: np.ndarray, rel_cutoff: float = REL_CUTOFF,
     compared instead, so negative eigenvalues can count too.
     """
     w = np.abs(w) if indefinite else np.asarray(w)
-    top = float(w.max()) if w.size else 0.0
-    return w > rel_cutoff * max(top, 0.0)
+    if not w.shape[-1]:
+        return w > 0.0
+    # no eigenvalue exceeds a nonpositive largest one, so that case needs
+    # no clamp of the cutoff at zero
+    return w > rel_cutoff * w.max(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -84,7 +156,7 @@ class SupportDecomposition:
 
 
 def _assemble(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return hermitize((v * w[None, :]) @ v.conj().T)
+    return hermitize((v * w[..., None, :]) @ dagger(v))
 
 
 @dataclass(frozen=True)
@@ -97,21 +169,36 @@ class EigenSystem:
     eigenvectors: np.ndarray
 
     def rank(self, rel_cutoff: float = REL_CUTOFF) -> int:
-        return int(np.count_nonzero(nonzero_mask(self.eigenvalues, rel_cutoff)))
+        """Number of above-cutoff eigenvalues, which every matrix of a
+        stack must share."""
+        mask = nonzero_mask(self.eigenvalues, rel_cutoff)
+        # the spectrum ascends, so equal ranks mean equal masks
+        first = mask if mask.ndim == 1 else mask.reshape(-1, mask.shape[-1])[0]
+        if mask.ndim > 1 and not (mask == first).all():
+            ranks = sorted(set(np.count_nonzero(mask, axis=-1).ravel().tolist()))
+            raise PreconditionFail(f"stack mixes ranks {ranks}", cause="rank")
+        return int(np.count_nonzero(first))
+
+    def _columns(self, cols: slice) -> np.ndarray:
+        # each matrix's columns stored one after another (Fortran order),
+        # as boolean-mask indexing lays them out: BLAS rounds products
+        # differently for other layouts
+        return self.eigenvectors[..., cols].swapaxes(-1, -2).copy().swapaxes(-1, -2)
 
     def kernel_columns(self, rel_cutoff: float = REL_CUTOFF) -> np.ndarray:
-        """Orthonormal basis of the below-cutoff eigenspace."""
-        return self.eigenvectors[:, ~nonzero_mask(self.eigenvalues, rel_cutoff)]
+        """Orthonormal basis of the below-cutoff eigenspace. The spectrum
+        ascends, so these are the leading columns."""
+        return self._columns(slice(None, self.eigenvalues.shape[-1] - self.rank(rel_cutoff)))
 
     def support(self, rel_cutoff: float = REL_CUTOFF) -> SupportDecomposition:
         """Projectors onto the span of above-cutoff eigenvectors and its complement."""
-        mask = nonzero_mask(self.eigenvalues, rel_cutoff)
-        cols = self.eigenvectors[:, mask]
-        p = hermitize(cols @ cols.conj().T)
+        rank = self.rank(rel_cutoff)
+        cols = self._columns(slice(self.eigenvalues.shape[-1] - rank, None))
+        p = hermitize(cols @ dagger(cols))
         return SupportDecomposition(
             support_projector=p,
-            kernel_projector=hermitize(np.eye(p.shape[0]) - p),
-            rank=int(np.count_nonzero(mask)),
+            kernel_projector=hermitize(np.eye(p.shape[-1]) - p),
+            rank=rank,
         )
 
     def sqrt(self, tol: float = PSD_TOL, rel_cutoff: float = REL_CUTOFF) -> np.ndarray:
@@ -123,13 +210,18 @@ class EigenSystem:
         every support computed downstream.
         """
         w = self.eigenvalues
-        lmax = float(w[-1]) if w.size else 0.0
-        bound = tol * max(abs(w[0]) if w.size else 0.0, lmax, 1e-300)
-        if w.size and w[0] < -bound:
-            raise NotPositiveSemidefinite(
-                f"matrix has eigenvalue {w[0]:.6e} below -{bound:.3e}",
-                min_eigenvalue=float(w[0]),
-            )
+        if w.shape[-1]:
+            low, top = item_or_array(w[..., 0]), item_or_array(w[..., -1])
+            # the largest magnitude sits at one end of the ascending spectrum
+            bound = tol * at_least(at_least(top, abs(low)), 1e-300)
+            below = low < -bound
+            if any_true(below):
+                worst = np.min(np.where(below, low, np.inf))
+                raise NotPositiveSemidefinite(
+                    f"matrix has eigenvalue {worst:.6e} below "
+                    f"-{np.max(np.where(below, bound, 0.0)):.3e}",
+                    min_eigenvalue=float(worst),
+                )
         w = np.where(nonzero_mask(w, rel_cutoff), w, 0.0)
         return _assemble(np.sqrt(w), self.eigenvectors)
 
@@ -170,12 +262,15 @@ def pseudo_inverse(a: np.ndarray, rel_cutoff: float = REL_CUTOFF) -> np.ndarray:
 
 
 def psd_check(a: np.ndarray, tol: float = PSD_TOL):
-    """Return (is_psd, min_eigenvalue) for a Hermitian matrix.
+    """Return (is_psd, min_eigenvalue) for a Hermitian matrix, or their
+    per-matrix arrays for a stack.
 
     The decision threshold is -tol * max(1, spectral norm); the exact
     minimum eigenvalue found is always returned.
     """
     w = np.linalg.eigvalsh(hermitize(np.asarray(a, dtype=complex)))
-    mn = float(w[0]) if w.size else 0.0
-    mx = float(np.abs(w).max()) if w.size else 0.0
-    return mn >= -tol * max(1.0, mx), mn
+    if not w.shape[-1]:
+        return True, 0.0
+    mn = item_or_array(w[..., 0])
+    mx = item_or_array(np.abs(w).max(axis=-1))
+    return mn >= -tol * at_least(mx, 1.0), mn

@@ -5,6 +5,11 @@ an optional involution relating them. A measurement is the three-element
 decomposition (conclusive for state 0, conclusive for state 1,
 inconclusive). Validation is report based and never throws so the
 command line can surface every violation at once.
+
+A problem may also hold a stack of same-shape instances along leading
+axes, sharing one pair of priors and one involution (see UsdProblem).
+validate_povm, failure_probability and verify_gu_structure check or
+evaluate every instance of such a stack.
 """
 
 from dataclasses import dataclass, field
@@ -20,10 +25,15 @@ from .linalg import (
     REL_CUTOFF,
     EigenSystem,
     SupportDecomposition,
+    any_true,
+    at_least,
+    dagger,
     eigh,
+    max_abs,
     psd_check,
     require_hermitian,
     support_decomposition,
+    trace,
 )
 
 TRACE_TOL = 1e-10
@@ -33,16 +43,17 @@ COMPLETENESS_TOL = 1e-9
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A unit-trace state. Its eigendecomposition is taken once, on first
-    use, and every spectral quantity of the state is derived from it; the
-    matrix must therefore never be modified in place."""
+    """A unit-trace state, or a stack of them along leading axes. Its
+    eigendecomposition is taken once, on first use, and every spectral
+    quantity of the state is derived from it; the matrix must therefore
+    never be modified in place."""
 
     matrix: np.ndarray
     declared_rank: Optional[int] = None
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     @cached_property
     def spectrum(self) -> EigenSystem:
@@ -60,20 +71,25 @@ class DensityMatrix:
     @staticmethod
     def from_matrix(matrix, declared_rank=None, renormalize: bool = False):
         m = require_hermitian(matrix, name="density matrix")
-        tr = np.trace(m).real
+        tr = trace(m).real
         if renormalize:
-            if tr <= 0:
+            if any_true(tr <= 0):
                 raise DomainError("cannot renormalize a matrix with nonpositive trace")
-            m = m / tr
-        elif abs(tr - 1.0) > TRACE_TOL:
+            m = m / tr[..., None, None]
+        elif any_true(abs(tr - 1.0) > TRACE_TOL):
+            off = np.ravel(tr)[np.argmax(abs(tr - 1.0))].item()
             raise DomainError(
-                f"density matrix trace {tr!r} is not 1; pass renormalize=True to rescale"
+                f"density matrix trace {off!r} is not 1; pass renormalize=True to rescale"
             )
         return DensityMatrix(matrix=m, declared_rank=declared_rank)
 
 
 @dataclass(frozen=True)
 class UsdProblem:
+    """Two states with their priors and an optional involution U with
+    rho1 = U rho0 U. The states may be stacks of one shape; the priors
+    and the involution are then shared by every instance."""
+
     rho0: DensityMatrix
     rho1: DensityMatrix
     eta0: float
@@ -94,6 +110,14 @@ class UsdProblem:
         """Whether the supports share a direction: their ranks add up to
         more than the rank of their sum."""
         return self.rho0.support.rank + self.rho1.support.rank > self.sum_spectrum.rank()
+
+    def take(self, rows) -> "UsdProblem":
+        """The instances at the given indices of a stacked problem."""
+        return UsdProblem(
+            rho0=DensityMatrix(self.rho0.matrix[rows], self.rho0.declared_rank),
+            rho1=DensityMatrix(self.rho1.matrix[rows], self.rho1.declared_rank),
+            eta0=self.eta0, eta1=self.eta1, gu_involution=self.gu_involution,
+        )
 
 
 @dataclass(frozen=True)
@@ -116,9 +140,18 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def check(self, name: str, residual: float, bound: float):
-        self.residuals[name] = float(residual)
-        if not residual <= bound:
+    def check(self, name: str, residual, bound: float):
+        """Record a residual, or its per-instance array for a stack; the
+        check fails when any of them exceeds its bound (which may also be
+        per instance) or is NaN."""
+        if isinstance(residual, np.ndarray) and residual.ndim:
+            self.residuals[name] = residual
+            ok = (residual <= bound).all()
+        else:
+            residual = float(residual)
+            self.residuals[name] = residual
+            ok = residual <= bound
+        if not ok:
             self.failures.append(name)
 
 
@@ -130,9 +163,8 @@ class StandardFormReport:
     kernel1_meets_support0_dim: int
 
 
-def _hermiticity_residual(a: np.ndarray) -> float:
-    skew = float(np.abs(a - a.conj().T).max())
-    return skew / max(1.0, float(np.abs(a).max()))
+def _hermiticity_residual(a: np.ndarray):
+    return max_abs(a - dagger(a)) / at_least(max_abs(a), 1.0)
 
 
 def validate_problem(p: UsdProblem, tol_psd: float = PSD_TOL,
@@ -169,20 +201,21 @@ def validate_povm(p: UsdProblem, m: Povm, tol: float = 1e-9) -> ValidationReport
     rep = ValidationReport()
     eye = np.eye(p.dim)
     for name, el in (("e0", m.e0), ("e1", m.e1), ("eq", m.eq)):
-        rep.check(f"{name}_hermitian", _hermiticity_residual(el), 1e-10)
+        scale = at_least(max_abs(el), 1.0)
+        rep.check(f"{name}_hermitian", max_abs(el - dagger(el)) / scale, 1e-10)
         _, mn = psd_check(el, PSD_TOL)
-        rep.check(f"{name}_psd", max(0.0, -mn), PSD_TOL * max(1.0, np.abs(el).max()))
+        rep.check(f"{name}_psd", at_least(-mn, 0.0), PSD_TOL * scale)
     total = m.e0 + m.e1 + m.eq
-    rep.check("completeness", float(np.abs(total - eye).max()), COMPLETENESS_TOL)
-    rep.check("error_free_0", abs(np.trace(m.e0 @ p.rho1.matrix).real), tol)
-    rep.check("error_free_1", abs(np.trace(m.e1 @ p.rho0.matrix).real), tol)
+    rep.check("completeness", max_abs(total - eye), COMPLETENESS_TOL)
+    rep.check("error_free_0", abs(trace(m.e0 @ p.rho1.matrix).real), tol)
+    rep.check("error_free_1", abs(trace(m.e1 @ p.rho0.matrix).real), tol)
     return rep
 
 
 def failure_probability(p: UsdProblem, m: Povm):
     """Total and per-state inconclusive probabilities (q, q0, q1)."""
-    q0 = p.eta0 * np.trace(m.eq @ p.rho0.matrix).real
-    q1 = p.eta1 * np.trace(m.eq @ p.rho1.matrix).real
+    q0 = p.eta0 * trace(m.eq @ p.rho0.matrix).real
+    q1 = p.eta1 * trace(m.eq @ p.rho1.matrix).real
     return q0 + q1, q0, q1
 
 
@@ -213,20 +246,19 @@ def standard_form_report(p: UsdProblem, rel_cutoff: float = REL_CUTOFF) -> Stand
 
 def verify_gu_structure(rho0: DensityMatrix, rho1: DensityMatrix, u: np.ndarray,
                         tol: float = 1e-9) -> ValidationReport:
-    """Check that u is a Hermitian involution conjugating state 0 to state 1."""
+    """Check that u is a Hermitian involution conjugating state 0 to state 1
+    (every instance of a stack, by the one u)."""
     rep = ValidationReport()
     u = np.asarray(u, dtype=complex)
-    if u.shape != rho0.matrix.shape:
+    if u.shape != rho0.matrix.shape[-2:]:
         rep.residuals["u_shape"] = 1.0
         rep.failures.append("u_shape")
         return rep
     eye = np.eye(u.shape[0])
-    rep.check("u_unitary", float(np.abs(u.conj().T @ u - eye).max()), tol)
-    rep.check("u_involution", float(np.abs(u @ u - eye).max()), tol)
-    rep.check("u_hermitian", float(np.abs(u - u.conj().T).max()), tol)
-    rep.check(
-        "conjugation", float(np.abs(rho1.matrix - u @ rho0.matrix @ u).max()), tol
-    )
+    rep.check("u_unitary", max_abs(dagger(u) @ u - eye), tol)
+    rep.check("u_involution", max_abs(u @ u - eye), tol)
+    rep.check("u_hermitian", max_abs(u - dagger(u)), tol)
+    rep.check("conjugation", max_abs(rho1.matrix - u @ rho0.matrix @ u), tol)
     return rep
 
 

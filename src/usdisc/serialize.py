@@ -32,6 +32,8 @@ def matrix_from_obj(obj, dim: int, field: str) -> np.ndarray:
         raise ProblemFormatError(
             f"{field}: expected shape ({dim}, {dim}), got re {re.shape} and im {im.shape}"
         )
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ProblemFormatError(f"{field}: entries must be finite")
     return re + 1j * im
 
 
@@ -55,7 +57,7 @@ def problem_from_obj(obj, renormalize: bool = False) -> UsdProblem:
         if key not in obj:
             raise ProblemFormatError(f"missing required field '{key}'")
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ProblemFormatError(f"dim: expected a positive integer, got {dim!r}")
     for key in ("eta0", "eta1"):
         if not isinstance(obj[key], (int, float)) or isinstance(obj[key], bool):

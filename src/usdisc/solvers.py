@@ -8,6 +8,12 @@ symmetric pairs of rank 2 in dimension 4; when the first family does
 not apply, the optimum is a projective measurement built from the
 kernel-compressed involution. Every emitted solution is gated by an
 optimality certificate before it is returned.
+
+solve_first_class and the three steps of solve_gu_4d (preconditions,
+regime decision, projective construction) also take a stacked problem
+(see problem.UsdProblem): every check and gate then runs on every
+instance, the report's numbers become per-instance arrays, and a
+failure on any instance fails the stack.
 """
 
 import math
@@ -37,9 +43,14 @@ from .errors import (
 from .linalg import (
     PSD_TOL,
     REL_CUTOFF,
+    all_true,
+    any_true,
     eigh,
+    form,
     hermitize,
+    item_or_array,
     nonzero_mask,
+    outer,
     psd_check,
     spectral_norm,
     support_decomposition,
@@ -90,7 +101,7 @@ def _branch_holds(p: UsdProblem, report: SolutionReport, tol_psd: float) -> bool
         if report.branch is Branch.FIRST_CLASS_FIDELITY:
             return rank_condition_check(p, tol_psd).both_psd
         if report.branch is Branch.GU_PROJECTIVE:
-            _require_gu_4d(p)
+            gu_4d_preconditions(p)
             return projectivity_check(report.povm).ok
     except UsdError:
         # the problem fails the branch's preconditions
@@ -177,10 +188,10 @@ def solve_first_class(p: UsdProblem, tol: float = PSD_TOL,
     if fd is None:
         fd = fidelity_operators(p)
     rc = rank_condition_check(p, tol, fd=fd)
-    if not rc.both_psd:
+    if not all_true(rc.both_psd):
         raise RankConditionsFail(
             "rank-condition operators are not both PSD "
-            f"(min eigenvalues {rc.op0_min_eig:.3e}, {rc.op1_min_eig:.3e})"
+            f"(min eigenvalues {np.min(rc.op0_min_eig):.3e}, {np.min(rc.op1_min_eig):.3e})"
         )
     r0, r1 = p.rho0.matrix, p.rho1.matrix
     gamma = math.sqrt(p.eta1 / p.eta0)
@@ -207,8 +218,9 @@ def solve_first_class(p: UsdProblem, tol: float = PSD_TOL,
     )
 
 
-def _require_gu_4d(p: UsdProblem):
-    """Shared preconditions for the involution-symmetric 4D solvers.
+def gu_4d_preconditions(p: UsdProblem):
+    """Preconditions of the involution-symmetric 4D solvers, step one of
+    solve_gu_4d.
 
     Returns the involution and its compression onto the kernel of rho1.
     """
@@ -250,53 +262,73 @@ def _signed_kernel_eigs(k: np.ndarray):
     return vals[order], vecs[:, order]
 
 
-def solve_gu_4d(p: UsdProblem):
-    """Optimal measurement for equal-prior involution pairs of rank 2
-    in dimension 4.
+def gu_4d_regime(p: UsdProblem, tol: float = PSD_TOL, fd: FidelityData = None):
+    """Step two of solve_gu_4d: whether the first-class construction
+    applies, decided by rho0 - F0 alone (at equal priors the two
+    rank-condition operators are U-images of each other).
 
-    Returns (SolutionReport, GuSolution or None). When the fidelity
-    bound is attainable the first-class construction is used and no
-    GuSolution is produced. Otherwise the optimum is the rank-1
-    projective measurement determined by the signed eigenpair of the
-    kernel-compressed involution.
+    Returns (first_class, op0_min_eig, fd), per instance for a stack.
     """
-    u, k = _require_gu_4d(p)
-    fd = fidelity_operators(p)
-    both_psd, mn = psd_check(p.rho0.matrix - fd.f0, PSD_TOL)
-    if both_psd:
-        return solve_first_class(p, fd=fd), None
+    if fd is None:
+        fd = fidelity_operators(p)
+    first_class, mn = psd_check(p.rho0.matrix - fd.f0, tol)
+    return first_class, mn, fd
 
-    vals, vecs = _signed_kernel_eigs(k)
-    npos = int((vals > 0).sum())
-    nneg = int((vals < 0).sum())
-    if len(vals) != 2 or npos != 1 or nneg != 1:
+
+def gu_4d_projective(p: UsdProblem, u: np.ndarray, k: np.ndarray, op0_min_eig):
+    """Step three of solve_gu_4d: the rank-1 projective measurement
+    determined by the signed eigenpair of the kernel-compressed
+    involution k, for instances outside the first-class regime.
+
+    Returns (SolutionReport, GuSolution).
+    """
+    sys = eigh(k)
+    w = sys.eigenvalues
+    nonzero = nonzero_mask(w, indefinite=True)
+    npos = np.count_nonzero(nonzero & (w > 0), axis=-1)
+    nneg = np.count_nonzero(nonzero & (w < 0), axis=-1)
+    anomalous = np.ravel((npos != 1) | (nneg != 1))
+    if any_true(anomalous):
+        i = int(np.argmax(anomalous))
+        n = w.shape[-1]
+        vals = np.reshape(w, (-1, n))[i][np.reshape(nonzero, (-1, n))[i]][::-1]
         raise SpectrumAnomaly(
             "kernel-compressed involution should carry one positive and one "
             f"negative eigenvalue, found {np.round(vals, 12).tolist()} "
-            f"(min eig of the fidelity-gap operator {mn:.3e})"
+            f"(min eig of the fidelity-gap operator {np.ravel(op0_min_eig)[i]:.3e})"
         )
-    a = float(vals[0])
-    b = float(-vals[1])
-    v0 = vecs[:, 0]
-    v1 = vecs[:, 1]
+    # the spectrum ascends, so the positive eigenpair is the last and the
+    # negative one the first
+    a = item_or_array(w[..., -1])
+    b = item_or_array(-w[..., 0])
+    v0 = sys.eigenvectors[..., :, -1]
+    v1 = sys.eigenvectors[..., :, 0]
     r0 = p.rho0.matrix
-    cross = complex(v0.conj() @ r0 @ v1)
-    phase = 0.0 if abs(cross) <= 1e-12 else float(np.angle(cross)) % (2.0 * math.pi)
-    x = (np.exp(1j * phase) * math.sqrt(b) * v0 + math.sqrt(a) * v1) / math.sqrt(a + b)
-    e0 = np.outer(x, x.conj())
+    cross = form(v0, r0, v1)
+    phase = item_or_array(np.where(np.abs(cross) <= 1e-12, 0.0,
+                                   np.angle(cross) % (2.0 * math.pi)))
+    x = ((np.exp(1j * phase) * np.sqrt(b))[..., None] * v0
+         + np.sqrt(a)[..., None] * v1) / np.sqrt(a + b)[..., None]
+    e0 = outer(x, x)
     e1 = hermitize(u @ e0 @ u)
     eq = hermitize(np.eye(4) - e0 - e1)
     m = Povm(e0=e0, e1=e1, eq=eq)
 
-    success = float((x.conj() @ r0 @ x).real)
+    success = form(x, r0, x).real
+    # Re(cross e^{-i phase}) in real arithmetic: numpy's array loop for a
+    # complex product can round differently from its scalar arithmetic
+    turn = np.exp(-1j * phase)
     expanded = (
-        b * float((v0.conj() @ r0 @ v0).real)
-        + a * float((v1.conj() @ r0 @ v1).real)
-        + 2.0 * math.sqrt(a * b) * float((cross * np.exp(-1j * phase)).real)
+        b * form(v0, r0, v0).real
+        + a * form(v1, r0, v1).real
+        + 2.0 * np.sqrt(a * b) * (cross.real * turn.real - cross.imag * turn.imag)
     ) / (a + b)
-    if abs(success - expanded) > 1e-10:
+    gap = np.abs(success - expanded)
+    if any_true(gap > 1e-10):
+        i = np.argmax(gap)
         raise SpectrumAnomaly(
-            f"success probability cross-check failed: {success!r} vs {expanded!r}"
+            "success probability cross-check failed: "
+            f"{np.ravel(success)[i].item()!r} vs {np.ravel(expanded)[i].item()!r}"
         )
 
     q, q0, q1 = failure_probability(p, m)
@@ -316,8 +348,8 @@ def solve_gu_4d(p: UsdProblem):
     diagnostics.update(cert.residuals)
     diagnostics["kernel_eig_pos"] = a
     diagnostics["kernel_eig_neg"] = -b
-    diagnostics["op0_min_eig"] = mn
-    diagnostics["success_crosscheck_gap"] = success - expanded
+    diagnostics["op0_min_eig"] = op0_min_eig
+    diagnostics["success_crosscheck_gap"] = item_or_array(success - expanded)
     report = SolutionReport(
         q_opt=q, q0=q0, q1=q1, povm=m,
         branch=Branch.GU_PROJECTIVE,
@@ -329,10 +361,32 @@ def solve_gu_4d(p: UsdProblem):
     return report, solution
 
 
+def solve_gu_4d(p: UsdProblem, tol: float = PSD_TOL):
+    """Optimal measurement for equal-prior involution pairs of rank 2
+    in dimension 4.
+
+    Returns (SolutionReport, GuSolution or None). When the fidelity
+    bound is attainable (rho0 - F0 is PSD at tol) the first-class
+    construction is used, at the same tol, and no GuSolution is
+    produced. Otherwise the optimum is the rank-1 projective measurement
+    determined by the signed eigenpair of the kernel-compressed
+    involution. Every instance of a stack must fall on the same side.
+    """
+    u, k = gu_4d_preconditions(p)
+    first_class, mn, fd = gu_4d_regime(p, tol)
+    if all_true(first_class):
+        return solve_first_class(p, tol, fd=fd), None
+    if any_true(first_class):
+        raise PreconditionFail(
+            "stack mixes first-class and projective instances", cause="regime"
+        )
+    return gu_4d_projective(p, u, k, mn)
+
+
 def gu_kernel_spectrum(p: UsdProblem) -> np.ndarray:
     """Nonzero eigenvalues of the kernel-compressed involution, sorted
     descending so the expected sign pattern reads (positive, negative)."""
-    vals, _ = _signed_kernel_eigs(_require_gu_4d(p)[1])
+    vals, _ = _signed_kernel_eigs(gu_4d_preconditions(p)[1])
     return vals
 
 

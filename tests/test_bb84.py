@@ -1,7 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 
-from usdisc import Branch, UsdProblem, validate_problem, verify_gu_structure
+from usdisc import (
+    Branch,
+    DensityMatrix,
+    UsdProblem,
+    solve_first_class,
+    solve_gu_4d,
+    validate_problem,
+    verify_gu_structure,
+)
 from usdisc.bb84 import (
     Bb84SweepRow,
     basis_problem,
@@ -15,7 +25,7 @@ from usdisc.bb84 import (
     sweep,
     sweep_csv,
 )
-from usdisc.errors import DomainError
+from usdisc.errors import CertificateRejected, DomainError, PreconditionFail, UsdError
 from usdisc.linalg import eigh, hermitize
 from usdisc import fidelity_operators
 
@@ -129,3 +139,125 @@ def test_sweep_csv_shape():
     # 12 significant digits on numeric columns
     assert len(first[1].replace(".", "").replace("-", "").lstrip("0")) <= 12
     assert text.endswith("\n")
+
+
+def _recorded_build_states(monkeypatch):
+    """Record the photon numbers each build_states call receives."""
+    import usdisc.bb84
+
+    calls = []
+    build = usdisc.bb84.build_states
+
+    def recorded(mu):
+        calls.append(mu)
+        return build(mu)
+
+    monkeypatch.setattr(usdisc.bb84, "build_states", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("grid", [
+    (0.05, 3.0, 0.05),
+    (0.5, 1.0, 0.1),
+    (0.8, 2.0, 0.2),
+], ids=["default", "straddles_mu0", "above_mu0"])
+def test_stacked_sweep_matches_scalar_solves_bitwise(monkeypatch, grid):
+    mu0 = find_mu0()
+    calls = _recorded_build_states(monkeypatch)
+    rows = sweep(*grid)
+    # one stacked pass, no point-by-point fallback
+    assert len(calls) == 1 and len(calls[0]) == len(rows)
+    if grid[0] < mu0:
+        assert {r.branch_bit for r in rows} == {Branch.GU_PROJECTIVE, Branch.FIRST_CLASS_FIDELITY}
+    else:
+        assert {r.branch_bit for r in rows} == {Branch.FIRST_CLASS_FIDELITY}
+    for r in rows:
+        st = build_states(r.mu)
+        basis = solve_first_class(st.basis_problem())
+        bit, _ = solve_gu_4d(st.bit_problem())
+        assert r.q_basis == basis.q_opt
+        assert r.q_bit == bit.q_opt
+        assert r.branch_bit is bit.branch
+        assert r.min_eig_rho0_minus_f0 == bit.diagnostics["op0_min_eig"]
+
+
+def test_stacked_states_match_scalar_states_bitwise():
+    mus = GRID[::7]
+    stack = build_states(mus)
+    for i, mu in enumerate(mus):
+        one = build_states(mu)
+        for name in ("rho_r", "rho_i", "rho_0", "rho_1"):
+            assert np.array_equal(getattr(stack, name).matrix[i], getattr(one, name).matrix)
+
+
+def test_sweep_failure_names_the_photon_number(monkeypatch):
+    import usdisc.bb84
+
+    mus = [0.3 + i * 0.1 for i in range(6)]
+    bad = mus[3]
+    closed = usdisc.bb84.q_basis_closed_form
+    monkeypatch.setattr(usdisc.bb84, "q_basis_closed_form",
+                        lambda mu: closed(mu) + (1.0 if mu == bad else 0.0))
+    with pytest.raises(UsdError, match=re.escape(f"sweep failed at mu={bad!r}:")):
+        sweep(0.3, 0.8, 0.1)
+
+
+def test_sweep_falls_back_to_points_when_the_stack_fails(monkeypatch):
+    import usdisc.bb84
+
+    expected = sweep_csv(sweep(0.5, 1.0, 0.1))
+    projective = usdisc.bb84.gu_4d_projective
+
+    def stack_only_failure(p, u, k, op0_min_eig):
+        if np.ndim(k) > 2:
+            raise CertificateRejected("injected failure on a stack")
+        return projective(p, u, k, op0_min_eig)
+
+    monkeypatch.setattr(usdisc.bb84, "gu_4d_projective", stack_only_failure)
+    calls = _recorded_build_states(monkeypatch)
+    assert sweep_csv(sweep(0.5, 1.0, 0.1)) == expected
+    # the stacked pass, then each of the six points on its own
+    assert len(calls) == 7
+
+
+def test_stack_with_mixed_ranks_is_refused():
+    rho0 = np.array([np.diag([0.5, 0.5, 0.0, 0.0]), np.diag([1 / 3, 1 / 3, 1 / 3, 0.0])])
+    rho1 = np.array([np.diag([0.0, 0.0, 0.5, 0.5]), np.diag([0.0, 0.0, 0.0, 1.0])])
+    p = UsdProblem(DensityMatrix.from_matrix(rho0), DensityMatrix.from_matrix(rho1), 0.5, 0.5)
+    with pytest.raises(PreconditionFail) as err:
+        solve_first_class(p)
+    assert err.value.cause == "rank"
+    # either instance alone is a valid first-class problem
+    for i in range(2):
+        assert solve_first_class(p.take([i])).q_opt == pytest.approx(0.0, abs=1e-12)
+
+
+def test_stack_with_mixed_regimes_is_refused():
+    stack = build_states([0.3, 1.5]).bit_problem()
+    with pytest.raises(PreconditionFail) as err:
+        solve_gu_4d(stack)
+    assert err.value.cause == "regime"
+    assert solve_gu_4d(stack.take([0]))[0].branch is Branch.GU_PROJECTIVE
+    assert solve_gu_4d(stack.take([1]))[0].branch is Branch.FIRST_CLASS_FIDELITY
+
+
+def _count_eigen_calls(monkeypatch, fn):
+    calls = []
+    for name in ("eigh", "eigvalsh", "svd"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(None)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    fn()
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_sweep_eigen_calls_do_not_grow_with_the_grid(monkeypatch):
+    full = _count_eigen_calls(monkeypatch, sweep)
+    six = _count_eigen_calls(monkeypatch, lambda: sweep(0.5, 1.0, 0.1))
+    assert full <= 100
+    assert full == six

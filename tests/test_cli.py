@@ -125,7 +125,9 @@ def _near_threshold_involution_pair():
                       base.eta0, base.eta1, base.gu_involution)
 
 
-def test_solve_falls_back_when_symmetric_rank_conditions_fail(tmp_path, capsys):
+def test_solve_falls_back_when_symmetric_rank_conditions_fail(tmp_path, capsys, monkeypatch):
+    import usdisc.solvers
+
     p = _near_threshold_involution_pair()
     assert validate_problem(p).ok
     with pytest.raises(RankConditionsFail):
@@ -133,12 +135,39 @@ def test_solve_falls_back_when_symmetric_rank_conditions_fail(tmp_path, capsys):
     inp = tmp_path / "problem.json"
     out = tmp_path / "report.json"
     write_problem(inp, p)
+    calls = []
+    first_class = usdisc.solvers.solve_first_class
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return first_class(*args, **kwargs)
+
+    # wherever the router or the symmetric solver reaches it
+    monkeypatch.setattr(usdisc.solvers, "solve_first_class", counted)
+    monkeypatch.setattr(cli, "solve_first_class", counted)
     assert main(["solve", "--input", str(inp), "--output", str(out)]) == 0
+    # the symmetric solver's first-class side rejected it; no second try
+    assert len(calls) == 1
     obj = json.loads(out.read_text())
     assert obj["branch"] == "OracleOnly"
     assert abs(obj["q_opt"] - 0.487084) <= 1e-6
     assert main(["certify", "--input", str(out)]) == 0
     assert capsys.readouterr().out.strip().endswith("PASS")
+
+
+def test_tol_psd_reaches_the_symmetric_decision(tmp_path):
+    # just below mu0, rho0 - F0 has a minimum eigenvalue of about -3e-8:
+    # projective at the default 1e-9, first-class side at 1e-6, where the
+    # sandwiched elements then fail their PSD gate and the oracle answers
+    p = bit_problem(find_mu0() - 1e-7)
+    inp = tmp_path / "problem.json"
+    write_problem(inp, p)
+    branches = []
+    for flags in ([], ["--tol-psd", "1e-6"]):
+        out = tmp_path / f"report{len(branches)}.json"
+        assert main(["solve", "--input", str(inp), "--output", str(out), *flags]) == 0
+        branches.append(json.loads(out.read_text())["branch"])
+    assert branches == ["GuProjective", "OracleOnly"]
 
 
 def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys, monkeypatch):
@@ -237,6 +266,31 @@ def test_certify_rejects_report_without_witness(tmp_path, capsys):
     code, verdict = _certify_tampered(tmp_path, capsys, lambda obj: obj.pop("certificate"))
     assert code == 1
     assert verdict.startswith("FAIL") and "certificate_missing" in verdict
+
+
+@pytest.mark.parametrize("path", [
+    ("certificate", "z", "re"),
+    ("povm", "e0", "re"),
+    ("povm", "e0", "im"),
+    ("problem", "dim"),
+], ids=["witness_nan", "e0_nan", "e0_imag_nan", "boolean_dim"])
+def test_certify_rejects_non_finite_or_boolean_fields(tmp_path, capsys, path):
+    inp = tmp_path / "problem.json"
+    rpt = tmp_path / "report.json"
+    write_problem(inp, bit_problem(0.3))
+    assert main(["solve", "--input", str(inp), "--output", str(rpt)]) == 0
+    obj = json.loads(rpt.read_text())
+    if path[-1] == "dim":
+        obj["problem"]["dim"] = True
+    else:
+        section, element, part = path
+        obj[section][element][part][0][0] = float("nan")
+    rpt.write_text(serialize.dumps(obj))
+    capsys.readouterr()
+    # a format error: exit 1 with a message, not a numpy exception
+    assert main(["certify", "--input", str(rpt)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and ("finite" in err or "dim" in err)
 
 
 @pytest.mark.parametrize("problem, label, swapped", [

@@ -77,6 +77,25 @@ def test_problem_from_obj_rejects_boolean_prior():
         serialize.problem_from_obj(obj)
 
 
+def test_problem_from_obj_rejects_boolean_dim():
+    # a one-dimensional problem, so that True read as 1 would fit every shape
+    one = {"re": [[1.0]], "im": [[0.0]]}
+    obj = {"dim": True, "eta0": 0.5, "eta1": 0.5, "rho0": one, "rho1": one}
+    with pytest.raises(ProblemFormatError, match="dim"):
+        serialize.problem_from_obj(obj)
+    obj["dim"] = 1
+    assert serialize.problem_from_obj(obj).dim == 1
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_matrix_from_obj_rejects_non_finite_entries(value):
+    for part in ("re", "im"):
+        obj = {"re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+        obj[part][1][0] = value
+        with pytest.raises(ProblemFormatError, match="finite"):
+            serialize.matrix_from_obj(obj, 2, "rho0")
+
+
 def test_matrix_from_obj_rejects_ragged_rows():
     with pytest.raises(ProblemFormatError):
         serialize.matrix_from_obj({"re": [[1, 0], [0]], "im": [[0, 0], [0, 0]]}, 2, "rho0")
