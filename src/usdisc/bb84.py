@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import FidelityData
 from .errors import BracketFail, DomainError, UsdError
 from .problem import DensityMatrix, UsdProblem, verify_gu_structure
 from .solvers import (
@@ -220,14 +221,18 @@ def _solve_points(mu):
         rows = np.flatnonzero(first_class == side)
         if rows.size == 0:
             continue
-        # the whole stack when every instance is on this side
-        whole = rows.size == len(mus)
-        part = bit if whole else bit.take(rows)
-        if side:
-            report = solve_first_class(part, fd=fd if whole else None)
+        # the whole stack when every instance is on this side; a
+        # sub-stack keeps the stack's decompositions
+        if rows.size == len(mus):
+            part, part_fd, part_k, part_mn = bit, fd, k, mn
         else:
-            report, _ = gu_4d_projective(part, u, k if whole else k[rows],
-                                         mn if whole else mn[rows])
+            part = bit.take(rows)
+            part_fd = FidelityData(fd.f0[rows], fd.f1[rows], fd.fidelity[rows])
+            part_k, part_mn = k[rows], mn[rows]
+        if side:
+            report = solve_first_class(part, fd=part_fd)
+        else:
+            report, _ = gu_4d_projective(part, u, part_k, part_mn)
         q_bit[rows] = report.q_opt
     return [
         Bb84SweepRow(

@@ -25,6 +25,7 @@ from .linalg import (
     psd_check,
     sqrt_psd,
     trace,
+    unstack,
 )
 from .problem import UsdProblem
 
@@ -53,8 +54,8 @@ def fidelity_operators(p: UsdProblem) -> FidelityData:
     r0, r1 = p.rho0.matrix, p.rho1.matrix
     s0 = p.rho0.sqrt
     s1 = p.rho1.sqrt
-    f0 = sqrt_psd(hermitize(s0 @ r1 @ s0))
-    f1 = sqrt_psd(hermitize(s1 @ r0 @ s1))
+    # both sandwiches in one stacked decomposition
+    f0, f1 = sqrt_psd(np.array([hermitize(s0 @ r1 @ s0), hermitize(s1 @ r0 @ s1)]))
     t0 = trace(f0).real
     t1 = trace(f1).real
     gap = np.abs(t0 - t1)
@@ -84,8 +85,9 @@ def rank_condition_check(p: UsdProblem, tol: float = PSD_TOL,
     if fd is None:
         fd = fidelity_operators(p)
     gamma = math.sqrt(p.eta1 / p.eta0)
-    ok0, mn0 = psd_check(p.rho0.matrix - gamma * fd.f0, tol)
-    ok1, mn1 = psd_check(p.rho1.matrix - fd.f1 / gamma, tol)
+    ok, mn = psd_check(np.array([p.rho0.matrix - gamma * fd.f0,
+                                 p.rho1.matrix - fd.f1 / gamma]), tol)
+    (ok0, ok1), (mn0, mn1) = unstack(ok), unstack(mn)
     return RankConditionReport(op0_min_eig=mn0, op1_min_eig=mn1,
                                both_psd=ok0 & ok1)
 

@@ -11,8 +11,11 @@ rank cutoff. Positivity tests use eigenvalues alone.
 Every function here also takes a stack of same-shape matrices along
 leading axes and works on each matrix of it; numpy's stacked eigen,
 SVD and matrix-product calls give each matrix the same bits as a call
-on that matrix alone. A stack shares one rank: the support and kernel
-columns are slices, so a stack that mixes ranks is refused.
+on that matrix alone. So a check over several matrices stacks them into
+one call to psd_check, spectral_norm or sqrt_psd (unstack splits the
+result), and the row slices of a stack's decompositions are those of
+the sub-stack. A stack shares one rank: the support and kernel columns
+are slices, so a stack that mixes ranks is refused.
 """
 
 from dataclasses import dataclass
@@ -104,6 +107,13 @@ def item_or_array(x):
     """A value computed for one matrix as a Python scalar; the values
     computed for a stack as their array."""
     return x if x.ndim else x.item()
+
+
+def unstack(x) -> list:
+    """The values a stacked call computed for each entry along its first
+    axis: Python scalars when each entry was one matrix, per-instance
+    arrays when each was itself a stack."""
+    return x.tolist() if x.ndim == 1 else list(x)
 
 
 def require_hermitian(a, tol: float = HERM_TOL, name: str = "matrix") -> np.ndarray:

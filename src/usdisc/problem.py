@@ -9,7 +9,9 @@ command line can surface every violation at once.
 A problem may also hold a stack of same-shape instances along leading
 axes, sharing one pair of priors and one involution (see UsdProblem).
 validate_povm, failure_probability and verify_gu_structure check or
-evaluate every instance of such a stack.
+evaluate every instance of such a stack. UsdProblem.take selects
+instances; the sub-stack keeps the row slices of every decomposition the
+stack has cached, so it decomposes nothing again.
 """
 
 from dataclasses import dataclass, field
@@ -34,6 +36,7 @@ from .linalg import (
     require_hermitian,
     support_decomposition,
     trace,
+    unstack,
 )
 
 TRACE_TOL = 1e-10
@@ -112,12 +115,51 @@ class UsdProblem:
         return self.rho0.support.rank + self.rho1.support.rank > self.sum_spectrum.rank()
 
     def take(self, rows) -> "UsdProblem":
-        """The instances at the given indices of a stacked problem."""
-        return UsdProblem(
-            rho0=DensityMatrix(self.rho0.matrix[rows], self.rho0.declared_rank),
-            rho1=DensityMatrix(self.rho1.matrix[rows], self.rho1.declared_rank),
+        """The instances at the given indices of a stacked problem. The
+        sub-stack holds the row slices of every decomposition this stack
+        has already cached, so reading them calls no eigensolver."""
+        sub = UsdProblem(
+            rho0=_take_state(self.rho0, rows), rho1=_take_state(self.rho1, rows),
             eta0=self.eta0, eta1=self.eta1, gu_involution=self.gu_involution,
         )
+        _take_cached(self, sub, rows)
+        return sub
+
+
+def _take_eigensystem(sys: EigenSystem, rows) -> EigenSystem:
+    return EigenSystem(eigenvalues=sys.eigenvalues[rows], eigenvectors=sys.eigenvectors[rows])
+
+
+def _take_support(dec: SupportDecomposition, rows) -> SupportDecomposition:
+    # every row of a stack has the stack's rank
+    return SupportDecomposition(support_projector=dec.support_projector[rows],
+                                kernel_projector=dec.kernel_projector[rows], rank=dec.rank)
+
+
+# How each cached_property of a stack slices to a sub-stack. Every matrix
+# of a stack is decomposed on its own, so the slice has the bits the
+# sub-stack would compute; supports_overlap follows from the shared ranks.
+_TAKE = {
+    "spectrum": _take_eigensystem,
+    "support": _take_support,
+    "sqrt": lambda a, rows: a[rows],
+    "sum_spectrum": _take_eigensystem,
+    "supports_overlap": lambda flag, rows: flag,
+}
+
+
+def _take_cached(parent, sub, rows):
+    # cached_property keeps its values in the instance __dict__, which a
+    # frozen dataclass leaves writable
+    for name, value in vars(parent).items():
+        if name in _TAKE:
+            vars(sub)[name] = _TAKE[name](value, rows)
+
+
+def _take_state(state: DensityMatrix, rows) -> DensityMatrix:
+    sub = DensityMatrix(state.matrix[rows], state.declared_rank)
+    _take_cached(state, sub, rows)
+    return sub
 
 
 @dataclass(frozen=True)
@@ -200,10 +242,12 @@ def validate_povm(p: UsdProblem, m: Povm, tol: float = 1e-9) -> ValidationReport
     """Positivity, completeness and the two error-free trace conditions."""
     rep = ValidationReport()
     eye = np.eye(p.dim)
-    for name, el in (("e0", m.e0), ("e1", m.e1), ("eq", m.eq)):
+    elements = (("e0", m.e0), ("e1", m.e1), ("eq", m.eq))
+    # the three elements' spectra in one stacked call
+    _, mins = psd_check(np.array([el for _, el in elements]), PSD_TOL)
+    for (name, el), mn in zip(elements, unstack(mins)):
         scale = at_least(max_abs(el), 1.0)
         rep.check(f"{name}_hermitian", max_abs(el - dagger(el)) / scale, 1e-10)
-        _, mn = psd_check(el, PSD_TOL)
         rep.check(f"{name}_psd", at_least(-mn, 0.0), PSD_TOL * scale)
     total = m.e0 + m.e1 + m.eq
     rep.check("completeness", max_abs(total - eye), COMPLETENESS_TOL)

@@ -37,6 +37,18 @@ def matrix_from_obj(obj, dim: int, field: str) -> np.ndarray:
     return re + 1j * im
 
 
+def _number(value, field: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ProblemFormatError(f"{field}: expected a number, got {value!r}")
+    return float(value)
+
+
+def _number_map(value, field: str) -> dict:
+    if not isinstance(value, dict):
+        raise ProblemFormatError(f"{field}: expected an object, got {value!r}")
+    return {k: _number(v, f"{field}.{k}") for k, v in value.items()}
+
+
 def problem_to_obj(p: UsdProblem) -> dict:
     obj = {
         "dim": p.dim,
@@ -59,9 +71,7 @@ def problem_from_obj(obj, renormalize: bool = False) -> UsdProblem:
     dim = obj["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ProblemFormatError(f"dim: expected a positive integer, got {dim!r}")
-    for key in ("eta0", "eta1"):
-        if not isinstance(obj[key], (int, float)) or isinstance(obj[key], bool):
-            raise ProblemFormatError(f"{key}: expected a number, got {obj[key]!r}")
+    eta0, eta1 = _number(obj["eta0"], "eta0"), _number(obj["eta1"], "eta1")
     rho0 = matrix_from_obj(obj["rho0"], dim, "rho0")
     rho1 = matrix_from_obj(obj["rho1"], dim, "rho1")
     u = matrix_from_obj(obj["u"], dim, "u") if "u" in obj else None
@@ -72,7 +82,7 @@ def problem_from_obj(obj, renormalize: bool = False) -> UsdProblem:
         raise ProblemFormatError(str(exc)) from exc
     return UsdProblem(
         rho0=d0, rho1=d1,
-        eta0=float(obj["eta0"]), eta1=float(obj["eta1"]),
+        eta0=eta0, eta1=eta1,
         gu_involution=u,
     )
 
@@ -112,8 +122,9 @@ def certificate_from_obj(obj, dim: int) -> OptimalityCertificate:
     z = matrix_from_obj(obj["z"], dim, "certificate.z")
     return OptimalityCertificate(
         z=z,
-        residuals=dict(obj.get("residuals", {})),
-        success_trace=float(obj.get("success_trace", np.trace(z).real)),
+        residuals=_number_map(obj.get("residuals", {}), "certificate.residuals"),
+        success_trace=(_number(obj["success_trace"], "certificate.success_trace")
+                       if "success_trace" in obj else float(np.trace(z).real)),
     )
 
 
@@ -148,12 +159,12 @@ def report_from_obj(obj):
     if "certificate" in obj:
         cert = certificate_from_obj(obj["certificate"], p.dim)
     report = SolutionReport(
-        q_opt=float(obj["q_opt"]),
-        q0=float(obj["q0"]),
-        q1=float(obj["q1"]),
+        q_opt=_number(obj["q_opt"], "q_opt"),
+        q0=_number(obj["q0"], "q0"),
+        q1=_number(obj["q1"], "q1"),
         povm=povm_from_obj(obj["povm"], p.dim),
         branch=branch,
-        diagnostics=dict(obj.get("diagnostics", {})),
+        diagnostics=_number_map(obj.get("diagnostics", {}), "diagnostics"),
         certificate=cert,
     )
     return p, report

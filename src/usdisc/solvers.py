@@ -54,6 +54,7 @@ from .linalg import (
     psd_check,
     spectral_norm,
     support_decomposition,
+    unstack,
 )
 from .problem import (
     Povm,
@@ -118,22 +119,29 @@ def audit_report(p: UsdProblem, report: SolutionReport, tol_psd: float = PSD_TOL
     tol_psd. A GuProjective label needs the symmetric solver's
     preconditions (an equal-prior involution pair of rank-2 states in
     dimension 4) and a projective measurement. OracleOnly claims nothing
-    the other checks leave open.
+    the other checks leave open. A prior outside (0, 1) fails the audit
+    and skips the checks that weigh the states by it: the branch label,
+    the witness and the stored failure probabilities.
     """
     rep = validate_problem(p, tol_psd=tol_psd, tol_rank=tol_rank)
-    rep.check("branch_label", 0.0 if _branch_holds(p, report, tol_psd) else 1.0, 0.0)
+    # undefined for a prior out of range: a zero or negative one breaks
+    # the prior ratio, an infinite or NaN one the eigensolvers
+    weighable = not {"eta0_in_open_interval", "eta1_in_open_interval"} & set(rep.failures)
+    if weighable:
+        rep.check("branch_label", 0.0 if _branch_holds(p, report, tol_psd) else 1.0, 0.0)
     parts = [validate_povm(p, report.povm)]
     if report.certificate is None:
         rep.failures.append("certificate_missing")
-    else:
+    elif weighable:
         parts.append(verify_certificate(p, report.povm, report.certificate))
     for part in parts:
         rep.residuals.update(part.residuals)
         rep.failures.extend(part.failures)
-    recomputed = failure_probability(p, report.povm)
-    for name, stored, value in zip(("q_opt", "q0", "q1"),
-                                   (report.q_opt, report.q0, report.q1), recomputed):
-        rep.check(f"{name}_stored", abs(stored - value), STORED_Q_TOL)
+    if weighable:
+        recomputed = failure_probability(p, report.povm)
+        for name, stored, value in zip(("q_opt", "q0", "q1"),
+                                       (report.q_opt, report.q0, report.q1), recomputed):
+            rep.check(f"{name}_stored", abs(stored - value), STORED_Q_TOL)
     return rep
 
 
@@ -414,9 +422,10 @@ def projectivity_check(m: Povm, tol: float = 1e-9) -> ValidationReport:
     """Idempotence of all three elements, conclusive-element
     orthogonality, and the rank-2 inconclusive element."""
     rep = ValidationReport()
-    rep.check("e0_idempotent", spectral_norm(m.e0 @ m.e0 - m.e0), tol)
-    rep.check("e1_idempotent", spectral_norm(m.e1 @ m.e1 - m.e1), tol)
-    rep.check("eq_idempotent", spectral_norm(m.eq @ m.eq - m.eq), tol)
+    elements = np.array([m.e0, m.e1, m.eq])
+    norms = unstack(spectral_norm(elements @ elements - elements))
+    for name, norm in zip(("e0", "e1", "eq"), norms):
+        rep.check(f"{name}_idempotent", norm, tol)
     rep.check("e0_e1_orthogonal", abs(np.trace(m.e0 @ m.e1).real), tol)
     rank = support_decomposition(hermitize(m.eq)).rank
     rep.residuals["eq_rank"] = float(rank)

@@ -293,6 +293,51 @@ def test_certify_rejects_non_finite_or_boolean_fields(tmp_path, capsys, path):
     assert err.startswith("error:") and ("finite" in err or "dim" in err)
 
 
+@pytest.mark.parametrize("field, value", [
+    (("q_opt",), "x"),
+    (("q_opt",), [1]),
+    (("q0",), "x"),
+    (("q0",), [1]),
+    (("q1",), "x"),
+    (("q1",), [1]),
+    (("certificate", "residuals"), 5),
+    (("certificate", "success_trace"), "x"),
+    (("diagnostics",), [1, 2]),
+], ids=["q_opt_text", "q_opt_list", "q0_text", "q0_list", "q1_text", "q1_list",
+        "residuals_number", "success_trace_text", "diagnostics_list"])
+def test_certify_rejects_non_numeric_scalar_fields(tmp_path, capsys, field, value):
+    inp = tmp_path / "problem.json"
+    rpt = tmp_path / "report.json"
+    write_problem(inp, bit_problem(0.3))
+    assert main(["solve", "--input", str(inp), "--output", str(rpt)]) == 0
+    obj = json.loads(rpt.read_text())
+    owner = obj
+    for key in field[:-1]:
+        owner = owner[key]
+    owner[field[-1]] = value
+    rpt.write_text(serialize.dumps(obj))
+    capsys.readouterr()
+    # a format error naming the field, not a Python exception
+    assert main(["certify", "--input", str(rpt)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field[-1] in err
+
+
+@pytest.mark.parametrize("eta0", [0.0, -0.5, float("inf"), float("nan")],
+                         ids=["zero", "negative", "inf", "nan"])
+@pytest.mark.parametrize("problem", [
+    first_class_instance(np.random.default_rng(0), 4),
+    bit_problem(0.3),
+], ids=["first_class", "projective"])
+def test_certify_fails_priors_out_of_range(tmp_path, capsys, problem, eta0):
+    def set_eta0(obj):
+        obj["problem"]["eta0"] = eta0
+
+    code, verdict = _certify_tampered(tmp_path, capsys, set_eta0, problem=problem)
+    assert code == 1
+    assert verdict.startswith("FAIL:") and "eta0_in_open_interval" in verdict
+
+
 @pytest.mark.parametrize("problem, label, swapped", [
     (bit_problem(0.3), "GuProjective", "FirstClassFidelity"),
     (bit_problem(1.5), "FirstClassFidelity", "GuProjective"),
