@@ -7,14 +7,16 @@ kernel compressions, and whose trace equals the success probability.
 In the fidelity-bound regime the witness has a closed construction from
 a polar decomposition. For the projective measurement of an equal-prior
 involution pair it has a closed form on the span of the two conclusive
-directions. Otherwise, and whenever a candidate fails verification, the
-witness is fitted numerically in the linear subspace the equality
-conditions leave free.
+directions. When the two states share one support, giving up is
+optimal and Z = 0 certifies it. fit_certificate tries these in turn
+after any given candidate, such as the oracle's dual solution; it
+searches no further.
 
-The two closed forms and verify_certificate also take a stacked
-problem; the numerical fit works on one problem at a time.
+The closed forms, verify_certificate and fit_certificate also take a
+stacked problem.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -22,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .linalg import (
+    all_true,
     at_least,
     dagger,
     eigh,
@@ -30,6 +33,7 @@ from .linalg import (
     inner,
     item_or_array,
     matvec,
+    nonzero_mask,
     outer,
     spectral_norm,
     trace,
@@ -140,145 +144,36 @@ def verify_certificate(p: UsdProblem, m: Povm, c: OptimalityCertificate,
     return rep
 
 
-def _herm_basis(n: int):
-    """Real orthogonal basis of the n x n Hermitian matrices."""
-    out = []
-    for i in range(n):
-        m = np.zeros((n, n), complex)
-        m[i, i] = 1.0
-        out.append(m)
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = np.zeros((n, n), complex)
-            m[i, j] = m[j, i] = 1.0 / math.sqrt(2.0)
-            out.append(m)
-            m = np.zeros((n, n), complex)
-            m[i, j] = -1j / math.sqrt(2.0)
-            m[j, i] = 1j / math.sqrt(2.0)
-            out.append(m)
-    return out
+def _candidates(p: UsdProblem, m: Povm):
+    """The closed-form witnesses in turn, each built only once the one
+    before it has failed."""
+    yield build_fidelity_certificate(p).z
+    if p.gu_involution is not None and p.dim == 4:
+        sys = eigh(m.e0)
+        if all_true(np.count_nonzero(nonzero_mask(sys.eigenvalues), axis=-1) == 1):
+            # the witness does not depend on the phase of E0's top eigenvector
+            yield symmetric_projective_witness(p, sys.eigenvectors[..., :, -1], p.gu_involution)
+    # giving up is optimal only when the states share one support
+    yield np.zeros(np.shape(m.eq), complex)
 
 
 def fit_certificate(p: UsdProblem, m: Povm, tol: float = CERT_TOL,
-                    iters: int = 4000,
                     candidate: Optional[np.ndarray] = None) -> Optional[OptimalityCertificate]:
-    """Search for a witness certifying the given measurement.
+    """The first witness that certifies the given measurement.
 
-    A candidate witness, such as the oracle's dual solution or the
-    closed-form symmetric witness, is returned as it is when it
-    verifies; the search runs only when it is absent or fails.
-
-    The annihilation condition restricts Z to the orthogonal complement
-    of the inconclusive element's support, so the search runs in that
-    compressed Hermitian space: least squares for the two equality
-    conditions, then an eigenvalue-margin ascent over the equality map's
-    nullspace. A valid witness sits exactly on the PSD boundary, so the
-    ascent uses Polyak steps with target zero; they contract geometrically
-    where plain diminishing-step subgradient ascent crawls. Each cone
-    constraint is evaluated in an orthonormal frame of its own subspace,
-    which keeps structural zero eigenvalues of the compressions out of
-    the margin. Absence of a result means "not certified", which is
+    A given candidate, such as the oracle's dual solution or the
+    closed-form symmetric witness, is tried first, then the closed
+    forms: the fidelity-bound witness, the symmetric projective witness
+    when E0 has rank 1 on a four-dimensional involution pair, and Z = 0.
+    A stacked problem is certified only when one witness verifies on
+    every instance. Absence of a result means "not certified", which is
     weaker than "refuted".
     """
-    if candidate is not None:
-        cert = OptimalityCertificate(z=candidate,
-                                     success_trace=item_or_array(trace(candidate).real))
+    given = () if candidate is None else (candidate,)
+    for z in itertools.chain(given, _candidates(p, m)):
+        cert = OptimalityCertificate(z=z, success_trace=item_or_array(trace(z).real))
         rep = verify_certificate(p, m, cert, tol)
         if rep.ok:
             cert.residuals = rep.residuals
             return cert
-    if m.eq.ndim > 2:
-        # the search below works on one problem at a time
-        return None
-    d = p.dim
-    r0, r1 = p.rho0.matrix, p.rho1.matrix
-    c = eigh(m.eq).kernel_columns()
-    k = c.shape[1]
-    if k == 0:
-        # witness would have to vanish; only optimal for the trivial case
-        z = np.zeros((d, d), complex)
-        cert = OptimalityCertificate(z=z, success_trace=0.0)
-        rep = verify_certificate(p, m, cert, tol)
-        cert.residuals = rep.residuals
-        return cert if rep.ok else None
-    basis = _herm_basis(k)
-    lifted = [hermitize(c @ b @ c.conj().T) for b in basis]
-
-    rows, rhs = [], []
-    for ei, etai, ri in ((m.e0, p.eta0, r0), (m.e1, p.eta1, r1)):
-        target = ei @ (etai * ri) @ ei
-        cols = []
-        for zb in lifted:
-            mm = ei @ zb @ ei
-            cols.append(np.concatenate([mm.real.ravel(), mm.imag.ravel()]))
-        rows.append(np.array(cols).T)
-        rhs.append(np.concatenate([target.real.ravel(), target.imag.ravel()]))
-    amat = np.vstack(rows)
-    bvec = np.concatenate(rhs)
-    theta, *_ = np.linalg.lstsq(amat, bvec, rcond=None)
-    if np.linalg.norm(amat @ theta - bvec) > 1e-9:
-        return None
-
-    u_, s_, vt_ = np.linalg.svd(amat)
-    ncons = int((s_ > 1e-12 * s_[0]).sum()) if s_.size and s_[0] > 0 else 0
-    nullspace = vt_[ncons:].T
-    nnull = nullspace.shape[1]
-    basis_arr = np.array(basis)
-    lifted_arr = np.array(lifted)
-
-    def witness(th):
-        return hermitize(np.tensordot(th, lifted_arr, axes=(0, 0)))
-
-    best_th = theta.copy()
-    if nnull > 0:
-        # frames: Z lives on the inconclusive kernel, each inequality on
-        # the kernel of the state it compresses by
-        zoff = witness(theta)
-        null_lift = np.tensordot(nullspace.T, lifted_arr, axes=(1, 0))
-        blocks = [(
-            hermitize(np.tensordot(theta, basis_arr, axes=(0, 0))),
-            np.tensordot(nullspace.T, basis_arr, axes=(1, 0)),
-        )]
-        for fr, off in ((p.rho1.spectrum.kernel_columns(), -p.eta0 * r0),
-                        (p.rho0.spectrum.kernel_columns(), -p.eta1 * r1)):
-            if fr.shape[1] == 0:
-                continue
-            off_t = hermitize(fr.conj().T @ (zoff + off) @ fr)
-            dirs_t = np.einsum("ai,jab,bk->jik", fr.conj(), null_lift, fr)
-            blocks.append((off_t, dirs_t))
-
-        def margin_and_grad(y):
-            worst = None
-            for off_t, dirs_t in blocks:
-                mat = hermitize(off_t + np.tensordot(y, dirs_t, axes=(0, 0)))
-                w, v = np.linalg.eigh(mat)
-                if worst is None or w[0] < worst[0]:
-                    worst = (float(w[0]), v[:, 0], dirs_t)
-            g0, v, dirs_t = worst
-            grad = np.einsum("a,jab,b->j", v.conj(), dirs_t, v).real
-            return g0, grad
-
-        y = np.zeros(nnull)
-        g, grad = margin_and_grad(y)
-        best_g, best_y = g, y.copy()
-        it = 0
-        it_best = 0
-        while g < -1e-13 and it < iters and it - it_best < 150:
-            it += 1
-            ng2 = float(grad @ grad)
-            if ng2 < 1e-28:
-                break
-            y = y + (-g / ng2) * grad
-            g, grad = margin_and_grad(y)
-            if g > best_g + 1e-3 * abs(best_g):
-                best_g, best_y = g, y.copy()
-                it_best = it
-        if g > best_g:
-            best_y = y
-        best_th = theta + nullspace @ best_y
-
-    z = witness(best_th)
-    cert = OptimalityCertificate(z=z, success_trace=float(np.trace(z).real))
-    rep = verify_certificate(p, m, cert, tol)
-    cert.residuals = rep.residuals
-    return cert if rep.ok else None
+    return None

@@ -128,7 +128,7 @@ def _solve_route(p, args) -> SolutionReport:
         pass
     result = oracle_optimize(p)
     q, q0, q1 = failure_probability(p, result.povm)
-    # the oracle's dual is the witness; the search runs only if it fails
+    # the oracle's dual is the witness; the closed forms are tried only if it fails
     cert = fit_certificate(p, result.povm, candidate=result.certificate.z)
     diagnostics = {
         "oracle_iterations": float(result.iterations),

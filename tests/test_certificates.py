@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import first_class_instance, random_gu4_problem
+from test_check_passes import _count_calls
 from usdisc import (
     DensityMatrix,
     OptimalityCertificate,
@@ -12,11 +13,16 @@ from usdisc import (
     failure_lower_bound,
     failure_probability,
     fit_certificate,
+    gu_4d_preconditions,
+    gu_4d_projective,
+    gu_4d_regime,
+    oracle_optimize,
     solve_first_class,
     solve_gu_4d,
     verify_certificate,
 )
-from usdisc.bb84 import basis_problem, bit_problem
+import usdisc.certificates
+from usdisc.bb84 import basis_problem, bit_problem, build_states
 from usdisc.certificates import CERT_TOL, symmetric_projective_witness
 from usdisc.linalg import hermitize, spectral_norm, support_decomposition
 
@@ -167,3 +173,85 @@ def test_projective_witness_is_the_closed_form():
         q, _, _ = failure_probability(p, rep.povm)
         assert abs(np.trace(z).real - (1.0 - q)) <= 1e-12
     assert checked >= 100
+
+
+STACK_MUS = [0.1, 0.2, 0.3, 0.4]
+
+
+def _projective_case(states):
+    p = states.bit_problem()
+    u, k = gu_4d_preconditions(p)
+    first_class, mn, _ = gu_4d_regime(p)
+    assert not np.any(first_class)
+    report, _ = gu_4d_projective(p, u, k, mn)
+    return p, report.povm
+
+
+def _first_class_case(states):
+    p = states.basis_problem()
+    return p, solve_first_class(p).povm
+
+
+@pytest.mark.parametrize("case", [_projective_case, _first_class_case],
+                         ids=["projective_bit", "first_class_basis"])
+def test_fit_certifies_a_stack_row_by_row(case):
+    """With no candidate, a stack gets the witness each of its instances
+    gets on its own."""
+    p, m = case(build_states(STACK_MUS))
+    cert = fit_certificate(p, m)
+    assert cert is not None
+    for i, mu in enumerate(STACK_MUS):
+        row = fit_certificate(*case(build_states(mu)))
+        assert row is not None, mu
+        assert np.array_equal(cert.z[i], row.z), mu
+        assert cert.success_trace[i] == row.success_trace, mu
+
+
+def _count_fit(monkeypatch, p, m, candidate=None):
+    """Fit a witness with the states' decompositions cached, counting
+    numpy's eigh, eigvalsh and svd calls and the fidelity witnesses built."""
+    for state in (p.rho0, p.rho1):
+        state.spectrum, state.sqrt, state.support
+    built = []
+    build = usdisc.certificates.build_fidelity_certificate
+    monkeypatch.setattr(usdisc.certificates, "build_fidelity_certificate",
+                        lambda q: built.append(q) or build(q))
+    certs = []
+    calls = _count_calls(monkeypatch,
+                         lambda: certs.append(fit_certificate(p, m, candidate=candidate)))
+    assert certs[0] is not None
+    return calls, len(built)
+
+
+def test_fit_builds_no_closed_form_for_a_verifying_candidate(monkeypatch):
+    p = bit_problem(0.3)
+    rep, _ = solve_gu_4d(p)
+    assert _count_fit(monkeypatch, p, rep.povm, candidate=rep.certificate.z) == (
+        {"eigvalsh": 1, "svd": 1}, 0)
+
+
+def test_fit_builds_each_closed_form_only_after_the_last_failed(monkeypatch):
+    # projective: the fidelity witness is built and fails, then E0 is
+    # decomposed for the symmetric witness, which verifies
+    p = bit_problem(0.3)
+    rep, _ = solve_gu_4d(p)
+    assert _count_fit(monkeypatch, p, rep.povm) == (
+        {"svd": 3, "eigvalsh": 2, "eigh": 1}, 1)
+    # first class: the fidelity witness verifies and nothing else is built
+    p = basis_problem(0.7)
+    rep = solve_first_class(p)
+    assert _count_fit(monkeypatch, p, rep.povm) == ({"svd": 2, "eigvalsh": 1}, 1)
+
+
+@pytest.mark.parametrize("mu", [0.2, 0.3, 0.4])
+def test_oracle_dual_certifies_only_as_a_given_candidate(mu):
+    """Without its involution the bit pair has no closed-form witness
+    below the regime boundary; only the oracle's dual, passed in
+    explicitly, certifies the oracle's measurement."""
+    bit = bit_problem(mu)
+    p = UsdProblem(bit.rho0, bit.rho1, bit.eta0, bit.eta1)
+    oracle = oracle_optimize(p)
+    assert fit_certificate(p, oracle.povm) is None
+    cert = fit_certificate(p, oracle.povm, candidate=oracle.certificate.z)
+    assert cert is not None
+    assert verify_certificate(p, oracle.povm, cert).ok
