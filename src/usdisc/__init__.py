@@ -36,20 +36,7 @@ from .certificates import (
     fit_certificate,
     verify_certificate,
 )
-from .errors import (
-    BracketFail,
-    CertificateRejected,
-    DegenerateBound,
-    DomainError,
-    EigenDecompositionError,
-    NotPositiveSemidefinite,
-    OverlappingSupports,
-    PreconditionFail,
-    ProblemFormatError,
-    RankConditionsFail,
-    SpectrumAnomaly,
-    UsdError,
-)
+from .errors import BranchNotApplicable, InvalidInput, NumericalFailure, UsdError
 from .linalg import (
     PSD_TOL,
     REL_CUTOFF,
@@ -89,6 +76,7 @@ from .solvers import (
     gu_4d_regime,
     gu_kernel_spectrum,
     projectivity_check,
+    solve,
     solve_first_class,
     solve_gu_4d,
     spectrum_negation_check,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import FidelityData
-from .errors import BracketFail, DomainError, UsdError
+from .errors import InvalidInput, NumericalFailure, UsdError
 from .problem import DensityMatrix, UsdProblem, verify_gu_structure
 from .solvers import (
     Branch,
@@ -73,7 +73,7 @@ def coefficients(mu: float) -> CoherentBb84Model:
     states built from them.
     """
     if mu < 0:
-        raise DomainError(f"mean photon number must be nonnegative, got {mu!r}")
+        raise InvalidInput(f"mean photon number must be nonnegative, got {mu!r}")
     pref = math.exp(-mu / 2.0) / math.sqrt(2.0)
     c0 = pref * math.sqrt(math.cosh(mu) + math.cos(mu))
     c1 = pref * math.sqrt(math.sinh(mu) + math.sin(mu))
@@ -113,7 +113,7 @@ def build_states(mu) -> Bb84States:
     states built at each photon number alone.
     """
     if np.any(np.asarray(mu) <= 0):
-        raise DomainError(f"mean photon number must be positive, got {mu!r}")
+        raise InvalidInput(f"mean photon number must be positive, got {mu!r}")
     entries = [_state_entries(m) for m in np.atleast_1d(mu).tolist()]
     rho_r = np.array([r for r, _ in entries], dtype=complex)
     rho_0 = np.array([r for _, r in entries], dtype=complex)
@@ -138,7 +138,7 @@ def build_states(mu) -> Bb84States:
     ):
         rep = verify_gu_structure(pair[0], pair[1], u, tol=1e-12)
         if not rep.ok:
-            raise DomainError(
+            raise InvalidInput(
                 f"{name}-pair involution identity violated at mu={mu!r}: {rep.failures}"
             )
     return states
@@ -154,7 +154,7 @@ def bit_problem(mu: float) -> UsdProblem:
 
 def q_basis_closed_form(mu: float) -> float:
     if mu < 0:
-        raise DomainError(f"mean photon number must be nonnegative, got {mu!r}")
+        raise InvalidInput(f"mean photon number must be nonnegative, got {mu!r}")
     return math.exp(-mu) * (abs(math.cos(mu)) + abs(math.sin(mu)))
 
 
@@ -162,7 +162,7 @@ def bit_spectrum_closed_form(mu: float):
     """Both eigenvalues of the bit-pair fidelity-gap operator; the lower
     one changes sign exactly at the threshold photon number."""
     if mu < 0:
-        raise DomainError(f"mean photon number must be nonnegative, got {mu!r}")
+        raise InvalidInput(f"mean photon number must be nonnegative, got {mu!r}")
     root = math.sqrt(1.0 + math.exp(2.0 * mu) - 2.0 * math.exp(mu) * math.cos(2.0 * mu))
     lam_plus = 0.5 * (1.0 - math.exp(-mu) + math.exp(-2.0 * mu) * root)
     lam_minus = 0.5 * (1.0 - math.exp(-mu) - math.exp(-2.0 * mu) * root)
@@ -178,7 +178,7 @@ def locate_threshold(tol: float = 1e-9, max_iters: int = 100):
     flo = bit_spectrum_closed_form(lo)[1]
     fhi = bit_spectrum_closed_form(hi)[1]
     if flo >= 0 or fhi <= 0:
-        raise BracketFail(
+        raise NumericalFailure(
             f"no sign change on [{lo}, {hi}]: f(lo)={flo:.3e}, f(hi)={fhi:.3e}"
         )
     iterations = 0
@@ -254,7 +254,7 @@ def sweep(mu_start: float = DEFAULT_GRID[0], mu_end: float = DEFAULT_GRID[1],
     time, so that the error names the photon number where it arises.
     """
     if not (0 < mu_start < mu_end) or step <= 0:
-        raise DomainError(
+        raise InvalidInput(
             f"grid must satisfy 0 < start < end and step > 0, got "
             f"({mu_start!r}, {mu_end!r}, {step!r})"
         )
@@ -269,7 +269,7 @@ def sweep(mu_start: float = DEFAULT_GRID[0], mu_end: float = DEFAULT_GRID[1],
         try:
             rows.extend(_solve_points(mu))
         except UsdError as exc:
-            raise type(exc)(f"sweep failed at mu={mu!r}: {exc}") from exc
+            raise type(exc)(f"sweep failed at mu={mu!r}: {exc}", exc.cause) from exc
     return rows
 
 

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBound, DomainError, OverlappingSupports, PreconditionFail
+from .errors import BranchNotApplicable, InvalidInput
 from .linalg import (
-    PSD_TOL,
     REL_CUTOFF,
     any_true,
     hermitize,
@@ -61,7 +60,7 @@ def fidelity_operators(p: UsdProblem) -> FidelityData:
     gap = np.abs(t0 - t1)
     if any_true(gap > 1e-9):
         i = np.argmax(gap)
-        raise DomainError(
+        raise InvalidInput(
             f"fidelity operator traces disagree: "
             f"{np.ravel(t0)[i].item()!r} vs {np.ravel(t1)[i].item()!r}"
         )
@@ -74,19 +73,18 @@ def failure_lower_bound(p: UsdProblem) -> float:
     return min(1.0, max(0.0, 2.0 * math.sqrt(p.eta0 * p.eta1) * fd.fidelity))
 
 
-def rank_condition_check(p: UsdProblem, tol: float = PSD_TOL,
-                         fd: FidelityData = None) -> RankConditionReport:
+def rank_condition_check(p: UsdProblem, fd: FidelityData = None) -> RankConditionReport:
     """Minimum eigenvalues of the two operators whose joint positivity
     marks the regime where the fidelity bound is attained."""
     if p.supports_overlap:
-        raise OverlappingSupports(
+        raise InvalidInput(
             "state supports overlap; reduce the problem before testing rank conditions"
         )
     if fd is None:
         fd = fidelity_operators(p)
     gamma = math.sqrt(p.eta1 / p.eta0)
     ok, mn = psd_check(np.array([p.rho0.matrix - gamma * fd.f0,
-                                 p.rho1.matrix - fd.f1 / gamma]), tol)
+                                 p.rho1.matrix - fd.f1 / gamma]))
     (ok0, ok1), (mn0, mn1) = unstack(ok), unstack(mn)
     return RankConditionReport(op0_min_eig=mn0, op1_min_eig=mn1,
                                both_psd=ok0 & ok1)
@@ -100,7 +98,7 @@ def prior_regime_bounds(p: UsdProblem, fd: FidelityData = None):
     if fd is None:
         fd = fidelity_operators(p)
     if fd.fidelity <= 0.0:
-        raise DegenerateBound(
+        raise InvalidInput(
             "states are perfectly distinguishable; the prior window is vacuous"
         )
     p0 = p.rho0.support.support_projector
@@ -122,7 +120,7 @@ def tighter_q0_bound(p: UsdProblem, rel_cutoff: float = REL_CUTOFF):
     decides which eigenvalues count as vanishing.
     """
     if p.gu_involution is None:
-        raise PreconditionFail(
+        raise BranchNotApplicable(
             "bound is derived for symmetric measurements; the problem "
             "declares no involution",
             cause="gu_involution",
@@ -133,7 +131,7 @@ def tighter_q0_bound(p: UsdProblem, rel_cutoff: float = REL_CUTOFF):
     w = np.linalg.eigvalsh(compressed)
     nonzero = w[nonzero_mask(w, rel_cutoff)]
     if nonzero.size == 0:
-        raise DegenerateBound("kernel-compressed state vanishes; bound undefined")
+        raise InvalidInput("kernel-compressed state vanishes; bound undefined")
     lambda_min = float(nonzero[0])
     overlap = float(np.trace(d1.support_projector @ p.rho0.matrix).real)
     return p.eta0 * overlap / (1.0 - lambda_min / 2.0), lambda_min

@@ -1,8 +1,9 @@
 """Command-line surface for solving, certifying and sweeping.
 
-Exit codes: 0 on success, 1 when the input or a precondition is at
-fault, 2 when a numerical construction fails internally. Identical
-invocations produce byte-identical output.
+Exit codes: 0 on success, 1 on invalid input or a report that fails
+certify, 2 on any other error (a numerical failure). Branch choice is
+the library's (solvers.solve). Identical invocations produce
+byte-identical output.
 """
 
 import argparse
@@ -10,29 +11,10 @@ import functools
 import sys
 
 from . import bb84, serialize
-from .certificates import fit_certificate
-from .errors import (
-    CertificateRejected,
-    DomainError,
-    OverlappingSupports,
-    PreconditionFail,
-    ProblemFormatError,
-    RankConditionsFail,
-    SpectrumAnomaly,
-    UsdError,
-)
-from .linalg import PSD_TOL, REL_CUTOFF
+from .errors import InvalidInput, UsdError
 from .oracle import oracle_optimize
 from .problem import failure_probability, validate_problem
-from .solvers import Branch, SolutionReport, audit_report, solve_first_class, solve_gu_4d
-
-_VALIDATION_ERRORS = (
-    ProblemFormatError,
-    DomainError,
-    PreconditionFail,
-    OverlappingSupports,
-    RankConditionsFail,
-)
+from .solvers import audit_report, solve
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,23 +38,16 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--input", required=True, help="problem or report file")
         sp.add_argument("--output", help="write result here instead of stdout")
 
-    def add_tols(sp):
-        sp.add_argument("--tol-psd", type=float, default=PSD_TOL)
-        sp.add_argument("--tol-rank", type=float, default=REL_CUTOFF)
-
     sp = sub.add_parser("solve", help="optimal measurement for a problem file")
     add_io(sp, True)
-    add_tols(sp)
     sp.add_argument("--renormalize", action="store_true",
                     help="rescale input states to unit trace")
 
     sp = sub.add_parser("certify", help="re-verify a solve report")
     add_io(sp, True)
-    add_tols(sp)
 
     sp = sub.add_parser("oracle", help="numerical optimization only")
     add_io(sp, True)
-    add_tols(sp)
     sp.add_argument("--renormalize", action="store_true")
 
     sp = sub.add_parser("bb84-sweep", help="failure-probability table over photon numbers")
@@ -98,55 +73,18 @@ def _load_problem(args):
     with open(args.input, "r", encoding="utf-8") as fh:
         obj = serialize.loads(fh.read())
     p = serialize.problem_from_obj(obj, renormalize=getattr(args, "renormalize", False))
-    rep = validate_problem(p, tol_psd=args.tol_psd, tol_rank=args.tol_rank)
+    rep = validate_problem(p)
     if not rep.ok:
         details = ", ".join(
             f"{name} (residual {rep.residuals[name]:.3e})" for name in rep.failures
         )
-        raise ProblemFormatError(f"problem fails validation: {details}")
+        raise InvalidInput(f"problem fails validation: {details}")
     return p
-
-
-def _solve_analytic(p, tol) -> SolutionReport:
-    # the symmetric solver where its scope covers the problem, otherwise
-    # the general first-class branch; the symmetric solver runs the
-    # first-class checks itself, so a failure there is final
-    if p.gu_involution is not None and p.dim == 4 and abs(p.eta0 - p.eta1) <= 1e-12:
-        try:
-            report, _ = solve_gu_4d(p, tol=tol)
-            return report
-        except PreconditionFail:
-            pass
-    return solve_first_class(p, tol=tol)
-
-
-def _solve_route(p, args) -> SolutionReport:
-    # an analytic branch that fails its own checks hands over to the oracle
-    try:
-        return _solve_analytic(p, args.tol_psd)
-    except (RankConditionsFail, SpectrumAnomaly, CertificateRejected):
-        pass
-    result = oracle_optimize(p)
-    q, q0, q1 = failure_probability(p, result.povm)
-    # the oracle's dual is the witness; the closed forms are tried only if it fails
-    cert = fit_certificate(p, result.povm, candidate=result.certificate.z)
-    diagnostics = {
-        "oracle_iterations": float(result.iterations),
-        "oracle_converged": float(result.converged),
-        "oracle_duality_gap": result.duality_gap,
-    }
-    return SolutionReport(
-        q_opt=q, q0=q0, q1=q1,
-        povm=result.povm,
-        branch=Branch.ORACLE_ONLY,
-        diagnostics=diagnostics,
-        certificate=cert,
-    )
 
 
 def _cmd_solve(args) -> int:
     p = _load_problem(args)
-    report = _solve_route(p, args)
+    report = solve(p)
     _emit(serialize.dumps(serialize.report_to_obj(p, report)), args.output)
     return 0
 
@@ -155,7 +93,7 @@ def _cmd_certify(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         obj = serialize.loads(fh.read())
     p, report = serialize.report_from_obj(obj)
-    rep = audit_report(p, report, tol_psd=args.tol_psd, tol_rank=args.tol_rank)
+    rep = audit_report(p, report)
     lines = [f"{name}: {value:.6e}" for name, value in sorted(rep.residuals.items())]
     lines.append("PASS" if rep.ok else "FAIL: " + ", ".join(rep.failures))
     _emit("\n".join(lines) + "\n", args.output)
@@ -207,7 +145,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except _VALIDATION_ERRORS as exc:
+    except InvalidInput as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except FileNotFoundError as exc:

@@ -1,48 +1,15 @@
-"""Exception types raised by the discrimination toolkit."""
+"""Exception types raised by the discrimination toolkit.
+
+The command line exits 1 on InvalidInput and 2 on any other error;
+solvers.solve hands a BranchNotApplicable over to the next branch.
+"""
 
 
 class UsdError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors.
 
-
-class DomainError(UsdError):
-    """An input lies outside the mathematical domain of an operation."""
-
-
-class NotPositiveSemidefinite(UsdError):
-    """A matrix required to be PSD has an eigenvalue below tolerance.
-
-    The offending eigenvalue is stored in ``min_eigenvalue``.
-    """
-
-    def __init__(self, message, min_eigenvalue=None):
-        super().__init__(message)
-        self.min_eigenvalue = min_eigenvalue
-
-
-class EigenDecompositionError(UsdError):
-    """The iterative eigensolver failed to converge."""
-
-
-class OverlappingSupports(UsdError):
-    """The two states' supports intersect, so error-free identification
-    of at least one state is impossible."""
-
-
-class DegenerateBound(UsdError):
-    """A bound is undefined for this instance (division by a vanishing
-    quantity)."""
-
-
-class RankConditionsFail(UsdError):
-    """The positivity conditions required by the general analytic branch
-    do not hold for this instance."""
-
-
-class PreconditionFail(UsdError):
-    """A solver was called on an instance outside its stated scope.
-
-    ``cause`` names the first violated precondition.
+    ``cause`` names the condition that failed, where callers tell
+    failures apart by it.
     """
 
     def __init__(self, message, cause=None):
@@ -50,23 +17,21 @@ class PreconditionFail(UsdError):
         self.cause = cause
 
 
-class SpectrumAnomaly(UsdError):
-    """A kernel-restricted operator does not show the sign structure the
-    analytic branch relies on."""
+class InvalidInput(UsdError):
+    """A problem, report or argument is malformed or lies outside the
+    domain of the operation asked of it."""
 
 
-class CertificateRejected(UsdError):
-    """An internally constructed solution failed its own validity or
-    optimality checks; residuals are attached for diagnosis."""
+class BranchNotApplicable(UsdError):
+    """An analytic branch does not cover this instance, or its
+    construction failed its own checks there.
 
-    def __init__(self, message, residuals=None):
-        super().__init__(message)
-        self.residuals = dict(residuals or {})
-
-
-class BracketFail(UsdError):
-    """A root bracket does not contain a sign change."""
+    ``cause`` is one of "dimension", "priors", "involution_missing",
+    "involution_invalid", "rank", "regime", "gu_involution",
+    "rank_conditions", "spectrum" or "certificate".
+    """
 
 
-class ProblemFormatError(UsdError):
-    """A problem or report document is malformed."""
+class NumericalFailure(UsdError):
+    """A numerical step failed: a matrix required to be PSD is not, an
+    eigensolver did not converge, or a root bracket holds no sign change."""

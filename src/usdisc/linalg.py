@@ -22,12 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    EigenDecompositionError,
-    NotPositiveSemidefinite,
-    PreconditionFail,
-)
+from .errors import BranchNotApplicable, InvalidInput, NumericalFailure
 
 # Relative rank cutoff: eigenvalues below this fraction of the largest one
 # are treated as zero. Well above double-precision eigenvalue noise at
@@ -123,11 +118,11 @@ def require_hermitian(a, tol: float = HERM_TOL, name: str = "matrix") -> np.ndar
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
-        raise DomainError(f"{name} must be square, got shape {a.shape}")
+        raise InvalidInput(f"{name} must be square, got shape {a.shape}")
     skew = max_abs(a - dagger(a))
     scale = at_least(max_abs(a), 1.0)
     if any_true(skew > tol * scale):
-        raise DomainError(
+        raise InvalidInput(
             f"{name} is not Hermitian: skew {np.max(skew):.3e} exceeds "
             f"{tol:.0e} * {np.max(scale):.3e}"
         )
@@ -154,6 +149,16 @@ def nonzero_mask(w: np.ndarray, rel_cutoff: float = REL_CUTOFF,
     # no eigenvalue exceeds a nonpositive largest one, so that case needs
     # no clamp of the cutoff at zero
     return w > rel_cutoff * w.max(axis=-1, keepdims=True)
+
+
+def negativity_bound(w: np.ndarray, tol: float = PSD_TOL):
+    """The PSD rule for a matrix given its ascending spectrum w: returns
+    (lowest eigenvalue, bound), and the matrix counts as PSD unless the
+    lowest eigenvalue is below -bound. The bound is tol times the largest
+    eigenvalue magnitude, so it scales with the matrix, not with 1."""
+    low, top = item_or_array(w[..., 0]), item_or_array(w[..., -1])
+    # the largest magnitude sits at one end of the ascending spectrum
+    return low, tol * at_least(at_least(top, abs(low)), 1e-300)
 
 
 @dataclass(frozen=True)
@@ -186,7 +191,7 @@ class EigenSystem:
         first = mask if mask.ndim == 1 else mask.reshape(-1, mask.shape[-1])[0]
         if mask.ndim > 1 and not (mask == first).all():
             ranks = sorted(set(np.count_nonzero(mask, axis=-1).ravel().tolist()))
-            raise PreconditionFail(f"stack mixes ranks {ranks}", cause="rank")
+            raise BranchNotApplicable(f"stack mixes ranks {ranks}", cause="rank")
         return int(np.count_nonzero(first))
 
     def _columns(self, cols: slice) -> np.ndarray:
@@ -221,16 +226,13 @@ class EigenSystem:
         """
         w = self.eigenvalues
         if w.shape[-1]:
-            low, top = item_or_array(w[..., 0]), item_or_array(w[..., -1])
-            # the largest magnitude sits at one end of the ascending spectrum
-            bound = tol * at_least(at_least(top, abs(low)), 1e-300)
+            low, bound = negativity_bound(w, tol)
             below = low < -bound
             if any_true(below):
                 worst = np.min(np.where(below, low, np.inf))
-                raise NotPositiveSemidefinite(
+                raise NumericalFailure(
                     f"matrix has eigenvalue {worst:.6e} below "
-                    f"-{np.max(np.where(below, bound, 0.0)):.3e}",
-                    min_eigenvalue=float(worst),
+                    f"-{np.max(np.where(below, bound, 0.0)):.3e}"
                 )
         w = np.where(nonzero_mask(w, rel_cutoff), w, 0.0)
         return _assemble(np.sqrt(w), self.eigenvectors)
@@ -252,7 +254,7 @@ def eigh(h: np.ndarray) -> EigenSystem:
     try:
         w, v = np.linalg.eigh(hermitize(h))
     except np.linalg.LinAlgError as exc:
-        raise EigenDecompositionError(f"eigensolver did not converge: {exc}") from exc
+        raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
     return EigenSystem(eigenvalues=w, eigenvectors=v)
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import OptimalityCertificate
-from .errors import OverlappingSupports
+from .errors import InvalidInput
 from .problem import Povm, UsdProblem, failure_probability
 
 # Duality gap at which path following stops. Both objectives lie in
@@ -76,7 +76,7 @@ def oracle_optimize(p: UsdProblem) -> OracleResult:
     deterministic function of the problem; iterations counts Newton steps.
     """
     if p.supports_overlap:
-        raise OverlappingSupports(
+        raise InvalidInput(
             "state supports overlap; no error-free measurement can succeed on both"
         )
     r0m, r1m = p.rho0.matrix, p.rho1.matrix

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import InvalidInput
 from .linalg import (
     HERM_TOL,
     PSD_TOL,
@@ -32,6 +32,7 @@ from .linalg import (
     dagger,
     eigh,
     max_abs,
+    negativity_bound,
     psd_check,
     require_hermitian,
     support_decomposition,
@@ -77,11 +78,11 @@ class DensityMatrix:
         tr = trace(m).real
         if renormalize:
             if any_true(tr <= 0):
-                raise DomainError("cannot renormalize a matrix with nonpositive trace")
+                raise InvalidInput("cannot renormalize a matrix with nonpositive trace")
             m = m / tr[..., None, None]
         elif any_true(abs(tr - 1.0) > TRACE_TOL):
             off = np.ravel(tr)[np.argmax(abs(tr - 1.0))].item()
-            raise DomainError(
+            raise InvalidInput(
                 f"density matrix trace {off!r} is not 1; pass renormalize=True to rescale"
             )
         return DensityMatrix(matrix=m, declared_rank=declared_rank)
@@ -209,9 +210,9 @@ def _hermiticity_residual(a: np.ndarray):
     return max_abs(a - dagger(a)) / at_least(max_abs(a), 1.0)
 
 
-def validate_problem(p: UsdProblem, tol_psd: float = PSD_TOL,
-                     tol_rank: float = REL_CUTOFF) -> ValidationReport:
-    """Check every instance invariant; the report lists each residual."""
+def validate_problem(p: UsdProblem) -> ValidationReport:
+    """Check every instance invariant; the report lists each residual.
+    A state passes the PSD check exactly when DensityMatrix.sqrt accepts it."""
     rep = ValidationReport()
     r0, r1 = p.rho0.matrix, p.rho1.matrix
     if r0.shape != r1.shape:
@@ -222,11 +223,11 @@ def validate_problem(p: UsdProblem, tol_psd: float = PSD_TOL,
         m = state.matrix
         rep.check(f"{name}_hermitian", _hermiticity_residual(m), HERM_TOL)
         # the state's cached spectrum, which the solve and audit read too
-        mn = float(state.spectrum.eigenvalues[0])
-        rep.check(f"{name}_psd", max(0.0, -mn), tol_psd * max(1.0, np.abs(m).max()))
+        mn, bound = negativity_bound(state.spectrum.eigenvalues)
+        rep.check(f"{name}_psd", max(0.0, -mn), bound)
         rep.check(f"{name}_trace", abs(np.trace(m).real - 1.0), TRACE_TOL)
         if state.declared_rank is not None:
-            rank = state.spectrum.rank(tol_rank)
+            rank = state.spectrum.rank()
             rep.check(f"{name}_declared_rank", abs(rank - state.declared_rank), 0)
     rep.check("priors_sum", abs(p.eta0 + p.eta1 - 1.0), PRIOR_TOL)
     for name, eta in (("eta0", p.eta0), ("eta1", p.eta1)):

@@ -10,7 +10,7 @@ import json
 import numpy as np
 
 from .certificates import OptimalityCertificate
-from .errors import ProblemFormatError
+from .errors import InvalidInput
 from .problem import DensityMatrix, Povm, UsdProblem
 from .solvers import Branch, SolutionReport
 
@@ -22,30 +22,30 @@ def matrix_to_obj(m: np.ndarray) -> dict:
 
 def matrix_from_obj(obj, dim: int, field: str) -> np.ndarray:
     if not isinstance(obj, dict) or "re" not in obj or "im" not in obj:
-        raise ProblemFormatError(f"{field}: expected an object with 're' and 'im' arrays")
+        raise InvalidInput(f"{field}: expected an object with 're' and 'im' arrays")
     try:
         re = np.array(obj["re"], dtype=float)
         im = np.array(obj["im"], dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ProblemFormatError(f"{field}: non-numeric entries ({exc})") from exc
+        raise InvalidInput(f"{field}: non-numeric entries ({exc})") from exc
     if re.shape != (dim, dim) or im.shape != (dim, dim):
-        raise ProblemFormatError(
+        raise InvalidInput(
             f"{field}: expected shape ({dim}, {dim}), got re {re.shape} and im {im.shape}"
         )
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        raise ProblemFormatError(f"{field}: entries must be finite")
+        raise InvalidInput(f"{field}: entries must be finite")
     return re + 1j * im
 
 
 def _number(value, field: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ProblemFormatError(f"{field}: expected a number, got {value!r}")
+        raise InvalidInput(f"{field}: expected a number, got {value!r}")
     return float(value)
 
 
 def _number_map(value, field: str) -> dict:
     if not isinstance(value, dict):
-        raise ProblemFormatError(f"{field}: expected an object, got {value!r}")
+        raise InvalidInput(f"{field}: expected an object, got {value!r}")
     return {k: _number(v, f"{field}.{k}") for k, v in value.items()}
 
 
@@ -64,13 +64,13 @@ def problem_to_obj(p: UsdProblem) -> dict:
 
 def problem_from_obj(obj, renormalize: bool = False) -> UsdProblem:
     if not isinstance(obj, dict):
-        raise ProblemFormatError("problem document must be an object")
+        raise InvalidInput("problem document must be an object")
     for key in ("dim", "eta0", "eta1", "rho0", "rho1"):
         if key not in obj:
-            raise ProblemFormatError(f"missing required field '{key}'")
+            raise InvalidInput(f"missing required field '{key}'")
     dim = obj["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ProblemFormatError(f"dim: expected a positive integer, got {dim!r}")
+        raise InvalidInput(f"dim: expected a positive integer, got {dim!r}")
     eta0, eta1 = _number(obj["eta0"], "eta0"), _number(obj["eta1"], "eta1")
     rho0 = matrix_from_obj(obj["rho0"], dim, "rho0")
     rho1 = matrix_from_obj(obj["rho1"], dim, "rho1")
@@ -79,7 +79,7 @@ def problem_from_obj(obj, renormalize: bool = False) -> UsdProblem:
         d0 = DensityMatrix.from_matrix(rho0, renormalize=renormalize)
         d1 = DensityMatrix.from_matrix(rho1, renormalize=renormalize)
     except Exception as exc:
-        raise ProblemFormatError(str(exc)) from exc
+        raise InvalidInput(str(exc)) from exc
     return UsdProblem(
         rho0=d0, rho1=d1,
         eta0=eta0, eta1=eta1,
@@ -97,10 +97,10 @@ def povm_to_obj(m: Povm) -> dict:
 
 def povm_from_obj(obj, dim: int) -> Povm:
     if not isinstance(obj, dict):
-        raise ProblemFormatError("povm: expected an object")
+        raise InvalidInput("povm: expected an object")
     for key in ("e0", "e1", "eq"):
         if key not in obj:
-            raise ProblemFormatError(f"povm: missing element '{key}'")
+            raise InvalidInput(f"povm: missing element '{key}'")
     return Povm(
         e0=matrix_from_obj(obj["e0"], dim, "povm.e0"),
         e1=matrix_from_obj(obj["e1"], dim, "povm.e1"),
@@ -118,7 +118,7 @@ def certificate_to_obj(c: OptimalityCertificate) -> dict:
 
 def certificate_from_obj(obj, dim: int) -> OptimalityCertificate:
     if not isinstance(obj, dict) or "z" not in obj:
-        raise ProblemFormatError("certificate: expected an object with a 'z' matrix")
+        raise InvalidInput("certificate: expected an object with a 'z' matrix")
     z = matrix_from_obj(obj["z"], dim, "certificate.z")
     return OptimalityCertificate(
         z=z,
@@ -146,15 +146,15 @@ def report_to_obj(p: UsdProblem, report: SolutionReport) -> dict:
 def report_from_obj(obj):
     """Decode a solve report back into (problem, report) for re-checking."""
     if not isinstance(obj, dict) or "problem" not in obj:
-        raise ProblemFormatError("report document must contain a 'problem' object")
+        raise InvalidInput("report document must contain a 'problem' object")
     p = problem_from_obj(obj["problem"])
     for key in ("q_opt", "q0", "q1", "branch", "povm"):
         if key not in obj:
-            raise ProblemFormatError(f"report: missing field '{key}'")
+            raise InvalidInput(f"report: missing field '{key}'")
     try:
         branch = Branch(obj["branch"])
     except ValueError as exc:
-        raise ProblemFormatError(f"report: unknown branch {obj['branch']!r}") from exc
+        raise InvalidInput(f"report: unknown branch {obj['branch']!r}") from exc
     cert = None
     if "certificate" in obj:
         cert = certificate_from_obj(obj["certificate"], p.dim)
@@ -178,6 +178,6 @@ def loads(text: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ProblemFormatError(
+        raise InvalidInput(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc

@@ -7,7 +7,8 @@ a closed sandwich formula. The second covers equal-prior involution
 symmetric pairs of rank 2 in dimension 4; when the first family does
 not apply, the optimum is a projective measurement built from the
 kernel-compressed involution. Every emitted solution is gated by an
-optimality certificate before it is returned.
+optimality certificate before it is returned. solve chooses between
+the two families and falls back to the interior-point oracle.
 
 solve_first_class and the three steps of solve_gu_4d (preconditions,
 regime decision, projective construction) also take a stacked problem
@@ -32,17 +33,8 @@ from .certificates import (
     symmetric_projective_witness,
     verify_certificate,
 )
-from .errors import (
-    CertificateRejected,
-    OverlappingSupports,
-    PreconditionFail,
-    RankConditionsFail,
-    SpectrumAnomaly,
-    UsdError,
-)
+from .errors import BranchNotApplicable, InvalidInput, UsdError
 from .linalg import (
-    PSD_TOL,
-    REL_CUTOFF,
     all_true,
     any_true,
     eigh,
@@ -56,6 +48,7 @@ from .linalg import (
     support_decomposition,
     unstack,
 )
+from .oracle import oracle_optimize
 from .problem import (
     Povm,
     UsdProblem,
@@ -97,10 +90,10 @@ class SolutionReport:
     certificate: Optional[OptimalityCertificate] = None
 
 
-def _branch_holds(p: UsdProblem, report: SolutionReport, tol_psd: float) -> bool:
+def _branch_holds(p: UsdProblem, report: SolutionReport) -> bool:
     try:
         if report.branch is Branch.FIRST_CLASS_FIDELITY:
-            return rank_condition_check(p, tol_psd).both_psd
+            return rank_condition_check(p).both_psd
         if report.branch is Branch.GU_PROJECTIVE:
             gu_4d_preconditions(p)
             return projectivity_check(report.povm).ok
@@ -110,25 +103,24 @@ def _branch_holds(p: UsdProblem, report: SolutionReport, tol_psd: float) -> bool
     return True
 
 
-def audit_report(p: UsdProblem, report: SolutionReport, tol_psd: float = PSD_TOL,
-                 tol_rank: float = REL_CUTOFF) -> ValidationReport:
+def audit_report(p: UsdProblem, report: SolutionReport) -> ValidationReport:
     """Re-check what a stored report claims: the problem, the measurement,
     the stored failure probabilities, the witness and the branch label.
 
-    A FirstClassFidelity label needs both rank-condition operators PSD at
-    tol_psd. A GuProjective label needs the symmetric solver's
+    A FirstClassFidelity label needs both rank-condition operators PSD.
+    A GuProjective label needs the symmetric solver's
     preconditions (an equal-prior involution pair of rank-2 states in
     dimension 4) and a projective measurement. OracleOnly claims nothing
     the other checks leave open. A prior outside (0, 1) fails the audit
     and skips the checks that weigh the states by it: the branch label,
     the witness and the stored failure probabilities.
     """
-    rep = validate_problem(p, tol_psd=tol_psd, tol_rank=tol_rank)
+    rep = validate_problem(p)
     # undefined for a prior out of range: a zero or negative one breaks
     # the prior ratio, an infinite or NaN one the eigensolvers
     weighable = not {"eta0_in_open_interval", "eta1_in_open_interval"} & set(rep.failures)
     if weighable:
-        rep.check("branch_label", 0.0 if _branch_holds(p, report, tol_psd) else 1.0, 0.0)
+        rep.check("branch_label", 0.0 if _branch_holds(p, report) else 1.0, 0.0)
     parts = [validate_povm(p, report.povm)]
     if report.certificate is None:
         rep.failures.append("certificate_missing")
@@ -166,24 +158,22 @@ def _gate_solution(p: UsdProblem, m: Povm, cert: OptimalityCertificate) -> dict:
     """Validate the measurement and its certificate; raise on failure."""
     vrep = validate_povm(p, m)
     if not vrep.ok:
-        raise CertificateRejected(
+        raise BranchNotApplicable(
             f"constructed measurement failed validation: {vrep.failures}",
-            residuals=vrep.residuals,
+            cause="certificate",
         )
     crep = verify_certificate(p, m, cert, CERT_TOL)
     cert.residuals = crep.residuals
     if not crep.ok:
-        raise CertificateRejected(
-            f"certificate conditions violated: {crep.failures}",
-            residuals=crep.residuals,
+        raise BranchNotApplicable(
+            f"certificate conditions violated: {crep.failures}", cause="certificate"
         )
     merged = dict(vrep.residuals)
     merged.update(crep.residuals)
     return merged
 
 
-def solve_first_class(p: UsdProblem, tol: float = PSD_TOL,
-                      fd: FidelityData = None) -> SolutionReport:
+def solve_first_class(p: UsdProblem, fd: FidelityData = None) -> SolutionReport:
     """Optimal measurement when the failure probability meets the
     fidelity bound.
 
@@ -195,11 +185,12 @@ def solve_first_class(p: UsdProblem, tol: float = PSD_TOL,
     """
     if fd is None:
         fd = fidelity_operators(p)
-    rc = rank_condition_check(p, tol, fd=fd)
+    rc = rank_condition_check(p, fd=fd)
     if not all_true(rc.both_psd):
-        raise RankConditionsFail(
+        raise BranchNotApplicable(
             "rank-condition operators are not both PSD "
-            f"(min eigenvalues {np.min(rc.op0_min_eig):.3e}, {np.min(rc.op1_min_eig):.3e})"
+            f"(min eigenvalues {np.min(rc.op0_min_eig):.3e}, {np.min(rc.op1_min_eig):.3e})",
+            cause="rank_conditions",
         )
     r0, r1 = p.rho0.matrix, p.rho1.matrix
     gamma = math.sqrt(p.eta1 / p.eta0)
@@ -233,28 +224,28 @@ def gu_4d_preconditions(p: UsdProblem):
     Returns the involution and its compression onto the kernel of rho1.
     """
     if p.dim != 4:
-        raise PreconditionFail(
+        raise BranchNotApplicable(
             f"solver covers dimension 4 only, got {p.dim}", cause="dimension"
         )
     if abs(p.eta0 - p.eta1) > 1e-12:
-        raise PreconditionFail(
+        raise BranchNotApplicable(
             "solver requires equal priors", cause="priors"
         )
     if p.gu_involution is None:
-        raise PreconditionFail(
+        raise BranchNotApplicable(
             "problem declares no involution", cause="involution_missing"
         )
     gu = verify_gu_structure(p.rho0, p.rho1, p.gu_involution)
     if not gu.ok:
-        raise PreconditionFail(
+        raise BranchNotApplicable(
             f"involution structure invalid: {gu.failures}",
             cause="involution_invalid",
         )
     ranks = (p.rho0.support.rank, p.rho1.support.rank)
     if ranks != (2, 2):
-        raise PreconditionFail(f"solver requires rank (2, 2), got {ranks}", cause="rank")
+        raise BranchNotApplicable(f"solver requires rank (2, 2), got {ranks}", cause="rank")
     if p.supports_overlap:
-        raise OverlappingSupports("state supports overlap")
+        raise InvalidInput("state supports overlap")
     u = np.asarray(p.gu_involution, dtype=complex)
     k1 = p.rho1.support.kernel_projector
     return u, hermitize(k1 @ u @ k1)
@@ -270,7 +261,7 @@ def _signed_kernel_eigs(k: np.ndarray):
     return vals[order], vecs[:, order]
 
 
-def gu_4d_regime(p: UsdProblem, tol: float = PSD_TOL, fd: FidelityData = None):
+def gu_4d_regime(p: UsdProblem, fd: FidelityData = None):
     """Step two of solve_gu_4d: whether the first-class construction
     applies, decided by rho0 - F0 alone (at equal priors the two
     rank-condition operators are U-images of each other).
@@ -279,7 +270,7 @@ def gu_4d_regime(p: UsdProblem, tol: float = PSD_TOL, fd: FidelityData = None):
     """
     if fd is None:
         fd = fidelity_operators(p)
-    first_class, mn = psd_check(p.rho0.matrix - fd.f0, tol)
+    first_class, mn = psd_check(p.rho0.matrix - fd.f0)
     return first_class, mn, fd
 
 
@@ -300,10 +291,11 @@ def gu_4d_projective(p: UsdProblem, u: np.ndarray, k: np.ndarray, op0_min_eig):
         i = int(np.argmax(anomalous))
         n = w.shape[-1]
         vals = np.reshape(w, (-1, n))[i][np.reshape(nonzero, (-1, n))[i]][::-1]
-        raise SpectrumAnomaly(
+        raise BranchNotApplicable(
             "kernel-compressed involution should carry one positive and one "
             f"negative eigenvalue, found {np.round(vals, 12).tolist()} "
-            f"(min eig of the fidelity-gap operator {np.ravel(op0_min_eig)[i]:.3e})"
+            f"(min eig of the fidelity-gap operator {np.ravel(op0_min_eig)[i]:.3e})",
+            cause="spectrum",
         )
     # the spectrum ascends, so the positive eigenpair is the last and the
     # negative one the first
@@ -334,23 +326,23 @@ def gu_4d_projective(p: UsdProblem, u: np.ndarray, k: np.ndarray, op0_min_eig):
     gap = np.abs(success - expanded)
     if any_true(gap > 1e-10):
         i = np.argmax(gap)
-        raise SpectrumAnomaly(
+        raise BranchNotApplicable(
             "success probability cross-check failed: "
-            f"{np.ravel(success)[i].item()!r} vs {np.ravel(expanded)[i].item()!r}"
+            f"{np.ravel(success)[i].item()!r} vs {np.ravel(expanded)[i].item()!r}",
+            cause="spectrum",
         )
 
     q, q0, q1 = failure_probability(p, m)
     cert = fit_certificate(p, m, candidate=symmetric_projective_witness(p, x, u))
     if cert is None:
-        raise CertificateRejected(
-            "no certificate found for the projective construction",
-            residuals={"q": q},
+        raise BranchNotApplicable(
+            "no certificate found for the projective construction", cause="certificate"
         )
     vrep = validate_povm(p, m)
     if not vrep.ok:
-        raise CertificateRejected(
+        raise BranchNotApplicable(
             f"constructed measurement failed validation: {vrep.failures}",
-            residuals=vrep.residuals,
+            cause="certificate",
         )
     diagnostics = dict(vrep.residuals)
     diagnostics.update(cert.residuals)
@@ -369,26 +361,66 @@ def gu_4d_projective(p: UsdProblem, u: np.ndarray, k: np.ndarray, op0_min_eig):
     return report, solution
 
 
-def solve_gu_4d(p: UsdProblem, tol: float = PSD_TOL):
+def solve_gu_4d(p: UsdProblem):
     """Optimal measurement for equal-prior involution pairs of rank 2
     in dimension 4.
 
     Returns (SolutionReport, GuSolution or None). When the fidelity
-    bound is attainable (rho0 - F0 is PSD at tol) the first-class
-    construction is used, at the same tol, and no GuSolution is
-    produced. Otherwise the optimum is the rank-1 projective measurement
-    determined by the signed eigenpair of the kernel-compressed
-    involution. Every instance of a stack must fall on the same side.
+    bound is attainable (rho0 - F0 is PSD) the first-class construction
+    is used and no GuSolution is produced. Otherwise the optimum is the
+    rank-1 projective measurement determined by the signed eigenpair of
+    the kernel-compressed involution. Every instance of a stack must
+    fall on the same side.
     """
-    u, k = gu_4d_preconditions(p)
-    first_class, mn, fd = gu_4d_regime(p, tol)
+    return _gu_4d_steps(p, *gu_4d_preconditions(p))
+
+
+def _gu_4d_steps(p: UsdProblem, u: np.ndarray, k: np.ndarray):
+    # steps two and three of solve_gu_4d, once its preconditions hold
+    first_class, mn, fd = gu_4d_regime(p)
     if all_true(first_class):
-        return solve_first_class(p, tol, fd=fd), None
+        return solve_first_class(p, fd=fd), None
     if any_true(first_class):
-        raise PreconditionFail(
+        raise BranchNotApplicable(
             "stack mixes first-class and projective instances", cause="regime"
         )
     return gu_4d_projective(p, u, k, mn)
+
+
+def solve(p: UsdProblem) -> SolutionReport:
+    """Optimal measurement for one problem, from the first branch that
+    applies; the only place that chooses a branch.
+
+    A problem inside the symmetric solver's scope (gu_4d_preconditions)
+    goes to solve_gu_4d, which runs the first-class checks itself; any
+    other problem goes to solve_first_class. An analytic branch that
+    does not apply hands over to the interior-point oracle, whose dual Z
+    is the witness; the closed forms are tried only if it fails.
+    """
+    try:
+        gu = gu_4d_preconditions(p)
+    except BranchNotApplicable:
+        gu = None
+    try:
+        if gu is None:
+            return solve_first_class(p)
+        return _gu_4d_steps(p, *gu)[0]
+    except BranchNotApplicable:
+        pass
+    result = oracle_optimize(p)
+    q, q0, q1 = failure_probability(p, result.povm)
+    diagnostics = {
+        "oracle_iterations": float(result.iterations),
+        "oracle_converged": float(result.converged),
+        "oracle_duality_gap": result.duality_gap,
+    }
+    return SolutionReport(
+        q_opt=q, q0=q0, q1=q1,
+        povm=result.povm,
+        branch=Branch.ORACLE_ONLY,
+        diagnostics=diagnostics,
+        certificate=fit_certificate(p, result.povm, candidate=result.certificate.z),
+    )
 
 
 def gu_kernel_spectrum(p: UsdProblem) -> np.ndarray:
@@ -402,7 +434,7 @@ def spectrum_negation_check(p: UsdProblem, tol: float = 1e-9) -> bool:
     """Whether the support and kernel compressions of the involution
     carry spectra that are negatives of each other."""
     if p.gu_involution is None:
-        raise PreconditionFail(
+        raise BranchNotApplicable(
             "problem declares no involution", cause="involution_missing"
         )
     u = np.asarray(p.gu_involution, dtype=complex)

@@ -43,7 +43,7 @@ from usdisc.bb84 import (
     locate_threshold,
     q_basis_closed_form,
 )
-from usdisc.errors import RankConditionsFail
+from usdisc.errors import BranchNotApplicable
 from usdisc.linalg import eigh, hermitize, psd_check
 
 GRID = [round(0.05 * k, 2) for k in range(1, 61)]
@@ -188,7 +188,9 @@ def test_criterion_07_lower_bound_500_random():
         assert res.q_opt >= bound - 1e-6
         try:
             rep = solve_first_class(p)
-        except RankConditionsFail:
+        except BranchNotApplicable as exc:
+            if exc.cause != "rank_conditions":
+                raise
             continue
         solver_hits += 1
         worst = min(worst, rep.q_opt - bound)

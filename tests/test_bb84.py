@@ -25,7 +25,7 @@ from usdisc.bb84 import (
     sweep,
     sweep_csv,
 )
-from usdisc.errors import CertificateRejected, DomainError, PreconditionFail, UsdError
+from usdisc.errors import BranchNotApplicable, InvalidInput, UsdError
 from usdisc.linalg import eigh, hermitize
 from usdisc import fidelity_operators
 
@@ -45,12 +45,12 @@ def test_coefficients_small_mu_limit():
 
 
 def test_coefficients_reject_negative_mu():
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidInput):
         coefficients(-0.1)
 
 
 def test_build_states_reject_nonpositive_mu():
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidInput):
         build_states(0.0)
 
 
@@ -210,7 +210,7 @@ def test_sweep_falls_back_to_points_when_the_stack_fails(monkeypatch):
 
     def stack_only_failure(p, u, k, op0_min_eig):
         if np.ndim(k) > 2:
-            raise CertificateRejected("injected failure on a stack")
+            raise BranchNotApplicable("injected failure on a stack", cause="certificate")
         return projective(p, u, k, op0_min_eig)
 
     monkeypatch.setattr(usdisc.bb84, "gu_4d_projective", stack_only_failure)
@@ -218,13 +218,26 @@ def test_sweep_falls_back_to_points_when_the_stack_fails(monkeypatch):
     assert sweep_csv(sweep(0.5, 1.0, 0.1)) == expected
     # the stacked pass, then each of the six points on its own
     assert len(calls) == 7
+    # a failure at one point as well: the error names it and keeps its cause
+    bad = 0.5 + 0.1
+    target = build_states(bad).rho_0.matrix
+
+    def point_failure(p, u, k, op0_min_eig):
+        if np.array_equal(p.rho0.matrix, target):
+            raise BranchNotApplicable("injected failure at a point", cause="certificate")
+        return stack_only_failure(p, u, k, op0_min_eig)
+
+    monkeypatch.setattr(usdisc.bb84, "gu_4d_projective", point_failure)
+    with pytest.raises(BranchNotApplicable, match=re.escape(f"sweep failed at mu={bad!r}:")) as err:
+        sweep(0.5, 1.0, 0.1)
+    assert err.value.cause == "certificate"
 
 
 def test_stack_with_mixed_ranks_is_refused():
     rho0 = np.array([np.diag([0.5, 0.5, 0.0, 0.0]), np.diag([1 / 3, 1 / 3, 1 / 3, 0.0])])
     rho1 = np.array([np.diag([0.0, 0.0, 0.5, 0.5]), np.diag([0.0, 0.0, 0.0, 1.0])])
     p = UsdProblem(DensityMatrix.from_matrix(rho0), DensityMatrix.from_matrix(rho1), 0.5, 0.5)
-    with pytest.raises(PreconditionFail) as err:
+    with pytest.raises(BranchNotApplicable) as err:
         solve_first_class(p)
     assert err.value.cause == "rank"
     # either instance alone is a valid first-class problem
@@ -234,7 +247,7 @@ def test_stack_with_mixed_ranks_is_refused():
 
 def test_stack_with_mixed_regimes_is_refused():
     stack = build_states([0.3, 1.5]).bit_problem()
-    with pytest.raises(PreconditionFail) as err:
+    with pytest.raises(BranchNotApplicable) as err:
         solve_gu_4d(stack)
     assert err.value.cause == "regime"
     assert solve_gu_4d(stack.take([0]))[0].branch is Branch.GU_PROJECTIVE

@@ -14,7 +14,7 @@ from usdisc import (
     tighter_q0_bound,
 )
 from usdisc.bb84 import bit_problem, bit_spectrum_closed_form
-from usdisc.errors import DegenerateBound, OverlappingSupports, PreconditionFail
+from usdisc.errors import BranchNotApplicable, InvalidInput
 from usdisc.linalg import eigh, hermitize
 
 
@@ -108,7 +108,7 @@ def test_rank_conditions_match_closed_form_spectrum():
 def test_rank_condition_rejects_overlapping_supports():
     r0 = DensityMatrix.from_matrix(np.diag([0.5, 0.5, 0.0]))
     r1 = DensityMatrix.from_matrix(np.diag([0.0, 0.5, 0.5]))
-    with pytest.raises(OverlappingSupports):
+    with pytest.raises(InvalidInput, match="supports overlap"):
         rank_condition_check(UsdProblem(r0, r1, 0.5, 0.5))
 
 
@@ -148,15 +148,16 @@ def test_prior_window_degenerate_for_orthogonal_states():
         0.5,
         0.5,
     )
-    with pytest.raises(DegenerateBound):
+    with pytest.raises(InvalidInput, match="perfectly distinguishable"):
         prior_regime_bounds(p)
 
 
 def test_tighter_q0_bound_needs_involution():
     rng = np.random.default_rng(5)
     p = random_problem(rng, 4)
-    with pytest.raises(PreconditionFail):
+    with pytest.raises(BranchNotApplicable) as err:
         tighter_q0_bound(p)
+    assert err.value.cause == "gu_involution"
 
 
 def test_tighter_q0_bound_dominates_naive_compression():

@@ -8,8 +8,7 @@ from conftest import first_class_instance
 from usdisc import DensityMatrix, UsdProblem, cli, serialize
 from usdisc.bb84 import bit_problem, find_mu0
 from usdisc.cli import main
-from usdisc.errors import RankConditionsFail
-from usdisc.linalg import PSD_TOL
+from usdisc.errors import BranchNotApplicable, NumericalFailure
 from usdisc.problem import validate_problem
 from usdisc.solvers import solve_gu_4d
 
@@ -96,10 +95,17 @@ def test_solve_falls_back_to_oracle(tmp_path):
 
 
 def test_solve_falls_back_when_projective_certificate_fails(tmp_path, monkeypatch):
-    # an analytic branch that cannot certify itself hands over to the oracle
+    # an analytic branch that cannot certify itself hands over to the
+    # oracle, whose own dual still certifies
+    import usdisc.certificates
     import usdisc.solvers
 
-    monkeypatch.setattr(usdisc.solvers, "fit_certificate", lambda *args, **kwargs: None)
+    def no_witness(p, x, u):
+        return np.zeros((p.dim, p.dim), dtype=complex)
+
+    # both where the projective step names it and in fit_certificate's chain
+    monkeypatch.setattr(usdisc.solvers, "symmetric_projective_witness", no_witness)
+    monkeypatch.setattr(usdisc.certificates, "symmetric_projective_witness", no_witness)
     inp = tmp_path / "problem.json"
     out = tmp_path / "report.json"
     write_problem(inp, bit_problem(0.3))
@@ -130,8 +136,9 @@ def test_solve_falls_back_when_symmetric_rank_conditions_fail(tmp_path, capsys, 
 
     p = _near_threshold_involution_pair()
     assert validate_problem(p).ok
-    with pytest.raises(RankConditionsFail):
+    with pytest.raises(BranchNotApplicable) as err:
         solve_gu_4d(p)
+    assert err.value.cause == "rank_conditions"
     inp = tmp_path / "problem.json"
     out = tmp_path / "report.json"
     write_problem(inp, p)
@@ -144,7 +151,6 @@ def test_solve_falls_back_when_symmetric_rank_conditions_fail(tmp_path, capsys, 
 
     # wherever the router or the symmetric solver reaches it
     monkeypatch.setattr(usdisc.solvers, "solve_first_class", counted)
-    monkeypatch.setattr(cli, "solve_first_class", counted)
     assert main(["solve", "--input", str(inp), "--output", str(out)]) == 0
     # the symmetric solver's first-class side rejected it; no second try
     assert len(calls) == 1
@@ -155,19 +161,43 @@ def test_solve_falls_back_when_symmetric_rank_conditions_fail(tmp_path, capsys, 
     assert capsys.readouterr().out.strip().endswith("PASS")
 
 
-def test_tol_psd_reaches_the_symmetric_decision(tmp_path):
-    # just below mu0, rho0 - F0 has a minimum eigenvalue of about -3e-8:
-    # projective at the default 1e-9, first-class side at 1e-6, where the
-    # sandwiched elements then fail their PSD gate and the oracle answers
-    p = bit_problem(find_mu0() - 1e-7)
+def test_solve_numerical_failure_exits_two(tmp_path, capsys, monkeypatch):
+    import usdisc.solvers
+
+    def failing(p):
+        raise NumericalFailure("injected eigensolver failure")
+
+    # the rank conditions fail and no involution is declared, so the
+    # router reaches the oracle
+    monkeypatch.setattr(usdisc.solvers, "oracle_optimize", failing)
     inp = tmp_path / "problem.json"
-    write_problem(inp, p)
-    branches = []
-    for flags in ([], ["--tol-psd", "1e-6"]):
-        out = tmp_path / f"report{len(branches)}.json"
-        assert main(["solve", "--input", str(inp), "--output", str(out), *flags]) == 0
-        branches.append(json.loads(out.read_text())["branch"])
-    assert branches == ["GuProjective", "OracleOnly"]
+    write_problem(inp, _bare_bit_pair())
+    assert main(["solve", "--input", str(inp)]) == 2
+    assert capsys.readouterr().err.startswith("numerical failure")
+
+
+def test_solve_rejects_a_state_the_square_root_rejects(tmp_path, capsys):
+    # -8e-10 is above -PSD_TOL but below -PSD_TOL times the top
+    # eigenvalue, the bound DensityMatrix.sqrt applies
+    rho0 = DensityMatrix.from_matrix(np.diag([-8e-10, 0.0, 0.4, 0.6 + 8e-10]))
+    rho1 = DensityMatrix.from_matrix(np.diag([0.5, 0.5, 0.0, 0.0]))
+    inp = tmp_path / "problem.json"
+    write_problem(inp, UsdProblem(rho0, rho1, 0.5, 0.5))
+    assert main(["solve", "--input", str(inp)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "rho0_psd" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--tol-psd", "1e-3"],
+    ["certify", "--tol-rank", "1e-8"],
+    ["oracle", "--tol-psd", "1e-3"],
+], ids=["solve", "certify", "oracle"])
+def test_tolerance_flags_are_usage_errors(tmp_path, capsys, argv):
+    inp = tmp_path / "problem.json"
+    write_problem(inp, bit_problem(0.3))
+    assert main([*argv, "--input", str(inp)]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys, monkeypatch):
@@ -185,14 +215,13 @@ def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     assert main(["solve", "--no-such-flag"]) == 1
     assert main(["--help"]) == 0
-    assert main(["solve", "--input", str(inp), "--output", str(rpt), "--tol-psd", "1e-3"]) == 0
+    assert main(["solve", "--input", str(inp), "--output", str(rpt)]) == 0
     assert main(["certify", "--input", str(rpt)]) == 0
     assert main(["bb84-mu0"]) == 0
     capsys.readouterr()
     assert built == []
     assert cli._build_parser() is cli._build_parser()
     args = cli._build_parser().parse_args(["solve", "--input", str(inp)])
-    assert args.tol_psd == PSD_TOL == 1e-9
     assert not args.renormalize and args.output is None
 
 
@@ -226,7 +255,7 @@ def test_certify_rejects_tampered_witness(tmp_path, capsys):
     assert "FAIL" in captured.out
 
 
-def _certify_tampered(tmp_path, capsys, tamper, *flags, problem=None):
+def _certify_tampered(tmp_path, capsys, tamper, problem=None):
     """Solve the problem (by default the projective bit pair), alter the
     report, certify it; returns the exit code and the verdict line."""
     inp = tmp_path / "problem.json"
@@ -236,7 +265,7 @@ def _certify_tampered(tmp_path, capsys, tamper, *flags, problem=None):
     obj = json.loads(rpt.read_text())
     tamper(obj)
     rpt.write_text(serialize.dumps(obj))
-    code = main(["certify", "--input", str(rpt), *flags])
+    code = main(["certify", "--input", str(rpt)])
     return code, capsys.readouterr().out.strip().splitlines()[-1]
 
 
@@ -357,7 +386,7 @@ def test_certify_rejects_swapped_branch_label(tmp_path, capsys, problem, label, 
     assert verdict.startswith("FAIL") and "branch_label" in verdict
 
 
-def test_certify_validates_problem_with_tolerance_flags(tmp_path, capsys):
+def test_certify_fails_a_state_off_the_psd_cone(tmp_path, capsys):
     # push rho0 off the PSD cone by 1e-6 along a kernel direction, keeping
     # it Hermitian with unit trace
     def bend_rho0(obj):
@@ -370,8 +399,6 @@ def test_certify_validates_problem_with_tolerance_flags(tmp_path, capsys):
     code, verdict = _certify_tampered(tmp_path, capsys, bend_rho0)
     assert code == 1
     assert "rho0_psd" in verdict
-    _, verdict = _certify_tampered(tmp_path, capsys, bend_rho0, "--tol-psd", "1e-3")
-    assert "rho0_psd" not in verdict
 
 
 def test_oracle_command(tmp_path):

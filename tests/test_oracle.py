@@ -13,7 +13,7 @@ from usdisc import (
     verify_certificate,
 )
 from usdisc.certificates import CERT_TOL
-from usdisc.errors import OverlappingSupports
+from usdisc.errors import InvalidInput
 from usdisc.linalg import psd_check
 
 
@@ -103,7 +103,7 @@ def test_oracle_witness_verifies_where_rank_conditions_fail():
 def test_oracle_rejects_overlapping_supports():
     r0 = DensityMatrix.from_matrix(np.diag([0.5, 0.5, 0.0]))
     r1 = DensityMatrix.from_matrix(np.diag([0.0, 0.5, 0.5]))
-    with pytest.raises(OverlappingSupports):
+    with pytest.raises(InvalidInput, match="supports overlap"):
         oracle_optimize(UsdProblem(r0, r1, 0.5, 0.5))
 
 

@@ -16,12 +16,12 @@ from usdisc import (
     verify_gu_structure,
 )
 from usdisc.bb84 import bit_problem, build_states
-from usdisc.errors import DomainError, ProblemFormatError
+from usdisc.errors import InvalidInput
 from usdisc.linalg import hermitize
 
 
 def test_density_matrix_rejects_bad_trace():
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidInput):
         DensityMatrix.from_matrix(np.diag([0.6, 0.6]))
 
 

@@ -5,7 +5,7 @@ from conftest import random_problem
 from usdisc import serialize
 from usdisc import solve_gu_4d, validate_povm
 from usdisc.bb84 import bit_problem
-from usdisc.errors import ProblemFormatError
+from usdisc.errors import InvalidInput
 from usdisc.solvers import Branch
 
 
@@ -49,7 +49,7 @@ def test_report_round_trip_revalidates():
 
 
 def test_loads_rejects_bad_json():
-    with pytest.raises(ProblemFormatError):
+    with pytest.raises(InvalidInput):
         serialize.loads("{not json")
 
 
@@ -57,7 +57,7 @@ def test_problem_from_obj_rejects_missing_field():
     p = bit_problem(0.4)
     obj = serialize.problem_to_obj(p)
     del obj["rho1"]
-    with pytest.raises(ProblemFormatError):
+    with pytest.raises(InvalidInput):
         serialize.problem_from_obj(obj)
 
 
@@ -65,7 +65,7 @@ def test_problem_from_obj_rejects_shape_mismatch():
     p = bit_problem(0.4)
     obj = serialize.problem_to_obj(p)
     obj["dim"] = 3
-    with pytest.raises(ProblemFormatError):
+    with pytest.raises(InvalidInput):
         serialize.problem_from_obj(obj)
 
 
@@ -73,7 +73,7 @@ def test_problem_from_obj_rejects_boolean_prior():
     p = bit_problem(0.4)
     obj = serialize.problem_to_obj(p)
     obj["eta0"] = True
-    with pytest.raises(ProblemFormatError):
+    with pytest.raises(InvalidInput):
         serialize.problem_from_obj(obj)
 
 
@@ -81,7 +81,7 @@ def test_problem_from_obj_rejects_boolean_dim():
     # a one-dimensional problem, so that True read as 1 would fit every shape
     one = {"re": [[1.0]], "im": [[0.0]]}
     obj = {"dim": True, "eta0": 0.5, "eta1": 0.5, "rho0": one, "rho1": one}
-    with pytest.raises(ProblemFormatError, match="dim"):
+    with pytest.raises(InvalidInput, match="dim"):
         serialize.problem_from_obj(obj)
     obj["dim"] = 1
     assert serialize.problem_from_obj(obj).dim == 1
@@ -92,12 +92,12 @@ def test_matrix_from_obj_rejects_non_finite_entries(value):
     for part in ("re", "im"):
         obj = {"re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
         obj[part][1][0] = value
-        with pytest.raises(ProblemFormatError, match="finite"):
+        with pytest.raises(InvalidInput, match="finite"):
             serialize.matrix_from_obj(obj, 2, "rho0")
 
 
 def test_matrix_from_obj_rejects_ragged_rows():
-    with pytest.raises(ProblemFormatError):
+    with pytest.raises(InvalidInput):
         serialize.matrix_from_obj({"re": [[1, 0], [0]], "im": [[0, 0], [0, 0]]}, 2, "rho0")
 
 
@@ -106,5 +106,5 @@ def test_report_from_obj_rejects_unknown_branch():
     rep, _ = solve_gu_4d(p)
     obj = serialize.report_to_obj(p, rep)
     obj["branch"] = "NoSuchBranch"
-    with pytest.raises(ProblemFormatError):
+    with pytest.raises(InvalidInput):
         serialize.report_from_obj(obj)

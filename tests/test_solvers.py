@@ -12,6 +12,7 @@ from usdisc import (
     fidelity_operators,
     gu_kernel_spectrum,
     projectivity_check,
+    solve,
     solve_first_class,
     solve_gu_4d,
     spectrum_negation_check,
@@ -19,7 +20,7 @@ from usdisc import (
     validate_povm,
 )
 from usdisc.bb84 import bit_problem, find_mu0
-from usdisc.errors import PreconditionFail, RankConditionsFail
+from usdisc.errors import BranchNotApplicable
 from usdisc.linalg import hermitize, psd_check, spectral_norm
 from usdisc.solvers import _signed_kernel_eigs
 
@@ -36,8 +37,9 @@ def test_first_class_reaches_the_bound():
 
 
 def test_first_class_rejects_outside_regime():
-    with pytest.raises(RankConditionsFail):
+    with pytest.raises(BranchNotApplicable) as err:
         solve_first_class(bit_problem(0.3))
+    assert err.value.cause == "rank_conditions"
 
 
 def test_first_class_orthogonal_pure_states_never_fail():
@@ -56,7 +58,7 @@ def test_first_class_orthogonal_pure_states_never_fail():
 def test_gu_solver_requires_equal_priors():
     p = bit_problem(0.3)
     skew = UsdProblem(p.rho0, p.rho1, 0.6, 0.4, gu_involution=p.gu_involution)
-    with pytest.raises(PreconditionFail) as err:
+    with pytest.raises(BranchNotApplicable) as err:
         solve_gu_4d(skew)
     assert err.value.cause == "priors"
 
@@ -64,7 +66,7 @@ def test_gu_solver_requires_equal_priors():
 def test_gu_solver_requires_involution():
     p = bit_problem(0.3)
     bare = UsdProblem(p.rho0, p.rho1, 0.5, 0.5)
-    with pytest.raises(PreconditionFail) as err:
+    with pytest.raises(BranchNotApplicable) as err:
         solve_gu_4d(bare)
     assert err.value.cause == "involution_missing"
 
@@ -79,7 +81,7 @@ def test_gu_solver_requires_dim_4():
         0.5,
         gu_involution=np.array([[0.0, 1.0], [1.0, 0.0]], complex),
     )
-    with pytest.raises(PreconditionFail) as err:
+    with pytest.raises(BranchNotApplicable) as err:
         solve_gu_4d(p)
     assert err.value.cause == "dimension"
 
@@ -191,8 +193,9 @@ def test_spectrum_negation_on_bit_pair():
 def test_spectrum_negation_needs_involution():
     p = bit_problem(0.3)
     bare = UsdProblem(p.rho0, p.rho1, 0.5, 0.5)
-    with pytest.raises(PreconditionFail):
+    with pytest.raises(BranchNotApplicable) as err:
         spectrum_negation_check(bare)
+    assert err.value.cause == "involution_missing"
 
 
 def test_gu_kernel_spectrum_signs():
@@ -242,15 +245,16 @@ def test_reports_carry_diagnostics_and_certificates():
     assert rep.diagnostics["op0_min_eig"] < 0.0
 
 
-@pytest.mark.parametrize("make, solve", [
-    (lambda: first_class_instance(np.random.default_rng(3), 4), solve_first_class),
-    (lambda: bit_problem(1.5), solve_gu_4d),
-    (lambda: bit_problem(0.3), solve_gu_4d),
+@pytest.mark.parametrize("make, expected", [
+    (lambda: first_class_instance(np.random.default_rng(3), 4), 4),
+    (lambda: bit_problem(1.5), 4),
+    (lambda: bit_problem(0.3), 5),
 ], ids=["first_class", "symmetric_first_class", "projective"])
-def test_solve_decomposes_each_state_once(monkeypatch, make, solve):
-    # rho0, rho1, rho0 + rho1 and the two fidelity operators (plus the
-    # kernel-compressed involution on the projective side): every other
-    # spectral quantity is derived from these decompositions
+def test_solve_decomposes_each_state_once(monkeypatch, make, expected):
+    # rho0, rho1, rho0 + rho1 and the two fidelity operators in one
+    # stacked call (plus the kernel-compressed involution on the
+    # projective side): every other spectral quantity is derived from
+    # these decompositions, and the router adds none
     p = make()
     calls = []
     eigh = np.linalg.eigh
@@ -261,4 +265,4 @@ def test_solve_decomposes_each_state_once(monkeypatch, make, solve):
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     solve(p)
-    assert len(calls) <= 6
+    assert len(calls) == expected
