@@ -111,6 +111,7 @@ def _cmd_oracle(args) -> int:
         "iterations": result.iterations,
         "converged": result.converged,
         "duality_gap": result.duality_gap,
+        "stop": result.stop,
         "povm": serialize.povm_to_obj(result.povm),
     }
     _emit(serialize.dumps(obj), args.output)

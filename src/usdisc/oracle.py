@@ -24,6 +24,14 @@ central path, where Z Eq = mu I, whenever it strays, and again once the
 gap is small. Off the path the cross terms of Z Eq decay only like
 sqrt(mu), and the witness would miss the certificate tolerance.
 
+Each iterate is factored once: one Cholesky factorisation of the stacked
+[X, S] and the inverse of its factors give S^-1 and serve both
+step-length tests. A predictor-corrector step therefore makes one
+cholesky, one inv, two Schur-complement solves and two batched eigvalsh
+calls. The result says why the loop stopped: "converged", "max_steps",
+"max_centring", or "lin_alg_error" when an iterate lost definiteness to
+rounding, in which case the last good iterate is returned.
+
 This module must stay independent of the analytic solution formulas:
 it exists to disagree with them when they are wrong.
 """
@@ -55,16 +63,24 @@ class OracleResult:
     q_opt: float
     certificate: OptimalityCertificate
     iterations: int
-    converged: bool
     duality_gap: float
+    # why the loop ended: "converged", "max_steps", "max_centring", or
+    # "lin_alg_error" when an iterate lost definiteness to rounding
+    stop: str
 
-
-def _herm(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
+    @property
+    def converged(self) -> bool:
+        return self.stop == "converged"
 
 
 def _dag(a: np.ndarray) -> np.ndarray:
-    return np.conj(np.swapaxes(a, -1, -2))
+    return a.conj().swapaxes(-1, -2)
+
+
+def _herm(a: np.ndarray) -> np.ndarray:
+    h = a + _dag(a)
+    h *= 0.5
+    return h
 
 
 def oracle_optimize(p: UsdProblem) -> OracleResult:
@@ -73,7 +89,8 @@ def oracle_optimize(p: UsdProblem) -> OracleResult:
 
     duality_gap is Tr Z - (1 - q_opt). Both iterates stay feasible, so it
     bounds the distance of q_opt from the true optimum. The result is a
-    deterministic function of the problem; iterations counts Newton steps.
+    deterministic function of the problem; iterations counts Newton steps
+    and stop says why they ended.
     """
     if p.supports_overlap:
         raise InvalidInput(
@@ -102,13 +119,20 @@ def oracle_optimize(p: UsdProblem) -> OracleResult:
     c[ab, ab] = p.eta0 * _dag(v1) @ r0m @ v1
     c[bb, bb] = p.eta1 * _dag(v0) @ r1m @ v0
     c = _herm(c)
+    # loop invariants. The Schur matrix below is built at twice its value,
+    # so its right-hand side is taken with 2W.
+    wh, wkh, w_abh = _dag(w).copy(), _dag(wk).copy(), _dag(w_ab).copy()
+    w2 = 2.0 * w
+    half_mask = 0.5 * mask
+    root_n = np.sqrt(n)
 
     def with_inconclusive(x):
-        x[qb, qb] = _herm(eye - w_ab @ x @ _dag(w_ab))
+        x[qb, qb] = _herm(eye - w_ab @ x @ w_abh)
         return x
 
     def slack(z):
-        return np.where(mask, _herm(_dag(w) @ z @ w), 0.0) - c
+        t = wh @ z @ w
+        return half_mask * (t + _dag(t)) - c
 
     # A = B = I/3 keeps Eq >= I/3; Z = I leaves each kernel slack >= (1 - eta) I
     x = with_inconclusive(np.eye(n, dtype=complex) / 3.0)
@@ -117,61 +141,74 @@ def oracle_optimize(p: UsdProblem) -> OracleResult:
 
     steps = 0
     centring = 0
-    converged = False
-    while steps < MAX_STEPS:
+    while True:
         xs = x @ s
-        mu = float(np.trace(xs).real) / n
-        gap = float(np.trace(z).real - np.vdot(c, x).real)
-        compl = float(np.linalg.norm(xs))
+        mu = xs.trace().real / n
+        gap = z.trace().real - np.vdot(c, x).real
+        compl = np.linalg.norm(xs)
         small_gap = gap <= GAP_TOL
         if small_gap and compl <= COMPL_TOL:
-            converged = True
+            stop = "converged"
             break
         if centring == MAX_CENTRING:
+            stop = "max_centring"
+            break
+        if steps == MAX_STEPS:
+            stop = "max_steps"
             break
         try:
-            sinv = np.linalg.inv(s)
+            # One Cholesky factorisation per iterate. The inverse factors
+            # L^-1 serve both step-length tests, and S^-1 = Ls^-H Ls^-1.
+            lo = np.linalg.inv(np.linalg.cholesky(np.array([x, s])))
+            loh = _dag(lo)
+            sinv = loh[1] @ lo[1]
             # Schur complement of the HKM system on row-major vec(dZ): the
-            # sum over blocks of sym(P dZ Q), P = W X W^H and Q = W S^-1 W^H
-            pk = wk @ x @ _dag(wk)
-            qk = wk @ sinv @ _dag(wk)
-            m = 0.5 * np.einsum("bik,blj->ijkl", np.concatenate([pk, qk]),
-                                np.concatenate([qk, pk])).reshape(d * d, d * d)
+            # sum over blocks of P dZ Q + Q dZ P, P = W X W^H and
+            # Q = W S^-1 W^H, as one product of the (i k) and (j l) indices
+            pq = (wk @ np.array([x, sinv])[:, None] @ wkh).reshape(6, d * d)
+            # Q^T = conj(Q) and P^T = conj(P), listed in swapped order
+            qp = pq.reshape(2, 3 * d * d)[::-1].conj().reshape(6, d * d)
+            m = (pq.T @ qp).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
             def direction(r):
-                dz = _herm(np.linalg.solve(m, (w @ r @ _dag(w)).ravel()).reshape(d, d))
-                ds = np.where(mask, _herm(_dag(w) @ dz @ w), 0.0)
+                """dZ and the stack [dX, dS] for the right-hand side r."""
+                dz = np.linalg.solve(m, (w2 @ r @ wh).ravel()).reshape(d, d)
+                ds = mask * (wh @ dz @ w)
                 dx = _herm(r - x @ ds @ sinv)
                 # Eq follows A and B exactly, which keeps the primal feasible
-                dx[qb, qb] = -_herm(w_ab @ dx @ _dag(w_ab))
-                return dz, dx, ds
+                dx[qb, qb] = -(w_ab @ dx @ w_abh)
+                return dz, np.array([dx, ds])
 
-            def longest(dx, ds):
+            def longest(dxs):
                 """Largest steps keeping X + a dX and S + a dS PSD."""
-                lo = np.linalg.inv(np.linalg.cholesky(np.stack([x, s])))
-                low = np.linalg.eigvalsh(_herm(lo @ np.stack([dx, ds]) @ _dag(lo)))[:, 0]
+                # eigvalsh reads only the lower triangle, so the congruence
+                # needs no symmetrising
+                low = np.linalg.eigvalsh(lo @ dxs @ loh)[:, 0].tolist()
                 return [np.inf if v >= 0.0 else -1.0 / v for v in low]
 
             if small_gap:
                 centring += 1
-            if small_gap or compl > OFF_CENTRE * mu * np.sqrt(n):
+            if small_gap or compl > OFF_CENTRE * mu * root_n:
                 r = mu * sinv - x
             else:
-                dz, dx, ds = direction(-x)
-                ap, ad = (min(1.0, t) for t in longest(dx, ds))
-                mu_aff = float(np.vdot(x + ap * dx, s + ad * ds).real) / n
+                _, dxs = direction(-x)
+                dx, ds = dxs
+                ap, ad = (min(1.0, t) for t in longest(dxs))
+                mu_aff = np.vdot(x + ap * dx, s + ad * ds).real / n
                 # aim no lower than a quarter of the stopping gap: centring
                 # far below it runs into rounding
                 sigma = min(1.0, max((mu_aff / mu) ** 3, 0.25 * GAP_TOL / (n * mu)))
                 r = sigma * mu * sinv - x - _herm(dx @ ds @ sinv)
-            dz, dx, ds = direction(r)
-            ap, ad = longest(dx, ds)
+            dz, dxs = direction(r)
+            ap, ad = longest(dxs)
         except np.linalg.LinAlgError:
             # an iterate lost definiteness to rounding: keep the last one
+            stop = "lin_alg_error"
             break
         frac = 0.9 + 0.09 * min(ap, ad, 1.0)
-        x = with_inconclusive(_herm(x + min(1.0, frac * ap) * dx))
-        z = _herm(z + min(1.0, frac * ad) * dz)
+        # dX's A and B blocks are exactly Hermitian, so X's stay so
+        x = with_inconclusive(x + min(1.0, frac * ap) * dxs[0])
+        z = z + min(1.0, frac * ad) * _herm(dz)
         s = slack(z)
         steps += 1
 
@@ -179,12 +216,12 @@ def oracle_optimize(p: UsdProblem) -> OracleResult:
     e1 = _herm(v0 @ x[bb, bb] @ _dag(v0))
     povm = Povm(e0=e0, e1=e1, eq=_herm(eye - e0 - e1))
     q = float(failure_probability(p, povm)[0])
-    trace = float(np.trace(z).real)
+    trace = float(z.trace().real)
     return OracleResult(
         povm=povm,
         q_opt=q,
         certificate=OptimalityCertificate(z=z, success_trace=trace),
         iterations=steps,
-        converged=converged,
         duality_gap=trace - (1.0 - q),
+        stop=stop,
     )

@@ -6,7 +6,7 @@ test runs stay reproducible.
 
 import numpy as np
 
-from usdisc import DensityMatrix, UsdProblem
+from usdisc import DensityMatrix, UsdProblem, rank_condition_check
 from usdisc.linalg import (
     eigh,
     hermitize,
@@ -50,6 +50,15 @@ def random_problem(rng, d):
             eta0,
             1.0 - eta0,
         )
+
+
+def rank_failing_problem(rng, d):
+    """random_problem drawn until its rank conditions fail, so that only
+    the oracle applies."""
+    while True:
+        p = random_problem(rng, d)
+        if not rank_condition_check(p).both_psd:
+            return p
 
 
 def first_class_instance(rng, d):

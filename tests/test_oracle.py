@@ -1,11 +1,19 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from conftest import first_class_instance, random_gu4_problem, random_problem
+from conftest import (
+    first_class_instance,
+    random_gu4_problem,
+    random_problem,
+    rank_failing_problem,
+)
 from usdisc import (
     DensityMatrix,
     UsdProblem,
     failure_lower_bound,
+    oracle,
     oracle_optimize,
     rank_condition_check,
     solve_gu_4d,
@@ -112,8 +120,72 @@ def test_oracle_result_fields():
     res = oracle_optimize(p)
     assert res.iterations > 0
     assert res.converged
+    assert res.stop == "converged"
     assert 0.0 <= res.duality_gap <= 1e-8
     assert 0.0 <= res.q_opt <= 1.0
     assert res.certificate.success_trace == float(np.trace(res.certificate.z).real)
     mn = psd_check(res.povm.eq)[1]
     assert mn >= -1e-9
+
+
+def test_oracle_converges_on_its_last_allowed_step(monkeypatch):
+    # the iterate the last allowed step produces is still measured
+    p = rank_failing_problem(np.random.default_rng(0), 5)
+    steps = oracle_optimize(p).iterations
+    monkeypatch.setattr(oracle, "MAX_STEPS", steps)
+    res = oracle_optimize(p)
+    assert (res.iterations, res.converged) == (steps, True)
+    assert res.stop == "converged"
+
+
+def test_oracle_stops_at_max_steps(monkeypatch):
+    p = rank_failing_problem(np.random.default_rng(0), 5)
+    monkeypatch.setattr(oracle, "MAX_STEPS", 3)
+    res = oracle_optimize(p)
+    assert (res.iterations, res.converged, res.stop) == (3, False, "max_steps")
+    assert validate_povm(p, res.povm).ok
+
+
+def test_oracle_stops_when_centring_runs_out(monkeypatch):
+    # no iterate meets a zero complementarity target, so once the gap is
+    # small the one allowed centring step is spent and the loop stops
+    p = rank_failing_problem(np.random.default_rng(0), 5)
+    monkeypatch.setattr(oracle, "COMPL_TOL", 0.0)
+    monkeypatch.setattr(oracle, "MAX_CENTRING", 1)
+    res = oracle_optimize(p)
+    assert (res.converged, res.stop) == (False, "max_centring")
+    assert 0.0 <= res.duality_gap <= 1e-8
+
+
+def test_oracle_keeps_the_last_iterate_on_a_linear_algebra_error(monkeypatch):
+    p = rank_failing_problem(np.random.default_rng(0), 5)
+    cholesky = np.linalg.cholesky
+    calls = []
+
+    def failing_third(a):
+        calls.append(a)
+        if len(calls) == 3:
+            raise np.linalg.LinAlgError("injected: matrix is not positive definite")
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing_third)
+    res = oracle_optimize(p)
+    assert (res.iterations, res.converged, res.stop) == (2, False, "lin_alg_error")
+    assert validate_povm(p, res.povm).ok
+
+
+def test_oracle_step_cost(monkeypatch):
+    # one factorisation, its inverse, at most two Schur solves and two
+    # step-length eigvalsh calls per Newton step
+    p = rank_failing_problem(np.random.default_rng(1), 5)
+    counts = Counter()
+    for name in ("cholesky", "inv", "solve", "eigvalsh"):
+        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    res = oracle_optimize(p)
+    assert res.converged
+    assert sum(counts.values()) <= 6 * res.iterations, (res.iterations, counts)
+    assert counts["cholesky"] == counts["inv"] == res.iterations
