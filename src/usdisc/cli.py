@@ -1,13 +1,19 @@
 """Command-line surface for solving, certifying and sweeping.
 
 Exit codes: 0 on success, 1 on invalid input or a report that fails
-certify, 2 on any other error (a numerical failure). Branch choice is
-the library's (solvers.solve). Identical invocations produce
-byte-identical output.
+certify, 2 on any other error (a numerical failure). An input that
+cannot be read and an output that cannot be written are invalid input,
+reported as "cannot read PATH: ..." or "cannot write PATH: ...". Branch
+choice is the library's (solvers.solve). Identical invocations produce
+byte-identical output. --output rewrites an existing file in place and
+then cuts it to the new length, so a process killed in between leaves
+the old file's tail after the new text.
 """
 
 import argparse
 import functools
+import os
+import stat
 import sys
 
 from . import bb84, serialize
@@ -62,16 +68,52 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, output_path):
-    if output_path:
-        with open(output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    """Write text to output_path, or to stdout when no path is given.
+
+    An existing file is rewritten in place: the text goes over the old
+    bytes, then a regular file is cut to the text's length (pipes, ttys
+    and devices would ignore O_TRUNC, so they are not cut). Opening with
+    O_TRUNC would cut the file to zero first, which on ext4 forces block
+    allocation and writeback on close, about ten times the cost of the
+    write; a temporary file moved over the output with os.replace also
+    forces writeback. The rewrite is not atomic, and neither is one with
+    O_TRUNC. A process killed between the write and the cut leaves the
+    new text followed by the old file's tail, where an O_TRUNC rewrite
+    would leave an empty or partial file. A report with such a tail is
+    not valid JSON, and certify rejects it.
+    """
+    if not output_path:
         sys.stdout.write(text)
+        return
+    data = text.encode("utf-8")
+    try:
+        fd = os.open(output_path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise InvalidInput(f"cannot write {output_path}: {exc.strerror}") from exc
+
+
+def _read_json(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise InvalidInput(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidInput(f"cannot read {path}: not UTF-8 ({exc.reason} "
+                           f"at offset {exc.start})") from exc
+    return serialize.loads(text)
 
 
 def _load_problem(args):
-    with open(args.input, "r", encoding="utf-8") as fh:
-        obj = serialize.loads(fh.read())
+    obj = _read_json(args.input)
     p = serialize.problem_from_obj(obj, renormalize=getattr(args, "renormalize", False))
     rep = validate_problem(p)
     if not rep.ok:
@@ -90,9 +132,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        obj = serialize.loads(fh.read())
-    p, report = serialize.report_from_obj(obj)
+    p, report = serialize.report_from_obj(_read_json(args.input))
     rep = audit_report(p, report)
     lines = [f"{name}: {value:.6e}" for name, value in sorted(rep.residuals.items())]
     lines.append("PASS" if rep.ok else "FAIL: " + ", ".join(rep.failures))
@@ -148,9 +188,6 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except InvalidInput as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: cannot read {exc.filename}\n")
         return 1
     except UsdError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")

@@ -175,8 +175,6 @@ def oracle_optimize(p: UsdProblem) -> OracleResult:
                 dz = np.linalg.solve(m, (w2 @ r @ wh).ravel()).reshape(d, d)
                 ds = mask * (wh @ dz @ w)
                 dx = _herm(r - x @ ds @ sinv)
-                # Eq follows A and B exactly, which keeps the primal feasible
-                dx[qb, qb] = -(w_ab @ dx @ w_abh)
                 return dz, np.array([dx, ds])
 
             def longest(dxs):

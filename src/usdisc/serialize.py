@@ -6,6 +6,7 @@ decimal form, so identical inputs give byte-identical documents.
 """
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -171,7 +172,66 @@ def report_from_obj(obj):
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Exactly json.dumps(obj, sort_keys=True, indent=2) + "\\n".
+
+    An indent makes json fall back to its pure-Python encoder, so the
+    common shapes (string-keyed dicts, lists, str, int, finite float) are
+    written here, each matrix row in one join.
+    """
+    out = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, newline, out):
+    """Append the text of value to out; newline starts a line at its depth."""
+    kind = type(value)
+    if kind is str:
+        out.append(_quote(value))
+        return
+    elif kind is float:
+        text = float.__repr__(value)
+        if "n" not in text:
+            out.append(text)
+            return
+    elif kind is int:
+        out.append(int.__repr__(value))
+        return
+    elif kind is list and value:
+        inner = newline + "  "
+        if type(value[0]) is float:
+            try:
+                text = ("," + inner).join(map(float.__repr__, value))
+            except TypeError:  # not every entry is a float
+                pass
+            else:
+                if "n" not in text:  # no nan or inf
+                    out.append("[" + inner + text + newline + "]")
+                    return
+        else:
+            lead = "[" + inner
+            for item in value:
+                out.append(lead)
+                _write(item, inner, out)
+                lead = "," + inner
+            out.append(newline + "]")
+            return
+    elif kind is dict and value and all(type(key) is str for key in value):
+        inner = newline + "  "
+        lead = "{" + inner
+        for key in sorted(value):
+            out.append(lead)
+            out.append(_quote(key))
+            out.append(": ")
+            _write(value[key], inner, out)
+            lead = "," + inner
+        out.append(newline + "}")
+        return
+    # NaN and the infinities, bool, None, empty containers, numpy scalars,
+    # float rows holding any of them: json's own text, moved to this depth
+    # (json text holds no raw newline but the ones its indent puts in)
+    out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", newline))
 
 
 def loads(text: str):

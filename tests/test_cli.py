@@ -1,5 +1,8 @@
 import argparse
 import json
+import os
+import pathlib
+import stat
 
 import numpy as np
 import pytest
@@ -433,6 +436,95 @@ def test_malformed_json_exit_code(tmp_path):
 
 def test_missing_file_exit_code(tmp_path):
     assert main(["solve", "--input", str(tmp_path / "absent.json")]) == 1
+
+
+def _file_error(tmp_path, capsys, argv):
+    inp = tmp_path / "problem.json"
+    write_problem(inp, bit_problem(0.3))
+    code = main([a.format(tmp=tmp_path) for a in argv])
+    return code, capsys.readouterr().err
+
+
+def test_output_in_missing_directory_is_a_write_error(tmp_path, capsys):
+    out = tmp_path / "missing_dir" / "r.json"
+    code, err = _file_error(tmp_path, capsys, ["solve", "--input", "{tmp}/problem.json",
+                                               "--output", str(out)])
+    assert code == 1
+    assert err == f"error: cannot write {out}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("argv, verb", [
+    (["solve", "--input", "{tmp}"], "read"),
+    (["certify", "--input", "{tmp}"], "read"),
+    (["solve", "--input", "{tmp}/problem.json", "--output", "{tmp}"], "write"),
+    (["bb84-mu0", "--output", "{tmp}"], "write"),
+])
+def test_directory_path_is_a_file_error(tmp_path, capsys, argv, verb):
+    code, err = _file_error(tmp_path, capsys, argv)
+    assert code == 1
+    assert err == f"error: cannot {verb} {tmp_path}: Is a directory\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "certify", "oracle"])
+def test_non_utf8_input_is_a_read_error(tmp_path, capsys, command):
+    inp = tmp_path / "problem.json"
+    inp.write_bytes(b'{"dim": "\xff"}')
+    assert main([command, "--input", str(inp)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {inp}: not UTF-8")
+
+
+def _solve_into(tmp_path, p, out):
+    inp = tmp_path / "problem.json"
+    write_problem(inp, p)
+    assert main(["solve", "--input", str(inp), "--output", str(out)]) == 0
+    return out.read_bytes()
+
+
+def test_shorter_rewrite_leaves_no_stale_bytes(tmp_path):
+    out = tmp_path / "report.json"
+    # the 5-dimensional report is longer than the 4-dimensional one
+    long_text = _solve_into(tmp_path, first_class_instance(np.random.default_rng(0), 5), out)
+    short = _solve_into(tmp_path, bit_problem(0.3), tmp_path / "fresh.json")
+    assert len(short) < len(long_text)
+    assert _solve_into(tmp_path, bit_problem(0.3), out) == short
+    # a certify verdict over a longer text
+    verdict, fresh = tmp_path / "certify.txt", tmp_path / "fresh.txt"
+    verdict.write_text("x" * 10_000 + "\n")
+    for path in (verdict, fresh):
+        assert main(["certify", "--input", str(out), "--output", str(path)]) == 0
+    assert verdict.read_bytes() == fresh.read_bytes()
+    assert verdict.read_text().endswith("PASS\n")
+
+
+def test_output_through_a_symlink_updates_the_target(tmp_path):
+    target = tmp_path / "target.csv"
+    target.write_text("old text that is longer than the answer\n" * 4)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert main(["bb84-mu0", "--output", str(link)]) == 0
+    assert link.is_symlink()
+    assert 0.7188 <= float(target.read_text()) <= 0.7198
+    assert target.read_text().count("\n") == 1
+
+
+def test_output_to_dev_null(tmp_path):
+    assert main(["bb84-mu0", "--output", os.devnull]) == 0
+    assert _solve_into(tmp_path, bit_problem(0.3), pathlib.Path(os.devnull)) == b""
+
+
+def test_new_output_file_gets_the_mode_of_open_w(tmp_path):
+    reference = tmp_path / "reference.txt"
+    out = tmp_path / "mu0.txt"
+    # with no umask the mode asked for is the mode given
+    umask = os.umask(0)
+    try:
+        with open(reference, "w"):
+            pass
+        assert main(["bb84-mu0", "--output", str(out)]) == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
 
 
 def test_unknown_flag_exits_one(capsys):

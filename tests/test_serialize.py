@@ -1,9 +1,13 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_problem
-from usdisc import serialize
-from usdisc import solve_gu_4d, validate_povm
+from conftest import first_class_instance, random_problem
+from usdisc import UsdProblem, cli, serialize
+from usdisc import solve, solve_gu_4d, validate_povm
 from usdisc.bb84 import bit_problem
 from usdisc.errors import InvalidInput
 from usdisc.solvers import Branch
@@ -108,3 +112,70 @@ def test_report_from_obj_rejects_unknown_branch():
     obj["branch"] = "NoSuchBranch"
     with pytest.raises(InvalidInput):
         serialize.report_from_obj(obj)
+
+
+def _reference(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+_floats = st.floats() | st.sampled_from(
+    [float("nan"), float("inf"), -float("inf"), -0.0, 1e-300, 1e22])
+_leaves = (st.none() | st.booleans() | st.integers() | _floats | st.text(max_size=6)
+           | st.lists(st.lists(_floats, max_size=4), max_size=4))
+_trees = st.recursive(
+    _leaves,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(_trees)
+def test_dumps_matches_json_on_generated_trees(obj):
+    assert serialize.dumps(obj) == _reference(obj)
+
+
+def test_dumps_matches_json_on_edge_values():
+    rows = [[float("nan"), 1.0], [-0.0, 1e-300], [1e22, -float("inf")], []]
+    obj = {"\u00e9\u03c1\U0001d4ac": rows, "b": [[1.0, 2.5], [3.0, 4.0]], "e": {}, "l": [],
+           "s": [True, None, 3, -7, "\n\"\\"], "x": {"z": [{}, [[]]]},
+           "np": [np.float64(0.1), np.float64(np.nan)], "nan": float("nan")}
+    assert serialize.dumps(obj) == _reference(obj)
+    for value in (1.5, -float("inf"), True, None, "\u00e9", 0, [], {}, [[]], [1.0, "a"],
+                  {"k": {2: [[1.0]], 1.5: None}}):
+        assert serialize.dumps(value) == _reference(value)
+
+
+def _bare_bit_pair():
+    p = bit_problem(0.3)
+    return UsdProblem(p.rho0, p.rho1, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("problem, branch", [
+    (first_class_instance(np.random.default_rng(0), 4), Branch.FIRST_CLASS_FIDELITY),
+    (bit_problem(0.3), Branch.GU_PROJECTIVE),
+    (_bare_bit_pair(), Branch.ORACLE_ONLY),
+])
+def test_dumps_matches_json_on_reports(problem, branch):
+    report = solve(problem)
+    assert report.branch is branch
+    obj = serialize.report_to_obj(problem, report)
+    assert serialize.dumps(obj) == _reference(obj)
+
+
+def test_dumps_matches_json_on_the_oracle_command_object(tmp_path, monkeypatch):
+    seen = []
+    dumps = serialize.dumps
+
+    def spy(obj):
+        seen.append(obj)
+        return dumps(obj)
+
+    monkeypatch.setattr(serialize, "dumps", spy)
+    inp = tmp_path / "problem.json"
+    inp.write_text(dumps(serialize.problem_to_obj(_bare_bit_pair())))
+    assert cli.main(["oracle", "--input", str(inp), "--output", str(tmp_path / "out.json")]) == 0
+    (obj,) = seen
+    assert {"converged", "stop", "povm"} <= obj.keys()
+    assert dumps(obj) == _reference(obj)
