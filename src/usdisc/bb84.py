@@ -227,7 +227,7 @@ def _solve_points(mu):
             part, part_fd, part_k, part_mn = bit, fd, k, mn
         else:
             part = bit.take(rows)
-            part_fd = FidelityData(fd.f0[rows], fd.f1[rows], fd.fidelity[rows])
+            part_fd = FidelityData(fd.f0[rows], fd.f1[rows], fd.polar[rows], fd.fidelity[rows])
             part_k, part_mn = k[rows], mn[rows]
         if side:
             report = solve_first_class(part, fd=part_fd)

@@ -3,10 +3,11 @@
 The two operators sqrt(sqrt(rho0) rho1 sqrt(rho0)) and its mirror share
 a trace, the fidelity F, which caps how well any error-free measurement
 can do: the inconclusive probability can never drop below
-2 sqrt(eta0 eta1) F. Whether that cap is attained is decided by the two
-rank-condition operators tested here. fidelity_operators and
-rank_condition_check also take a stacked problem and return per-instance
-values.
+2 sqrt(eta0 eta1) F. All three, and the polar unitary of the first-class
+witness, come from one SVD of sqrt(rho0) sqrt(rho1). Whether that cap
+is attained is decided by the two rank-condition operators tested here.
+fidelity_operators and rank_condition_check also take a stacked problem
+and return per-instance values.
 """
 
 import math
@@ -14,15 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchNotApplicable, InvalidInput
+from .errors import BranchNotApplicable, InvalidInput, NumericalFailure
 from .linalg import (
     REL_CUTOFF,
-    any_true,
+    all_true,
+    assemble,
+    dagger,
     hermitize,
     item_or_array,
     nonzero_mask,
     psd_check,
-    sqrt_psd,
     trace,
     unstack,
 )
@@ -34,6 +36,7 @@ from .problem import UsdProblem
 class FidelityData:
     f0: np.ndarray
     f1: np.ndarray
+    polar: np.ndarray  # W V^H, the unitary of the polar split
     fidelity: float
 
 
@@ -45,26 +48,27 @@ class RankConditionReport:
 
 
 def fidelity_operators(p: UsdProblem) -> FidelityData:
-    """Both fidelity operators and their shared trace.
-
-    The mirror trace is computed independently and cross checked rather
-    than assumed equal; a mismatch means the eigensolver drifted.
+    """Both fidelity operators, their shared trace F and the polar unitary,
+    from one SVD sqrt(rho0) sqrt(rho1) = W S V^H: F0 = W S W^H,
+    F1 = V S V^H, F = sum S and polar = W V^H. Singular values whose
+    square is below the rank cutoff are zeroed, as in the square root of
+    either sandwich. Before that cut, Re Tr(polar^H sqrt(rho0) sqrt(rho1))
+    must equal sum S within 1e-9; a miss means the SVD is inaccurate.
     """
-    r0, r1 = p.rho0.matrix, p.rho1.matrix
-    s0 = p.rho0.sqrt
-    s1 = p.rho1.sqrt
-    # both sandwiches in one stacked decomposition
-    f0, f1 = sqrt_psd(np.array([hermitize(s0 @ r1 @ s0), hermitize(s1 @ r0 @ s1)]))
-    t0 = trace(f0).real
-    t1 = trace(f1).real
-    gap = np.abs(t0 - t1)
-    if any_true(gap > 1e-9):
-        i = np.argmax(gap)
-        raise InvalidInput(
-            f"fidelity operator traces disagree: "
-            f"{np.ravel(t0)[i].item()!r} vs {np.ravel(t1)[i].item()!r}"
-        )
-    return FidelityData(f0=f0, f1=f1, fidelity=item_or_array(t0))
+    a = p.rho0.sqrt @ p.rho1.sqrt
+    try:
+        w, s, vh = np.linalg.svd(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"SVD did not converge: {exc}") from exc
+    polar = w @ vh
+    gap = np.abs(trace(dagger(polar) @ a).real - s.sum(axis=-1))
+    if not all_true(gap <= 1e-9):
+        i = np.argmax(~(gap <= 1e-9))
+        raise NumericalFailure("singular values miss the polar trace by "
+                               f"{np.ravel(gap)[i].item()!r}")
+    s = np.where(nonzero_mask(s * s), s, 0.0)
+    return FidelityData(assemble(s, w), assemble(s, dagger(vh)), polar,
+                        item_or_array(s.sum(axis=-1)))
 
 
 def failure_lower_bound(p: UsdProblem) -> float:

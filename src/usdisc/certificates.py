@@ -23,19 +23,20 @@ from typing import Optional
 
 import numpy as np
 
+from .bounds import FidelityData
 from .linalg import (
     all_true,
     at_least,
     dagger,
     eigh,
     form,
+    gram_norm,
     hermitize,
     inner,
     item_or_array,
     matvec,
     nonzero_mask,
     outer,
-    spectral_norm,
     trace,
     unstack,
 )
@@ -51,17 +52,20 @@ class OptimalityCertificate:
     success_trace: float = 0.0
 
 
-def build_fidelity_certificate(p: UsdProblem) -> OptimalityCertificate:
+def build_fidelity_certificate(p: UsdProblem, fd: FidelityData = None) -> OptimalityCertificate:
     """Closed-form witness for the regime where the fidelity bound is tight.
 
-    The unitary comes from a polar split of sqrt(rho0) sqrt(rho1); the
-    SVD completion is used on any rank-deficient part, which leaves the
-    certificate conditions untouched.
+    The unitary is the polar factor W V^H of sqrt(rho0) sqrt(rho1), taken
+    from fd or, without it, from an SVD here; its completion on any
+    rank-deficient part leaves the certificate conditions untouched.
     """
     s0 = p.rho0.sqrt
     s1 = p.rho1.sqrt
-    w, _, vh = np.linalg.svd(s0 @ s1)
-    vpol = w @ vh
+    if fd is None:
+        w, _, vh = np.linalg.svd(s0 @ s1)
+        vpol = w @ vh
+    else:
+        vpol = fd.polar
     ydag = -math.sqrt(p.eta0) * dagger(vpol) @ s0 + math.sqrt(p.eta1) * s1
     z = hermitize(dagger(ydag) @ ydag)
     return OptimalityCertificate(z=z, success_trace=item_or_array(trace(z).real))
@@ -112,7 +116,7 @@ def verify_certificate(p: UsdProblem, m: Povm, c: OptimalityCertificate,
 
     Equalities are reported as operator norms, inequalities as minimum
     eigenvalues of the kernel compressions (with the violation amount
-    checked against tol).
+    checked against tol). All six matrices take one eigenvalue call.
     """
     rep = ValidationReport()
     z = hermitize(np.asarray(c.z, dtype=complex))
@@ -120,13 +124,17 @@ def verify_certificate(p: UsdProblem, m: Povm, c: OptimalityCertificate,
     k0 = p.rho0.support.kernel_projector
     k1 = p.rho1.support.kernel_projector
 
-    # one stacked eigenvalue call for the three inequalities (hermitize
-    # leaves the already Hermitian z as it is) and one stacked SVD for
-    # the three equalities
-    zmin, mn1, mn0 = unstack(np.linalg.eigvalsh(hermitize(np.array([
-        z, k1 @ (z - p.eta0 * r0) @ k1, k0 @ (z - p.eta1 * r1) @ k0])))[..., 0])
-    annihilation, equality0, equality1 = unstack(spectral_norm(np.array([
-        z @ m.eq, m.e0 @ (z - p.eta0 * r0) @ m.e0, m.e1 @ (z - p.eta1 * r1) @ m.e1])))
+    # Z and the kernel compressions (hermitize leaves the already
+    # Hermitian z as it is), then the Gram matrix of Z Eq for its norm and
+    # the Hermitian equality residuals, whose norm is the larger magnitude
+    # at the ends of their spectrum
+    zeq = z @ m.eq
+    w = np.linalg.eigvalsh(hermitize(np.array([
+        z, k1 @ (z - p.eta0 * r0) @ k1, k0 @ (z - p.eta1 * r1) @ k0, dagger(zeq) @ zeq,
+        m.e0 @ (z - p.eta0 * r0) @ m.e0, m.e1 @ (z - p.eta1 * r1) @ m.e1])))
+    zmin, mn1, mn0 = unstack(w[:3, ..., 0])
+    annihilation = item_or_array(gram_norm(w[3]))
+    equality0, equality1 = unstack(np.maximum(-w[4:, ..., 0], w[4:, ..., -1]))
     rep.residuals["z_min_eig"] = zmin
     rep.check("z_psd", at_least(-zmin, 0.0), tol)
     rep.check("z_annihilates_eq", annihilation, tol)

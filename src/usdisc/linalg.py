@@ -45,7 +45,9 @@ def dagger(a: np.ndarray) -> np.ndarray:
 def hermitize(a: np.ndarray) -> np.ndarray:
     """Symmetrize away floating-point skew; callers must already be
     Hermitian up to rounding."""
-    return 0.5 * (a + a.conj().swapaxes(-1, -2))
+    h = a + dagger(a)
+    h *= 0.5
+    return h
 
 
 def max_abs(a: np.ndarray):
@@ -130,9 +132,13 @@ def require_hermitian(a, tol: float = HERM_TOL, name: str = "matrix") -> np.ndar
 
 
 def spectral_norm(a: np.ndarray):
-    """Largest singular value of each matrix; for Hermitian input the
-    largest |eigenvalue|."""
-    return item_or_array(np.linalg.svd(a, compute_uv=False)[..., 0])
+    """Largest singular value of each matrix, read off a^H a by gram_norm."""
+    return item_or_array(gram_norm(np.linalg.eigvalsh(hermitize(dagger(a) @ a))))
+
+
+def gram_norm(w: np.ndarray):
+    """Operator norm of each matrix a from the ascending spectrum w of a^H a."""
+    return np.sqrt(np.maximum(w[..., -1], 0.0))
 
 
 def nonzero_mask(w: np.ndarray, rel_cutoff: float = REL_CUTOFF,
@@ -170,7 +176,7 @@ class SupportDecomposition:
     rank: int
 
 
-def _assemble(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+def assemble(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return hermitize((v * w[..., None, :]) @ dagger(v))
 
 
@@ -235,7 +241,7 @@ class EigenSystem:
                     f"-{np.max(np.where(below, bound, 0.0)):.3e}"
                 )
         w = np.where(nonzero_mask(w, rel_cutoff), w, 0.0)
-        return _assemble(np.sqrt(w), self.eigenvectors)
+        return assemble(np.sqrt(w), self.eigenvectors)
 
     def pinv(self, rel_cutoff: float = REL_CUTOFF) -> np.ndarray:
         """Spectral pseudo-inverse; components below cutoff are dropped."""
@@ -243,7 +249,7 @@ class EigenSystem:
         mask = nonzero_mask(w, rel_cutoff, indefinite=True)
         inv = np.zeros_like(w)
         inv[mask] = 1.0 / w[mask]
-        return _assemble(inv, self.eigenvectors)
+        return assemble(inv, self.eigenvectors)
 
 
 def eigh(h: np.ndarray) -> EigenSystem:

@@ -42,6 +42,7 @@ import numpy as np
 
 from .certificates import OptimalityCertificate
 from .errors import InvalidInput
+from .linalg import dagger, hermitize
 from .problem import Povm, UsdProblem, failure_probability
 
 # Duality gap at which path following stops. Both objectives lie in
@@ -71,16 +72,6 @@ class OracleResult:
     @property
     def converged(self) -> bool:
         return self.stop == "converged"
-
-
-def _dag(a: np.ndarray) -> np.ndarray:
-    return a.conj().swapaxes(-1, -2)
-
-
-def _herm(a: np.ndarray) -> np.ndarray:
-    h = a + _dag(a)
-    h *= 0.5
-    return h
 
 
 def oracle_optimize(p: UsdProblem) -> OracleResult:
@@ -116,23 +107,23 @@ def oracle_optimize(p: UsdProblem) -> OracleResult:
     qb, ab, bb = blocks
     w_ab = wk[1] + wk[2]
     c = np.zeros((n, n), complex)
-    c[ab, ab] = p.eta0 * _dag(v1) @ r0m @ v1
-    c[bb, bb] = p.eta1 * _dag(v0) @ r1m @ v0
-    c = _herm(c)
+    c[ab, ab] = p.eta0 * dagger(v1) @ r0m @ v1
+    c[bb, bb] = p.eta1 * dagger(v0) @ r1m @ v0
+    c = hermitize(c)
     # loop invariants. The Schur matrix below is built at twice its value,
     # so its right-hand side is taken with 2W.
-    wh, wkh, w_abh = _dag(w).copy(), _dag(wk).copy(), _dag(w_ab).copy()
+    wh, wkh, w_abh = dagger(w).copy(), dagger(wk).copy(), dagger(w_ab).copy()
     w2 = 2.0 * w
     half_mask = 0.5 * mask
     root_n = np.sqrt(n)
 
     def with_inconclusive(x):
-        x[qb, qb] = _herm(eye - w_ab @ x @ w_abh)
+        x[qb, qb] = hermitize(eye - w_ab @ x @ w_abh)
         return x
 
     def slack(z):
         t = wh @ z @ w
-        return half_mask * (t + _dag(t)) - c
+        return half_mask * (t + dagger(t)) - c
 
     # A = B = I/3 keeps Eq >= I/3; Z = I leaves each kernel slack >= (1 - eta) I
     x = with_inconclusive(np.eye(n, dtype=complex) / 3.0)
@@ -160,7 +151,7 @@ def oracle_optimize(p: UsdProblem) -> OracleResult:
             # One Cholesky factorisation per iterate. The inverse factors
             # L^-1 serve both step-length tests, and S^-1 = Ls^-H Ls^-1.
             lo = np.linalg.inv(np.linalg.cholesky(np.array([x, s])))
-            loh = _dag(lo)
+            loh = dagger(lo)
             sinv = loh[1] @ lo[1]
             # Schur complement of the HKM system on row-major vec(dZ): the
             # sum over blocks of P dZ Q + Q dZ P, P = W X W^H and
@@ -174,7 +165,7 @@ def oracle_optimize(p: UsdProblem) -> OracleResult:
                 """dZ and the stack [dX, dS] for the right-hand side r."""
                 dz = np.linalg.solve(m, (w2 @ r @ wh).ravel()).reshape(d, d)
                 ds = mask * (wh @ dz @ w)
-                dx = _herm(r - x @ ds @ sinv)
+                dx = hermitize(r - x @ ds @ sinv)
                 return dz, np.array([dx, ds])
 
             def longest(dxs):
@@ -196,7 +187,7 @@ def oracle_optimize(p: UsdProblem) -> OracleResult:
                 # aim no lower than a quarter of the stopping gap: centring
                 # far below it runs into rounding
                 sigma = min(1.0, max((mu_aff / mu) ** 3, 0.25 * GAP_TOL / (n * mu)))
-                r = sigma * mu * sinv - x - _herm(dx @ ds @ sinv)
+                r = sigma * mu * sinv - x - hermitize(dx @ ds @ sinv)
             dz, dxs = direction(r)
             ap, ad = longest(dxs)
         except np.linalg.LinAlgError:
@@ -206,13 +197,13 @@ def oracle_optimize(p: UsdProblem) -> OracleResult:
         frac = 0.9 + 0.09 * min(ap, ad, 1.0)
         # dX's A and B blocks are exactly Hermitian, so X's stay so
         x = with_inconclusive(x + min(1.0, frac * ap) * dxs[0])
-        z = z + min(1.0, frac * ad) * _herm(dz)
+        z = z + min(1.0, frac * ad) * hermitize(dz)
         s = slack(z)
         steps += 1
 
-    e0 = _herm(v1 @ x[ab, ab] @ _dag(v1))
-    e1 = _herm(v0 @ x[bb, bb] @ _dag(v0))
-    povm = Povm(e0=e0, e1=e1, eq=_herm(eye - e0 - e1))
+    e0 = hermitize(v1 @ x[ab, ab] @ dagger(v1))
+    e1 = hermitize(v0 @ x[bb, bb] @ dagger(v0))
+    povm = Povm(e0=e0, e1=e1, eq=hermitize(eye - e0 - e1))
     q = float(failure_probability(p, povm)[0])
     trace = float(z.trace().real)
     return OracleResult(

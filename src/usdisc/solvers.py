@@ -203,7 +203,7 @@ def solve_first_class(p: UsdProblem, fd: FidelityData = None) -> SolutionReport:
     m = Povm(e0=e0, e1=e1, eq=eq)
     q, q0, q1 = failure_probability(p, m)
 
-    cert = build_fidelity_certificate(p)
+    cert = build_fidelity_certificate(p, fd)
     diagnostics = _gate_solution(p, m, cert)
     bound = 2.0 * math.sqrt(p.eta0 * p.eta1) * fd.fidelity
     diagnostics["fidelity"] = fd.fidelity

@@ -10,6 +10,7 @@ from usdisc import (
     fidelity_operators,
     prior_regime_bounds,
     rank_condition_check,
+    solve,
     solve_first_class,
     tighter_q0_bound,
 )
@@ -29,6 +30,20 @@ def test_fidelity_symmetric():
         f01 = fidelity_operators(p).fidelity
         f10 = fidelity_operators(_swap(p)).fidelity
         assert abs(f01 - f10) <= 1e-9
+
+
+def test_fidelity_cutoff_drops_a_singular_value_below_it_without_failing():
+    # sqrt(rho0) sqrt(rho1) has singular values 0.387 and 4.5e-7: the
+    # second one's square falls below the rank cutoff, so F leaves it out,
+    # and the trace-norm check, taken before the cut, still passes
+    e = np.eye(5, dtype=complex)
+    a = (e[0] + e[2]) / np.sqrt(2)
+    b = np.sqrt(1 - 1e-12) * e[3] + 1e-6 * e[1]
+    rho1 = 0.5 * np.outer(a, a.conj()) + 0.5 * np.outer(b, b.conj())
+    p = UsdProblem(DensityMatrix.from_matrix(np.diag([0.6, 0.4, 0, 0, 0]).astype(complex)),
+                   DensityMatrix.from_matrix(rho1), 0.5, 0.5)
+    assert fidelity_operators(p).fidelity == pytest.approx(np.sqrt(0.15), abs=1e-15)
+    assert solve(p).q_opt >= failure_lower_bound(p)
 
 
 def test_fidelity_unitary_invariant():

@@ -126,6 +126,20 @@ def test_fit_accepts_always_fail_on_identical_states():
     assert np.allclose(cert.z, 0.0)
 
 
+def test_fit_reaches_the_zero_witness_on_distinct_states_with_one_support():
+    # the fidelity witness of two distinct states is not zero, so it cannot
+    # annihilate Eq = I; the chain's last candidate, Z = 0, certifies
+    rho0 = np.array([[0.6, 0.2j, 0.0], [-0.2j, 0.4, 0.0], [0.0, 0.0, 0.0]])
+    rho1 = np.array([[0.3, -0.1, 0.0], [-0.1, 0.7, 0.0], [0.0, 0.0, 0.0]], complex)
+    p = UsdProblem(DensityMatrix.from_matrix(rho0), DensityMatrix.from_matrix(rho1), 0.4, 0.6)
+    m = always_fail_povm(3)
+    assert not verify_certificate(p, m, build_fidelity_certificate(p)).ok
+    cert = fit_certificate(p, m)
+    assert cert is not None
+    assert not np.any(cert.z)
+    assert verify_certificate(p, m, cert).ok
+
+
 def test_verify_flags_zero_witness_on_nontrivial_problem():
     p = bit_problem(0.5)
     rep, _ = solve_gu_4d(p)
@@ -227,7 +241,7 @@ def test_fit_builds_no_closed_form_for_a_verifying_candidate(monkeypatch):
     p = bit_problem(0.3)
     rep, _ = solve_gu_4d(p)
     assert _count_fit(monkeypatch, p, rep.povm, candidate=rep.certificate.z) == (
-        {"eigvalsh": 1, "svd": 1}, 0)
+        {"eigvalsh": 1}, 0)
 
 
 def test_fit_builds_each_closed_form_only_after_the_last_failed(monkeypatch):
@@ -236,11 +250,11 @@ def test_fit_builds_each_closed_form_only_after_the_last_failed(monkeypatch):
     p = bit_problem(0.3)
     rep, _ = solve_gu_4d(p)
     assert _count_fit(monkeypatch, p, rep.povm) == (
-        {"svd": 3, "eigvalsh": 2, "eigh": 1}, 1)
+        {"svd": 1, "eigvalsh": 2, "eigh": 1}, 1)
     # first class: the fidelity witness verifies and nothing else is built
     p = basis_problem(0.7)
     rep = solve_first_class(p)
-    assert _count_fit(monkeypatch, p, rep.povm) == ({"svd": 2, "eigvalsh": 1}, 1)
+    assert _count_fit(monkeypatch, p, rep.povm) == ({"svd": 1, "eigvalsh": 1}, 1)
 
 
 @pytest.mark.parametrize("mu", [0.2, 0.3, 0.4])

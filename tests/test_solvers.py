@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import first_class_instance, random_gu4_problem, random_pure_pair
+from test_check_passes import _count_calls
 from usdisc import (
     Branch,
     DensityMatrix,
     HostState,
     UsdProblem,
+    audit_report,
     failure_lower_bound,
     failure_probability,
     fidelity_operators,
@@ -53,6 +55,21 @@ def test_first_class_orthogonal_pure_states_never_fail():
     )
     rep = solve_first_class(p)
     assert rep.q_opt == pytest.approx(0.0, abs=1e-12)
+
+
+def test_first_class_orthogonal_mixed_states_never_fail():
+    # in a random basis the fidelity operators of orthogonal supports are
+    # rounding noise, which must not fail the solve
+    rng = np.random.default_rng(4)
+    q, _ = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+    rho0 = hermitize(q[:, :2] @ np.diag([0.7, 0.3]) @ q[:, :2].conj().T)
+    rho1 = hermitize(q[:, 2:] @ np.diag([0.5, 0.3, 0.2]) @ q[:, 2:].conj().T)
+    p = UsdProblem(DensityMatrix.from_matrix(rho0), DensityMatrix.from_matrix(rho1), 0.3, 0.7)
+    rep = solve(p)
+    assert rep.branch is Branch.FIRST_CLASS_FIDELITY
+    assert rep.q_opt == pytest.approx(0.0, abs=1e-12)
+    audit = audit_report(p, rep)
+    assert audit.ok, audit.failures
 
 
 def test_gu_solver_requires_equal_priors():
@@ -246,15 +263,15 @@ def test_reports_carry_diagnostics_and_certificates():
 
 
 @pytest.mark.parametrize("make, expected", [
-    (lambda: first_class_instance(np.random.default_rng(3), 4), 4),
-    (lambda: bit_problem(1.5), 4),
-    (lambda: bit_problem(0.3), 5),
+    (lambda: first_class_instance(np.random.default_rng(3), 4), 3),
+    (lambda: bit_problem(1.5), 3),
+    (lambda: bit_problem(0.3), 4),
 ], ids=["first_class", "symmetric_first_class", "projective"])
 def test_solve_decomposes_each_state_once(monkeypatch, make, expected):
-    # rho0, rho1, rho0 + rho1 and the two fidelity operators in one
-    # stacked call (plus the kernel-compressed involution on the
-    # projective side): every other spectral quantity is derived from
-    # these decompositions, and the router adds none
+    # rho0, rho1 and rho0 + rho1 (plus the kernel-compressed involution
+    # on the projective side), the fidelity operators coming from one
+    # SVD: every other spectral quantity is derived from these
+    # decompositions, and the router adds none
     p = make()
     calls = []
     eigh = np.linalg.eigh
@@ -266,3 +283,15 @@ def test_solve_decomposes_each_state_once(monkeypatch, make, expected):
     monkeypatch.setattr(np.linalg, "eigh", counted)
     solve(p)
     assert len(calls) == expected
+
+
+@pytest.mark.parametrize("make", [
+    lambda: first_class_instance(np.random.default_rng(3), 4),
+    lambda: bit_problem(1.5),
+    lambda: bit_problem(0.3),
+], ids=["first_class", "symmetric_first_class", "projective"])
+def test_solve_takes_one_svd(monkeypatch, make):
+    # the fidelity operators and the first-class witness share one SVD,
+    # and no check takes one
+    p = make()
+    assert _count_calls(monkeypatch, lambda: solve(p))["svd"] == 1
