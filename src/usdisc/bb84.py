@@ -7,10 +7,12 @@ sent: an involution-symmetric problem that changes solution family at a
 threshold photon number, located here by bisection on the closed-form
 spectrum.
 
-A sweep builds each question's states for the whole grid as one stack
-of 4 x 4 matrices and solves it in one pass through the analytic
-solvers (see solvers); each instance gets the bits a solve at its
-photon number alone would give.
+A sweep stacks both questions' states for the whole grid as 4 x 4
+matrices, decomposes the stack once and solves each question on its
+rows of it through the analytic solvers (see solvers); each instance
+gets the bits a solve at its photon number alone would give. The basis
+states are real-valued but kept complex, so that they share the bit
+states' stack.
 """
 
 import math
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import FidelityData
+from .bounds import fidelity_operators
 from .errors import InvalidInput, NumericalFailure, UsdError
 from .problem import DensityMatrix, UsdProblem, verify_gu_structure
 from .solvers import (
@@ -83,24 +85,17 @@ def coefficients(mu: float) -> CoherentBb84Model:
     return CoherentBb84Model(mu=mu, c=(c0, c1, c2, c3))
 
 
-def _state_entries(mu: float):
-    """Entries of rho_r and rho_0 at one photon number, in Python floats."""
-    c0, c1, c2, c3 = coefficients(mu).c
-    rho_r = [
-        [c0 * c0, 0.0, c0 * c2, 0.0],
-        [0.0, c1 * c1, 0.0, c1 * c3],
-        [c0 * c2, 0.0, c2 * c2, 0.0],
-        [0.0, c1 * c3, 0.0, c3 * c3],
-    ]
-    pm = (1.0 - 1j) / 2.0
-    mp = (1.0 + 1j) / 2.0
-    rho_0 = [
-        [c0 * c0, pm * c0 * c1, 0.0, mp * c0 * c3],
-        [mp * c1 * c0, c1 * c1, pm * c1 * c2, 0.0],
-        [0.0, mp * c2 * c1, c2 * c2, pm * c2 * c3],
-        [pm * c3 * c0, 0.0, mp * c3 * c2, c3 * c3],
-    ]
-    return rho_r, rho_0
+# rho_r and rho_0 as entrywise factors of the products c_i c_j; scaling
+# by the 1/2 in the phases is exact, so each entry has the bits of the
+# product written out
+_RHO_R_FACTORS = np.array([[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1]], complex)
+_PM, _MP = (1.0 - 1j) / 2.0, (1.0 + 1j) / 2.0
+_RHO_0_FACTORS = np.array([
+    [1.0, _PM, 0.0, _MP],
+    [_MP, 1.0, _PM, 0.0],
+    [0.0, _MP, 1.0, _PM],
+    [_PM, 0.0, _MP, 1.0],
+])
 
 
 def build_states(mu) -> Bb84States:
@@ -114,9 +109,10 @@ def build_states(mu) -> Bb84States:
     """
     if np.any(np.asarray(mu) <= 0):
         raise InvalidInput(f"mean photon number must be positive, got {mu!r}")
-    entries = [_state_entries(m) for m in np.atleast_1d(mu).tolist()]
-    rho_r = np.array([r for r, _ in entries], dtype=complex)
-    rho_0 = np.array([r for _, r in entries], dtype=complex)
+    c = np.array([coefficients(m).c for m in np.atleast_1d(mu).tolist()])
+    products = c[:, :, None] * c[:, None, :]
+    rho_r = products * _RHO_R_FACTORS
+    rho_0 = products * _RHO_0_FACTORS
     if np.ndim(mu) == 0:
         rho_r, rho_0 = rho_r[0], rho_0[0]
     u_basis = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
@@ -198,12 +194,35 @@ def find_mu0(tol: float = 1e-9) -> float:
     return locate_threshold(tol)[0]
 
 
+def _stacked_questions(mus):
+    """Both questions' states as one problem of 2N instances, basis
+    question first, and the bit involution; the states built on the way
+    are dropped on return."""
+    states = build_states(mus)
+    both = UsdProblem(
+        rho0=DensityMatrix(np.concatenate([states.rho_r.matrix, states.rho_0.matrix]), 2),
+        rho1=DensityMatrix(np.concatenate([states.rho_i.matrix, states.rho_1.matrix]), 2),
+        eta0=0.5, eta1=0.5,
+    )
+    return both, states.u_bit
+
+
 def _solve_points(mu):
-    """Sweep rows at one photon number (a float) or over a grid of them
-    (a list), each question solved as one stack."""
+    """Sweep rows at one photon number (a float) or over a grid of N of
+    them (a list). Both questions' states form one stack of 2N instances,
+    basis question first, so each state, each state sum and the fidelity
+    pair take one decomposition call for both; each question is then
+    solved on its own rows of the stack."""
     mus = np.atleast_1d(mu).tolist()
-    states = build_states(mu)
-    q_basis = np.atleast_1d(solve_first_class(states.basis_problem()).q_opt)
+    n = len(mus)
+    both, u_bit = _stacked_questions(mus)
+    # decompose the states and their sums here: every sub-stack taken
+    # below holds row slices of these decompositions
+    both.supports_overlap
+    fd = fidelity_operators(both)
+
+    basis = slice(None, n)
+    q_basis = solve_first_class(both.take(basis), fd=fd.take(basis)).q_opt.tolist()
     for m, q in zip(mus, q_basis):
         closed = q_basis_closed_form(m)
         if abs(q - closed) > 1e-8:
@@ -212,27 +231,22 @@ def _solve_points(mu):
                 f"from closed form {closed!r}"
             )
 
-    bit = states.bit_problem()
+    bit, bit_fd = both.take(slice(n, None), gu_involution=u_bit), fd.take(slice(n, None))
     u, k = gu_4d_preconditions(bit)
-    first_class, mn, fd = gu_4d_regime(bit)
-    first_class = np.atleast_1d(first_class)
-    q_bit = np.empty(len(mus))
+    first_class, mn, _ = gu_4d_regime(bit, bit_fd)
+    q_bit = np.empty(n)
     for side in (True, False):
         rows = np.flatnonzero(first_class == side)
         if rows.size == 0:
             continue
-        # the whole stack when every instance is on this side; a
-        # sub-stack keeps the stack's decompositions
-        if rows.size == len(mus):
-            part, part_fd, part_k, part_mn = bit, fd, k, mn
-        else:
-            part = bit.take(rows)
-            part_fd = FidelityData(fd.f0[rows], fd.f1[rows], fd.polar[rows], fd.fidelity[rows])
-            part_k, part_mn = k[rows], mn[rows]
+        if rows[-1] - rows[0] + 1 == rows.size:
+            # consecutive rows, as either side of the threshold on a grid
+            # is, are taken as a slice: views of the stack, not copies
+            rows = slice(int(rows[0]), int(rows[-1]) + 1)
         if side:
-            report = solve_first_class(part, fd=part_fd)
+            report = solve_first_class(bit.take(rows), fd=bit_fd.take(rows))
         else:
-            report, _ = gu_4d_projective(part, u, part_k, part_mn)
+            report, _ = gu_4d_projective(bit.take(rows), u, k[rows], mn[rows])
         q_bit[rows] = report.q_opt
     return [
         Bb84SweepRow(
@@ -240,7 +254,8 @@ def _solve_points(mu):
             branch_bit=Branch.FIRST_CLASS_FIDELITY if first else Branch.GU_PROJECTIVE,
             min_eig_rho0_minus_f0=me,
         )
-        for m, qb, qt, first, me in zip(mus, q_basis, q_bit, first_class, np.atleast_1d(mn))
+        for m, qb, qt, first, me in zip(mus, q_basis, q_bit.tolist(), first_class.tolist(),
+                                        mn.tolist())
     ]
 
 

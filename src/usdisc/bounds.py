@@ -39,6 +39,10 @@ class FidelityData:
     polar: np.ndarray  # W V^H, the unitary of the polar split
     fidelity: float
 
+    def take(self, rows) -> "FidelityData":
+        """The instances at the given indices of a stack's fidelity data."""
+        return FidelityData(self.f0[rows], self.f1[rows], self.polar[rows], self.fidelity[rows])
+
 
 @dataclass(frozen=True)
 class RankConditionReport:

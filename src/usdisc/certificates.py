@@ -26,6 +26,7 @@ import numpy as np
 from .bounds import FidelityData
 from .linalg import (
     all_true,
+    as_double,
     at_least,
     dagger,
     eigh,
@@ -110,6 +111,34 @@ def symmetric_projective_witness(p: UsdProblem, x: np.ndarray, u: np.ndarray) ->
     return alpha[..., None, None] * (xx + yy) + c[..., None, None] * (xy + dagger(xy))
 
 
+def _condition_spectra(p: UsdProblem, m: Povm, z: np.ndarray) -> np.ndarray:
+    """Ascending spectra of Z, the two kernel compressions, the Gram
+    matrix of Z Eq and the two equality residuals, from one eigenvalue
+    call. The six are written into one stack and symmetrized in place;
+    the stack is freed on return."""
+    r0, r1 = p.rho0.matrix, p.rho1.matrix
+    k0 = p.rho0.support.kernel_projector
+    k1 = p.rho1.support.kernel_projector
+    zeq = z @ m.eq
+    d0, d1 = z - p.eta0 * r0, z - p.eta1 * r1
+    a = np.empty((6,) + zeq.shape, np.result_type(zeq, d0, d1, k0, k1, m.e0, m.e1))
+    a[0] = z
+    np.matmul(k1 @ d0, k1, out=a[1])
+    np.matmul(k0 @ d1, k0, out=a[2])
+    np.matmul(dagger(zeq), zeq, out=a[3])
+    np.matmul(m.e0 @ d0, m.e0, out=a[4])
+    np.matmul(m.e1 @ d1, m.e1, out=a[5])
+    # a + a^H by real and imaginary part, each in place beside a copy of
+    # its transpose: half a stack, where a + dagger(a) takes two
+    re = a.real
+    re += re.swapaxes(-1, -2).copy()
+    if a.dtype.kind == "c":
+        im = a.imag
+        im -= im.swapaxes(-1, -2).copy()
+    a *= 0.5
+    return np.linalg.eigvalsh(a)
+
+
 def verify_certificate(p: UsdProblem, m: Povm, c: OptimalityCertificate,
                        tol: float = CERT_TOL) -> ValidationReport:
     """Evaluate all witness conditions and the trace identity.
@@ -119,19 +148,10 @@ def verify_certificate(p: UsdProblem, m: Povm, c: OptimalityCertificate,
     checked against tol). All six matrices take one eigenvalue call.
     """
     rep = ValidationReport()
-    z = hermitize(np.asarray(c.z, dtype=complex))
-    r0, r1 = p.rho0.matrix, p.rho1.matrix
-    k0 = p.rho0.support.kernel_projector
-    k1 = p.rho1.support.kernel_projector
-
-    # Z and the kernel compressions (hermitize leaves the already
-    # Hermitian z as it is), then the Gram matrix of Z Eq for its norm and
-    # the Hermitian equality residuals, whose norm is the larger magnitude
-    # at the ends of their spectrum
-    zeq = z @ m.eq
-    w = np.linalg.eigvalsh(hermitize(np.array([
-        z, k1 @ (z - p.eta0 * r0) @ k1, k0 @ (z - p.eta1 * r1) @ k0, dagger(zeq) @ zeq,
-        m.e0 @ (z - p.eta0 * r0) @ m.e0, m.e1 @ (z - p.eta1 * r1) @ m.e1])))
+    z = hermitize(as_double(c.z))
+    # symmetrizing leaves the already Hermitian z as it is; an equality
+    # residual's norm is the larger magnitude at the ends of its spectrum
+    w = _condition_spectra(p, m, z)
     zmin, mn1, mn0 = unstack(w[:3, ..., 0])
     annihilation = item_or_array(gram_norm(w[3]))
     equality0, equality1 = unstack(np.maximum(-w[4:, ..., 0], w[4:, ..., -1]))

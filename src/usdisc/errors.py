@@ -1,7 +1,8 @@
 """Exception types raised by the discrimination toolkit.
 
 The command line exits 1 on InvalidInput and 2 on any other error;
-solvers.solve hands a BranchNotApplicable over to the next branch.
+solvers.solve answers a BranchNotApplicable or NumericalFailure from an
+analytic branch by falling back to the oracle.
 """
 
 

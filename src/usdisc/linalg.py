@@ -1,10 +1,11 @@
 """Dense Hermitian linear algebra for small dimensions.
 
 Everything downstream (fidelity operators, measurement construction,
-certificates) reduces to eigendecompositions of complex Hermitian
-matrices of dimension at most ~16. This module wraps the dense
-eigensolver and derives from one decomposition the handful of spectral
-primitives the rest of the package needs: operator square root,
+certificates) reduces to eigendecompositions of Hermitian matrices of
+dimension at most ~16, real or complex: the dtype follows the input (see
+as_double), so a real problem runs in real arithmetic. This module wraps
+the dense eigensolver and derives from one decomposition the handful of
+spectral primitives the rest of the package needs: operator square root,
 pseudo-inverse, support and kernel projectors, all under one relative
 rank cutoff. Positivity tests use eigenvalues alone.
 
@@ -36,6 +37,12 @@ PSD_TOL = 1e-9
 
 # Hermiticity tolerance enforced at construction boundaries.
 HERM_TOL = 1e-12
+
+
+def as_double(a) -> np.ndarray:
+    """a as a float64 array, or as a complex128 one when a is complex."""
+    a = np.asarray(a)
+    return np.asarray(a, complex if a.dtype.kind == "c" else float)
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -118,7 +125,7 @@ def require_hermitian(a, tol: float = HERM_TOL, name: str = "matrix") -> np.ndar
 
     The residual is measured in the max norm relative to max(1, |a|_max).
     """
-    a = np.asarray(a, dtype=complex)
+    a = as_double(a)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise InvalidInput(f"{name} must be square, got shape {a.shape}")
     skew = max_abs(a - dagger(a))
@@ -256,7 +263,7 @@ def eigh(h: np.ndarray) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix. The eigenvector gauge is
     LAPACK's, a fixed function of the input; every consumer uses only
     gauge-invariant quantities."""
-    h = np.asarray(h, dtype=complex)
+    h = as_double(h)
     try:
         w, v = np.linalg.eigh(hermitize(h))
     except np.linalg.LinAlgError as exc:
@@ -286,7 +293,7 @@ def psd_check(a: np.ndarray, tol: float = PSD_TOL):
     The decision threshold is -tol * max(1, spectral norm); the exact
     minimum eigenvalue found is always returned.
     """
-    w = np.linalg.eigvalsh(hermitize(np.asarray(a, dtype=complex)))
+    w = np.linalg.eigvalsh(hermitize(as_double(a)))
     if not w.shape[-1]:
         return True, 0.0
     mn = item_or_array(w[..., 0])

@@ -28,6 +28,7 @@ from .linalg import (
     EigenSystem,
     SupportDecomposition,
     any_true,
+    as_double,
     at_least,
     dagger,
     eigh,
@@ -115,13 +116,15 @@ class UsdProblem:
         more than the rank of their sum."""
         return self.rho0.support.rank + self.rho1.support.rank > self.sum_spectrum.rank()
 
-    def take(self, rows) -> "UsdProblem":
-        """The instances at the given indices of a stacked problem. The
+    def take(self, rows, gu_involution=None) -> "UsdProblem":
+        """The instances at the given indices of a stacked problem, with
+        gu_involution or, when none is given, the stack's involution. The
         sub-stack holds the row slices of every decomposition this stack
         has already cached, so reading them calls no eigensolver."""
         sub = UsdProblem(
             rho0=_take_state(self.rho0, rows), rho1=_take_state(self.rho1, rows),
-            eta0=self.eta0, eta1=self.eta1, gu_involution=self.gu_involution,
+            eta0=self.eta0, eta1=self.eta1,
+            gu_involution=self.gu_involution if gu_involution is None else gu_involution,
         )
         _take_cached(self, sub, rows)
         return sub
@@ -294,7 +297,7 @@ def verify_gu_structure(rho0: DensityMatrix, rho1: DensityMatrix, u: np.ndarray,
     """Check that u is a Hermitian involution conjugating state 0 to state 1
     (every instance of a stack, by the one u)."""
     rep = ValidationReport()
-    u = np.asarray(u, dtype=complex)
+    u = as_double(u)
     if u.shape != rho0.matrix.shape[-2:]:
         rep.residuals["u_shape"] = 1.0
         rep.failures.append("u_shape")

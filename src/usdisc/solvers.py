@@ -33,10 +33,11 @@ from .certificates import (
     symmetric_projective_witness,
     verify_certificate,
 )
-from .errors import BranchNotApplicable, InvalidInput, UsdError
+from .errors import BranchNotApplicable, InvalidInput, NumericalFailure, UsdError
 from .linalg import (
     all_true,
     any_true,
+    as_double,
     eigh,
     form,
     hermitize,
@@ -246,7 +247,7 @@ def gu_4d_preconditions(p: UsdProblem):
         raise BranchNotApplicable(f"solver requires rank (2, 2), got {ranks}", cause="rank")
     if p.supports_overlap:
         raise InvalidInput("state supports overlap")
-    u = np.asarray(p.gu_involution, dtype=complex)
+    u = as_double(p.gu_involution)
     k1 = p.rho1.support.kernel_projector
     return u, hermitize(k1 @ u @ k1)
 
@@ -393,9 +394,10 @@ def solve(p: UsdProblem) -> SolutionReport:
 
     A problem inside the symmetric solver's scope (gu_4d_preconditions)
     goes to solve_gu_4d, which runs the first-class checks itself; any
-    other problem goes to solve_first_class. An analytic branch that
-    does not apply hands over to the interior-point oracle, whose dual Z
-    is the witness; the closed forms are tried only if it fails.
+    other problem goes to solve_first_class. A branch that does not
+    apply or fails numerically hands over to the interior-point oracle,
+    whose dual Z is the witness; the closed forms are tried only if it
+    fails.
     """
     try:
         gu = gu_4d_preconditions(p)
@@ -405,7 +407,7 @@ def solve(p: UsdProblem) -> SolutionReport:
         if gu is None:
             return solve_first_class(p)
         return _gu_4d_steps(p, *gu)[0]
-    except BranchNotApplicable:
+    except (BranchNotApplicable, NumericalFailure):
         pass
     result = oracle_optimize(p)
     q, q0, q1 = failure_probability(p, result.povm)
@@ -437,7 +439,7 @@ def spectrum_negation_check(p: UsdProblem, tol: float = 1e-9) -> bool:
         raise BranchNotApplicable(
             "problem declares no involution", cause="involution_missing"
         )
-    u = np.asarray(p.gu_involution, dtype=complex)
+    u = as_double(p.gu_involution)
     d0 = p.rho0.support
     inside = np.linalg.eigvalsh(hermitize(d0.support_projector @ u @ d0.support_projector))
     outside = np.linalg.eigvalsh(hermitize(d0.kernel_projector @ u @ d0.kernel_projector))

@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,9 +8,13 @@ from usdisc import (
     Branch,
     DensityMatrix,
     UsdProblem,
+    audit_report,
+    solve,
     solve_first_class,
     solve_gu_4d,
+    validate_povm,
     validate_problem,
+    verify_certificate,
     verify_gu_structure,
 )
 from usdisc.bb84 import (
@@ -25,6 +30,7 @@ from usdisc.bb84 import (
     sweep,
     sweep_csv,
 )
+from usdisc.cli import main
 from usdisc.errors import BranchNotApplicable, InvalidInput, UsdError
 from usdisc.linalg import eigh, hermitize
 from usdisc import fidelity_operators
@@ -171,6 +177,10 @@ def test_stacked_sweep_matches_scalar_solves_bitwise(monkeypatch, grid):
         assert {r.branch_bit for r in rows} == {Branch.GU_PROJECTIVE, Branch.FIRST_CLASS_FIDELITY}
     else:
         assert {r.branch_bit for r in rows} == {Branch.FIRST_CLASS_FIDELITY}
+    _assert_rows_match_scalar_solves(rows)
+
+
+def _assert_rows_match_scalar_solves(rows):
     for r in rows:
         st = build_states(r.mu)
         basis = solve_first_class(st.basis_problem())
@@ -179,6 +189,34 @@ def test_stacked_sweep_matches_scalar_solves_bitwise(monkeypatch, grid):
         assert r.q_bit == bit.q_opt
         assert r.branch_bit is bit.branch
         assert r.min_eig_rho0_minus_f0 == bit.diagnostics["op0_min_eig"]
+
+
+def test_sweep_solves_each_side_on_a_view_of_one_stack(monkeypatch):
+    import usdisc.bb84
+
+    owned = []
+    first_class = usdisc.bb84.solve_first_class
+
+    def recorded(p, fd=None):
+        owned.append(p.rho0.matrix.flags.owndata)
+        return first_class(p, fd=fd)
+
+    monkeypatch.setattr(usdisc.bb84, "solve_first_class", recorded)
+    sweep()
+    # the basis question and the bit question above the threshold
+    assert owned == [False, False]
+
+
+def test_points_in_any_order_match_scalar_solves_bitwise():
+    # neither side of the threshold is a run of consecutive rows here, so
+    # each side is solved on a copy of its rows instead of a view
+    import usdisc.bb84
+
+    mus = [1.5, 0.3, 2.0, 0.5, 0.8, 0.1]
+    rows = usdisc.bb84._solve_points(mus)
+    assert [r.mu for r in rows] == mus
+    assert [r.branch_bit for r in rows][:2] == [Branch.FIRST_CLASS_FIDELITY, Branch.GU_PROJECTIVE]
+    _assert_rows_match_scalar_solves(rows)
 
 
 def test_stacked_states_match_scalar_states_bitwise():
@@ -208,8 +246,9 @@ def test_sweep_falls_back_to_points_when_the_stack_fails(monkeypatch):
     expected = sweep_csv(sweep(0.5, 1.0, 0.1))
     projective = usdisc.bb84.gu_4d_projective
 
+    # each point is solved as a stack of one
     def stack_only_failure(p, u, k, op0_min_eig):
-        if np.ndim(k) > 2:
+        if len(k) > 1:
             raise BranchNotApplicable("injected failure on a stack", cause="certificate")
         return projective(p, u, k, op0_min_eig)
 
@@ -220,7 +259,7 @@ def test_sweep_falls_back_to_points_when_the_stack_fails(monkeypatch):
     assert len(calls) == 7
     # a failure at one point as well: the error names it and keeps its cause
     bad = 0.5 + 0.1
-    target = build_states(bad).rho_0.matrix
+    target = build_states([bad]).rho_0.matrix
 
     def point_failure(p, u, k, op0_min_eig):
         if np.array_equal(p.rho0.matrix, target):
@@ -272,5 +311,90 @@ def _count_eigen_calls(monkeypatch, fn):
 def test_sweep_eigen_calls_do_not_grow_with_the_grid(monkeypatch):
     full = _count_eigen_calls(monkeypatch, sweep)
     six = _count_eigen_calls(monkeypatch, lambda: sweep(0.5, 1.0, 0.1))
-    assert full <= 18
+    assert full <= 14
     assert full == six
+
+
+def _solved_arrays(p):
+    """Every array a solve of p decomposes, builds or returns."""
+    rep = solve(p)
+    fd = fidelity_operators(p)
+    return [p.rho0.spectrum.eigenvectors, p.rho1.spectrum.eigenvectors,
+            p.sum_spectrum.eigenvectors, p.rho0.sqrt, p.rho1.sqrt,
+            fd.f0, fd.f1, fd.polar, rep.povm.e0, rep.povm.e1, rep.povm.eq,
+            rep.certificate.z]
+
+
+def _real_copy(p):
+    """p with its states and involution stored as float64 arrays; the
+    basis question's entries are real products, so nothing is dropped."""
+    for a in (p.rho0.matrix, p.rho1.matrix, p.gu_involution):
+        assert not a.imag.any()
+    return UsdProblem(DensityMatrix.from_matrix(p.rho0.matrix.real),
+                      DensityMatrix.from_matrix(p.rho1.matrix.real),
+                      p.eta0, p.eta1, gu_involution=p.gu_involution.real)
+
+
+@pytest.mark.parametrize("mu", [0.3, 1.5, GRID[::7]], ids=["projective", "first_class", "stack"])
+def test_real_valued_problem_is_solved_in_real_arithmetic(mu):
+    # the dtype follows the input: a real basis question stays float64
+    # through every decomposition, the measurement and the witness, and
+    # the bit question, complex by construction, stays complex128
+    st = build_states(mu)
+    assert all(a.dtype == np.float64 for a in _solved_arrays(_real_copy(st.basis_problem())))
+    bit = st.bit_problem()
+    if np.ndim(mu):
+        bit = bit.take([0])
+    assert all(a.dtype == np.complex128 for a in _solved_arrays(bit))
+
+
+@pytest.mark.parametrize("mu", [0.3, GRID], ids=["point", "default_grid"])
+def test_real_basis_problem_matches_the_complex_one(mu):
+    complex_problem = build_states(mu).basis_problem()
+    reps = []
+    for p in (_real_copy(complex_problem), complex_problem):
+        rep = solve_first_class(p)
+        assert validate_povm(p, rep.povm).ok
+        assert verify_certificate(p, rep.povm, rep.certificate).ok
+        reps.append(rep)
+    assert np.max(np.abs(np.asarray(reps[0].q_opt) - reps[1].q_opt)) <= 1e-15
+
+
+@pytest.mark.parametrize("mu", [0.3, 1.5], ids=["projective", "first_class"])
+def test_real_form_of_the_bit_question_solves_alike(mu):
+    # the phases diag(exp(-i k pi / 4)) make the bit states real up to
+    # rounding; their real parts take the float64 path through the
+    # symmetric solver and, without the involution, through the oracle
+    phases = np.diag(np.exp(-0.25j * np.pi * np.arange(4)))
+    p = bit_problem(mu)
+    real = [phases @ a @ phases.conj().T for a in (p.rho0.matrix, p.rho1.matrix, p.gu_involution)]
+    assert max(np.abs(a.imag).max() for a in real) <= 1e-16
+    r0, r1, u = (a.real for a in real)
+    reference = solve(p)
+    for q in (UsdProblem(DensityMatrix.from_matrix(r0), DensityMatrix.from_matrix(r1), 0.5, 0.5,
+                         gu_involution=u),
+              UsdProblem(DensityMatrix.from_matrix(r0), DensityMatrix.from_matrix(r1), 0.5, 0.5)):
+        rep = solve(q)
+        assert audit_report(q, rep).ok
+        assert rep.q_opt == pytest.approx(reference.q_opt, abs=1e-9)
+        if q.gu_involution is not None:
+            assert rep.branch is reference.branch
+            assert rep.q_opt == pytest.approx(reference.q_opt, abs=1e-14)
+
+
+def test_default_sweep_matches_the_reference_table(tmp_path):
+    # a reference table of the default grid: the photon numbers and
+    # branches must match exactly and the failure probabilities to
+    # rounding; min_eig is rounding noise on the first-class rows, so it
+    # is compared in absolute terms
+    out = tmp_path / "sweep.csv"
+    assert main(["bb84-sweep", "--output", str(out)]) == 0
+    ref = (Path(__file__).parent / "data" / "bb84_sweep_default.csv").read_text()
+    got_rows = [line.split(",") for line in out.read_text().splitlines()]
+    ref_rows = [line.split(",") for line in ref.splitlines()]
+    assert got_rows[0] == ref_rows[0] == ["mu", "q_basis", "q_bit", "branch_bit", "min_eig"]
+    assert len(got_rows) == len(ref_rows) == 61
+    for got, want in zip(got_rows[1:], ref_rows[1:]):
+        assert (got[0], got[3]) == (want[0], want[3])
+        for col in (1, 2, 4):
+            assert abs(float(got[col]) - float(want[col])) <= 1e-12, (want[0], col)

@@ -99,6 +99,22 @@ def test_take_reuses_the_stack_decompositions(monkeypatch):
     assert sub.supports_overlap == fresh.supports_overlap
 
 
+def test_take_can_give_the_rows_an_involution(monkeypatch):
+    # a sweep stacks both questions without an involution and gives the
+    # bit question's rows the bit involution
+    st = build_states(GRID[:6])
+    bare = UsdProblem(st.rho_0, st.rho_1, 0.5, 0.5)
+    _decompose(bare)
+    sub = bare.take(slice(1, 4), gu_involution=st.u_bit)
+    assert sub.gu_involution is st.u_bit
+    assert bare.take([0]).gu_involution is None
+    assert sub.take([0]).gu_involution is st.u_bit
+    assert _count_calls(monkeypatch, lambda: _decompose(sub))["eigh"] == 0
+    # a slice of rows takes views of the stack's decompositions
+    assert np.shares_memory(sub.rho0.sqrt, bare.rho0.sqrt)
+    assert np.shares_memory(sub.sum_spectrum.eigenvectors, bare.sum_spectrum.eigenvectors)
+
+
 def test_take_of_an_undecomposed_stack_decomposes_lazily(monkeypatch):
     stack = build_states(GRID[:4]).bit_problem()
     sub = stack.take([1, 2])

@@ -148,3 +148,32 @@ def test_psd_check_signs():
     ok, mn = psd_check(np.diag([0.5, -1e-3]))
     assert not ok
     assert mn == pytest.approx(-1e-3)
+
+
+@pytest.mark.parametrize("dtype", [int, bool])
+def test_integer_and_bool_matrices_come_out_float64(dtype):
+    # hermitize halves in place, which an integer array would refuse
+    a = np.array([[2, 1, 0], [1, 2, 0], [0, 0, 0]], dtype=dtype)
+    sys = eigh(a)
+    assert sys.eigenvalues.dtype == np.float64 and sys.eigenvectors.dtype == np.float64
+    assert sqrt_psd(a).dtype == np.float64
+    assert require_hermitian(a).dtype == np.float64
+    np.testing.assert_allclose(require_hermitian(a), a, atol=0.0)
+    ok, mn = psd_check(a)
+    assert ok and mn == pytest.approx(0.0, abs=1e-15)
+    ok, mn = psd_check(np.array([a, a]))
+    assert ok.all() and mn.dtype == np.float64
+
+
+@pytest.mark.parametrize("dtype, expected", [
+    (np.float32, np.float64),
+    (np.float64, np.float64),
+    (np.complex64, np.complex128),
+    (np.complex128, np.complex128),
+])
+def test_dtype_follows_the_input(dtype, expected):
+    a = rand_psd(np.random.default_rng(2), 4)
+    a = (a.real if np.dtype(dtype).kind == "f" else a).astype(dtype)
+    assert require_hermitian(a, tol=1e-6).dtype == expected
+    assert eigh(a).eigenvectors.dtype == expected
+    assert sqrt_psd(a).dtype == expected

@@ -21,8 +21,8 @@ from usdisc import (
     split_off_extraction,
     validate_povm,
 )
-from usdisc.bb84 import bit_problem, find_mu0
-from usdisc.errors import BranchNotApplicable
+from usdisc.bb84 import basis_problem, bit_problem, find_mu0
+from usdisc.errors import BranchNotApplicable, NumericalFailure
 from usdisc.linalg import hermitize, psd_check, spectral_norm
 from usdisc.solvers import _signed_kernel_eigs
 
@@ -295,3 +295,25 @@ def test_solve_takes_one_svd(monkeypatch, make):
     # and no check takes one
     p = make()
     assert _count_calls(monkeypatch, lambda: solve(p))["svd"] == 1
+
+
+@pytest.mark.parametrize("make", [
+    lambda: first_class_instance(np.random.default_rng(3), 4),
+    lambda: bit_problem(1.5),
+    lambda: bit_problem(0.3),
+    lambda: basis_problem(0.3),
+], ids=["first_class", "symmetric_first_class", "projective", "real_basis"])
+def test_solve_falls_back_on_a_numerical_failure(monkeypatch, make):
+    # a failed SVD or polar-trace check in an analytic branch hands the
+    # problem to the oracle instead of aborting the solve
+    import usdisc.solvers
+
+    def failing(p):
+        raise NumericalFailure("injected SVD failure")
+
+    monkeypatch.setattr(usdisc.solvers, "fidelity_operators", failing)
+    p = make()
+    rep = solve(p)
+    assert rep.branch is Branch.ORACLE_ONLY
+    audit = audit_report(p, rep)
+    assert audit.ok, audit.failures
