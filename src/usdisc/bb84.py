@@ -8,11 +8,12 @@ threshold photon number, located here by bisection on the closed-form
 spectrum.
 
 A sweep stacks both questions' states for the whole grid as 4 x 4
-matrices, decomposes the stack once and solves each question on its
-rows of it through the analytic solvers (see solvers); each instance
-gets the bits a solve at its photon number alone would give. The basis
-states are real-valued but kept complex, so that they share the bit
-states' stack.
+matrices, decomposes the stack once (the states, their sums, the
+fidelity pair and both questions' rank-condition spectra) and solves
+each question on its rows of it through the analytic solvers (see
+solvers); each instance gets the bits a solve at its photon number
+alone would give. The basis states are real-valued but kept complex,
+so that they share the bit states' stack.
 """
 
 import math
@@ -216,10 +217,13 @@ def _solve_points(mu):
     mus = np.atleast_1d(mu).tolist()
     n = len(mus)
     both, u_bit = _stacked_questions(mus)
-    # decompose the states and their sums here: every sub-stack taken
-    # below holds row slices of these decompositions
+    # decompose the states, their sums and both questions' rank-condition
+    # operators here: every sub-stack taken below holds row slices of
+    # these decompositions, so the basis rank check, the bit regime and
+    # the bit rank check read one eigenvalue call
     both.supports_overlap
     fd = fidelity_operators(both)
+    fd.rank_spectrum
 
     basis = slice(None, n)
     q_basis = solve_first_class(both.take(basis), fd=fd.take(basis)).q_opt.tolist()
@@ -289,7 +293,13 @@ def sweep(mu_start: float = DEFAULT_GRID[0], mu_end: float = DEFAULT_GRID[1],
 
 
 def sweep_csv(rows) -> str:
-    """Serialize sweep rows with the fixed header and 12 significant digits."""
+    """Serialize sweep rows with the fixed header and 12 significant digits.
+
+    min_eig is the lowest eigenvalue of the bit question's rho0 - F0. That
+    operator vanishes on the kernel of rho0, so the column reads
+    min(its lowest eigenvalue on the support of rho0, 0): negative on the
+    projective rows and exactly 0 on the first-class ones.
+    """
     lines = ["mu,q_basis,q_bit,branch_bit,min_eig"]
     for r in rows:
         lines.append(

@@ -3,15 +3,20 @@
 The two operators sqrt(sqrt(rho0) rho1 sqrt(rho0)) and its mirror share
 a trace, the fidelity F, which caps how well any error-free measurement
 can do: the inconclusive probability can never drop below
-2 sqrt(eta0 eta1) F. All three, and the polar unitary of the first-class
-witness, come from one SVD of sqrt(rho0) sqrt(rho1). Whether that cap
-is attained is decided by the two rank-condition operators tested here.
-fidelity_operators and rank_condition_check also take a stacked problem
-and return per-instance values.
+2 sqrt(eta0 eta1) F. Each lives on one state's support, and so does
+each rank-condition operator, rho0 - gamma F0 and rho1 - F1 / gamma,
+whose joint positivity decides whether that cap is attained. All of
+them, and the polar unitary, come from one SVD of the r0 x r1 support
+core of sqrt(rho0) sqrt(rho1); both
+rank-condition spectra come from one eigenvalue call in support
+coordinates, cached on the FidelityData for every check that reads
+them. fidelity_operators and rank_condition_check also take a stacked
+problem and return per-instance values.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,8 +29,7 @@ from .linalg import (
     hermitize,
     item_or_array,
     nonzero_mask,
-    psd_check,
-    trace,
+    psd_verdict,
     unstack,
 )
 from .problem import UsdProblem
@@ -34,14 +38,66 @@ from .problem import UsdProblem
 # For a stacked problem each field of these two holds per-instance values.
 @dataclass(frozen=True)
 class FidelityData:
-    f0: np.ndarray
-    f1: np.ndarray
-    polar: np.ndarray  # W V^H, the unitary of the polar split
+    """The fidelity pair of a problem in support coordinates (see
+    fidelity_operators): the SVD w S v^H of its r0 x r1 support core, the
+    states' eigenvectors (support columns B0, B1 last) and both
+    rank-condition operators. The d x d operators are built from these
+    on first use: F0 = left S left^H with left = B0 w, F1 = right S right^H
+    with right = B1 v, and the polar unitary."""
+
+    s: np.ndarray  # the singular values, cut as fidelity_operators says
+    w: np.ndarray
+    v: np.ndarray
+    core_polar: np.ndarray  # w v^H on the pairs of singular vectors, r0 x r1
+    vectors0: np.ndarray
+    vectors1: np.ndarray
     fidelity: float
+    # Lambda0 - gamma w S w^H and Lambda1 - v S v^H / gamma, each
+    # zero-padded to max(r0, r1), stacked along a new first axis
+    rank_operators: np.ndarray
+
+    @cached_property
+    def left(self) -> np.ndarray:
+        return self.vectors0[..., self.vectors0.shape[-1] - self.w.shape[-1]:] @ self.w
+
+    @cached_property
+    def right(self) -> np.ndarray:
+        return self.vectors1[..., self.vectors1.shape[-1] - self.v.shape[-1]:] @ self.v
+
+    @cached_property
+    def f0(self) -> np.ndarray:
+        return assemble(self.s, self.left[..., :self.s.shape[-1]])
+
+    @cached_property
+    def f1(self) -> np.ndarray:
+        return assemble(self.s, self.right[..., :self.s.shape[-1]])
+
+    @cached_property
+    def polar(self) -> np.ndarray:
+        """A d x d unitary that maps each column of right to the same
+        column of left: the product of [left, kernel columns of rho0]
+        and the adjoint of [right, kernel columns of rho1]."""
+        d = self.vectors0.shape[-1]
+        u0 = np.concatenate([self.left, self.vectors0[..., :d - self.w.shape[-1]]], axis=-1)
+        u1 = np.concatenate([self.right, self.vectors1[..., :d - self.v.shape[-1]]], axis=-1)
+        return u0 @ dagger(u1)
+
+    @cached_property
+    def rank_spectrum(self) -> np.ndarray:
+        """Ascending spectra of both rank_operators, from one call."""
+        return np.linalg.eigvalsh(self.rank_operators)
 
     def take(self, rows) -> "FidelityData":
-        """The instances at the given indices of a stack's fidelity data."""
-        return FidelityData(self.f0[rows], self.f1[rows], self.polar[rows], self.fidelity[rows])
+        """The instances at the given indices of a stack's fidelity data,
+        with the row slices of whatever it has cached."""
+        pair = (slice(None), rows)
+        sub = FidelityData(self.s[rows], self.w[rows], self.v[rows], self.core_polar[rows],
+                           self.vectors0[rows], self.vectors1[rows], self.fidelity[rows],
+                           self.rank_operators[pair])
+        for name in ("left", "right", "f0", "f1", "polar", "rank_spectrum"):
+            if name in vars(self):
+                vars(sub)[name] = vars(self)[name][pair if name == "rank_spectrum" else rows]
+        return sub
 
 
 @dataclass(frozen=True)
@@ -52,27 +108,52 @@ class RankConditionReport:
 
 
 def fidelity_operators(p: UsdProblem) -> FidelityData:
-    """Both fidelity operators, their shared trace F and the polar unitary,
-    from one SVD sqrt(rho0) sqrt(rho1) = W S V^H: F0 = W S W^H,
-    F1 = V S V^H, F = sum S and polar = W V^H. Singular values whose
-    square is below the rank cutoff are zeroed, as in the square root of
-    either sandwich. Before that cut, Re Tr(polar^H sqrt(rho0) sqrt(rho1))
-    must equal sum S within 1e-9; a miss means the SVD is inaccurate.
+    """Both fidelity operators, their shared trace F, the polar unitary
+    and the rank-condition operators, from one SVD of the r0 x r1 support
+    core C = X0^H X1 = sqrt(Lambda0) B0^H B1 sqrt(Lambda1), where
+    rho_i = B_i Lambda_i B_i^H = X_i X_i^H on its support columns B_i
+    (DensityMatrix.factor). Then sqrt(rho0) sqrt(rho1) = B0 C B1^H, so
+    C = w S v^H gives F0 = (B0 w) S (B0 w)^H, F1 = (B1 v) S (B1 v)^H and
+    F = sum S. The polar unitary completes [B0 w, kernel columns of rho0]
+    and [B1 v, kernel columns of rho1] to unitaries and takes their
+    product. Singular values whose square is below the rank cutoff are
+    zeroed, as in the square root of either sandwich. Before that cut,
+    Re Tr((w v^H)^H C) must equal sum S within 1e-9; a miss means the SVD
+    is inaccurate.
     """
-    a = p.rho0.sqrt @ p.rho1.sqrt
+    d = p.dim
+    r0, r1 = p.rho0.support.rank, p.rho1.support.rank
+    core = dagger(p.rho0.factor) @ p.rho1.factor
     try:
-        w, s, vh = np.linalg.svd(a)
+        w, s, vh = np.linalg.svd(core)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"SVD did not converge: {exc}") from exc
-    polar = w @ vh
-    gap = np.abs(trace(dagger(polar) @ a).real - s.sum(axis=-1))
+    k = s.shape[-1]
+    v = dagger(vh)
+    core_polar = w[..., :k] @ vh[..., :k, :]
+    gap = np.abs((core_polar.conj() * core).real.sum(axis=(-2, -1)) - s.sum(axis=-1))
     if not all_true(gap <= 1e-9):
         i = np.argmax(~(gap <= 1e-9))
         raise NumericalFailure("singular values miss the polar trace by "
                                f"{np.ravel(gap)[i].item()!r}")
     s = np.where(nonzero_mask(s * s), s, 0.0)
-    return FidelityData(assemble(s, w), assemble(s, dagger(vh)), polar,
-                        item_or_array(s.sum(axis=-1)))
+
+    # Lambda_i on the diagonal of a zero stack, the Gram matrices of the
+    # singular vectors weighted by gamma S and S / gamma subtracted; a
+    # nonpositive prior leaves gamma undefined, and rank_conditions
+    # refuses such a problem before it reads them
+    gamma = math.sqrt(p.eta1 / p.eta0) if p.eta0 > 0.0 and p.eta1 > 0.0 else math.nan
+    m = max(r0, r1)
+    ops = np.zeros((2,) + core.shape[:-2] + (m, m), core.dtype)
+    diag = ops.reshape(ops.shape[:-2] + (m * m,))
+    for i, (lam, u, scale) in enumerate((
+            (p.rho0.spectrum.eigenvalues[..., d - r0:], w[..., :k], gamma),
+            (p.rho1.spectrum.eigenvalues[..., d - r1:], v[..., :k], 1.0 / gamma))):
+        r = lam.shape[-1]
+        diag[i, ..., :r * (m + 1):m + 1] = lam
+        ops[i, ..., :r, :r] -= (u * (scale * s)[..., None, :]) @ dagger(u)
+    return FidelityData(s, w, v, core_polar, p.rho0.spectrum.eigenvectors,
+                        p.rho1.spectrum.eigenvectors, item_or_array(s.sum(axis=-1)), ops)
 
 
 def failure_lower_bound(p: UsdProblem) -> float:
@@ -81,18 +162,30 @@ def failure_lower_bound(p: UsdProblem) -> float:
     return min(1.0, max(0.0, 2.0 * math.sqrt(p.eta0 * p.eta1) * fd.fidelity))
 
 
-def rank_condition_check(p: UsdProblem, fd: FidelityData = None) -> RankConditionReport:
-    """Minimum eigenvalues of the two operators whose joint positivity
-    marks the regime where the fidelity bound is attained."""
+def rank_conditions(p: UsdProblem, fd: FidelityData = None):
+    """(is_psd, min_eigenvalue) of rho0 - gamma F0 and of rho1 - F1 / gamma,
+    stacked along a new first axis, read off fd's cached rank spectrum.
+
+    Each operator vanishes on its state's kernel, which a pair whose
+    supports do not overlap never has empty, so its minimum eigenvalue
+    is min(lowest support-coordinate eigenvalue, 0), exactly.
+    """
     if p.supports_overlap:
         raise InvalidInput(
             "state supports overlap; reduce the problem before testing rank conditions"
         )
+    if not (p.eta0 > 0.0 and p.eta1 > 0.0):
+        raise InvalidInput(f"rank conditions need positive priors, got {p.eta0!r}, {p.eta1!r}")
     if fd is None:
         fd = fidelity_operators(p)
-    gamma = math.sqrt(p.eta1 / p.eta0)
-    ok, mn = psd_check(np.array([p.rho0.matrix - gamma * fd.f0,
-                                 p.rho1.matrix - fd.f1 / gamma]))
+    ok, mn = psd_verdict(fd.rank_spectrum)
+    return ok, np.minimum(mn, 0.0)
+
+
+def rank_condition_check(p: UsdProblem, fd: FidelityData = None) -> RankConditionReport:
+    """Minimum eigenvalues of the two operators whose joint positivity
+    marks the regime where the fidelity bound is attained."""
+    ok, mn = rank_conditions(p, fd)
     (ok0, ok1), (mn0, mn1) = unstack(ok), unstack(mn)
     return RankConditionReport(op0_min_eig=mn0, op1_min_eig=mn1,
                                both_psd=ok0 & ok1)

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import FidelityData
+from .bounds import FidelityData, fidelity_operators
 from .linalg import (
     all_true,
     as_double,
@@ -56,19 +56,20 @@ class OptimalityCertificate:
 def build_fidelity_certificate(p: UsdProblem, fd: FidelityData = None) -> OptimalityCertificate:
     """Closed-form witness for the regime where the fidelity bound is tight.
 
-    The unitary is the polar factor W V^H of sqrt(rho0) sqrt(rho1), taken
-    from fd or, without it, from an SVD here; its completion on any
-    rank-deficient part leaves the certificate conditions untouched.
+    Z = Y Y^H with Y = sqrt(eta1) sqrt(rho1) - sqrt(eta0) sqrt(rho0) polar,
+    for fd's polar unitary (fidelity_operators(p) without fd). That
+    expands to eta0 rho0 + eta1 rho1 - sqrt(eta0 eta1) (X + X^H) with
+    X = sqrt(rho0) polar sqrt(rho1), and the unitary enters X only through
+    B0^H polar B1 = w v^H, the polar factor of the support core. So X is
+    built on the support factors as X0 (w v^H) X1^H, and the completion of
+    the polar unitary off the supports leaves the certificate conditions
+    untouched.
     """
-    s0 = p.rho0.sqrt
-    s1 = p.rho1.sqrt
     if fd is None:
-        w, _, vh = np.linalg.svd(s0 @ s1)
-        vpol = w @ vh
-    else:
-        vpol = fd.polar
-    ydag = -math.sqrt(p.eta0) * dagger(vpol) @ s0 + math.sqrt(p.eta1) * s1
-    z = hermitize(dagger(ydag) @ ydag)
+        fd = fidelity_operators(p)
+    x = p.rho0.factor @ fd.core_polar @ dagger(p.rho1.factor)
+    z = (p.eta0 * p.rho0.matrix + p.eta1 * p.rho1.matrix
+         - math.sqrt(p.eta0 * p.eta1) * (x + dagger(x)))
     return OptimalityCertificate(z=z, success_trace=item_or_array(trace(z).real))
 
 

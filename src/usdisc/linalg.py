@@ -237,6 +237,12 @@ class EigenSystem:
         would otherwise promote it above the rank cutoff and corrupt
         every support computed downstream.
         """
+        self.require_psd(tol)
+        w = np.where(nonzero_mask(self.eigenvalues, rel_cutoff), self.eigenvalues, 0.0)
+        return assemble(np.sqrt(w), self.eigenvectors)
+
+    def require_psd(self, tol: float = PSD_TOL):
+        """Raise unless the matrix passes the PSD rule of negativity_bound."""
         w = self.eigenvalues
         if w.shape[-1]:
             low, bound = negativity_bound(w, tol)
@@ -247,8 +253,6 @@ class EigenSystem:
                     f"matrix has eigenvalue {worst:.6e} below "
                     f"-{np.max(np.where(below, bound, 0.0)):.3e}"
                 )
-        w = np.where(nonzero_mask(w, rel_cutoff), w, 0.0)
-        return assemble(np.sqrt(w), self.eigenvectors)
 
     def pinv(self, rel_cutoff: float = REL_CUTOFF) -> np.ndarray:
         """Spectral pseudo-inverse; components below cutoff are dropped."""
@@ -293,7 +297,12 @@ def psd_check(a: np.ndarray, tol: float = PSD_TOL):
     The decision threshold is -tol * max(1, spectral norm); the exact
     minimum eigenvalue found is always returned.
     """
-    w = np.linalg.eigvalsh(hermitize(as_double(a)))
+    return psd_verdict(np.linalg.eigvalsh(hermitize(as_double(a))), tol)
+
+
+def psd_verdict(w: np.ndarray, tol: float = PSD_TOL):
+    """psd_check's (is_psd, min_eigenvalue) from an ascending spectrum w,
+    for a caller that already holds it."""
     if not w.shape[-1]:
         return True, 0.0
     mn = item_or_array(w[..., 0])

@@ -73,6 +73,17 @@ class DensityMatrix:
     def sqrt(self) -> np.ndarray:
         return self.spectrum.sqrt()
 
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """The support columns B scaled by the square roots of their
+        eigenvalues Lambda: the d x r factor X = B sqrt(Lambda) with
+        rho = X X^H up to the rank cutoff, r the rank. Like sqrt, it
+        raises for a state that is not PSD."""
+        sys = self.spectrum
+        sys.require_psd()
+        k = self.dim - self.support.rank
+        return sys.eigenvectors[..., k:] * np.sqrt(sys.eigenvalues[..., None, k:])
+
     @staticmethod
     def from_matrix(matrix, declared_rank=None, renormalize: bool = False):
         m = require_hermitian(matrix, name="density matrix")
@@ -147,6 +158,7 @@ _TAKE = {
     "spectrum": _take_eigensystem,
     "support": _take_support,
     "sqrt": lambda a, rows: a[rows],
+    "factor": lambda a, rows: a[rows],
     "sum_spectrum": _take_eigensystem,
     "supports_overlap": lambda flag, rows: flag,
 }

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import FidelityData, fidelity_operators, rank_condition_check
+from .bounds import FidelityData, fidelity_operators, rank_condition_check, rank_conditions
 from .certificates import (
     CERT_TOL,
     OptimalityCertificate,
@@ -38,13 +38,13 @@ from .linalg import (
     all_true,
     any_true,
     as_double,
+    dagger,
     eigh,
     form,
     hermitize,
     item_or_array,
     nonzero_mask,
     outer,
-    psd_check,
     spectral_norm,
     support_decomposition,
     unstack,
@@ -193,13 +193,13 @@ def solve_first_class(p: UsdProblem, fd: FidelityData = None) -> SolutionReport:
             f"(min eigenvalues {np.min(rc.op0_min_eig):.3e}, {np.min(rc.op1_min_eig):.3e})",
             cause="rank_conditions",
         )
-    r0, r1 = p.rho0.matrix, p.rho1.matrix
-    gamma = math.sqrt(p.eta1 / p.eta0)
-    s0 = p.rho0.sqrt
-    s1 = p.rho1.sqrt
+    # sqrt(rho) (rho - gamma F) sqrt(rho) = X G X^H, on each state's support
+    # factor X and its rank-condition operator G in support coordinates
     pinv = p.sum_spectrum.pinv()
-    e0 = hermitize(pinv @ s0 @ (r0 - gamma * fd.f0) @ s0 @ pinv)
-    e1 = hermitize(pinv @ s1 @ (r1 - fd.f1 / gamma) @ s1 @ pinv)
+    m0, m1 = pinv @ p.rho0.factor, pinv @ p.rho1.factor
+    r0, r1 = p.rho0.support.rank, p.rho1.support.rank
+    e0 = hermitize(m0 @ fd.rank_operators[0, ..., :r0, :r0] @ dagger(m0))
+    e1 = hermitize(m1 @ fd.rank_operators[1, ..., :r1, :r1] @ dagger(m1))
     eq = hermitize(np.eye(p.dim) - e0 - e1)
     m = Povm(e0=e0, e1=e1, eq=eq)
     q, q0, q1 = failure_probability(p, m)
@@ -264,15 +264,17 @@ def _signed_kernel_eigs(k: np.ndarray):
 
 def gu_4d_regime(p: UsdProblem, fd: FidelityData = None):
     """Step two of solve_gu_4d: whether the first-class construction
-    applies, decided by rho0 - F0 alone (at equal priors the two
-    rank-condition operators are U-images of each other).
+    applies, decided by the first rank-condition operator alone, rho0 - F0
+    at equal priors (where the two are U-images of each other). It reads
+    the rank-condition spectrum cached on fd, as the first-class rank
+    check does after it, so the two take one eigenvalue call.
 
     Returns (first_class, op0_min_eig, fd), per instance for a stack.
     """
     if fd is None:
         fd = fidelity_operators(p)
-    first_class, mn = psd_check(p.rho0.matrix - fd.f0)
-    return first_class, mn, fd
+    ok, mn = rank_conditions(p, fd)
+    return unstack(ok)[0], unstack(mn)[0], fd
 
 
 def gu_4d_projective(p: UsdProblem, u: np.ndarray, k: np.ndarray, op0_min_eig):

@@ -311,7 +311,7 @@ def _count_eigen_calls(monkeypatch, fn):
 def test_sweep_eigen_calls_do_not_grow_with_the_grid(monkeypatch):
     full = _count_eigen_calls(monkeypatch, sweep)
     six = _count_eigen_calls(monkeypatch, lambda: sweep(0.5, 1.0, 0.1))
-    assert full <= 14
+    assert full <= 12
     assert full == six
 
 

@@ -127,6 +127,19 @@ def test_rank_condition_rejects_overlapping_supports():
         rank_condition_check(UsdProblem(r0, r1, 0.5, 0.5))
 
 
+@pytest.mark.parametrize("eta0", [0.0, 1.0])
+def test_fidelity_takes_any_prior_and_rank_conditions_refuse_a_zero_one(eta0):
+    # the fidelity pair does not depend on the priors, although the same
+    # call builds the rank-condition operators, which do
+    v = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
+    p = UsdProblem(DensityMatrix.from_matrix(np.diag([1.0, 0.0, 0.0])),
+                   DensityMatrix.from_matrix(np.outer(v, v)), eta0, 1.0 - eta0)
+    assert fidelity_operators(p).fidelity == pytest.approx(np.sqrt(0.5), abs=1e-15)
+    assert failure_lower_bound(p) == 0.0
+    with pytest.raises(InvalidInput, match="positive priors"):
+        rank_condition_check(p)
+
+
 def test_both_psd_implies_prior_window():
     rng = np.random.default_rng(4)
     for _ in range(8):

@@ -122,6 +122,23 @@ def test_take_of_an_undecomposed_stack_decomposes_lazily(monkeypatch):
     assert _count_calls(monkeypatch, lambda: sub.rho0.sqrt)["eigh"] == 1
 
 
+def test_rank_check_on_a_sub_stack_reads_the_cached_spectrum(monkeypatch):
+    stack = build_states(GRID).bit_problem()
+    _decompose(stack)
+    fd = fidelity_operators(stack)
+    fd.rank_spectrum
+    rows = np.array([0, 7, 8, 31, 59])
+    sub, sub_fd = stack.take(rows), fd.take(rows)
+    assert _count_calls(monkeypatch, lambda: rank_condition_check(sub, fd=sub_fd)) == {}
+
+    # the slices hold the bits the sub-stack computes on its own
+    kept = rank_condition_check(sub, fd=sub_fd)
+    fresh = rank_condition_check(UsdProblem(DensityMatrix(stack.rho0.matrix[rows], 2),
+                                            DensityMatrix(stack.rho1.matrix[rows], 2), 0.5, 0.5))
+    for name in ("op0_min_eig", "op1_min_eig", "both_psd"):
+        assert np.array_equal(getattr(kept, name), getattr(fresh, name)), name
+
+
 @pytest.mark.parametrize("case", [_scalar_case, _stack_case], ids=["scalar", "bb84_stack"])
 def test_each_check_pass_makes_one_stacked_call(monkeypatch, case):
     p, report = case()

@@ -297,6 +297,33 @@ def test_solve_takes_one_svd(monkeypatch, make):
     assert _count_calls(monkeypatch, lambda: solve(p))["svd"] == 1
 
 
+def test_symmetric_first_class_solve_reads_one_rank_condition_spectrum(monkeypatch):
+    # the regime decision and the first-class rank check read one cached
+    # spectrum of the rank-condition operators: one eigenvalue call for both
+    import usdisc.solvers
+
+    inside, calls = [], []
+    for name in ("gu_4d_regime", "rank_condition_check"):
+        def wrapped(*args, _original=getattr(usdisc.solvers, name), **kwargs):
+            inside.append(None)
+            try:
+                return _original(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(usdisc.solvers, name, wrapped)
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(*args, **kwargs):
+        if inside:
+            calls.append(None)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    assert solve(bit_problem(1.5)).branch is Branch.FIRST_CLASS_FIDELITY
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("make", [
     lambda: first_class_instance(np.random.default_rng(3), 4),
     lambda: bit_problem(1.5),

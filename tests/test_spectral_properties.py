@@ -1,6 +1,8 @@
 """Property tests of the spectral kernels: the eigenvalue-based operator
-norm, the fidelity operators taken from one SVD, and the fidelity floor
-on every solve.
+norm, the fidelity operators taken from one SVD of the support core and
+checked against the full-space construction, the rank conditions read
+in support coordinates, the fidelity floor on every solve, and the
+invariance of a solve under a change of basis.
 
 Each example draws a numpy seed and builds its matrices from it, so the
 examples are reproducible; the profile is derandomized, so every run
@@ -10,12 +12,31 @@ checks the same ones.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import first_class_instance, rand_subspace_density, random_gu4_problem, random_problem
-from usdisc import DensityMatrix, UsdProblem, fidelity_operators, solve
-from usdisc.linalg import dagger, hermitize, psd_check, spectral_norm, sqrt_psd, trace
+from usdisc import (
+    Branch,
+    DensityMatrix,
+    UsdProblem,
+    build_fidelity_certificate,
+    fidelity_operators,
+    rank_condition_check,
+    solve,
+    solve_first_class,
+    verify_certificate,
+)
+from usdisc.certificates import CERT_TOL
+from usdisc.linalg import (
+    REL_CUTOFF,
+    dagger,
+    hermitize,
+    psd_check,
+    spectral_norm,
+    sqrt_psd,
+    trace,
+)
 
 PROFILE = settings(derandomize=True, deadline=None, max_examples=60, database=None)
 seeds = st.integers(0, 2**32 - 1)
@@ -95,3 +116,83 @@ def test_solve_never_beats_the_fidelity_floor(seed, d, kind):
         p = random_problem(rng, d)
     floor = 2.0 * math.sqrt(p.eta0 * p.eta1) * fidelity_operators(p).fidelity
     assert solve(p).q_opt >= floor - 1e-9
+
+
+def _full_space_fidelity(p):
+    """F0, F1, F and the polar unitary from the SVD of the d x d product
+    sqrt(rho0) sqrt(rho1), with the same cut of the singular values."""
+    w, s, vh = np.linalg.svd(p.rho0.sqrt @ p.rho1.sqrt)
+    s = np.where(s * s > REL_CUTOFF * (s * s).max(), s, 0.0)
+    v = dagger(vh)
+    return (hermitize((w * s) @ dagger(w)), hermitize((v * s) @ dagger(v)), s.sum(), w @ vh)
+
+
+@PROFILE
+@given(seed=seeds, d=st.integers(2, 8), data=st.data())
+def test_support_core_matches_the_full_space_construction(seed, d, data):
+    # every rank pair of a non-overlapping pair, r0 != r1 included
+    rng = np.random.default_rng(seed)
+    r0 = data.draw(st.integers(1, d - 1))
+    r1 = data.draw(st.integers(1, d - r0))
+    eta0 = data.draw(st.floats(0.05, 0.95))
+    rho0, rho1 = _pair(rng, d, r0, r1, orthogonal=False)
+    p = UsdProblem(DensityMatrix.from_matrix(rho0), DensityMatrix.from_matrix(rho1),
+                   eta0, 1.0 - eta0)
+    assert not p.supports_overlap
+    fd = fidelity_operators(p)
+    f0, f1, fidelity, _ = _full_space_fidelity(p)
+    s0 = p.rho0.sqrt
+    assert np.abs(fd.f0 - f0).max() <= 1e-12
+    assert np.abs(fd.f1 - f1).max() <= 1e-12
+    assert abs(fd.fidelity - fidelity) <= 1e-12
+    assert np.abs(fd.f0 @ fd.f0 - hermitize(s0 @ rho1 @ s0)).max() <= 1e-12
+
+    # the polar unitary: unitary, and its trace against sqrt(rho0) sqrt(rho1) is F
+    assert np.abs(dagger(fd.polar) @ fd.polar - np.eye(d)).max() <= 1e-12
+    assert abs(trace(dagger(fd.polar) @ s0 @ p.rho1.sqrt).real - fd.fidelity) <= 1e-12
+
+    # min(lowest support-coordinate eigenvalue, 0) is the d x d operator's
+    gamma = math.sqrt(p.eta1 / p.eta0)
+    rep = rank_condition_check(p)
+    for got, op in ((rep.op0_min_eig, rho0 - gamma * f0), (rep.op1_min_eig, rho1 - f1 / gamma)):
+        assert abs(got - np.linalg.eigvalsh(hermitize(op))[0]) <= 1e-12
+
+
+@PROFILE
+@given(seed=seeds, d=st.integers(3, 6))
+def test_fidelity_witness_verifies_on_first_class_pairs_of_unequal_rank(seed, d):
+    rng = np.random.default_rng(seed)
+    p = first_class_instance(rng, d)
+    while p.rho0.support.rank == p.rho1.support.rank:
+        p = first_class_instance(rng, d)
+    rep = solve_first_class(p)
+    cert = build_fidelity_certificate(p)
+    assert verify_certificate(p, rep.povm, cert, CERT_TOL).ok
+    # the witness Y Y^H on the full polar unitary, whose completion off
+    # the supports leaves Z as the support factors give it
+    y = math.sqrt(p.eta1) * p.rho1.sqrt - math.sqrt(p.eta0) * p.rho0.sqrt @ fidelity_operators(p).polar
+    assert np.abs(cert.z - hermitize(y @ dagger(y))).max() <= 1e-12
+
+
+def _rotated(p, g):
+    """p in the basis of the unitary g: both states and the involution."""
+    u = None if p.gu_involution is None else hermitize(g @ p.gu_involution @ dagger(g))
+    return UsdProblem(DensityMatrix.from_matrix(hermitize(g @ p.rho0.matrix @ dagger(g))),
+                      DensityMatrix.from_matrix(hermitize(g @ p.rho1.matrix @ dagger(g))),
+                      p.eta0, p.eta1, gu_involution=u)
+
+
+@PROFILE
+@given(seed=seeds, d=st.integers(2, 5), kind=st.sampled_from(["first_class", "gu4"]))
+def test_solve_is_invariant_under_a_change_of_basis(seed, d, kind):
+    rng = np.random.default_rng(seed)
+    p = random_gu4_problem(rng) if kind == "gu4" else first_class_instance(rng, d)
+    # away from the regime boundary, where a rounding can flip the branch:
+    # the lowest eigenvalue of rho0 - F0 on the support of rho0
+    assume(abs(fidelity_operators(p).rank_spectrum[0, 0]) > 1e-6)
+    g, _ = np.linalg.qr(rng.standard_normal((p.dim, p.dim))
+                        + 1j * rng.standard_normal((p.dim, p.dim)))
+    before, after = solve(p), solve(_rotated(p, g))
+    assert before.branch is after.branch
+    assert before.branch is not Branch.ORACLE_ONLY
+    assert abs(before.q_opt - after.q_opt) <= 1e-10
