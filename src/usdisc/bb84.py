@@ -8,12 +8,10 @@ threshold photon number, located here by bisection on the closed-form
 spectrum.
 
 A sweep stacks both questions' states for the whole grid as 4 x 4
-matrices, decomposes the stack once (the states, their sums, the
-fidelity pair and both questions' rank-condition spectra) and solves
-each question on its rows of it through the analytic solvers (see
-solvers); each instance gets the bits a solve at its photon number
-alone would give. The basis states are real-valued but kept complex,
-so that they share the bit states' stack.
+matrices, decomposes the stack once and hands each question's rows of
+it to solvers.solve, so each instance gets the bits, and the branch, of
+a solve at its photon number alone. The basis states are real-valued
+but kept complex, so that they share the bit states' stack.
 """
 
 import math
@@ -21,16 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import fidelity_operators
+from .bounds import rank_conditions
 from .errors import InvalidInput, NumericalFailure, UsdError
 from .problem import DensityMatrix, UsdProblem, verify_gu_structure
-from .solvers import (
-    Branch,
-    gu_4d_preconditions,
-    gu_4d_projective,
-    gu_4d_regime,
-    solve_first_class,
-)
+from .solvers import Branch, solve
 
 MU0_BRACKET = (0.1, 2.0)
 DEFAULT_GRID = (0.05, 3.0, 0.05)
@@ -195,38 +187,26 @@ def find_mu0(tol: float = 1e-9) -> float:
     return locate_threshold(tol)[0]
 
 
-def _stacked_questions(mus):
-    """Both questions' states as one problem of 2N instances, basis
-    question first, and the bit involution; the states built on the way
-    are dropped on return."""
+def _solve_points(mu):
+    """Sweep rows at one photon number (a float) or over a grid of N of
+    them (a list). Both questions' states form one stack of 2N instances,
+    basis question first, so that each decomposition takes one call for
+    both; solve then routes each question on its own rows of the stack."""
+    mus = np.atleast_1d(mu).tolist()
+    n = len(mus)
     states = build_states(mus)
     both = UsdProblem(
         rho0=DensityMatrix(np.concatenate([states.rho_r.matrix, states.rho_0.matrix]), 2),
         rho1=DensityMatrix(np.concatenate([states.rho_i.matrix, states.rho_1.matrix]), 2),
         eta0=0.5, eta1=0.5,
     )
-    return both, states.u_bit
+    u_bit = states.u_bit
+    del states  # not held through the solves below
+    # decompose the states, their sums, the fidelity pair and both rank
+    # conditions here: every sub-stack taken below holds row slices of them
+    rank_conditions(both)
 
-
-def _solve_points(mu):
-    """Sweep rows at one photon number (a float) or over a grid of N of
-    them (a list). Both questions' states form one stack of 2N instances,
-    basis question first, so each state, each state sum and the fidelity
-    pair take one decomposition call for both; each question is then
-    solved on its own rows of the stack."""
-    mus = np.atleast_1d(mu).tolist()
-    n = len(mus)
-    both, u_bit = _stacked_questions(mus)
-    # decompose the states, their sums and both questions' rank-condition
-    # operators here: every sub-stack taken below holds row slices of
-    # these decompositions, so the basis rank check, the bit regime and
-    # the bit rank check read one eigenvalue call
-    both.supports_overlap
-    fd = fidelity_operators(both)
-    fd.rank_spectrum
-
-    basis = slice(None, n)
-    q_basis = solve_first_class(both.take(basis), fd=fd.take(basis)).q_opt.tolist()
+    q_basis = solve(both.take(slice(None, n))).q_opt.tolist()
     for m, q in zip(mus, q_basis):
         closed = q_basis_closed_form(m)
         if abs(q - closed) > 1e-8:
@@ -235,31 +215,13 @@ def _solve_points(mu):
                 f"from closed form {closed!r}"
             )
 
-    bit, bit_fd = both.take(slice(n, None), gu_involution=u_bit), fd.take(slice(n, None))
-    u, k = gu_4d_preconditions(bit)
-    first_class, mn, _ = gu_4d_regime(bit, bit_fd)
-    q_bit = np.empty(n)
-    for side in (True, False):
-        rows = np.flatnonzero(first_class == side)
-        if rows.size == 0:
-            continue
-        if rows[-1] - rows[0] + 1 == rows.size:
-            # consecutive rows, as either side of the threshold on a grid
-            # is, are taken as a slice: views of the stack, not copies
-            rows = slice(int(rows[0]), int(rows[-1]) + 1)
-        if side:
-            report = solve_first_class(bit.take(rows), fd=bit_fd.take(rows))
-        else:
-            report, _ = gu_4d_projective(bit.take(rows), u, k[rows], mn[rows])
-        q_bit[rows] = report.q_opt
+    bit = both.take(slice(n, None), gu_involution=u_bit)
+    report = solve(bit)
+    min_eig = rank_conditions(bit)[1][0]
     return [
-        Bb84SweepRow(
-            mu=m, q_basis=qb, q_bit=qt,
-            branch_bit=Branch.FIRST_CLASS_FIDELITY if first else Branch.GU_PROJECTIVE,
-            min_eig_rho0_minus_f0=me,
-        )
-        for m, qb, qt, first, me in zip(mus, q_basis, q_bit.tolist(), first_class.tolist(),
-                                        mn.tolist())
+        Bb84SweepRow(mu=m, q_basis=qb, q_bit=qt, branch_bit=branch, min_eig_rho0_minus_f0=me)
+        for m, qb, qt, branch, me in zip(mus, q_basis, report.q_opt.tolist(), report.branch,
+                                         min_eig.tolist())
     ]
 
 

@@ -6,12 +6,11 @@ can do: the inconclusive probability can never drop below
 2 sqrt(eta0 eta1) F. Each lives on one state's support, and so does
 each rank-condition operator, rho0 - gamma F0 and rho1 - F1 / gamma,
 whose joint positivity decides whether that cap is attained. All of
-them, and the polar unitary, come from one SVD of the r0 x r1 support
-core of sqrt(rho0) sqrt(rho1); both
-rank-condition spectra come from one eigenvalue call in support
-coordinates, cached on the FidelityData for every check that reads
-them. fidelity_operators and rank_condition_check also take a stacked
-problem and return per-instance values.
+them come from one SVD of the r0 x r1 support core of sqrt(rho0)
+sqrt(rho1), taken once per problem (UsdProblem.fidelity_pair); both
+rank-condition spectra and their verdict come from one eigenvalue call
+in support coordinates, cached on the FidelityData. The functions here
+also take a stacked problem and return per-instance values.
 """
 
 import math
@@ -39,18 +38,16 @@ from .problem import UsdProblem
 @dataclass(frozen=True)
 class FidelityData:
     """The fidelity pair of a problem in support coordinates (see
-    fidelity_operators): the SVD w S v^H of its r0 x r1 support core, the
-    states' eigenvectors (support columns B0, B1 last) and both
-    rank-condition operators. The d x d operators are built from these
-    on first use: F0 = left S left^H with left = B0 w, F1 = right S right^H
-    with right = B1 v, and the polar unitary."""
+    fidelity_operators): the SVD w S v^H of its r0 x r1 support core,
+    rho0's eigenvectors (support columns B0 last) and both rank-condition
+    operators. F0 = left S left^H with left = B0 w is built on first use;
+    F1 is F0 of the problem with the states swapped."""
 
     s: np.ndarray  # the singular values, cut as fidelity_operators says
     w: np.ndarray
     v: np.ndarray
     core_polar: np.ndarray  # w v^H on the pairs of singular vectors, r0 x r1
     vectors0: np.ndarray
-    vectors1: np.ndarray
     fidelity: float
     # Lambda0 - gamma w S w^H and Lambda1 - v S v^H / gamma, each
     # zero-padded to max(r0, r1), stacked along a new first axis
@@ -61,42 +58,32 @@ class FidelityData:
         return self.vectors0[..., self.vectors0.shape[-1] - self.w.shape[-1]:] @ self.w
 
     @cached_property
-    def right(self) -> np.ndarray:
-        return self.vectors1[..., self.vectors1.shape[-1] - self.v.shape[-1]:] @ self.v
-
-    @cached_property
     def f0(self) -> np.ndarray:
         return assemble(self.s, self.left[..., :self.s.shape[-1]])
-
-    @cached_property
-    def f1(self) -> np.ndarray:
-        return assemble(self.s, self.right[..., :self.s.shape[-1]])
-
-    @cached_property
-    def polar(self) -> np.ndarray:
-        """A d x d unitary that maps each column of right to the same
-        column of left: the product of [left, kernel columns of rho0]
-        and the adjoint of [right, kernel columns of rho1]."""
-        d = self.vectors0.shape[-1]
-        u0 = np.concatenate([self.left, self.vectors0[..., :d - self.w.shape[-1]]], axis=-1)
-        u1 = np.concatenate([self.right, self.vectors1[..., :d - self.v.shape[-1]]], axis=-1)
-        return u0 @ dagger(u1)
 
     @cached_property
     def rank_spectrum(self) -> np.ndarray:
         """Ascending spectra of both rank_operators, from one call."""
         return np.linalg.eigvalsh(self.rank_operators)
 
+    @cached_property
+    def rank_verdict(self):
+        """rank_conditions' values, read off rank_spectrum."""
+        ok, mn = psd_verdict(self.rank_spectrum)
+        return ok, np.minimum(mn, 0.0)
+
     def take(self, rows) -> "FidelityData":
         """The instances at the given indices of a stack's fidelity data,
-        with the row slices of whatever it has cached."""
+        with the row slices of its cached rank-condition values."""
         pair = (slice(None), rows)
         sub = FidelityData(self.s[rows], self.w[rows], self.v[rows], self.core_polar[rows],
-                           self.vectors0[rows], self.vectors1[rows], self.fidelity[rows],
+                           self.vectors0[rows], item_or_array(self.fidelity[rows]),
                            self.rank_operators[pair])
-        for name in ("left", "right", "f0", "f1", "polar", "rank_spectrum"):
-            if name in vars(self):
-                vars(sub)[name] = vars(self)[name][pair if name == "rank_spectrum" else rows]
+        # both operators' values stack along the first axis
+        if "rank_spectrum" in vars(self):
+            vars(sub)["rank_spectrum"] = self.rank_spectrum[pair]
+        if "rank_verdict" in vars(self):
+            vars(sub)["rank_verdict"] = tuple(a[pair] for a in self.rank_verdict)
         return sub
 
 
@@ -108,16 +95,15 @@ class RankConditionReport:
 
 
 def fidelity_operators(p: UsdProblem) -> FidelityData:
-    """Both fidelity operators, their shared trace F, the polar unitary
+    """Both fidelity operators, their shared trace F, the polar factor
     and the rank-condition operators, from one SVD of the r0 x r1 support
     core C = X0^H X1 = sqrt(Lambda0) B0^H B1 sqrt(Lambda1), where
     rho_i = B_i Lambda_i B_i^H = X_i X_i^H on its support columns B_i
     (DensityMatrix.factor). Then sqrt(rho0) sqrt(rho1) = B0 C B1^H, so
-    C = w S v^H gives F0 = (B0 w) S (B0 w)^H, F1 = (B1 v) S (B1 v)^H and
-    F = sum S. The polar unitary completes [B0 w, kernel columns of rho0]
-    and [B1 v, kernel columns of rho1] to unitaries and takes their
-    product. Singular values whose square is below the rank cutoff are
-    zeroed, as in the square root of either sandwich. Before that cut,
+    C = w S v^H gives F0 = (B0 w) S (B0 w)^H, F1 = (B1 v) S (B1 v)^H,
+    F = sum S and the polar factor w v^H that the fidelity witness uses.
+    Singular values whose square is below the rank cutoff are zeroed, as
+    in the square root of either sandwich. Before that cut,
     Re Tr((w v^H)^H C) must equal sum S within 1e-9; a miss means the SVD
     is inaccurate.
     """
@@ -153,18 +139,18 @@ def fidelity_operators(p: UsdProblem) -> FidelityData:
         diag[i, ..., :r * (m + 1):m + 1] = lam
         ops[i, ..., :r, :r] -= (u * (scale * s)[..., None, :]) @ dagger(u)
     return FidelityData(s, w, v, core_polar, p.rho0.spectrum.eigenvectors,
-                        p.rho1.spectrum.eigenvectors, item_or_array(s.sum(axis=-1)), ops)
+                        item_or_array(s.sum(axis=-1)), ops)
 
 
 def failure_lower_bound(p: UsdProblem) -> float:
     """2 sqrt(eta0 eta1) F, clamped into [0, 1]."""
-    fd = fidelity_operators(p)
-    return min(1.0, max(0.0, 2.0 * math.sqrt(p.eta0 * p.eta1) * fd.fidelity))
+    return min(1.0, max(0.0, 2.0 * math.sqrt(p.eta0 * p.eta1) * p.fidelity_pair.fidelity))
 
 
-def rank_conditions(p: UsdProblem, fd: FidelityData = None):
+def rank_conditions(p: UsdProblem):
     """(is_psd, min_eigenvalue) of rho0 - gamma F0 and of rho1 - F1 / gamma,
-    stacked along a new first axis, read off fd's cached rank spectrum.
+    stacked along a new first axis: the verdict cached on the problem's
+    fidelity pair (FidelityData.rank_verdict), shared by every reader.
 
     Each operator vanishes on its state's kernel, which a pair whose
     supports do not overlap never has empty, so its minimum eigenvalue
@@ -176,28 +162,24 @@ def rank_conditions(p: UsdProblem, fd: FidelityData = None):
         )
     if not (p.eta0 > 0.0 and p.eta1 > 0.0):
         raise InvalidInput(f"rank conditions need positive priors, got {p.eta0!r}, {p.eta1!r}")
-    if fd is None:
-        fd = fidelity_operators(p)
-    ok, mn = psd_verdict(fd.rank_spectrum)
-    return ok, np.minimum(mn, 0.0)
+    return p.fidelity_pair.rank_verdict
 
 
-def rank_condition_check(p: UsdProblem, fd: FidelityData = None) -> RankConditionReport:
+def rank_condition_check(p: UsdProblem) -> RankConditionReport:
     """Minimum eigenvalues of the two operators whose joint positivity
     marks the regime where the fidelity bound is attained."""
-    ok, mn = rank_conditions(p, fd)
+    ok, mn = rank_conditions(p)
     (ok0, ok1), (mn0, mn1) = unstack(ok), unstack(mn)
     return RankConditionReport(op0_min_eig=mn0, op1_min_eig=mn1,
                                both_psd=ok0 & ok1)
 
 
-def prior_regime_bounds(p: UsdProblem, fd: FidelityData = None):
+def prior_regime_bounds(p: UsdProblem):
     """The prior-ratio window inside which both rank conditions can hold.
 
     Returns (low, high, ratio, inside) where ratio = sqrt(eta1/eta0).
     """
-    if fd is None:
-        fd = fidelity_operators(p)
+    fd = p.fidelity_pair
     if fd.fidelity <= 0.0:
         raise InvalidInput(
             "states are perfectly distinguishable; the prior window is vacuous"

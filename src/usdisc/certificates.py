@@ -23,7 +23,6 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import FidelityData, fidelity_operators
 from .linalg import (
     all_true,
     as_double,
@@ -53,21 +52,19 @@ class OptimalityCertificate:
     success_trace: float = 0.0
 
 
-def build_fidelity_certificate(p: UsdProblem, fd: FidelityData = None) -> OptimalityCertificate:
+def build_fidelity_certificate(p: UsdProblem) -> OptimalityCertificate:
     """Closed-form witness for the regime where the fidelity bound is tight.
 
     Z = Y Y^H with Y = sqrt(eta1) sqrt(rho1) - sqrt(eta0) sqrt(rho0) polar,
-    for fd's polar unitary (fidelity_operators(p) without fd). That
-    expands to eta0 rho0 + eta1 rho1 - sqrt(eta0 eta1) (X + X^H) with
+    for a polar unitary of sqrt(rho0) sqrt(rho1). That expands to
+    eta0 rho0 + eta1 rho1 - sqrt(eta0 eta1) (X + X^H) with
     X = sqrt(rho0) polar sqrt(rho1), and the unitary enters X only through
-    B0^H polar B1 = w v^H, the polar factor of the support core. So X is
-    built on the support factors as X0 (w v^H) X1^H, and the completion of
-    the polar unitary off the supports leaves the certificate conditions
-    untouched.
+    B0^H polar B1 = w v^H, the polar factor of the support core that the
+    problem's fidelity pair holds. So X is built on the support factors
+    as X0 (w v^H) X1^H, and how the unitary is completed off the supports
+    leaves the certificate conditions untouched.
     """
-    if fd is None:
-        fd = fidelity_operators(p)
-    x = p.rho0.factor @ fd.core_polar @ dagger(p.rho1.factor)
+    x = p.rho0.factor @ p.fidelity_pair.core_polar @ dagger(p.rho1.factor)
     z = (p.eta0 * p.rho0.matrix + p.eta1 * p.rho1.matrix
          - math.sqrt(p.eta0 * p.eta1) * (x + dagger(x)))
     return OptimalityCertificate(z=z, success_trace=item_or_array(trace(z).real))

@@ -11,7 +11,7 @@ axes, sharing one pair of priors and one involution (see UsdProblem).
 validate_povm, failure_probability and verify_gu_structure check or
 evaluate every instance of such a stack. UsdProblem.take selects
 instances; the sub-stack keeps the row slices of every decomposition the
-stack has cached, so it decomposes nothing again.
+stack has cached (the fidelity pair too), so it decomposes nothing again.
 """
 
 from dataclasses import dataclass, field
@@ -127,6 +127,12 @@ class UsdProblem:
         more than the rank of their sum."""
         return self.rho0.support.rank + self.rho1.support.rank > self.sum_spectrum.rank()
 
+    @cached_property
+    def fidelity_pair(self):
+        """bounds.fidelity_operators of the problem, for every reader."""
+        from .bounds import fidelity_operators  # bounds builds on this module
+        return fidelity_operators(self)
+
     def take(self, rows, gu_involution=None) -> "UsdProblem":
         """The instances at the given indices of a stacked problem, with
         gu_involution or, when none is given, the stack's involution. The
@@ -161,6 +167,7 @@ _TAKE = {
     "factor": lambda a, rows: a[rows],
     "sum_spectrum": _take_eigensystem,
     "supports_overlap": lambda flag, rows: flag,
+    "fidelity_pair": lambda fd, rows: fd.take(rows),
 }
 
 

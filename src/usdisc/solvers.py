@@ -10,10 +10,9 @@ kernel-compressed involution. Every emitted solution is gated by an
 optimality certificate before it is returned. solve chooses between
 the two families and falls back to the interior-point oracle.
 
-solve_first_class and the three steps of solve_gu_4d (preconditions,
-regime decision, projective construction) also take a stacked problem
-(see problem.UsdProblem): every check and gate then runs on every
-instance, the report's numbers become per-instance arrays, and a
+solve also takes a stacked problem (see problem.UsdProblem) and
+routes, solves and falls back instance by instance. So do
+solve_first_class and the three steps of solve_gu_4d, except that a
 failure on any instance fails the stack.
 """
 
@@ -24,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import FidelityData, fidelity_operators, rank_condition_check, rank_conditions
+from .bounds import rank_condition_check, rank_conditions
 from .certificates import (
     CERT_TOL,
     OptimalityCertificate,
@@ -47,6 +46,7 @@ from .linalg import (
     outer,
     spectral_norm,
     support_decomposition,
+    trace,
     unstack,
 )
 from .oracle import oracle_optimize
@@ -174,7 +174,7 @@ def _gate_solution(p: UsdProblem, m: Povm, cert: OptimalityCertificate) -> dict:
     return merged
 
 
-def solve_first_class(p: UsdProblem, fd: FidelityData = None) -> SolutionReport:
+def solve_first_class(p: UsdProblem) -> SolutionReport:
     """Optimal measurement when the failure probability meets the
     fidelity bound.
 
@@ -184,9 +184,8 @@ def solve_first_class(p: UsdProblem, fd: FidelityData = None) -> SolutionReport:
     extrapolates beyond the equal-prior display, the certificate gate
     is what makes the output trustworthy.
     """
-    if fd is None:
-        fd = fidelity_operators(p)
-    rc = rank_condition_check(p, fd=fd)
+    fd = p.fidelity_pair
+    rc = rank_condition_check(p)
     if not all_true(rc.both_psd):
         raise BranchNotApplicable(
             "rank-condition operators are not both PSD "
@@ -204,7 +203,7 @@ def solve_first_class(p: UsdProblem, fd: FidelityData = None) -> SolutionReport:
     m = Povm(e0=e0, e1=e1, eq=eq)
     q, q0, q1 = failure_probability(p, m)
 
-    cert = build_fidelity_certificate(p, fd)
+    cert = build_fidelity_certificate(p)
     diagnostics = _gate_solution(p, m, cert)
     bound = 2.0 * math.sqrt(p.eta0 * p.eta1) * fd.fidelity
     diagnostics["fidelity"] = fd.fidelity
@@ -262,19 +261,16 @@ def _signed_kernel_eigs(k: np.ndarray):
     return vals[order], vecs[:, order]
 
 
-def gu_4d_regime(p: UsdProblem, fd: FidelityData = None):
+def gu_4d_regime(p: UsdProblem):
     """Step two of solve_gu_4d: whether the first-class construction
     applies, decided by the first rank-condition operator alone, rho0 - F0
-    at equal priors (where the two are U-images of each other). It reads
-    the rank-condition spectrum cached on fd, as the first-class rank
-    check does after it, so the two take one eigenvalue call.
+    at equal priors (where the two are U-images of each other); it reads
+    the verdict the first-class rank check reads after it.
 
-    Returns (first_class, op0_min_eig, fd), per instance for a stack.
+    Returns (first_class, op0_min_eig), per instance for a stack.
     """
-    if fd is None:
-        fd = fidelity_operators(p)
-    ok, mn = rank_conditions(p, fd)
-    return unstack(ok)[0], unstack(mn)[0], fd
+    ok, mn = rank_conditions(p)
+    return unstack(ok)[0], unstack(mn)[0]
 
 
 def gu_4d_projective(p: UsdProblem, u: np.ndarray, k: np.ndarray, op0_min_eig):
@@ -375,14 +371,10 @@ def solve_gu_4d(p: UsdProblem):
     the kernel-compressed involution. Every instance of a stack must
     fall on the same side.
     """
-    return _gu_4d_steps(p, *gu_4d_preconditions(p))
-
-
-def _gu_4d_steps(p: UsdProblem, u: np.ndarray, k: np.ndarray):
-    # steps two and three of solve_gu_4d, once its preconditions hold
-    first_class, mn, fd = gu_4d_regime(p)
+    u, k = gu_4d_preconditions(p)
+    first_class, mn = gu_4d_regime(p)
     if all_true(first_class):
-        return solve_first_class(p, fd=fd), None
+        return solve_first_class(p), None
     if any_true(first_class):
         raise BranchNotApplicable(
             "stack mixes first-class and projective instances", cause="regime"
@@ -390,27 +382,86 @@ def _gu_4d_steps(p: UsdProblem, u: np.ndarray, k: np.ndarray):
     return gu_4d_projective(p, u, k, mn)
 
 
-def solve(p: UsdProblem) -> SolutionReport:
-    """Optimal measurement for one problem, from the first branch that
-    applies; the only place that chooses a branch.
+def _consecutive(mask: np.ndarray):
+    # the flagged rows of a stack, as a slice when they run consecutively
+    # (either side of the regime change on a grid does), so take gives views
+    rows = np.flatnonzero(mask)
+    if rows[-1] - rows[0] + 1 == rows.size:
+        return slice(int(rows[0]), int(rows[-1]) + 1)
+    return rows
 
-    A problem inside the symmetric solver's scope (gu_4d_preconditions)
-    goes to solve_gu_4d, which runs the first-class checks itself; any
-    other problem goes to solve_first_class. A branch that does not
-    apply or fails numerically hands over to the interior-point oracle,
-    whose dual Z is the witness; the closed forms are tried only if it
-    fails.
+
+def _parts(p: UsdProblem, rows, construct=None):
+    """(rows, report) parts for the given rows of the stack p: construct's
+    for them as one sub-stack, else (or if it fails) solve's for each row."""
+    if construct is not None:
+        try:
+            return [(rows, construct(p.take(rows)))]
+        except (BranchNotApplicable, NumericalFailure):
+            pass
+    return [([i], solve(p.take(i))) for i in np.arange(len(p.rho0.matrix))[rows].tolist()]
+
+
+def _joined(p: UsdProblem, parts) -> SolutionReport:
+    """The report of the stack p from (rows, report) parts that cover it."""
+    n, d = len(p.rho0.matrix), p.dim
+    certified = all(rep.certificate is not None for _, rep in parts)
+    fields = [(rep.q_opt, rep.q0, rep.q1, rep.povm.e0, rep.povm.e1, rep.povm.eq,
+               rep.certificate.z if certified else 0.0) for _, rep in parts]
+    numbers = np.empty((3, n))
+    elements = np.empty((4, n, d, d), np.result_type(*(a for f in fields for a in f[3:])))
+    branch = np.empty(n, object)
+    for (rows, rep), values in zip(parts, fields):
+        for out, value in zip((*numbers, *elements), values):
+            out[rows] = value
+        branch[rows] = rep.branch
+    z = elements[3]
+    return SolutionReport(
+        *numbers, povm=Povm(*elements[:3]), branch=tuple(branch.tolist()),
+        certificate=OptimalityCertificate(z, success_trace=trace(z).real) if certified else None,
+    )
+
+
+def solve(p: UsdProblem) -> SolutionReport:
+    """Optimal measurement for a problem, or for each instance of a stack,
+    from the first branch that applies; the only place that chooses one.
+
+    Inside the symmetric solver's scope (gu_4d_preconditions) the regime
+    decision (gu_4d_regime) picks the first-class or the projective
+    construction; any other problem goes to solve_first_class. A branch
+    that does not apply or fails numerically hands over to the oracle,
+    whose dual Z is the witness; the closed forms are tried only if it fails.
+
+    A stack is routed on the same stacked predicates, each side of the
+    regime decision solved as one sub-stack (take). A stack or sub-stack
+    that fails as a whole, as one mixing ranks does, is solved row by
+    row, so each instance gets the bits, and the oracle fallback, of a
+    solve of it alone. A stack's report holds per-instance q_opt, q0, q1,
+    the (N, d, d) measurement and witness Z (no certificate if a row has
+    none) and the tuple of the rows' branches, and no diagnostics.
     """
+    stacked = p.rho0.matrix.ndim > 2
     try:
-        gu = gu_4d_preconditions(p)
-    except BranchNotApplicable:
-        gu = None
-    try:
-        if gu is None:
-            return solve_first_class(p)
-        return _gu_4d_steps(p, *gu)[0]
+        try:
+            u, k = gu_4d_preconditions(p)
+        except BranchNotApplicable:
+            report = solve_first_class(p)
+        else:
+            first_class, mn = gu_4d_regime(p)
+            if all_true(first_class):
+                report = solve_first_class(p)
+            elif not any_true(first_class):
+                report = gu_4d_projective(p, u, k, mn)[0]
+            else:
+                fc, pr = _consecutive(first_class), _consecutive(~first_class)
+                return _joined(p, _parts(p, fc, solve_first_class) + _parts(
+                    p, pr, lambda sub: gu_4d_projective(sub, u, k[pr], mn[pr])[0]))
+        if stacked:
+            report.branch, report.diagnostics = (report.branch,) * len(p.rho0.matrix), {}
+        return report
     except (BranchNotApplicable, NumericalFailure):
-        pass
+        if stacked:
+            return _joined(p, _parts(p, slice(None)))
     result = oracle_optimize(p)
     q, q0, q1 = failure_probability(p, result.povm)
     diagnostics = {

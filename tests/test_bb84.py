@@ -192,16 +192,16 @@ def _assert_rows_match_scalar_solves(rows):
 
 
 def test_sweep_solves_each_side_on_a_view_of_one_stack(monkeypatch):
-    import usdisc.bb84
+    import usdisc.solvers
 
     owned = []
-    first_class = usdisc.bb84.solve_first_class
+    first_class = usdisc.solvers.solve_first_class
 
-    def recorded(p, fd=None):
+    def recorded(p):
         owned.append(p.rho0.matrix.flags.owndata)
-        return first_class(p, fd=fd)
+        return first_class(p)
 
-    monkeypatch.setattr(usdisc.bb84, "solve_first_class", recorded)
+    monkeypatch.setattr(usdisc.solvers, "solve_first_class", recorded)
     sweep()
     # the basis question and the bit question above the threshold
     assert owned == [False, False]
@@ -241,35 +241,45 @@ def test_sweep_failure_names_the_photon_number(monkeypatch):
 
 
 def test_sweep_falls_back_to_points_when_the_stack_fails(monkeypatch):
-    import usdisc.bb84
+    import usdisc.solvers
 
-    expected = sweep_csv(sweep(0.5, 1.0, 0.1))
-    projective = usdisc.bb84.gu_4d_projective
+    rows = sweep(0.5, 1.0, 0.1)
+    expected = sweep_csv(rows)
+    projective = usdisc.solvers.gu_4d_projective
 
-    # each point is solved as a stack of one
+    # solve retries the rows of a failed sub-stack one at a time, each as
+    # a single problem
     def stack_only_failure(p, u, k, op0_min_eig):
-        if len(k) > 1:
+        if k.ndim > 2:
             raise BranchNotApplicable("injected failure on a stack", cause="certificate")
         return projective(p, u, k, op0_min_eig)
 
-    monkeypatch.setattr(usdisc.bb84, "gu_4d_projective", stack_only_failure)
+    monkeypatch.setattr(usdisc.solvers, "gu_4d_projective", stack_only_failure)
     calls = _recorded_build_states(monkeypatch)
     assert sweep_csv(sweep(0.5, 1.0, 0.1)) == expected
-    # the stacked pass, then each of the six points on its own
-    assert len(calls) == 7
-    # a failure at one point as well: the error names it and keeps its cause
+    # the retry happens inside solve, on the stack already built
+    assert len(calls) == 1
+    # a failure at one point as well: that point falls back to the oracle
     bad = 0.5 + 0.1
-    target = build_states([bad]).rho_0.matrix
+    target = build_states(bad).rho_0.matrix
 
     def point_failure(p, u, k, op0_min_eig):
         if np.array_equal(p.rho0.matrix, target):
             raise BranchNotApplicable("injected failure at a point", cause="certificate")
         return stack_only_failure(p, u, k, op0_min_eig)
 
-    monkeypatch.setattr(usdisc.bb84, "gu_4d_projective", point_failure)
-    with pytest.raises(BranchNotApplicable, match=re.escape(f"sweep failed at mu={bad!r}:")) as err:
-        sweep(0.5, 1.0, 0.1)
-    assert err.value.cause == "certificate"
+    monkeypatch.setattr(usdisc.solvers, "gu_4d_projective", point_failure)
+    fallen = sweep(0.5, 1.0, 0.1)
+    assert [r.branch_bit for r in fallen] == [
+        Branch.ORACLE_ONLY if r.mu == bad else r.branch_bit for r in rows]
+    oracle = solve(bit_problem(bad))
+    assert oracle.branch is Branch.ORACLE_ONLY
+    for r, analytic in zip(fallen, rows):
+        if r.mu == bad:
+            assert r.q_bit == oracle.q_opt
+            assert abs(r.q_bit - analytic.q_bit) <= oracle.diagnostics["oracle_duality_gap"]
+        else:
+            assert r == analytic
 
 
 def test_stack_with_mixed_ranks_is_refused():
@@ -321,7 +331,7 @@ def _solved_arrays(p):
     fd = fidelity_operators(p)
     return [p.rho0.spectrum.eigenvectors, p.rho1.spectrum.eigenvectors,
             p.sum_spectrum.eigenvectors, p.rho0.sqrt, p.rho1.sqrt,
-            fd.f0, fd.f1, fd.polar, rep.povm.e0, rep.povm.e1, rep.povm.eq,
+            fd.f0, rep.povm.e0, rep.povm.e1, rep.povm.eq,
             rep.certificate.z]
 
 

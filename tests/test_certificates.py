@@ -195,7 +195,7 @@ STACK_MUS = [0.1, 0.2, 0.3, 0.4]
 def _projective_case(states):
     p = states.bit_problem()
     u, k = gu_4d_preconditions(p)
-    first_class, mn, _ = gu_4d_regime(p)
+    first_class, mn = gu_4d_regime(p)
     assert not np.any(first_class)
     report, _ = gu_4d_projective(p, u, k, mn)
     return p, report.povm
@@ -222,10 +222,12 @@ def test_fit_certifies_a_stack_row_by_row(case):
 
 
 def _count_fit(monkeypatch, p, m, candidate=None):
-    """Fit a witness with the states' decompositions cached, counting
-    numpy's eigh, eigvalsh and svd calls and the fidelity witnesses built."""
+    """Fit a witness with the states' decompositions cached but not the
+    fidelity pair, counting numpy's eigh, eigvalsh and svd calls and the
+    fidelity witnesses built."""
     for state in (p.rho0, p.rho1):
         state.spectrum, state.sqrt, state.support
+    p = UsdProblem(p.rho0, p.rho1, p.eta0, p.eta1, p.gu_involution)
     built = []
     build = usdisc.certificates.build_fidelity_certificate
     monkeypatch.setattr(usdisc.certificates, "build_fidelity_certificate",

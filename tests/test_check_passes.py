@@ -125,14 +125,12 @@ def test_take_of_an_undecomposed_stack_decomposes_lazily(monkeypatch):
 def test_rank_check_on_a_sub_stack_reads_the_cached_spectrum(monkeypatch):
     stack = build_states(GRID).bit_problem()
     _decompose(stack)
-    fd = fidelity_operators(stack)
-    fd.rank_spectrum
+    stack.fidelity_pair.rank_spectrum
     rows = np.array([0, 7, 8, 31, 59])
-    sub, sub_fd = stack.take(rows), fd.take(rows)
-    assert _count_calls(monkeypatch, lambda: rank_condition_check(sub, fd=sub_fd)) == {}
+    assert _count_calls(monkeypatch, lambda: rank_condition_check(stack.take(rows))) == {}
 
     # the slices hold the bits the sub-stack computes on its own
-    kept = rank_condition_check(sub, fd=sub_fd)
+    kept = rank_condition_check(stack.take(rows))
     fresh = rank_condition_check(UsdProblem(DensityMatrix(stack.rho0.matrix[rows], 2),
                                             DensityMatrix(stack.rho1.matrix[rows], 2), 0.5, 0.5))
     for name in ("op0_min_eig", "op1_min_eig", "both_psd"):
@@ -142,10 +140,14 @@ def test_rank_check_on_a_sub_stack_reads_the_cached_spectrum(monkeypatch):
 @pytest.mark.parametrize("case", [_scalar_case, _stack_case], ids=["scalar", "bb84_stack"])
 def test_each_check_pass_makes_one_stacked_call(monkeypatch, case):
     p, report = case()
-    fd = fidelity_operators(p)
     m, cert = report.povm, report.certificate
     assert _count_calls(monkeypatch, lambda: validate_povm(p, m)) == {"eigvalsh": 1}
-    assert _count_calls(monkeypatch, lambda: rank_condition_check(p, fd=fd)) == {"eigvalsh": 1}
+    # the solve cached p's fidelity pair; a problem on the same states
+    # computes its own
+    fresh = UsdProblem(p.rho0, p.rho1, p.eta0, p.eta1)
+    fresh.supports_overlap
+    assert _count_calls(monkeypatch, lambda: fresh.fidelity_pair) == {"svd": 1}
+    assert _count_calls(monkeypatch, lambda: rank_condition_check(fresh)) == {"eigvalsh": 1}
     assert _count_calls(monkeypatch, lambda: verify_certificate(p, m, cert)) == {"eigvalsh": 1}
     # the states' spectra are cached by now: one SVD gives both operators
     assert _count_calls(monkeypatch, lambda: fidelity_operators(p)) == {"svd": 1}

@@ -21,7 +21,7 @@ from usdisc import (
     split_off_extraction,
     validate_povm,
 )
-from usdisc.bb84 import basis_problem, bit_problem, find_mu0
+from usdisc.bb84 import basis_problem, bit_problem, build_states, find_mu0
 from usdisc.errors import BranchNotApplicable, NumericalFailure
 from usdisc.linalg import hermitize, psd_check, spectral_norm
 from usdisc.solvers import _signed_kernel_eigs
@@ -333,14 +333,104 @@ def test_symmetric_first_class_solve_reads_one_rank_condition_spectrum(monkeypat
 def test_solve_falls_back_on_a_numerical_failure(monkeypatch, make):
     # a failed SVD or polar-trace check in an analytic branch hands the
     # problem to the oracle instead of aborting the solve
-    import usdisc.solvers
+    import usdisc.bounds
 
     def failing(p):
         raise NumericalFailure("injected SVD failure")
 
-    monkeypatch.setattr(usdisc.solvers, "fidelity_operators", failing)
+    monkeypatch.setattr(usdisc.bounds, "fidelity_operators", failing)
     p = make()
     rep = solve(p)
     assert rep.branch is Branch.ORACLE_ONLY
     audit = audit_report(p, rep)
     assert audit.ok, audit.failures
+
+
+def _instance(stack, i):
+    """Row i of a stacked problem as a problem of its own, with no caches."""
+    return UsdProblem(DensityMatrix(stack.rho0.matrix[i], stack.rho0.declared_rank),
+                      DensityMatrix(stack.rho1.matrix[i], stack.rho1.declared_rank),
+                      stack.eta0, stack.eta1, gu_involution=stack.gu_involution)
+
+
+def _assert_rows_solve_alone(stack):
+    """Every row of solve(stack) has the bits of solve on that instance alone."""
+    rep = solve(stack)
+    n = len(stack.rho0.matrix)
+    assert len(rep.branch) == n
+    for i in range(n):
+        one = solve(_instance(stack, i))
+        assert rep.branch[i] is one.branch, i
+        for name in ("q_opt", "q0", "q1"):
+            assert getattr(rep, name)[i] == getattr(one, name), (i, name)
+        for name in ("e0", "e1", "eq"):
+            assert np.array_equal(getattr(rep.povm, name)[i], getattr(one.povm, name)), (i, name)
+        assert np.array_equal(rep.certificate.z[i], one.certificate.z), i
+    return rep
+
+
+STRADDLING_MUS = [0.3, 0.5, 0.8, 1.1, 1.5, 2.0]
+
+
+def test_stacked_solve_straddling_mu0_matches_each_instance():
+    mu0 = find_mu0()
+    rep = _assert_rows_solve_alone(build_states(STRADDLING_MUS).bit_problem())
+    assert list(rep.branch) == [Branch.GU_PROJECTIVE if mu < mu0 else Branch.FIRST_CLASS_FIDELITY
+                                for mu in STRADDLING_MUS]
+
+
+def test_stacked_solve_of_rows_out_of_order_matches_each_instance():
+    # neither side of the regime decision is a run of consecutive rows
+    rep = _assert_rows_solve_alone(build_states([1.5, 0.3, 2.0, 0.5, 0.8, 0.1]).bit_problem())
+    assert set(rep.branch) == {Branch.GU_PROJECTIVE, Branch.FIRST_CLASS_FIDELITY}
+
+
+def test_stacked_solve_of_mixed_ranks_solves_row_by_row():
+    rho0 = np.array([np.diag([0.5, 0.5, 0.0, 0.0]), np.diag([1 / 3, 1 / 3, 1 / 3, 0.0])])
+    rho1 = np.array([np.diag([0.0, 0.0, 0.5, 0.5]), np.diag([0.0, 0.0, 0.0, 1.0])])
+    p = UsdProblem(DensityMatrix.from_matrix(rho0), DensityMatrix.from_matrix(rho1), 0.5, 0.5)
+    rep = _assert_rows_solve_alone(p)
+    assert rep.branch == (Branch.FIRST_CLASS_FIDELITY,) * 2
+
+
+def test_stacked_solve_sends_a_row_forced_off_its_branch_to_the_oracle(monkeypatch):
+    import usdisc.solvers
+
+    stack = build_states(STRADDLING_MUS).bit_problem()
+    target = stack.rho0.matrix[1].copy()
+    projective = usdisc.solvers.gu_4d_projective
+
+    def refuse_target(p, u, k, op0_min_eig):
+        rows = p.rho0.matrix.reshape((-1, 4, 4))
+        if any(np.array_equal(r, target) for r in rows):
+            raise BranchNotApplicable("injected failure at one row", cause="certificate")
+        return projective(p, u, k, op0_min_eig)
+
+    monkeypatch.setattr(usdisc.solvers, "gu_4d_projective", refuse_target)
+    rep = _assert_rows_solve_alone(stack)
+    assert rep.branch[1] is Branch.ORACLE_ONLY
+    assert rep.branch[0] is Branch.GU_PROJECTIVE
+
+
+def _eigen_calls(monkeypatch, fn):
+    return sum(_count_calls(monkeypatch, fn).values())
+
+
+def test_stacked_solve_eigen_calls_do_not_grow_with_the_stack(monkeypatch):
+    grid = [round(0.05 * k, 2) for k in range(1, 61)]
+    counts = []
+    for mus in (grid[::10], grid):
+        stack = build_states(mus).bit_problem()
+        counts.append(_eigen_calls(monkeypatch, lambda: solve(stack)))
+    assert counts[0] == counts[1]
+
+
+def test_solve_then_audit_take_one_svd(monkeypatch):
+    # the fidelity pair is cached on the problem: the audit's branch-label
+    # check reads the one the solve computed
+    p = first_class_instance(np.random.default_rng(3), 4)
+
+    def solve_and_audit():
+        assert audit_report(p, solve(p)).ok
+
+    assert _count_calls(monkeypatch, solve_and_audit)["svd"] == 1

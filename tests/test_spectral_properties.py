@@ -90,11 +90,12 @@ def test_fidelity_operators_from_one_svd(seed, d, data, orthogonal):
     s0, s1 = p.rho0.sqrt, p.rho1.sqrt
 
     sandwich = hermitize(s0 @ rho1 @ s0)
+    # F1 is F0 of the pair with the states swapped
+    f1 = fidelity_operators(UsdProblem(p.rho1, p.rho0, 0.5, 0.5)).f0
     assert np.abs(fd.f0 @ fd.f0 - sandwich).max() <= 1e-9
-    assert psd_check(fd.f0)[0] and psd_check(fd.f1)[0]
+    assert psd_check(fd.f0)[0] and psd_check(f1)[0]
     assert abs(trace(fd.f0).real - fd.fidelity) <= 1e-12
-    assert abs(trace(fd.f1).real - fd.fidelity) <= 1e-12
-    assert np.abs(dagger(fd.polar) @ fd.polar - np.eye(d)).max() <= 1e-12
+    assert abs(trace(f1).real - fd.fidelity) <= 1e-12
     if orthogonal:
         assert abs(fd.fidelity) <= 1e-12
     else:
@@ -143,13 +144,18 @@ def test_support_core_matches_the_full_space_construction(seed, d, data):
     f0, f1, fidelity, _ = _full_space_fidelity(p)
     s0 = p.rho0.sqrt
     assert np.abs(fd.f0 - f0).max() <= 1e-12
-    assert np.abs(fd.f1 - f1).max() <= 1e-12
+    # F1 is F0 of the pair with the states swapped
+    assert np.abs(fidelity_operators(UsdProblem(p.rho1, p.rho0, 1.0 - eta0, eta0)).f0
+                  - f1).max() <= 1e-12
     assert abs(fd.fidelity - fidelity) <= 1e-12
     assert np.abs(fd.f0 @ fd.f0 - hermitize(s0 @ rho1 @ s0)).max() <= 1e-12
 
-    # the polar unitary: unitary, and its trace against sqrt(rho0) sqrt(rho1) is F
-    assert np.abs(dagger(fd.polar) @ fd.polar - np.eye(d)).max() <= 1e-12
-    assert abs(trace(dagger(fd.polar) @ s0 @ p.rho1.sqrt).real - fd.fidelity) <= 1e-12
+    # the polar factor of the core, taken to the supports: its trace
+    # against sqrt(rho0) sqrt(rho1) is F
+    b0 = p.rho0.spectrum.eigenvectors[:, d - r0:]
+    b1 = p.rho1.spectrum.eigenvectors[:, d - r1:]
+    polar = b0 @ fd.core_polar @ dagger(b1)
+    assert abs(trace(dagger(polar) @ s0 @ p.rho1.sqrt).real - fd.fidelity) <= 1e-12
 
     # min(lowest support-coordinate eigenvalue, 0) is the d x d operator's
     gamma = math.sqrt(p.eta1 / p.eta0)
@@ -168,9 +174,10 @@ def test_fidelity_witness_verifies_on_first_class_pairs_of_unequal_rank(seed, d)
     rep = solve_first_class(p)
     cert = build_fidelity_certificate(p)
     assert verify_certificate(p, rep.povm, cert, CERT_TOL).ok
-    # the witness Y Y^H on the full polar unitary, whose completion off
-    # the supports leaves Z as the support factors give it
-    y = math.sqrt(p.eta1) * p.rho1.sqrt - math.sqrt(p.eta0) * p.rho0.sqrt @ fidelity_operators(p).polar
+    # the witness Y Y^H on a full polar unitary of sqrt(rho0) sqrt(rho1),
+    # whose completion off the supports leaves Z as the support factors give it
+    polar = _full_space_fidelity(p)[3]
+    y = math.sqrt(p.eta1) * p.rho1.sqrt - math.sqrt(p.eta0) * p.rho0.sqrt @ polar
     assert np.abs(cert.z - hermitize(y @ dagger(y))).max() <= 1e-12
 
 
