@@ -10,8 +10,8 @@ spectrum.
 A sweep stacks both questions' states for the whole grid as 4 x 4
 matrices, decomposes the stack once and hands each question's rows of
 it to solvers.solve, so each instance gets the bits, and the branch, of
-a solve at its photon number alone. The basis states are real-valued
-but kept complex, so that they share the bit states' stack.
+a solve at its photon number alone. Both questions' states are real
+(see build_states), so the whole sweep runs in float64.
 """
 
 import math
@@ -78,23 +78,29 @@ def coefficients(mu: float) -> CoherentBb84Model:
     return CoherentBb84Model(mu=mu, c=(c0, c1, c2, c3))
 
 
-# rho_r and rho_0 as entrywise factors of the products c_i c_j; scaling
-# by the 1/2 in the phases is exact, so each entry has the bits of the
-# product written out
-_RHO_R_FACTORS = np.array([[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1]], complex)
-_PM, _MP = (1.0 - 1j) / 2.0, (1.0 + 1j) / 2.0
+# rho_r and rho_0 as entrywise factors of the products c_i c_j, rho_0 in
+# the real basis of build_states
+_RHO_R_FACTORS = np.array([[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1]], float)
+_H = math.sqrt(0.5)
 _RHO_0_FACTORS = np.array([
-    [1.0, _PM, 0.0, _MP],
-    [_MP, 1.0, _PM, 0.0],
-    [0.0, _MP, 1.0, _PM],
-    [_PM, 0.0, _MP, 1.0],
+    [1.0, _H, 0.0, -_H],
+    [_H, 1.0, _H, 0.0],
+    [0.0, _H, 1.0, _H],
+    [-_H, 0.0, _H, 1.0],
 ])
 
 
 def build_states(mu) -> Bb84States:
     """The two basis-question states, the two bit-question states, and
-    the involutions relating each pair. Both conjugation identities are
-    verified at 1e-12 before returning.
+    the involutions relating each pair, all float64. Both conjugation
+    identities are verified at 1e-12 before returning.
+
+    The basis-question states are the paper's, which are real. The
+    bit-question states are written in the basis that makes them real:
+    with D = diag(exp(-i k pi / 4)), k = 0..3, the paper's states are
+    D^H rho_0 D and D^H rho_1 D. D is diagonal, so it commutes with the
+    bit involution, and the change of basis leaves every failure
+    probability and branch as it is.
 
     mu is one photon number or a sequence of N of them; for a sequence
     each state is an (N, 4, 4) stack whose instances are bit for bit the
@@ -108,9 +114,9 @@ def build_states(mu) -> Bb84States:
     rho_0 = products * _RHO_0_FACTORS
     if np.ndim(mu) == 0:
         rho_r, rho_0 = rho_r[0], rho_0[0]
-    u_basis = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
+    u_basis = np.diag([1.0, 1.0, -1.0, -1.0])
     rho_i = u_basis @ rho_r @ u_basis
-    u_bit = np.diag([1.0, -1.0, 1.0, -1.0]).astype(complex)
+    u_bit = np.diag([1.0, -1.0, 1.0, -1.0])
     rho_1 = u_bit @ rho_0 @ u_bit
 
     states = Bb84States(

@@ -180,7 +180,7 @@ def _candidates(p: UsdProblem, m: Povm):
             # the witness does not depend on the phase of E0's top eigenvector
             yield symmetric_projective_witness(p, sys.eigenvectors[..., :, -1], p.gu_involution)
     # giving up is optimal only when the states share one support
-    yield np.zeros(np.shape(m.eq), complex)
+    yield np.zeros_like(as_double(m.eq))
 
 
 def fit_certificate(p: UsdProblem, m: Povm, tol: float = CERT_TOL,

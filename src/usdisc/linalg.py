@@ -254,13 +254,22 @@ class EigenSystem:
                     f"-{np.max(np.where(below, bound, 0.0)):.3e}"
                 )
 
-    def pinv(self, rel_cutoff: float = REL_CUTOFF) -> np.ndarray:
-        """Spectral pseudo-inverse; components below cutoff are dropped."""
+    def _inverse_eigenvalues(self, rel_cutoff: float) -> np.ndarray:
         w = self.eigenvalues
         mask = nonzero_mask(w, rel_cutoff, indefinite=True)
         inv = np.zeros_like(w)
         inv[mask] = 1.0 / w[mask]
-        return assemble(inv, self.eigenvectors)
+        return inv
+
+    def pinv(self, rel_cutoff: float = REL_CUTOFF) -> np.ndarray:
+        """Spectral pseudo-inverse; components below cutoff are dropped."""
+        return assemble(self._inverse_eigenvalues(rel_cutoff), self.eigenvectors)
+
+    def pinv_times(self, x: np.ndarray) -> np.ndarray:
+        """pinv() @ x, computed as V ((1/w) V^H x) without forming the
+        d x d pseudo-inverse."""
+        v = self.eigenvectors
+        return v @ (self._inverse_eigenvalues(REL_CUTOFF)[..., :, None] * (dagger(v) @ x))
 
 
 def eigh(h: np.ndarray) -> EigenSystem:

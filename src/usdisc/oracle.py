@@ -81,7 +81,8 @@ def oracle_optimize(p: UsdProblem) -> OracleResult:
     duality_gap is Tr Z - (1 - q_opt). Both iterates stay feasible, so it
     bounds the distance of q_opt from the true optimum. The result is a
     deterministic function of the problem; iterations counts Newton steps
-    and stop says why they ended.
+    and stop says why they ended. For real states every iterate, the
+    measurement and Z are real.
     """
     if p.supports_overlap:
         raise InvalidInput(
@@ -91,7 +92,9 @@ def oracle_optimize(p: UsdProblem) -> OracleResult:
     v0 = p.rho0.spectrum.kernel_columns()
     v1 = p.rho1.spectrum.kernel_columns()
     d = p.dim
-    eye = np.eye(d, dtype=complex)
+    # real states keep every iterate real
+    dtype = np.result_type(r0m, r1m, float)
+    eye = np.eye(d, dtype=dtype)
     # X = diag(Eq, A, B) pairs with S = diag(Z, V1^H Z V1 - C_A, V0^H Z V0 - C_B);
     # W = [I V1 V0] maps the blocks into C^d, wk[k] keeps only block k's columns
     w = np.hstack([eye, v1, v0])
@@ -100,13 +103,13 @@ def oracle_optimize(p: UsdProblem) -> OracleResult:
     edges = np.cumsum((0,) + sizes)
     blocks = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
     mask = np.zeros((n, n), bool)
-    wk = np.zeros((3, d, n), complex)
+    wk = np.zeros((3, d, n), dtype)
     for k, blk in enumerate(blocks):
         mask[blk, blk] = True
         wk[k][:, blk] = w[:, blk]
     qb, ab, bb = blocks
     w_ab = wk[1] + wk[2]
-    c = np.zeros((n, n), complex)
+    c = np.zeros((n, n), dtype)
     c[ab, ab] = p.eta0 * dagger(v1) @ r0m @ v1
     c[bb, bb] = p.eta1 * dagger(v0) @ r1m @ v0
     c = hermitize(c)
@@ -126,7 +129,7 @@ def oracle_optimize(p: UsdProblem) -> OracleResult:
         return half_mask * (t + dagger(t)) - c
 
     # A = B = I/3 keeps Eq >= I/3; Z = I leaves each kernel slack >= (1 - eta) I
-    x = with_inconclusive(np.eye(n, dtype=complex) / 3.0)
+    x = with_inconclusive(np.eye(n, dtype=dtype) / 3.0)
     z = eye.copy()
     s = slack(z)
 

@@ -194,8 +194,7 @@ def solve_first_class(p: UsdProblem) -> SolutionReport:
         )
     # sqrt(rho) (rho - gamma F) sqrt(rho) = X G X^H, on each state's support
     # factor X and its rank-condition operator G in support coordinates
-    pinv = p.sum_spectrum.pinv()
-    m0, m1 = pinv @ p.rho0.factor, pinv @ p.rho1.factor
+    m0, m1 = (p.sum_spectrum.pinv_times(state.factor) for state in (p.rho0, p.rho1))
     r0, r1 = p.rho0.support.rank, p.rho1.support.rank
     e0 = hermitize(m0 @ fd.rank_operators[0, ..., :r0, :r0] @ dagger(m0))
     e1 = hermitize(m1 @ fd.rank_operators[1, ..., :r1, :r1] @ dagger(m1))
@@ -306,7 +305,13 @@ def gu_4d_projective(p: UsdProblem, u: np.ndarray, k: np.ndarray, op0_min_eig):
     cross = form(v0, r0, v1)
     phase = item_or_array(np.where(np.abs(cross) <= 1e-12, 0.0,
                                    np.angle(cross) % (2.0 * math.pi)))
-    x = ((np.exp(1j * phase) * np.sqrt(b))[..., None] * v0
+    if np.iscomplexobj(cross):
+        # e^{i phase}, and the e^{-i phase} of the cross-check below
+        spin, turn = np.exp(1j * phase), np.exp(-1j * phase)
+    else:
+        # a real problem's phase is 0 or pi, so e^{i phase} is a sign
+        spin = turn = np.where(phase == 0.0, 1.0, -1.0)
+    x = ((spin * np.sqrt(b))[..., None] * v0
          + np.sqrt(a)[..., None] * v1) / np.sqrt(a + b)[..., None]
     e0 = outer(x, x)
     e1 = hermitize(u @ e0 @ u)
@@ -316,7 +321,6 @@ def gu_4d_projective(p: UsdProblem, u: np.ndarray, k: np.ndarray, op0_min_eig):
     success = form(x, r0, x).real
     # Re(cross e^{-i phase}) in real arithmetic: numpy's array loop for a
     # complex product can round differently from its scalar arithmetic
-    turn = np.exp(-1j * phase)
     expanded = (
         b * form(v0, r0, v0).real
         + a * form(v1, r0, v1).real

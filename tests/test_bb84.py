@@ -335,34 +335,41 @@ def _solved_arrays(p):
             rep.certificate.z]
 
 
-def _real_copy(p):
-    """p with its states and involution stored as float64 arrays; the
-    basis question's entries are real products, so nothing is dropped."""
-    for a in (p.rho0.matrix, p.rho1.matrix, p.gu_involution):
-        assert not a.imag.any()
-    return UsdProblem(DensityMatrix.from_matrix(p.rho0.matrix.real),
-                      DensityMatrix.from_matrix(p.rho1.matrix.real),
-                      p.eta0, p.eta1, gu_involution=p.gu_involution.real)
+def _complex_copy(p):
+    """p with its states and involution stored as complex128 arrays."""
+    return UsdProblem(DensityMatrix.from_matrix(p.rho0.matrix.astype(complex)),
+                      DensityMatrix.from_matrix(p.rho1.matrix.astype(complex)),
+                      p.eta0, p.eta1, gu_involution=p.gu_involution.astype(complex))
+
+
+# the change of basis D = diag(exp(-i k pi / 4)) that makes the bit states real
+PHASES = np.diag(np.exp(-0.25j * np.pi * np.arange(4)))
+
+
+def _paper_form(p):
+    """The bit question p as the paper writes it, D^H rho D: complex."""
+    rho0, rho1, u = (PHASES.conj().T @ a @ PHASES
+                     for a in (p.rho0.matrix, p.rho1.matrix, p.gu_involution))
+    return UsdProblem(DensityMatrix.from_matrix(rho0), DensityMatrix.from_matrix(rho1),
+                      p.eta0, p.eta1, gu_involution=u)
 
 
 @pytest.mark.parametrize("mu", [0.3, 1.5, GRID[::7]], ids=["projective", "first_class", "stack"])
 def test_real_valued_problem_is_solved_in_real_arithmetic(mu):
-    # the dtype follows the input: a real basis question stays float64
+    # the dtype follows the input: both real questions stay float64
     # through every decomposition, the measurement and the witness, and
-    # the bit question, complex by construction, stays complex128
+    # the bit question in the paper's complex form stays complex128
     st = build_states(mu)
-    assert all(a.dtype == np.float64 for a in _solved_arrays(_real_copy(st.basis_problem())))
-    bit = st.bit_problem()
-    if np.ndim(mu):
-        bit = bit.take([0])
-    assert all(a.dtype == np.complex128 for a in _solved_arrays(bit))
+    assert all(a.dtype == np.float64 for a in _solved_arrays(st.basis_problem()))
+    assert all(a.dtype == np.float64 for a in _solved_arrays(st.bit_problem()))
+    assert all(a.dtype == np.complex128 for a in _solved_arrays(_paper_form(st.bit_problem())))
 
 
 @pytest.mark.parametrize("mu", [0.3, GRID], ids=["point", "default_grid"])
 def test_real_basis_problem_matches_the_complex_one(mu):
-    complex_problem = build_states(mu).basis_problem()
+    real_problem = build_states(mu).basis_problem()
     reps = []
-    for p in (_real_copy(complex_problem), complex_problem):
+    for p in (real_problem, _complex_copy(real_problem)):
         rep = solve_first_class(p)
         assert validate_povm(p, rep.povm).ok
         assert verify_certificate(p, rep.povm, rep.certificate).ok
@@ -372,24 +379,62 @@ def test_real_basis_problem_matches_the_complex_one(mu):
 
 @pytest.mark.parametrize("mu", [0.3, 1.5], ids=["projective", "first_class"])
 def test_real_form_of_the_bit_question_solves_alike(mu):
-    # the phases diag(exp(-i k pi / 4)) make the bit states real up to
-    # rounding; their real parts take the float64 path through the
-    # symmetric solver and, without the involution, through the oracle
-    phases = np.diag(np.exp(-0.25j * np.pi * np.arange(4)))
+    # the library's bit states are the paper's, D^H rho D, in the basis D
+    # that makes them real; both forms solve on the same branch
     p = bit_problem(mu)
-    real = [phases @ a @ phases.conj().T for a in (p.rho0.matrix, p.rho1.matrix, p.gu_involution)]
-    assert max(np.abs(a.imag).max() for a in real) <= 1e-16
-    r0, r1, u = (a.real for a in real)
-    reference = solve(p)
-    for q in (UsdProblem(DensityMatrix.from_matrix(r0), DensityMatrix.from_matrix(r1), 0.5, 0.5,
-                         gu_involution=u),
-              UsdProblem(DensityMatrix.from_matrix(r0), DensityMatrix.from_matrix(r1), 0.5, 0.5)):
-        rep = solve(q)
-        assert audit_report(q, rep).ok
-        assert rep.q_opt == pytest.approx(reference.q_opt, abs=1e-9)
-        if q.gu_involution is not None:
-            assert rep.branch is reference.branch
-            assert rep.q_opt == pytest.approx(reference.q_opt, abs=1e-14)
+    paper = _paper_form(p)
+    c = np.array(coefficients(mu).c)
+    pm, mp = (1.0 - 1j) / 2.0, (1.0 + 1j) / 2.0
+    written_out = np.outer(c, c) * np.array([[1.0, pm, 0.0, mp], [mp, 1.0, pm, 0.0],
+                                             [0.0, mp, 1.0, pm], [pm, 0.0, mp, 1.0]])
+    assert np.max(np.abs(paper.rho0.matrix - written_out)) <= 1e-16
+    assert p.rho0.matrix.dtype == np.float64
+    assert paper.rho0.matrix.dtype == np.complex128
+    reference = solve(paper)
+    rep = solve(p)
+    assert audit_report(p, rep).ok
+    assert rep.branch is reference.branch
+    assert rep.q_opt == pytest.approx(reference.q_opt, abs=1e-14)
+
+
+def test_default_sweep_runs_in_real_arithmetic(monkeypatch):
+    # every array that the default sweep's solves decompose, build or
+    # return is float64: the states and involutions, their spectra, the
+    # fidelity pair, the measurement, the witness and the projective x
+    import usdisc.bb84
+    import usdisc.solvers
+
+    solved, projective = [], []
+    route, construct = usdisc.bb84.solve, usdisc.solvers.gu_4d_projective
+
+    def recorded_solve(p):
+        rep = route(p)
+        solved.append((p, rep))
+        return rep
+
+    def recorded_projective(*args):
+        report, solution = construct(*args)
+        projective.append(solution)
+        return report, solution
+
+    monkeypatch.setattr(usdisc.bb84, "solve", recorded_solve)
+    monkeypatch.setattr(usdisc.solvers, "gu_4d_projective", recorded_projective)
+    rows = sweep()
+    assert len(solved) == 2 and len(projective) == 1
+    assert {r.branch_bit for r in rows} == {Branch.GU_PROJECTIVE, Branch.FIRST_CLASS_FIDELITY}
+    # the basis question is solved without its involution
+    arrays = [projective[0].x_vector, projective[0].kernel_operator, solved[1][0].gu_involution]
+    for p, rep in solved:
+        fd = p.fidelity_pair
+        arrays += [p.rho0.matrix, p.rho1.matrix,
+                   p.rho0.factor, p.rho1.factor, p.rho0.support.kernel_projector,
+                   p.rho1.support.kernel_projector,
+                   fd.s, fd.w, fd.v, fd.core_polar, fd.vectors0, fd.rank_operators,
+                   fd.rank_spectrum, fd.f0,
+                   rep.povm.e0, rep.povm.e1, rep.povm.eq, rep.certificate.z]
+        for sys in (p.rho0.spectrum, p.rho1.spectrum, p.sum_spectrum):
+            arrays += [sys.eigenvalues, sys.eigenvectors]
+    assert [a.dtype for a in arrays] == [np.float64] * len(arrays)
 
 
 def test_default_sweep_matches_the_reference_table(tmp_path):

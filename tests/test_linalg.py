@@ -142,6 +142,24 @@ def test_pseudo_inverse_penrose_identities():
         assert spectral_norm(hermitize(ap @ a) - ap @ a) <= tol
 
 
+def test_pinv_times_is_the_pseudo_inverse_product():
+    # on single matrices and a stack, full rank and rank deficient, real
+    # and complex: the product without the d x d pseudo-inverse
+    rng = np.random.default_rng(11)
+    for d, r in ((4, 4), (4, 2), (6, 3)):
+        a = np.array([rand_psd(rng, d, r) for _ in range(5)])
+        x = rng.standard_normal((5, d, 2))
+        # the real part of a PSD matrix is PSD
+        for mats in (a, np.ascontiguousarray(a.real)):
+            sys = eigh(mats)
+            stacked = sys.pinv_times(x)
+            assert stacked.dtype == np.result_type(mats, x)
+            assert np.allclose(stacked, sys.pinv() @ x, atol=1e-10)
+            for i in range(5):
+                one = eigh(mats[i])
+                assert np.allclose(one.pinv_times(x[i]), one.pinv() @ x[i], atol=1e-10)
+
+
 def test_psd_check_signs():
     ok, mn = psd_check(np.diag([0.5, 0.0, 1.0]))
     assert ok and mn >= -1e-15

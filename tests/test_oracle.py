@@ -10,16 +10,20 @@ from conftest import (
     rank_failing_problem,
 )
 from usdisc import (
+    Branch,
     DensityMatrix,
     UsdProblem,
+    audit_report,
     failure_lower_bound,
     oracle,
     oracle_optimize,
     rank_condition_check,
+    solve,
     solve_gu_4d,
     validate_povm,
     verify_certificate,
 )
+from usdisc.bb84 import bit_problem
 from usdisc.certificates import CERT_TOL
 from usdisc.errors import InvalidInput
 from usdisc.linalg import psd_check
@@ -106,6 +110,27 @@ def test_oracle_witness_verifies_where_rank_conditions_fail():
             assert res.converged
             rep = verify_certificate(p, res.povm, res.certificate, CERT_TOL)
             assert rep.ok, (d, rep.failures)
+
+
+def test_oracle_runs_in_real_arithmetic_on_a_real_problem():
+    # the bit question at mu = 0.3 without its involution fails the rank
+    # conditions, so solve falls back to the oracle; its states are real
+    bit = bit_problem(0.3)
+    p = UsdProblem(bit.rho0, bit.rho1, 0.5, 0.5)
+    rep = solve(p)
+    assert rep.branch is Branch.ORACLE_ONLY
+    assert rep.diagnostics["oracle_converged"] == 1.0
+    arrays = (rep.povm.e0, rep.povm.e1, rep.povm.eq, rep.certificate.z)
+    assert [a.dtype for a in arrays] == [np.float64] * 4
+    assert audit_report(p, rep).ok
+    # the same pair in the paper's complex basis, D^H rho D
+    phases = np.diag(np.exp(-0.25j * np.pi * np.arange(4)))
+    paper = UsdProblem(*(DensityMatrix.from_matrix(phases.conj().T @ s.matrix @ phases)
+                         for s in (bit.rho0, bit.rho1)), 0.5, 0.5)
+    reference = solve(paper)
+    assert reference.branch is Branch.ORACLE_ONLY
+    assert reference.povm.e0.dtype == np.complex128
+    assert abs(rep.q_opt - reference.q_opt) <= 1e-12
 
 
 def test_oracle_rejects_overlapping_supports():
