@@ -26,6 +26,8 @@ from .solvers import Branch, solve
 
 MU0_BRACKET = (0.1, 2.0)
 DEFAULT_GRID = (0.05, 3.0, 0.05)
+# The most grid points one sweep solves (see sweep).
+MAX_GRID_POINTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -164,8 +166,9 @@ def bit_spectrum_closed_form(mu: float):
     return lam_plus, lam_minus
 
 
-def locate_threshold(tol: float = 1e-9, max_iters: int = 100):
-    """Bisect the closed-form lower eigenvalue for its root.
+def locate_threshold():
+    """Bisect the closed-form lower eigenvalue for its root, until the
+    bracket is at most 1e-9 wide or after 100 steps.
 
     Returns (threshold, iterations used).
     """
@@ -177,7 +180,7 @@ def locate_threshold(tol: float = 1e-9, max_iters: int = 100):
             f"no sign change on [{lo}, {hi}]: f(lo)={flo:.3e}, f(hi)={fhi:.3e}"
         )
     iterations = 0
-    while hi - lo > tol and iterations < max_iters:
+    while hi - lo > 1e-9 and iterations < 100:
         iterations += 1
         mid = 0.5 * (lo + hi)
         if bit_spectrum_closed_form(mid)[1] < 0:
@@ -187,10 +190,10 @@ def locate_threshold(tol: float = 1e-9, max_iters: int = 100):
     return 0.5 * (lo + hi), iterations
 
 
-def find_mu0(tol: float = 1e-9) -> float:
+def find_mu0() -> float:
     """Threshold photon number where the bit-value problem switches
     solution family."""
-    return locate_threshold(tol)[0]
+    return locate_threshold()[0]
 
 
 def _solve_points(mu):
@@ -239,13 +242,24 @@ def sweep(mu_start: float = DEFAULT_GRID[0], mu_end: float = DEFAULT_GRID[1],
     checked against its closed form at 1e-8 before the rows are emitted.
     If that pass raises, the grid is solved again one photon number at a
     time, so that the error names the photon number where it arises.
+
+    start, end and step must be finite. The grid may hold at most
+    MAX_GRID_POINTS = 10,000 points (the default one has 60): the whole
+    stack is held in memory at once, about 6 kB a point, so the limit
+    keeps one sweep near 60 MB and a second, and a grid too fine to
+    build is refused before its list of photon numbers is made.
     """
-    if not (0 < mu_start < mu_end) or step <= 0:
+    grid = (mu_start, mu_end, step)
+    if not all(map(math.isfinite, grid)) or not (0 < mu_start < mu_end) or step <= 0:
         raise InvalidInput(
-            f"grid must satisfy 0 < start < end and step > 0, got "
-            f"({mu_start!r}, {mu_end!r}, {step!r})"
+            f"grid must be finite and satisfy 0 < start < end and step > 0, got {grid!r}"
         )
-    count = int(math.floor((mu_end - mu_start) / step + 1e-9)) + 1
+    intervals = (mu_end - mu_start) / step + 1e-9
+    if intervals >= MAX_GRID_POINTS:
+        raise InvalidInput(
+            f"grid of {intervals + 1:.6g} points exceeds the limit of {MAX_GRID_POINTS} per sweep"
+        )
+    count = int(math.floor(intervals)) + 1
     mus = [mu_start + i * step for i in range(count)]
     try:
         return _solve_points(mus)

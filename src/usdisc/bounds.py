@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import BranchNotApplicable, InvalidInput, NumericalFailure
 from .linalg import (
-    REL_CUTOFF,
     all_true,
     assemble,
     dagger,
@@ -193,14 +192,14 @@ def prior_regime_bounds(p: UsdProblem):
     return low, high, ratio, bool(low <= ratio <= high)
 
 
-def tighter_q0_bound(p: UsdProblem, rel_cutoff: float = REL_CUTOFF):
+def tighter_q0_bound(p: UsdProblem):
     """Sharpened floor on the state-0 inconclusive probability for
     symmetric measurements on a standard-form pair.
 
     Returns (bound, lambda_min) where lambda_min is the smallest
     non-vanishing eigenvalue of the kernel-compressed state
-    P1_perp rho0 P1_perp. The same relative cutoff that defines ranks
-    decides which eigenvalues count as vanishing.
+    P1_perp rho0 P1_perp, with P1_perp rho1's cached kernel projector. The
+    rank cutoff decides which eigenvalues count as vanishing.
     """
     if p.gu_involution is None:
         raise BranchNotApplicable(
@@ -208,11 +207,11 @@ def tighter_q0_bound(p: UsdProblem, rel_cutoff: float = REL_CUTOFF):
             "declares no involution",
             cause="gu_involution",
         )
-    d1 = p.rho1.spectrum.support(rel_cutoff)
+    d1 = p.rho1.support
     k1 = d1.kernel_projector
     compressed = hermitize(k1 @ p.rho0.matrix @ k1)
     w = np.linalg.eigvalsh(compressed)
-    nonzero = w[nonzero_mask(w, rel_cutoff)]
+    nonzero = w[nonzero_mask(w)]
     if nonzero.size == 0:
         raise InvalidInput("kernel-compressed state vanishes; bound undefined")
     lambda_min = float(nonzero[0])

@@ -137,13 +137,12 @@ def _condition_spectra(p: UsdProblem, m: Povm, z: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(a)
 
 
-def verify_certificate(p: UsdProblem, m: Povm, c: OptimalityCertificate,
-                       tol: float = CERT_TOL) -> ValidationReport:
+def verify_certificate(p: UsdProblem, m: Povm, c: OptimalityCertificate) -> ValidationReport:
     """Evaluate all witness conditions and the trace identity.
 
     Equalities are reported as operator norms, inequalities as minimum
     eigenvalues of the kernel compressions (with the violation amount
-    checked against tol). All six matrices take one eigenvalue call.
+    checked against CERT_TOL). All six matrices take one eigenvalue call.
     """
     rep = ValidationReport()
     z = hermitize(as_double(c.z))
@@ -154,18 +153,18 @@ def verify_certificate(p: UsdProblem, m: Povm, c: OptimalityCertificate,
     annihilation = item_or_array(gram_norm(w[3]))
     equality0, equality1 = unstack(np.maximum(-w[4:, ..., 0], w[4:, ..., -1]))
     rep.residuals["z_min_eig"] = zmin
-    rep.check("z_psd", at_least(-zmin, 0.0), tol)
-    rep.check("z_annihilates_eq", annihilation, tol)
-    rep.check("e0_equality", equality0, tol)
-    rep.check("e1_equality", equality1, tol)
+    rep.check("z_psd", at_least(-zmin, 0.0), CERT_TOL)
+    rep.check("z_annihilates_eq", annihilation, CERT_TOL)
+    rep.check("e0_equality", equality0, CERT_TOL)
+    rep.check("e1_equality", equality1, CERT_TOL)
     rep.residuals["kernel1_inequality_min_eig"] = mn1
     rep.residuals["kernel0_inequality_min_eig"] = mn0
-    rep.check("kernel1_inequality", at_least(-mn1, 0.0), tol)
-    rep.check("kernel0_inequality", at_least(-mn0, 0.0), tol)
+    rep.check("kernel1_inequality", at_least(-mn1, 0.0), CERT_TOL)
+    rep.check("kernel0_inequality", at_least(-mn0, 0.0), CERT_TOL)
 
     q, _, _ = failure_probability(p, m)
     tz = trace(z).real
-    rep.check("trace_identity", abs(tz - (1.0 - q)), tol)
+    rep.check("trace_identity", abs(tz - (1.0 - q)), CERT_TOL)
     rep.check("success_trace_consistency", abs(tz - c.success_trace), 1e-12)
     return rep
 
@@ -183,7 +182,7 @@ def _candidates(p: UsdProblem, m: Povm):
     yield np.zeros_like(as_double(m.eq))
 
 
-def fit_certificate(p: UsdProblem, m: Povm, tol: float = CERT_TOL,
+def fit_certificate(p: UsdProblem, m: Povm,
                     candidate: Optional[np.ndarray] = None) -> Optional[OptimalityCertificate]:
     """The first witness that certifies the given measurement.
 
@@ -198,7 +197,7 @@ def fit_certificate(p: UsdProblem, m: Povm, tol: float = CERT_TOL,
     given = () if candidate is None else (candidate,)
     for z in itertools.chain(given, _candidates(p, m)):
         cert = OptimalityCertificate(z=z, success_trace=item_or_array(trace(z).real))
-        rep = verify_certificate(p, m, cert, tol)
+        rep = verify_certificate(p, m, cert)
         if rep.ok:
             cert.residuals = rep.residuals
             return cert

@@ -30,9 +30,9 @@ from .errors import BranchNotApplicable, InvalidInput, NumericalFailure
 # dim <= 16 and well below any physical eigenvalue this package meets.
 REL_CUTOFF = 1e-10
 
-# Default relative tolerance for positivity decisions. Operator square
-# roots are chained twice in the fidelity construction, each contributing
-# roughly 1e-12 of error.
+# Relative tolerance for positivity decisions (negativity_bound,
+# psd_verdict). Operator square roots are chained twice in the fidelity
+# construction, each contributing roughly 1e-12 of error.
 PSD_TOL = 1e-9
 
 # Hermiticity tolerance enforced at construction boundaries.
@@ -120,20 +120,20 @@ def unstack(x) -> list:
     return x.tolist() if x.ndim == 1 else list(x)
 
 
-def require_hermitian(a, tol: float = HERM_TOL, name: str = "matrix") -> np.ndarray:
+def require_hermitian(a, name: str = "matrix") -> np.ndarray:
     """Validate the Hermitian contract and return a symmetrized copy.
 
-    The residual is measured in the max norm relative to max(1, |a|_max).
+    The skew, in the max norm, may not exceed HERM_TOL * max(1, |a|_max).
     """
     a = as_double(a)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise InvalidInput(f"{name} must be square, got shape {a.shape}")
     skew = max_abs(a - dagger(a))
     scale = at_least(max_abs(a), 1.0)
-    if any_true(skew > tol * scale):
+    if any_true(skew > HERM_TOL * scale):
         raise InvalidInput(
             f"{name} is not Hermitian: skew {np.max(skew):.3e} exceeds "
-            f"{tol:.0e} * {np.max(scale):.3e}"
+            f"{HERM_TOL:.0e} * {np.max(scale):.3e}"
         )
     return hermitize(a)
 
@@ -148,11 +148,10 @@ def gram_norm(w: np.ndarray):
     return np.sqrt(np.maximum(w[..., -1], 0.0))
 
 
-def nonzero_mask(w: np.ndarray, rel_cutoff: float = REL_CUTOFF,
-                 indefinite: bool = False) -> np.ndarray:
+def nonzero_mask(w: np.ndarray, indefinite: bool = False) -> np.ndarray:
     """The relative rank cutoff: which eigenvalues count as nonzero.
 
-    An eigenvalue counts when it exceeds rel_cutoff times the largest
+    An eigenvalue counts when it exceeds REL_CUTOFF times the largest
     one. For an indefinite spectrum (indefinite=True) magnitudes are
     compared instead, so negative eigenvalues can count too.
     """
@@ -161,17 +160,17 @@ def nonzero_mask(w: np.ndarray, rel_cutoff: float = REL_CUTOFF,
         return w > 0.0
     # no eigenvalue exceeds a nonpositive largest one, so that case needs
     # no clamp of the cutoff at zero
-    return w > rel_cutoff * w.max(axis=-1, keepdims=True)
+    return w > REL_CUTOFF * w.max(axis=-1, keepdims=True)
 
 
-def negativity_bound(w: np.ndarray, tol: float = PSD_TOL):
+def negativity_bound(w: np.ndarray):
     """The PSD rule for a matrix given its ascending spectrum w: returns
     (lowest eigenvalue, bound), and the matrix counts as PSD unless the
-    lowest eigenvalue is below -bound. The bound is tol times the largest
+    lowest eigenvalue is below -bound. The bound is PSD_TOL times the largest
     eigenvalue magnitude, so it scales with the matrix, not with 1."""
     low, top = item_or_array(w[..., 0]), item_or_array(w[..., -1])
     # the largest magnitude sits at one end of the ascending spectrum
-    return low, tol * at_least(at_least(top, abs(low)), 1e-300)
+    return low, PSD_TOL * at_least(at_least(top, abs(low)), 1e-300)
 
 
 @dataclass(frozen=True)
@@ -196,10 +195,10 @@ class EigenSystem:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def rank(self, rel_cutoff: float = REL_CUTOFF) -> int:
+    def rank(self) -> int:
         """Number of above-cutoff eigenvalues, which every matrix of a
         stack must share."""
-        mask = nonzero_mask(self.eigenvalues, rel_cutoff)
+        mask = nonzero_mask(self.eigenvalues)
         # the spectrum ascends, so equal ranks mean equal masks
         first = mask if mask.ndim == 1 else mask.reshape(-1, mask.shape[-1])[0]
         if mask.ndim > 1 and not (mask == first).all():
@@ -213,14 +212,14 @@ class EigenSystem:
         # differently for other layouts
         return self.eigenvectors[..., cols].swapaxes(-1, -2).copy().swapaxes(-1, -2)
 
-    def kernel_columns(self, rel_cutoff: float = REL_CUTOFF) -> np.ndarray:
+    def kernel_columns(self) -> np.ndarray:
         """Orthonormal basis of the below-cutoff eigenspace. The spectrum
         ascends, so these are the leading columns."""
-        return self._columns(slice(None, self.eigenvalues.shape[-1] - self.rank(rel_cutoff)))
+        return self._columns(slice(None, self.eigenvalues.shape[-1] - self.rank()))
 
-    def support(self, rel_cutoff: float = REL_CUTOFF) -> SupportDecomposition:
+    def support(self) -> SupportDecomposition:
         """Projectors onto the span of above-cutoff eigenvectors and its complement."""
-        rank = self.rank(rel_cutoff)
+        rank = self.rank()
         cols = self._columns(slice(self.eigenvalues.shape[-1] - rank, None))
         p = hermitize(cols @ dagger(cols))
         return SupportDecomposition(
@@ -229,23 +228,23 @@ class EigenSystem:
             rank=rank,
         )
 
-    def sqrt(self, tol: float = PSD_TOL, rel_cutoff: float = REL_CUTOFF) -> np.ndarray:
+    def sqrt(self) -> np.ndarray:
         """Unique PSD square root; raises if the matrix is not PSD.
 
-        Eigenvalues below rel_cutoff times the largest are zeroed, not
+        Eigenvalues below REL_CUTOFF times the largest are zeroed, not
         just the negative ones. Taking sqrt of eigenvalue-scale noise
         would otherwise promote it above the rank cutoff and corrupt
         every support computed downstream.
         """
-        self.require_psd(tol)
-        w = np.where(nonzero_mask(self.eigenvalues, rel_cutoff), self.eigenvalues, 0.0)
+        self.require_psd()
+        w = np.where(nonzero_mask(self.eigenvalues), self.eigenvalues, 0.0)
         return assemble(np.sqrt(w), self.eigenvectors)
 
-    def require_psd(self, tol: float = PSD_TOL):
+    def require_psd(self):
         """Raise unless the matrix passes the PSD rule of negativity_bound."""
         w = self.eigenvalues
         if w.shape[-1]:
-            low, bound = negativity_bound(w, tol)
+            low, bound = negativity_bound(w)
             below = low < -bound
             if any_true(below):
                 worst = np.min(np.where(below, low, np.inf))
@@ -254,22 +253,22 @@ class EigenSystem:
                     f"-{np.max(np.where(below, bound, 0.0)):.3e}"
                 )
 
-    def _inverse_eigenvalues(self, rel_cutoff: float) -> np.ndarray:
+    def _inverse_eigenvalues(self) -> np.ndarray:
         w = self.eigenvalues
-        mask = nonzero_mask(w, rel_cutoff, indefinite=True)
+        mask = nonzero_mask(w, indefinite=True)
         inv = np.zeros_like(w)
         inv[mask] = 1.0 / w[mask]
         return inv
 
-    def pinv(self, rel_cutoff: float = REL_CUTOFF) -> np.ndarray:
+    def pinv(self) -> np.ndarray:
         """Spectral pseudo-inverse; components below cutoff are dropped."""
-        return assemble(self._inverse_eigenvalues(rel_cutoff), self.eigenvectors)
+        return assemble(self._inverse_eigenvalues(), self.eigenvectors)
 
     def pinv_times(self, x: np.ndarray) -> np.ndarray:
         """pinv() @ x, computed as V ((1/w) V^H x) without forming the
         d x d pseudo-inverse."""
         v = self.eigenvectors
-        return v @ (self._inverse_eigenvalues(REL_CUTOFF)[..., :, None] * (dagger(v) @ x))
+        return v @ (self._inverse_eigenvalues()[..., :, None] * (dagger(v) @ x))
 
 
 def eigh(h: np.ndarray) -> EigenSystem:
@@ -284,36 +283,36 @@ def eigh(h: np.ndarray) -> EigenSystem:
     return EigenSystem(eigenvalues=w, eigenvectors=v)
 
 
-def sqrt_psd(a: np.ndarray, tol: float = PSD_TOL, rel_cutoff: float = REL_CUTOFF) -> np.ndarray:
+def sqrt_psd(a: np.ndarray) -> np.ndarray:
     """Unique PSD square root of a PSD matrix (see EigenSystem.sqrt)."""
-    return eigh(a).sqrt(tol, rel_cutoff)
+    return eigh(a).sqrt()
 
 
-def support_decomposition(a: np.ndarray, rel_cutoff: float = REL_CUTOFF) -> SupportDecomposition:
+def support_decomposition(a: np.ndarray) -> SupportDecomposition:
     """Projectors onto the span of above-cutoff eigenvectors and its complement."""
-    return eigh(a).support(rel_cutoff)
+    return eigh(a).support()
 
 
-def pseudo_inverse(a: np.ndarray, rel_cutoff: float = REL_CUTOFF) -> np.ndarray:
+def pseudo_inverse(a: np.ndarray) -> np.ndarray:
     """Spectral pseudo-inverse; components below cutoff are dropped."""
-    return eigh(a).pinv(rel_cutoff)
+    return eigh(a).pinv()
 
 
-def psd_check(a: np.ndarray, tol: float = PSD_TOL):
+def psd_check(a: np.ndarray):
     """Return (is_psd, min_eigenvalue) for a Hermitian matrix, or their
     per-matrix arrays for a stack.
 
-    The decision threshold is -tol * max(1, spectral norm); the exact
+    The decision threshold is -PSD_TOL * max(1, spectral norm); the exact
     minimum eigenvalue found is always returned.
     """
-    return psd_verdict(np.linalg.eigvalsh(hermitize(as_double(a))), tol)
+    return psd_verdict(np.linalg.eigvalsh(hermitize(as_double(a))))
 
 
-def psd_verdict(w: np.ndarray, tol: float = PSD_TOL):
+def psd_verdict(w: np.ndarray):
     """psd_check's (is_psd, min_eigenvalue) from an ascending spectrum w,
     for a caller that already holds it."""
     if not w.shape[-1]:
         return True, 0.0
     mn = item_or_array(w[..., 0])
     mx = item_or_array(np.abs(w).max(axis=-1))
-    return mn >= -tol * at_least(mx, 1.0), mn
+    return mn >= -PSD_TOL * at_least(mx, 1.0), mn

@@ -24,7 +24,6 @@ from .errors import InvalidInput
 from .linalg import (
     HERM_TOL,
     PSD_TOL,
-    REL_CUTOFF,
     EigenSystem,
     SupportDecomposition,
     any_true,
@@ -44,6 +43,7 @@ from .linalg import (
 TRACE_TOL = 1e-10
 PRIOR_TOL = 1e-12
 COMPLETENESS_TOL = 1e-9
+ERROR_FREE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -261,21 +261,21 @@ def validate_problem(p: UsdProblem) -> ValidationReport:
     return rep
 
 
-def validate_povm(p: UsdProblem, m: Povm, tol: float = 1e-9) -> ValidationReport:
+def validate_povm(p: UsdProblem, m: Povm) -> ValidationReport:
     """Positivity, completeness and the two error-free trace conditions."""
     rep = ValidationReport()
     eye = np.eye(p.dim)
     elements = (("e0", m.e0), ("e1", m.e1), ("eq", m.eq))
     # the three elements' spectra in one stacked call
-    _, mins = psd_check(np.array([el for _, el in elements]), PSD_TOL)
+    _, mins = psd_check(np.array([el for _, el in elements]))
     for (name, el), mn in zip(elements, unstack(mins)):
         scale = at_least(max_abs(el), 1.0)
         rep.check(f"{name}_hermitian", max_abs(el - dagger(el)) / scale, 1e-10)
         rep.check(f"{name}_psd", at_least(-mn, 0.0), PSD_TOL * scale)
     total = m.e0 + m.e1 + m.eq
     rep.check("completeness", max_abs(total - eye), COMPLETENESS_TOL)
-    rep.check("error_free_0", abs(trace(m.e0 @ p.rho1.matrix).real), tol)
-    rep.check("error_free_1", abs(trace(m.e1 @ p.rho0.matrix).real), tol)
+    rep.check("error_free_0", abs(trace(m.e0 @ p.rho1.matrix).real), ERROR_FREE_TOL)
+    rep.check("error_free_1", abs(trace(m.e1 @ p.rho0.matrix).real), ERROR_FREE_TOL)
     return rep
 
 
@@ -286,28 +286,24 @@ def failure_probability(p: UsdProblem, m: Povm):
     return q0 + q1, q0, q1
 
 
-def _intersection_dim(pa: np.ndarray, pb: np.ndarray, rel_cutoff: float = REL_CUTOFF) -> int:
+def _intersection_dim(pa: np.ndarray, pb: np.ndarray) -> int:
     # dim(A meet B) = rank(P_A) + rank(P_B) - dim(A join B); the join is
     # the support of the projector sum, which avoids principal-angle
     # computations that get ill conditioned at these dimensions. The
     # rank of an orthogonal projector is its trace.
     ranks = round(np.trace(pa).real) + round(np.trace(pb).real)
-    return max(0, ranks - support_decomposition(pa + pb, rel_cutoff).rank)
+    return max(0, ranks - support_decomposition(pa + pb).rank)
 
 
-def standard_form_report(p: UsdProblem, rel_cutoff: float = REL_CUTOFF) -> StandardFormReport:
-    """Support geometry diagnostics for reduction preconditions."""
-    d0 = p.rho0.spectrum.support(rel_cutoff)
-    d1 = p.rho1.spectrum.support(rel_cutoff)
+def standard_form_report(p: UsdProblem) -> StandardFormReport:
+    """Support geometry diagnostics for reduction preconditions, on the
+    states' cached supports."""
+    d0, d1 = p.rho0.support, p.rho1.support
     return StandardFormReport(
-        supports_overlap=d0.rank + d1.rank > p.sum_spectrum.rank(rel_cutoff),
+        supports_overlap=p.supports_overlap,
         dim_equals_r0_plus_r1=(d0.rank + d1.rank == p.dim),
-        kernel0_meets_support1_dim=_intersection_dim(
-            d0.kernel_projector, d1.support_projector, rel_cutoff
-        ),
-        kernel1_meets_support0_dim=_intersection_dim(
-            d1.kernel_projector, d0.support_projector, rel_cutoff
-        ),
+        kernel0_meets_support1_dim=_intersection_dim(d0.kernel_projector, d1.support_projector),
+        kernel1_meets_support0_dim=_intersection_dim(d1.kernel_projector, d0.support_projector),
     )
 
 

@@ -25,7 +25,6 @@ import numpy as np
 
 from .bounds import rank_condition_check, rank_conditions
 from .certificates import (
-    CERT_TOL,
     OptimalityCertificate,
     build_fidelity_certificate,
     fit_certificate,
@@ -61,12 +60,16 @@ from .problem import (
 )
 
 # eigenvalue threshold treated as "equals one" when hunting unit
-# eigenvectors of measurement elements (their spectra live in [0, 1])
+# eigenvectors of measurement elements (their spectra live in [0, 1]),
+# and the projection a unit vector needs to count as lying in a subspace
 UNIT_EIG_THRESHOLD = 1.0 - 1e-7
 
 # A stored failure probability must match the one recomputed from the
 # stored measurement; a report written by this package matches to rounding.
 STORED_Q_TOL = 1e-10
+
+# Residual bound of each projectivity_check condition.
+PROJECTIVE_TOL = 1e-9
 
 
 class Branch(Enum):
@@ -163,7 +166,7 @@ def _gate_solution(p: UsdProblem, m: Povm, cert: OptimalityCertificate) -> dict:
             f"constructed measurement failed validation: {vrep.failures}",
             cause="certificate",
         )
-    crep = verify_certificate(p, m, cert, CERT_TOL)
+    crep = verify_certificate(p, m, cert)
     cert.residuals = crep.residuals
     if not crep.ok:
         raise BranchNotApplicable(
@@ -489,7 +492,7 @@ def gu_kernel_spectrum(p: UsdProblem) -> np.ndarray:
     return vals
 
 
-def spectrum_negation_check(p: UsdProblem, tol: float = 1e-9) -> bool:
+def spectrum_negation_check(p: UsdProblem) -> bool:
     """Whether the support and kernel compressions of the involution
     carry spectra that are negatives of each other."""
     if p.gu_involution is None:
@@ -506,18 +509,18 @@ def spectrum_negation_check(p: UsdProblem, tol: float = 1e-9) -> bool:
     s_out = np.sort(outside[keep[inside.size:]])
     if s_in.size != s_out.size:
         return False
-    return bool(np.all(np.abs(s_in + s_out[::-1]) <= tol))
+    return bool(np.all(np.abs(s_in + s_out[::-1]) <= 1e-9))
 
 
-def projectivity_check(m: Povm, tol: float = 1e-9) -> ValidationReport:
+def projectivity_check(m: Povm) -> ValidationReport:
     """Idempotence of all three elements, conclusive-element
     orthogonality, and the rank-2 inconclusive element."""
     rep = ValidationReport()
     elements = np.array([m.e0, m.e1, m.eq])
     norms = unstack(spectral_norm(elements @ elements - elements))
     for name, norm in zip(("e0", "e1", "eq"), norms):
-        rep.check(f"{name}_idempotent", norm, tol)
-    rep.check("e0_e1_orthogonal", abs(np.trace(m.e0 @ m.e1).real), tol)
+        rep.check(f"{name}_idempotent", norm, PROJECTIVE_TOL)
+    rep.check("e0_e1_orthogonal", abs(np.trace(m.e0 @ m.e1).real), PROJECTIVE_TOL)
     rank = support_decomposition(hermitize(m.eq)).rank
     rep.residuals["eq_rank"] = float(rank)
     if rank != 2:
@@ -541,7 +544,7 @@ def _best_in_subspace(cols: np.ndarray, proj: np.ndarray):
     return vec, math.sqrt(max(0.0, float(w[-1])))
 
 
-def split_off_extraction(p: UsdProblem, m: Povm, tol: float = 1e-7):
+def split_off_extraction(p: UsdProblem, m: Povm):
     """Locate the two-dimensional subspace that an optimal measurement
     splits off when the rank conditions fail.
 
@@ -559,11 +562,11 @@ def split_off_extraction(p: UsdProblem, m: Povm, tol: float = 1e-7):
     for host, partner in ((HostState.RHO0, m.e1), (HostState.RHO1, m.e0)):
         dec = (p.rho0 if host is HostState.RHO0 else p.rho1).support
         e_vec, e_proj = _best_in_subspace(eq_unit, dec.support_projector)
-        if e_vec is None or e_proj < 1.0 - tol:
+        if e_vec is None or e_proj < UNIT_EIG_THRESHOLD:
             continue
         partner_unit = _unit_eigenspace(partner)
         ep_vec, ep_proj = _best_in_subspace(partner_unit, dec.kernel_projector)
-        if ep_vec is None or ep_proj < 1.0 - tol:
+        if ep_vec is None or ep_proj < UNIT_EIG_THRESHOLD:
             continue
         residuals = {
             "support_projection": 1.0 - e_proj,

@@ -240,6 +240,35 @@ def test_sweep_failure_names_the_photon_number(monkeypatch):
         sweep(0.3, 0.8, 0.1)
 
 
+@pytest.mark.parametrize("grid", [
+    (0.05, float("inf"), 0.05),
+    (0.05, 3.0, float("inf")),
+    (float("-inf"), 3.0, 0.05),
+    (float("nan"), 3.0, 0.05),
+    (0.05, float("nan"), 0.05),
+    (0.05, 3.0, float("nan")),
+])
+def test_sweep_refuses_a_non_finite_grid(grid):
+    with pytest.raises(InvalidInput, match="grid must be finite"):
+        sweep(*grid)
+
+
+def test_sweep_refuses_too_many_points_before_building_the_grid(monkeypatch):
+    import usdisc.bb84
+
+    built = []
+    monkeypatch.setattr(usdisc.bb84, "_solve_points", lambda mus: built.append(len(mus)) or [])
+    limit = usdisc.bb84.MAX_GRID_POINTS
+    # 1e-300 asks for about 3e300 points, 1e-320 (subnormal) for more than
+    # a float holds; both are refused before any list is made
+    for step in (1e-300, 1e-320, 1.0 / limit):
+        with pytest.raises(InvalidInput, match=f"limit of {limit} per sweep"):
+            sweep(1.0, 2.0, step)
+    assert built == []
+    sweep(1.0, 2.0, 1.0 / (limit - 1))
+    assert built == [limit]
+
+
 def test_sweep_falls_back_to_points_when_the_stack_fails(monkeypatch):
     import usdisc.solvers
 

@@ -23,7 +23,7 @@ from usdisc import (
 )
 import usdisc.certificates
 from usdisc.bb84 import basis_problem, bit_problem, build_states
-from usdisc.certificates import CERT_TOL, symmetric_projective_witness
+from usdisc.certificates import symmetric_projective_witness
 from usdisc.linalg import hermitize, spectral_norm, support_decomposition
 
 GRID = [round(0.05 * k, 2) for k in range(1, 61)]
@@ -180,7 +180,7 @@ def test_projective_witness_is_the_closed_form():
         u = p.gu_involution
         z = rep.certificate.z
         assert np.array_equal(z, symmetric_projective_witness(p, gu.x_vector, u))
-        out = verify_certificate(p, rep.povm, rep.certificate, CERT_TOL)
+        out = verify_certificate(p, rep.povm, rep.certificate)
         assert out.ok, out.failures
         assert spectral_norm(u @ z @ u - z) <= 1e-12
         assert support_decomposition(z).rank <= 2

@@ -549,6 +549,20 @@ def test_sweep_command(tmp_path):
     assert lines[1].startswith("0.2,")
 
 
+@pytest.mark.parametrize("flags", [
+    ["--mu-end", "inf"],
+    ["--mu-step", "inf"],
+    ["--mu-start", "nan"],
+    ["--mu-step", "1e-300"],
+])
+def test_sweep_refuses_a_bad_grid_with_one_error_line(tmp_path, capsys, flags):
+    out = tmp_path / "sweep.csv"
+    assert main(["bb84-sweep", *flags, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_sweep_deterministic(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -24,7 +24,6 @@ from usdisc import (
     verify_certificate,
 )
 from usdisc.bb84 import bit_problem
-from usdisc.certificates import CERT_TOL
 from usdisc.errors import InvalidInput
 from usdisc.linalg import psd_check
 
@@ -108,7 +107,7 @@ def test_oracle_witness_verifies_where_rank_conditions_fail():
             found += 1
             res = oracle_optimize(p)
             assert res.converged
-            rep = verify_certificate(p, res.povm, res.certificate, CERT_TOL)
+            rep = verify_certificate(p, res.povm, res.certificate)
             assert rep.ok, (d, rep.failures)
 
 

@@ -27,7 +27,6 @@ from usdisc import (
     solve_first_class,
     verify_certificate,
 )
-from usdisc.certificates import CERT_TOL
 from usdisc.linalg import (
     REL_CUTOFF,
     dagger,
@@ -173,7 +172,7 @@ def test_fidelity_witness_verifies_on_first_class_pairs_of_unequal_rank(seed, d)
         p = first_class_instance(rng, d)
     rep = solve_first_class(p)
     cert = build_fidelity_certificate(p)
-    assert verify_certificate(p, rep.povm, cert, CERT_TOL).ok
+    assert verify_certificate(p, rep.povm, cert).ok
     # the witness Y Y^H on a full polar unitary of sqrt(rho0) sqrt(rho1),
     # whose completion off the supports leaves Z as the support factors give it
     polar = _full_space_fidelity(p)[3]
