@@ -53,12 +53,9 @@ class FidelityData:
     rank_operators: np.ndarray
 
     @cached_property
-    def left(self) -> np.ndarray:
-        return self.vectors0[..., self.vectors0.shape[-1] - self.w.shape[-1]:] @ self.w
-
-    @cached_property
     def f0(self) -> np.ndarray:
-        return assemble(self.s, self.left[..., :self.s.shape[-1]])
+        left = self.vectors0[..., self.vectors0.shape[-1] - self.w.shape[-1]:] @ self.w
+        return assemble(self.s, left[..., :self.s.shape[-1]])
 
     @cached_property
     def rank_spectrum(self) -> np.ndarray:

@@ -186,13 +186,12 @@ def fit_certificate(p: UsdProblem, m: Povm,
                     candidate: Optional[np.ndarray] = None) -> Optional[OptimalityCertificate]:
     """The first witness that certifies the given measurement.
 
-    A given candidate, such as the oracle's dual solution or the
-    closed-form symmetric witness, is tried first, then the closed
-    forms: the fidelity-bound witness, the symmetric projective witness
-    when E0 has rank 1 on a four-dimensional involution pair, and Z = 0.
-    A stacked problem is certified only when one witness verifies on
-    every instance. Absence of a result means "not certified", which is
-    weaker than "refuted".
+    A given candidate, such as the oracle's dual solution, is tried
+    first, then the closed forms: the fidelity-bound witness, the
+    symmetric projective witness when E0 has rank 1 on a 4D involution
+    pair, and Z = 0. A stacked problem is certified only when one witness
+    verifies on every instance. Absence of a result means "not
+    certified", which is weaker than "refuted".
     """
     given = () if candidate is None else (candidate,)
     for z in itertools.chain(given, _candidates(p, m)):

@@ -44,6 +44,7 @@ TRACE_TOL = 1e-10
 PRIOR_TOL = 1e-12
 COMPLETENESS_TOL = 1e-9
 ERROR_FREE_TOL = 1e-9
+INVOLUTION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -70,15 +71,11 @@ class DensityMatrix:
         return self.spectrum.support()
 
     @cached_property
-    def sqrt(self) -> np.ndarray:
-        return self.spectrum.sqrt()
-
-    @cached_property
     def factor(self) -> np.ndarray:
         """The support columns B scaled by the square roots of their
         eigenvalues Lambda: the d x r factor X = B sqrt(Lambda) with
-        rho = X X^H up to the rank cutoff, r the rank. Like sqrt, it
-        raises for a state that is not PSD."""
+        rho = X X^H up to the rank cutoff, r the rank. It raises for a
+        state that is not PSD."""
         sys = self.spectrum
         sys.require_psd()
         k = self.dim - self.support.rank
@@ -163,7 +160,6 @@ def _take_support(dec: SupportDecomposition, rows) -> SupportDecomposition:
 _TAKE = {
     "spectrum": _take_eigensystem,
     "support": _take_support,
-    "sqrt": lambda a, rows: a[rows],
     "factor": lambda a, rows: a[rows],
     "sum_spectrum": _take_eigensystem,
     "supports_overlap": lambda flag, rows: flag,
@@ -234,7 +230,7 @@ def _hermiticity_residual(a: np.ndarray):
 
 def validate_problem(p: UsdProblem) -> ValidationReport:
     """Check every instance invariant; the report lists each residual.
-    A state passes the PSD check exactly when DensityMatrix.sqrt accepts it."""
+    A state passes the PSD check exactly when DensityMatrix.factor accepts it."""
     rep = ValidationReport()
     r0, r1 = p.rho0.matrix, p.rho1.matrix
     if r0.shape != r1.shape:
@@ -307,8 +303,8 @@ def standard_form_report(p: UsdProblem) -> StandardFormReport:
     )
 
 
-def verify_gu_structure(rho0: DensityMatrix, rho1: DensityMatrix, u: np.ndarray,
-                        tol: float = 1e-9) -> ValidationReport:
+def verify_gu_structure(rho0: DensityMatrix, rho1: DensityMatrix,
+                        u: np.ndarray) -> ValidationReport:
     """Check that u is a Hermitian involution conjugating state 0 to state 1
     (every instance of a stack, by the one u)."""
     rep = ValidationReport()
@@ -318,10 +314,10 @@ def verify_gu_structure(rho0: DensityMatrix, rho1: DensityMatrix, u: np.ndarray,
         rep.failures.append("u_shape")
         return rep
     eye = np.eye(u.shape[0])
-    rep.check("u_unitary", max_abs(dagger(u) @ u - eye), tol)
-    rep.check("u_involution", max_abs(u @ u - eye), tol)
-    rep.check("u_hermitian", max_abs(u - dagger(u)), tol)
-    rep.check("conjugation", max_abs(rho1.matrix - u @ rho0.matrix @ u), tol)
+    rep.check("u_unitary", max_abs(dagger(u) @ u - eye), INVOLUTION_TOL)
+    rep.check("u_involution", max_abs(u @ u - eye), INVOLUTION_TOL)
+    rep.check("u_hermitian", max_abs(u - dagger(u)), INVOLUTION_TOL)
+    rep.check("conjugation", max_abs(rho1.matrix - u @ rho0.matrix @ u), INVOLUTION_TOL)
     return rep
 
 

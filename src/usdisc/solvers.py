@@ -158,23 +158,25 @@ class SplitOffSubspace:
     residuals: dict
 
 
-def _gate_solution(p: UsdProblem, m: Povm, cert: OptimalityCertificate) -> dict:
-    """Validate the measurement and its certificate; raise on failure."""
+def _gate_solution(p: UsdProblem, m: Povm, z: np.ndarray, branch: Branch,
+                   diagnostics: dict) -> SolutionReport:
+    """The report of a constructed measurement and its closed-form witness
+    Z, with the branch's diagnostics and the residuals of validate_povm and
+    verify_certificate; BranchNotApplicable (cause "certificate") on a miss."""
     vrep = validate_povm(p, m)
     if not vrep.ok:
-        raise BranchNotApplicable(
-            f"constructed measurement failed validation: {vrep.failures}",
-            cause="certificate",
-        )
+        raise BranchNotApplicable(f"constructed measurement failed validation: {vrep.failures}",
+                                  cause="certificate")
+    cert = OptimalityCertificate(z=z, success_trace=item_or_array(trace(z).real))
     crep = verify_certificate(p, m, cert)
-    cert.residuals = crep.residuals
     if not crep.ok:
-        raise BranchNotApplicable(
-            f"certificate conditions violated: {crep.failures}", cause="certificate"
-        )
-    merged = dict(vrep.residuals)
-    merged.update(crep.residuals)
-    return merged
+        raise BranchNotApplicable(f"certificate conditions violated: {crep.failures}",
+                                  cause="certificate")
+    cert.residuals = crep.residuals
+    return SolutionReport(
+        *failure_probability(p, m), povm=m, branch=branch,
+        diagnostics={**vrep.residuals, **crep.residuals, **diagnostics}, certificate=cert,
+    )
 
 
 def solve_first_class(p: UsdProblem) -> SolutionReport:
@@ -202,21 +204,12 @@ def solve_first_class(p: UsdProblem) -> SolutionReport:
     e0 = hermitize(m0 @ fd.rank_operators[0, ..., :r0, :r0] @ dagger(m0))
     e1 = hermitize(m1 @ fd.rank_operators[1, ..., :r1, :r1] @ dagger(m1))
     eq = hermitize(np.eye(p.dim) - e0 - e1)
-    m = Povm(e0=e0, e1=e1, eq=eq)
-    q, q0, q1 = failure_probability(p, m)
-
-    cert = build_fidelity_certificate(p)
-    diagnostics = _gate_solution(p, m, cert)
-    bound = 2.0 * math.sqrt(p.eta0 * p.eta1) * fd.fidelity
-    diagnostics["fidelity"] = fd.fidelity
-    diagnostics["bound_gap"] = q - bound
-    diagnostics["op0_min_eig"] = rc.op0_min_eig
-    diagnostics["op1_min_eig"] = rc.op1_min_eig
-    return SolutionReport(
-        q_opt=q, q0=q0, q1=q1, povm=m,
-        branch=Branch.FIRST_CLASS_FIDELITY,
-        diagnostics=diagnostics, certificate=cert,
-    )
+    report = _gate_solution(p, Povm(e0=e0, e1=e1, eq=eq), build_fidelity_certificate(p).z,
+                            Branch.FIRST_CLASS_FIDELITY,
+                            {"fidelity": fd.fidelity, "op0_min_eig": rc.op0_min_eig,
+                             "op1_min_eig": rc.op1_min_eig})
+    report.diagnostics["bound_gap"] = report.q_opt - 2.0 * math.sqrt(p.eta0 * p.eta1) * fd.fidelity
+    return report
 
 
 def gu_4d_preconditions(p: UsdProblem):
@@ -251,16 +244,6 @@ def gu_4d_preconditions(p: UsdProblem):
     u = as_double(p.gu_involution)
     k1 = p.rho1.support.kernel_projector
     return u, hermitize(k1 @ u @ k1)
-
-
-def _signed_kernel_eigs(k: np.ndarray):
-    """Nonzero eigenpairs of the kernel-compressed involution, positive first."""
-    sys = eigh(k)
-    mask = nonzero_mask(sys.eigenvalues, indefinite=True)
-    vals = sys.eigenvalues[mask]
-    vecs = sys.eigenvectors[:, mask]
-    order = np.argsort(-vals)
-    return vals[order], vecs[:, order]
 
 
 def gu_4d_regime(p: UsdProblem):
@@ -338,33 +321,10 @@ def gu_4d_projective(p: UsdProblem, u: np.ndarray, k: np.ndarray, op0_min_eig):
             cause="spectrum",
         )
 
-    q, q0, q1 = failure_probability(p, m)
-    cert = fit_certificate(p, m, candidate=symmetric_projective_witness(p, x, u))
-    if cert is None:
-        raise BranchNotApplicable(
-            "no certificate found for the projective construction", cause="certificate"
-        )
-    vrep = validate_povm(p, m)
-    if not vrep.ok:
-        raise BranchNotApplicable(
-            f"constructed measurement failed validation: {vrep.failures}",
-            cause="certificate",
-        )
-    diagnostics = dict(vrep.residuals)
-    diagnostics.update(cert.residuals)
-    diagnostics["kernel_eig_pos"] = a
-    diagnostics["kernel_eig_neg"] = -b
-    diagnostics["op0_min_eig"] = op0_min_eig
-    diagnostics["success_crosscheck_gap"] = item_or_array(success - expanded)
-    report = SolutionReport(
-        q_opt=q, q0=q0, q1=q1, povm=m,
-        branch=Branch.GU_PROJECTIVE,
-        diagnostics=diagnostics, certificate=cert,
-    )
-    solution = GuSolution(
-        kernel_operator=k, a=a, b=b, phase=phase, x_vector=x
-    )
-    return report, solution
+    report = _gate_solution(p, m, symmetric_projective_witness(p, x, u), Branch.GU_PROJECTIVE,
+                            {"kernel_eig_pos": a, "kernel_eig_neg": -b, "op0_min_eig": op0_min_eig,
+                             "success_crosscheck_gap": item_or_array(success - expanded)})
+    return report, GuSolution(kernel_operator=k, a=a, b=b, phase=phase, x_vector=x)
 
 
 def solve_gu_4d(p: UsdProblem):
@@ -488,8 +448,8 @@ def solve(p: UsdProblem) -> SolutionReport:
 def gu_kernel_spectrum(p: UsdProblem) -> np.ndarray:
     """Nonzero eigenvalues of the kernel-compressed involution, sorted
     descending so the expected sign pattern reads (positive, negative)."""
-    vals, _ = _signed_kernel_eigs(gu_4d_preconditions(p)[1])
-    return vals
+    w = eigh(gu_4d_preconditions(p)[1]).eigenvalues
+    return w[nonzero_mask(w, indefinite=True)][::-1]
 
 
 def spectrum_negation_check(p: UsdProblem) -> bool:

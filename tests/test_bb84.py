@@ -60,6 +60,31 @@ def test_build_states_reject_nonpositive_mu():
         build_states(0.0)
 
 
+@pytest.mark.parametrize("mu", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("formula", [coefficients, q_basis_closed_form, bit_spectrum_closed_form,
+                                     build_states], ids=lambda f: f.__name__)
+def test_a_non_finite_photon_number_is_refused(formula, mu):
+    # build_states refuses -inf as a nonpositive photon number
+    with pytest.raises(InvalidInput, match="mean photon number must be"):
+        formula(mu)
+
+
+@pytest.mark.parametrize("formula, mu, named", [
+    (coefficients, 720.0, 720.0),
+    (bit_spectrum_closed_form, 400.0, 400.0),
+    (build_states, [1.0, 720.0], 720.0),
+], ids=["coefficients", "bit_spectrum_closed_form", "build_states"])
+def test_an_overflowing_photon_number_is_invalid_input_naming_it(formula, mu, named):
+    with pytest.raises(InvalidInput, match=re.escape(f"mean photon number {named!r} overflows")):
+        formula(mu)
+
+
+def test_a_sweep_into_overflow_names_the_photon_number():
+    with pytest.raises(InvalidInput, match=re.escape(
+            "sweep failed at mu=720.0: mean photon number 720.0 overflows")):
+        sweep(700.0, 720.0, 10.0)
+
+
 def test_built_states_are_unit_trace_psd_rank_2():
     for mu in (0.1, 0.9, 2.5):
         st = build_states(mu)
@@ -359,7 +384,7 @@ def _solved_arrays(p):
     rep = solve(p)
     fd = fidelity_operators(p)
     return [p.rho0.spectrum.eigenvectors, p.rho1.spectrum.eigenvectors,
-            p.sum_spectrum.eigenvectors, p.rho0.sqrt, p.rho1.sqrt,
+            p.sum_spectrum.eigenvectors, p.rho0.factor, p.rho1.factor,
             fd.f0, rep.povm.e0, rep.povm.e1, rep.povm.eq,
             rep.certificate.z]
 

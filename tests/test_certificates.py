@@ -226,7 +226,7 @@ def _count_fit(monkeypatch, p, m, candidate=None):
     fidelity pair, counting numpy's eigh, eigvalsh and svd calls and the
     fidelity witnesses built."""
     for state in (p.rho0, p.rho1):
-        state.spectrum, state.sqrt, state.support
+        state.spectrum, state.factor, state.support
     p = UsdProblem(p.rho0, p.rho1, p.eta0, p.eta1, p.gu_involution)
     built = []
     build = usdisc.certificates.build_fidelity_certificate

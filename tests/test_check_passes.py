@@ -73,7 +73,7 @@ def _stack_case():
 
 def _decompose(p):
     for state in (p.rho0, p.rho1):
-        state.spectrum, state.sqrt, state.support
+        state.spectrum, state.factor, state.support
     p.sum_spectrum, p.supports_overlap
 
 
@@ -90,7 +90,7 @@ def test_take_reuses_the_stack_decompositions(monkeypatch):
     for kept, built in ((sub.rho0, fresh.rho0), (sub.rho1, fresh.rho1)):
         assert (kept.spectrum.eigenvalues == built.spectrum.eigenvalues).all()
         assert (kept.spectrum.eigenvectors == built.spectrum.eigenvectors).all()
-        assert (kept.sqrt == built.sqrt).all()
+        assert (kept.factor == built.factor).all()
         assert (kept.support.support_projector == built.support.support_projector).all()
         assert (kept.support.kernel_projector == built.support.kernel_projector).all()
         assert kept.support.rank == built.support.rank
@@ -111,15 +111,15 @@ def test_take_can_give_the_rows_an_involution(monkeypatch):
     assert sub.take([0]).gu_involution is st.u_bit
     assert _count_calls(monkeypatch, lambda: _decompose(sub))["eigh"] == 0
     # a slice of rows takes views of the stack's decompositions
-    assert np.shares_memory(sub.rho0.sqrt, bare.rho0.sqrt)
+    assert np.shares_memory(sub.rho0.factor, bare.rho0.factor)
     assert np.shares_memory(sub.sum_spectrum.eigenvectors, bare.sum_spectrum.eigenvectors)
 
 
 def test_take_of_an_undecomposed_stack_decomposes_lazily(monkeypatch):
     stack = build_states(GRID[:4]).bit_problem()
     sub = stack.take([1, 2])
-    assert not any(name in vars(sub.rho0) for name in ("spectrum", "sqrt", "support"))
-    assert _count_calls(monkeypatch, lambda: sub.rho0.sqrt)["eigh"] == 1
+    assert not any(name in vars(sub.rho0) for name in ("spectrum", "factor", "support"))
+    assert _count_calls(monkeypatch, lambda: sub.rho0.factor)["eigh"] == 1
 
 
 def test_rank_check_on_a_sub_stack_reads_the_cached_spectrum(monkeypatch):

@@ -181,7 +181,7 @@ def test_solve_numerical_failure_exits_two(tmp_path, capsys, monkeypatch):
 
 def test_solve_rejects_a_state_the_square_root_rejects(tmp_path, capsys):
     # -8e-10 is above -PSD_TOL but below -PSD_TOL times the top
-    # eigenvalue, the bound DensityMatrix.sqrt applies
+    # eigenvalue, the bound DensityMatrix.factor applies
     rho0 = DensityMatrix.from_matrix(np.diag([-8e-10, 0.0, 0.4, 0.6 + 8e-10]))
     rho1 = DensityMatrix.from_matrix(np.diag([0.5, 0.5, 0.0, 0.0]))
     inp = tmp_path / "problem.json"
@@ -432,6 +432,15 @@ def test_malformed_json_exit_code(tmp_path):
     inp = tmp_path / "problem.json"
     inp.write_text("{broken")
     assert main(["solve", "--input", str(inp)]) == 1
+
+
+def test_sweep_into_overflow_exits_one_with_one_error_line(capsys):
+    argv = ["bb84-sweep", "--mu-start", "700", "--mu-end", "720", "--mu-step", "10"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: sweep failed at mu=720.0: "
+                            "mean photon number 720.0 overflows double precision\n")
 
 
 def test_missing_file_exit_code(tmp_path):

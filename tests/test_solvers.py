@@ -24,7 +24,6 @@ from usdisc import (
 from usdisc.bb84 import basis_problem, bit_problem, build_states, find_mu0
 from usdisc.errors import BranchNotApplicable, NumericalFailure
 from usdisc.linalg import hermitize, psd_check, spectral_norm
-from usdisc.solvers import _signed_kernel_eigs
 
 
 def test_first_class_reaches_the_bound():
@@ -154,8 +153,8 @@ def test_gu_phase_is_optimal():
         checked += 1
         a, b, phi = gu.a, gu.b, gu.phase
         k = gu.kernel_operator
-        vals, vecs = _signed_kernel_eigs(k)
-        c0, c1 = vecs[:, 0], vecs[:, -1]
+        vecs = np.linalg.eigh(k)[1]
+        c0, c1 = vecs[:, -1], vecs[:, 0]
         base = None
         for delta in (0.0, np.pi / 4, np.pi / 2, np.pi):
             x = (np.exp(1j * (phi + delta)) * np.sqrt(b) * c0 + np.sqrt(a) * c1)
@@ -295,6 +294,40 @@ def test_solve_takes_one_svd(monkeypatch, make):
     # and no check takes one
     p = make()
     assert _count_calls(monkeypatch, lambda: solve(p))["svd"] == 1
+
+
+@pytest.mark.parametrize("make, branch", [
+    (lambda: first_class_instance(np.random.default_rng(3), 4), Branch.FIRST_CLASS_FIDELITY),
+    (lambda: bit_problem(1.5), Branch.FIRST_CLASS_FIDELITY),
+    (lambda: bit_problem(0.3), Branch.GU_PROJECTIVE),
+], ids=["first_class", "symmetric_first_class", "projective"])
+def test_an_exact_branch_verifies_its_own_witness_once(monkeypatch, make, branch):
+    # each exact branch gates its closed-form witness with one
+    # verify_certificate call and searches no other witness
+    import usdisc.solvers
+
+    calls = []
+    for name in ("verify_certificate", "fit_certificate"):
+        def wrapped(*args, _name=name, _original=getattr(usdisc.solvers, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(usdisc.solvers, name, wrapped)
+    assert solve(make()).branch is branch
+    assert calls == ["verify_certificate"]
+
+
+def test_a_projective_witness_that_fails_sends_solve_to_the_oracle(monkeypatch):
+    import usdisc.solvers
+
+    witness = usdisc.solvers.symmetric_projective_witness
+    monkeypatch.setattr(usdisc.solvers, "symmetric_projective_witness",
+                        lambda *args: 1.01 * witness(*args))
+    p = bit_problem(0.3)
+    rep = solve(p)
+    assert rep.branch is Branch.ORACLE_ONLY
+    audit = audit_report(p, rep)
+    assert audit.ok, audit.failures
 
 
 def test_symmetric_first_class_solve_reads_one_rank_condition_spectrum(monkeypatch):

@@ -86,7 +86,7 @@ def test_fidelity_operators_from_one_svd(seed, d, data, orthogonal):
     rho0, rho1 = _pair(rng, d, r0, r1, orthogonal)
     p = UsdProblem(DensityMatrix.from_matrix(rho0), DensityMatrix.from_matrix(rho1), 0.5, 0.5)
     fd = fidelity_operators(p)
-    s0, s1 = p.rho0.sqrt, p.rho1.sqrt
+    s0, s1 = sqrt_psd(p.rho0.matrix), sqrt_psd(p.rho1.matrix)
 
     sandwich = hermitize(s0 @ rho1 @ s0)
     # F1 is F0 of the pair with the states swapped
@@ -121,7 +121,7 @@ def test_solve_never_beats_the_fidelity_floor(seed, d, kind):
 def _full_space_fidelity(p):
     """F0, F1, F and the polar unitary from the SVD of the d x d product
     sqrt(rho0) sqrt(rho1), with the same cut of the singular values."""
-    w, s, vh = np.linalg.svd(p.rho0.sqrt @ p.rho1.sqrt)
+    w, s, vh = np.linalg.svd(sqrt_psd(p.rho0.matrix) @ sqrt_psd(p.rho1.matrix))
     s = np.where(s * s > REL_CUTOFF * (s * s).max(), s, 0.0)
     v = dagger(vh)
     return (hermitize((w * s) @ dagger(w)), hermitize((v * s) @ dagger(v)), s.sum(), w @ vh)
@@ -141,7 +141,7 @@ def test_support_core_matches_the_full_space_construction(seed, d, data):
     assert not p.supports_overlap
     fd = fidelity_operators(p)
     f0, f1, fidelity, _ = _full_space_fidelity(p)
-    s0 = p.rho0.sqrt
+    s0 = sqrt_psd(p.rho0.matrix)
     assert np.abs(fd.f0 - f0).max() <= 1e-12
     # F1 is F0 of the pair with the states swapped
     assert np.abs(fidelity_operators(UsdProblem(p.rho1, p.rho0, 1.0 - eta0, eta0)).f0
@@ -154,7 +154,7 @@ def test_support_core_matches_the_full_space_construction(seed, d, data):
     b0 = p.rho0.spectrum.eigenvectors[:, d - r0:]
     b1 = p.rho1.spectrum.eigenvectors[:, d - r1:]
     polar = b0 @ fd.core_polar @ dagger(b1)
-    assert abs(trace(dagger(polar) @ s0 @ p.rho1.sqrt).real - fd.fidelity) <= 1e-12
+    assert abs(trace(dagger(polar) @ s0 @ sqrt_psd(p.rho1.matrix)).real - fd.fidelity) <= 1e-12
 
     # min(lowest support-coordinate eigenvalue, 0) is the d x d operator's
     gamma = math.sqrt(p.eta1 / p.eta0)
@@ -176,7 +176,8 @@ def test_fidelity_witness_verifies_on_first_class_pairs_of_unequal_rank(seed, d)
     # the witness Y Y^H on a full polar unitary of sqrt(rho0) sqrt(rho1),
     # whose completion off the supports leaves Z as the support factors give it
     polar = _full_space_fidelity(p)[3]
-    y = math.sqrt(p.eta1) * p.rho1.sqrt - math.sqrt(p.eta0) * p.rho0.sqrt @ polar
+    y = (math.sqrt(p.eta1) * sqrt_psd(p.rho1.matrix)
+         - math.sqrt(p.eta0) * sqrt_psd(p.rho0.matrix) @ polar)
     assert np.abs(cert.z - hermitize(y @ dagger(y))).max() <= 1e-12
 
 

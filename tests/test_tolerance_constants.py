@@ -1,8 +1,7 @@
 """The library's tolerances, rank cutoffs and loop caps are module
 constants, not parameters: no function or method of any usdisc module,
 nested ones and lambdas included, takes a tol, rel_cutoff or max_iters
-argument, except verify_gu_structure, whose callers check the involution
-at two different tolerances."""
+argument."""
 
 import importlib
 import pkgutil
@@ -27,9 +26,9 @@ def _knobs(path: Path):
     return found
 
 
-def test_no_tolerance_parameters_but_the_involution_check():
+def test_no_tolerance_parameters():
     found = set()
     for name in ["usdisc"] + [f"usdisc.{m.name}" for m in pkgutil.iter_modules(usdisc.__path__)]:
         found |= {(name, *k) for k in _knobs(Path(importlib.import_module(name).__file__))}
-    assert found == {("usdisc.problem", "verify_gu_structure", "tol")}
+    assert found == set()
 
