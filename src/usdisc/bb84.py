@@ -242,8 +242,9 @@ def sweep(mu_start: float = DEFAULT_GRID[0], mu_end: float = DEFAULT_GRID[1],
 
     The grid is solved as one stack. Every basis-question value is
     checked against its closed form at 1e-8 before the rows are emitted.
-    If that pass raises, the grid is solved again one photon number at a
-    time, so that the error names the photon number where it arises.
+    If that pass raises, the first photon number past the overflow point
+    is named, if there is one; else the grid is solved again one photon
+    number at a time, so that the error names the one where it arises.
 
     start, end and step must be finite. The grid may hold at most
     MAX_GRID_POINTS = 10,000 points (the default one has 60): the whole
@@ -266,14 +267,18 @@ def sweep(mu_start: float = DEFAULT_GRID[0], mu_end: float = DEFAULT_GRID[1],
     try:
         return _solve_points(mus)
     except UsdError:
-        pass
-    rows = []
+        pass  # the stacked pass's frames are let go before the re-solve
     for mu in mus:
-        try:
-            rows.extend(_solve_points(mu))
-        except UsdError as exc:
-            raise type(exc)(f"sweep failed at mu={mu!r}: {exc}", exc.cause) from exc
-    return rows
+        _at(mu, coefficients)
+    return [row for mu in mus for row in _at(mu, _solve_points)]
+
+
+def _at(mu, formula):
+    """formula(mu), or its error naming the sweep's photon number mu."""
+    try:
+        return formula(mu)
+    except UsdError as exc:
+        raise type(exc)(f"sweep failed at mu={mu!r}: {exc}", exc.cause) from exc
 
 
 def sweep_csv(rows) -> str:

@@ -8,15 +8,14 @@ In the fidelity-bound regime the witness has a closed construction from
 a polar decomposition. For the projective measurement of an equal-prior
 involution pair it has a closed form on the span of the two conclusive
 directions. When the two states share one support, giving up is
-optimal and Z = 0 certifies it. fit_certificate tries these in turn
-after any given candidate, such as the oracle's dual solution; it
-searches no further.
+optimal and Z = 0 certifies it. fit_certificate verifies a given
+candidate alone, such as the oracle's dual solution, and without one
+tries these in turn; it searches no further.
 
 The closed forms, verify_certificate and fit_certificate also take a
 stacked problem.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -186,15 +185,14 @@ def fit_certificate(p: UsdProblem, m: Povm,
                     candidate: Optional[np.ndarray] = None) -> Optional[OptimalityCertificate]:
     """The first witness that certifies the given measurement.
 
-    A given candidate, such as the oracle's dual solution, is tried
-    first, then the closed forms: the fidelity-bound witness, the
-    symmetric projective witness when E0 has rank 1 on a 4D involution
-    pair, and Z = 0. A stacked problem is certified only when one witness
-    verifies on every instance. Absence of a result means "not
-    certified", which is weaker than "refuted".
+    A given candidate, such as a branch's closed form or the oracle's
+    dual, is tried alone; without one, the closed forms in turn: the
+    fidelity-bound witness, the symmetric projective witness when E0 has
+    rank 1 on a 4D involution pair, and Z = 0. A stacked problem is
+    certified only when one witness verifies on every instance. Absence
+    of a result means "not certified", which is weaker than "refuted".
     """
-    given = () if candidate is None else (candidate,)
-    for z in itertools.chain(given, _candidates(p, m)):
+    for z in _candidates(p, m) if candidate is None else (candidate,):
         cert = OptimalityCertificate(z=z, success_trace=item_or_array(trace(z).real))
         rep = verify_certificate(p, m, cert)
         if rep.ok:

@@ -160,23 +160,18 @@ class SplitOffSubspace:
 
 def _gate_solution(p: UsdProblem, m: Povm, z: np.ndarray, branch: Branch,
                    diagnostics: dict) -> SolutionReport:
-    """The report of a constructed measurement and its closed-form witness
-    Z, with the branch's diagnostics and the residuals of validate_povm and
-    verify_certificate; BranchNotApplicable (cause "certificate") on a miss."""
+    """Report on a constructed measurement and its closed-form witness Z,
+    checked by validate_povm and by fit_certificate given Z alone, with the
+    branch's diagnostics; BranchNotApplicable (cause "certificate") on a miss."""
     vrep = validate_povm(p, m)
     if not vrep.ok:
         raise BranchNotApplicable(f"constructed measurement failed validation: {vrep.failures}",
                                   cause="certificate")
-    cert = OptimalityCertificate(z=z, success_trace=item_or_array(trace(z).real))
-    crep = verify_certificate(p, m, cert)
-    if not crep.ok:
-        raise BranchNotApplicable(f"certificate conditions violated: {crep.failures}",
-                                  cause="certificate")
-    cert.residuals = crep.residuals
-    return SolutionReport(
-        *failure_probability(p, m), povm=m, branch=branch,
-        diagnostics={**vrep.residuals, **crep.residuals, **diagnostics}, certificate=cert,
-    )
+    cert = fit_certificate(p, m, candidate=z)
+    if cert is None:
+        raise BranchNotApplicable("closed-form witness fails verification", cause="certificate")
+    return SolutionReport(*failure_probability(p, m), povm=m, branch=branch, certificate=cert,
+                          diagnostics={**vrep.residuals, **cert.residuals, **diagnostics})
 
 
 def solve_first_class(p: UsdProblem) -> SolutionReport:
@@ -441,7 +436,8 @@ def solve(p: UsdProblem) -> SolutionReport:
         povm=result.povm,
         branch=Branch.ORACLE_ONLY,
         diagnostics=diagnostics,
-        certificate=fit_certificate(p, result.povm, candidate=result.certificate.z),
+        certificate=(fit_certificate(p, result.povm, candidate=result.certificate.z)
+                     or fit_certificate(p, result.povm)),
     )
 
 

@@ -85,6 +85,21 @@ def test_a_sweep_into_overflow_names_the_photon_number():
         sweep(700.0, 720.0, 10.0)
 
 
+def test_a_long_sweep_into_overflow_fails_without_solving_point_by_point(monkeypatch):
+    # once the stacked pass fails, the first photon number past the
+    # overflow point is named before any grid point is solved on its own
+    import usdisc.bb84
+
+    solved = []
+    points = usdisc.bb84._solve_points
+    monkeypatch.setattr(usdisc.bb84, "_solve_points", lambda mu: solved.append(mu) or points(mu))
+    bad = next(mu for mu in (0.05 + i * 0.1 for i in range(7200)) if mu > 710.5)
+    with pytest.raises(InvalidInput, match=re.escape(
+            f"sweep failed at mu={bad!r}: mean photon number {bad!r} overflows")):
+        sweep(0.05, 720.0, 0.1)
+    assert [len(mus) for mus in solved] == [7200]
+
+
 def test_built_states_are_unit_trace_psd_rank_2():
     for mu in (0.1, 0.9, 2.5):
         st = build_states(mu)

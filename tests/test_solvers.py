@@ -303,18 +303,22 @@ def test_solve_takes_one_svd(monkeypatch, make):
 ], ids=["first_class", "symmetric_first_class", "projective"])
 def test_an_exact_branch_verifies_its_own_witness_once(monkeypatch, make, branch):
     # each exact branch gates its closed-form witness with one
-    # verify_certificate call and searches no other witness
+    # fit_certificate call given that witness alone: one verify_certificate,
+    # and the chain of closed-form witnesses is never started
+    import usdisc.certificates
     import usdisc.solvers
 
     calls = []
-    for name in ("verify_certificate", "fit_certificate"):
-        def wrapped(*args, _name=name, _original=getattr(usdisc.solvers, name), **kwargs):
-            calls.append(_name)
+    for owner, name in ((usdisc.solvers, "fit_certificate"),
+                        (usdisc.certificates, "verify_certificate"),
+                        (usdisc.certificates, "_candidates")):
+        def wrapped(*args, _name=name, _original=getattr(owner, name), **kwargs):
+            calls.append((_name, kwargs.get("candidate") is not None))
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(usdisc.solvers, name, wrapped)
+        monkeypatch.setattr(owner, name, wrapped)
     assert solve(make()).branch is branch
-    assert calls == ["verify_certificate"]
+    assert calls == [("fit_certificate", True), ("verify_certificate", False)]
 
 
 def test_a_projective_witness_that_fails_sends_solve_to_the_oracle(monkeypatch):
