@@ -32,7 +32,7 @@ from .bounds import (
 )
 from .certificates import (
     OptimalityCertificate,
-    build_fidelity_certificate,
+    fidelity_witness,
     fit_certificate,
     verify_certificate,
 )
@@ -66,10 +66,7 @@ from .problem import (
 )
 from .solvers import (
     Branch,
-    GuSolution,
-    HostState,
     SolutionReport,
-    SplitOffSubspace,
     audit_report,
     gu_4d_preconditions,
     gu_4d_projective,
@@ -78,9 +75,7 @@ from .solvers import (
     projectivity_check,
     solve,
     solve_first_class,
-    solve_gu_4d,
     spectrum_negation_check,
-    split_off_extraction,
 )
 
 __version__ = "0.1.0"

@@ -10,7 +10,8 @@ them come from one SVD of the r0 x r1 support core of sqrt(rho0)
 sqrt(rho1), taken once per problem (UsdProblem.fidelity_pair); both
 rank-condition spectra and their verdict come from one eigenvalue call
 in support coordinates, cached on the FidelityData. The functions here
-also take a stacked problem and return per-instance values.
+also take a stacked problem and return per-instance values, except
+prior_regime_bounds and tighter_q0_bound, which take one problem.
 """
 
 import math
@@ -140,7 +141,8 @@ def fidelity_operators(p: UsdProblem) -> FidelityData:
 
 def failure_lower_bound(p: UsdProblem) -> float:
     """2 sqrt(eta0 eta1) F, clamped into [0, 1]."""
-    return min(1.0, max(0.0, 2.0 * math.sqrt(p.eta0 * p.eta1) * p.fidelity_pair.fidelity))
+    return item_or_array(np.clip(2.0 * math.sqrt(p.eta0 * p.eta1) * p.fidelity_pair.fidelity,
+                                 0.0, 1.0))
 
 
 def rank_conditions(p: UsdProblem):

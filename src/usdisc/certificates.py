@@ -51,7 +51,7 @@ class OptimalityCertificate:
     success_trace: float = 0.0
 
 
-def build_fidelity_certificate(p: UsdProblem) -> OptimalityCertificate:
+def fidelity_witness(p: UsdProblem) -> np.ndarray:
     """Closed-form witness for the regime where the fidelity bound is tight.
 
     Z = Y Y^H with Y = sqrt(eta1) sqrt(rho1) - sqrt(eta0) sqrt(rho0) polar,
@@ -64,9 +64,8 @@ def build_fidelity_certificate(p: UsdProblem) -> OptimalityCertificate:
     leaves the certificate conditions untouched.
     """
     x = p.rho0.factor @ p.fidelity_pair.core_polar @ dagger(p.rho1.factor)
-    z = (p.eta0 * p.rho0.matrix + p.eta1 * p.rho1.matrix
-         - math.sqrt(p.eta0 * p.eta1) * (x + dagger(x)))
-    return OptimalityCertificate(z=z, success_trace=item_or_array(trace(z).real))
+    return (p.eta0 * p.rho0.matrix + p.eta1 * p.rho1.matrix
+            - math.sqrt(p.eta0 * p.eta1) * (x + dagger(x)))
 
 
 def _witness_cross_term(m: complex, t: complex) -> float:
@@ -171,7 +170,7 @@ def verify_certificate(p: UsdProblem, m: Povm, c: OptimalityCertificate) -> Vali
 def _candidates(p: UsdProblem, m: Povm):
     """The closed-form witnesses in turn, each built only once the one
     before it has failed."""
-    yield build_fidelity_certificate(p).z
+    yield fidelity_witness(p)
     if p.gu_involution is not None and p.dim == 4:
         sys = eigh(m.e0)
         if all_true(np.count_nonzero(nonzero_mask(sys.eigenvalues), axis=-1) == 1):

@@ -28,8 +28,8 @@ class BranchNotApplicable(UsdError):
     construction failed its own checks there.
 
     ``cause`` is one of "dimension", "priors", "involution_missing",
-    "involution_invalid", "rank", "regime", "gu_involution",
-    "rank_conditions", "spectrum" or "certificate".
+    "involution_invalid", "rank", "gu_involution", "rank_conditions",
+    "spectrum" or "certificate".
     """
 
 

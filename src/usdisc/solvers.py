@@ -12,8 +12,8 @@ the two families and falls back to the interior-point oracle.
 
 solve also takes a stacked problem (see problem.UsdProblem) and
 routes, solves and falls back instance by instance. So do
-solve_first_class and the three steps of solve_gu_4d, except that a
-failure on any instance fails the stack.
+solve_first_class, gu_4d_preconditions, gu_4d_regime and
+gu_4d_projective, except that a failure on any instance fails the stack.
 """
 
 import math
@@ -26,7 +26,7 @@ import numpy as np
 from .bounds import rank_condition_check, rank_conditions
 from .certificates import (
     OptimalityCertificate,
-    build_fidelity_certificate,
+    fidelity_witness,
     fit_certificate,
     symmetric_projective_witness,
     verify_certificate,
@@ -59,11 +59,6 @@ from .problem import (
     verify_gu_structure,
 )
 
-# eigenvalue threshold treated as "equals one" when hunting unit
-# eigenvectors of measurement elements (their spectra live in [0, 1]),
-# and the projection a unit vector needs to count as lying in a subspace
-UNIT_EIG_THRESHOLD = 1.0 - 1e-7
-
 # A stored failure probability must match the one recomputed from the
 # stored measurement; a report written by this package matches to rounding.
 STORED_Q_TOL = 1e-10
@@ -76,11 +71,6 @@ class Branch(Enum):
     FIRST_CLASS_FIDELITY = "FirstClassFidelity"
     GU_PROJECTIVE = "GuProjective"
     ORACLE_ONLY = "OracleOnly"
-
-
-class HostState(Enum):
-    RHO0 = "Rho0"
-    RHO1 = "Rho1"
 
 
 @dataclass
@@ -141,23 +131,6 @@ def audit_report(p: UsdProblem, report: SolutionReport) -> ValidationReport:
     return rep
 
 
-@dataclass(frozen=True)
-class GuSolution:
-    kernel_operator: np.ndarray
-    a: float
-    b: float
-    phase: float
-    x_vector: np.ndarray
-
-
-@dataclass(frozen=True)
-class SplitOffSubspace:
-    e_vector: np.ndarray
-    e_prime_vector: np.ndarray
-    host_state: HostState
-    residuals: dict
-
-
 def _gate_solution(p: UsdProblem, m: Povm, z: np.ndarray, branch: Branch,
                    diagnostics: dict) -> SolutionReport:
     """Report on a constructed measurement and its closed-form witness Z,
@@ -199,7 +172,7 @@ def solve_first_class(p: UsdProblem) -> SolutionReport:
     e0 = hermitize(m0 @ fd.rank_operators[0, ..., :r0, :r0] @ dagger(m0))
     e1 = hermitize(m1 @ fd.rank_operators[1, ..., :r1, :r1] @ dagger(m1))
     eq = hermitize(np.eye(p.dim) - e0 - e1)
-    report = _gate_solution(p, Povm(e0=e0, e1=e1, eq=eq), build_fidelity_certificate(p).z,
+    report = _gate_solution(p, Povm(e0=e0, e1=e1, eq=eq), fidelity_witness(p),
                             Branch.FIRST_CLASS_FIDELITY,
                             {"fidelity": fd.fidelity, "op0_min_eig": rc.op0_min_eig,
                              "op1_min_eig": rc.op1_min_eig})
@@ -208,8 +181,8 @@ def solve_first_class(p: UsdProblem) -> SolutionReport:
 
 
 def gu_4d_preconditions(p: UsdProblem):
-    """Preconditions of the involution-symmetric 4D solvers, step one of
-    solve_gu_4d.
+    """Scope of the symmetric 4D construction: an equal-prior involution
+    pair of rank-2 states in dimension 4.
 
     Returns the involution and its compression onto the kernel of rho1.
     """
@@ -242,10 +215,10 @@ def gu_4d_preconditions(p: UsdProblem):
 
 
 def gu_4d_regime(p: UsdProblem):
-    """Step two of solve_gu_4d: whether the first-class construction
-    applies, decided by the first rank-condition operator alone, rho0 - F0
-    at equal priors (where the two are U-images of each other); it reads
-    the verdict the first-class rank check reads after it.
+    """Regime decision inside that scope: whether the first-class
+    construction applies, decided by the first rank-condition operator
+    alone, rho0 - F0 at equal priors (where the two are U-images of each
+    other); it reads the verdict the first-class rank check reads after it.
 
     Returns (first_class, op0_min_eig), per instance for a stack.
     """
@@ -254,11 +227,9 @@ def gu_4d_regime(p: UsdProblem):
 
 
 def gu_4d_projective(p: UsdProblem, u: np.ndarray, k: np.ndarray, op0_min_eig):
-    """Step three of solve_gu_4d: the rank-1 projective measurement
-    determined by the signed eigenpair of the kernel-compressed
-    involution k, for instances outside the first-class regime.
-
-    Returns (SolutionReport, GuSolution).
+    """The rank-1 projective measurement determined by the signed
+    eigenpair of the kernel-compressed involution k, for instances
+    outside the first-class regime.
     """
     sys = eigh(k)
     w = sys.eigenvalues
@@ -316,32 +287,9 @@ def gu_4d_projective(p: UsdProblem, u: np.ndarray, k: np.ndarray, op0_min_eig):
             cause="spectrum",
         )
 
-    report = _gate_solution(p, m, symmetric_projective_witness(p, x, u), Branch.GU_PROJECTIVE,
-                            {"kernel_eig_pos": a, "kernel_eig_neg": -b, "op0_min_eig": op0_min_eig,
-                             "success_crosscheck_gap": item_or_array(success - expanded)})
-    return report, GuSolution(kernel_operator=k, a=a, b=b, phase=phase, x_vector=x)
-
-
-def solve_gu_4d(p: UsdProblem):
-    """Optimal measurement for equal-prior involution pairs of rank 2
-    in dimension 4.
-
-    Returns (SolutionReport, GuSolution or None). When the fidelity
-    bound is attainable (rho0 - F0 is PSD) the first-class construction
-    is used and no GuSolution is produced. Otherwise the optimum is the
-    rank-1 projective measurement determined by the signed eigenpair of
-    the kernel-compressed involution. Every instance of a stack must
-    fall on the same side.
-    """
-    u, k = gu_4d_preconditions(p)
-    first_class, mn = gu_4d_regime(p)
-    if all_true(first_class):
-        return solve_first_class(p), None
-    if any_true(first_class):
-        raise BranchNotApplicable(
-            "stack mixes first-class and projective instances", cause="regime"
-        )
-    return gu_4d_projective(p, u, k, mn)
+    return _gate_solution(p, m, symmetric_projective_witness(p, x, u), Branch.GU_PROJECTIVE,
+                          {"kernel_eig_pos": a, "kernel_eig_neg": -b, "op0_min_eig": op0_min_eig,
+                           "success_crosscheck_gap": item_or_array(success - expanded)})
 
 
 def _consecutive(mask: np.ndarray):
@@ -413,11 +361,11 @@ def solve(p: UsdProblem) -> SolutionReport:
             if all_true(first_class):
                 report = solve_first_class(p)
             elif not any_true(first_class):
-                report = gu_4d_projective(p, u, k, mn)[0]
+                report = gu_4d_projective(p, u, k, mn)
             else:
                 fc, pr = _consecutive(first_class), _consecutive(~first_class)
                 return _joined(p, _parts(p, fc, solve_first_class) + _parts(
-                    p, pr, lambda sub: gu_4d_projective(sub, u, k[pr], mn[pr])[0]))
+                    p, pr, lambda sub: gu_4d_projective(sub, u, k[pr], mn[pr])))
         if stacked:
             report.branch, report.diagnostics = (report.branch,) * len(p.rho0.matrix), {}
         return report
@@ -483,62 +431,3 @@ def projectivity_check(m: Povm) -> ValidationReport:
         rep.failures.append("eq_rank")
     return rep
 
-
-def _unit_eigenspace(a: np.ndarray) -> np.ndarray:
-    sys = eigh(a)
-    return sys.eigenvectors[:, sys.eigenvalues >= UNIT_EIG_THRESHOLD]
-
-
-def _best_in_subspace(cols: np.ndarray, proj: np.ndarray):
-    """Unit vector in span(cols) with maximal projection onto proj's range."""
-    if cols.shape[1] == 0:
-        return None, 0.0
-    gram = hermitize(cols.conj().T @ proj @ cols)
-    w, v = np.linalg.eigh(gram)
-    vec = cols @ v[:, -1]
-    vec = vec / np.linalg.norm(vec)
-    return vec, math.sqrt(max(0.0, float(w[-1])))
-
-
-def split_off_extraction(p: UsdProblem, m: Povm):
-    """Locate the two-dimensional subspace that an optimal measurement
-    splits off when the rank conditions fail.
-
-    The inconclusive element must fix a vector inside one state's
-    support while the opposite conclusive element fixes a partner in
-    that state's kernel. Returns the first verified pair or None; the
-    measurement is assumed optimal for the problem.
-    """
-    rc = rank_condition_check(p)
-    if rc.both_psd:
-        return None
-    eq_unit = _unit_eigenspace(m.eq)
-    if eq_unit.shape[1] == 0:
-        return None
-    for host, partner in ((HostState.RHO0, m.e1), (HostState.RHO1, m.e0)):
-        dec = (p.rho0 if host is HostState.RHO0 else p.rho1).support
-        e_vec, e_proj = _best_in_subspace(eq_unit, dec.support_projector)
-        if e_vec is None or e_proj < UNIT_EIG_THRESHOLD:
-            continue
-        partner_unit = _unit_eigenspace(partner)
-        ep_vec, ep_proj = _best_in_subspace(partner_unit, dec.kernel_projector)
-        if ep_vec is None or ep_proj < UNIT_EIG_THRESHOLD:
-            continue
-        residuals = {
-            "support_projection": 1.0 - e_proj,
-            "kernel_projection": 1.0 - ep_proj,
-            "orthogonality": abs(complex(e_vec.conj() @ ep_vec)),
-            "eq_fixes_e": float(np.linalg.norm(m.eq @ e_vec - e_vec)),
-            "partner_fixes_e_prime": float(np.linalg.norm(partner @ ep_vec - ep_vec)),
-        }
-        if residuals["orthogonality"] > 1e-9:
-            continue
-        if residuals["eq_fixes_e"] > 1e-8 or residuals["partner_fixes_e_prime"] > 1e-8:
-            continue
-        return SplitOffSubspace(
-            e_vector=e_vec,
-            e_prime_vector=ep_vec,
-            host_state=host,
-            residuals=residuals,
-        )
-    return None

@@ -28,8 +28,8 @@ from usdisc import (
     oracle_optimize,
     projectivity_check,
     rank_condition_check,
+    solve,
     solve_first_class,
-    solve_gu_4d,
     spectrum_negation_check,
     tighter_q0_bound,
     validate_povm,
@@ -59,13 +59,16 @@ def basis_grid_reports():
 
 @pytest.fixture(scope="module")
 def above_threshold_reports():
-    return {mu: solve_gu_4d(bit_problem(mu))[0] for mu in ABOVE_MUS}
+    reports = {mu: solve(bit_problem(mu)) for mu in ABOVE_MUS}
+    assert all(r.branch is Branch.FIRST_CLASS_FIDELITY for r in reports.values())
+    return reports
 
 
 @pytest.fixture(scope="module")
 def bit_solutions():
-    return {mu: (bit_problem(mu), solve_gu_4d(bit_problem(mu))[0])
-            for mu in BIT_MUS}
+    solutions = {mu: (bit_problem(mu), solve(bit_problem(mu))) for mu in BIT_MUS}
+    assert all(r.branch is Branch.GU_PROJECTIVE for _, r in solutions.values())
+    return solutions
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +81,8 @@ def gu_nonpsd_solutions():
         fd = fidelity_operators(p)
         if psd_check(hermitize(p.rho0.matrix - fd.f0))[0]:
             continue
-        rep, gu = solve_gu_4d(p)
+        rep = solve(p)
+        assert rep.branch is Branch.GU_PROJECTIVE
         out.append((p, rep))
     return out
 
@@ -142,7 +146,7 @@ def test_criterion_05_bit_below_threshold(bit_solutions):
     worst_res = 0.0
     for mu in BIT_MUS:
         p = bit_problem(mu)
-        rep, _ = solve_gu_4d(p)
+        rep = solve(p)
         assert rep.branch is Branch.GU_PROJECTIVE
         cert = fit_certificate(p, rep.povm)
         assert cert is not None

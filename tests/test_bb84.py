@@ -9,9 +9,9 @@ from usdisc import (
     DensityMatrix,
     UsdProblem,
     audit_report,
+    gu_4d_regime,
     solve,
     solve_first_class,
-    solve_gu_4d,
     validate_povm,
     validate_problem,
     verify_certificate,
@@ -224,7 +224,10 @@ def _assert_rows_match_scalar_solves(rows):
     for r in rows:
         st = build_states(r.mu)
         basis = solve_first_class(st.basis_problem())
-        bit, _ = solve_gu_4d(st.bit_problem())
+        p = st.bit_problem()
+        bit = solve(p)
+        assert bit.branch is (Branch.FIRST_CLASS_FIDELITY if gu_4d_regime(p)[0]
+                              else Branch.GU_PROJECTIVE)
         assert r.q_basis == basis.q_opt
         assert r.q_bit == bit.q_opt
         assert r.branch_bit is bit.branch
@@ -364,12 +367,15 @@ def test_stack_with_mixed_ranks_is_refused():
 
 
 def test_stack_with_mixed_regimes_is_refused():
+    # the first-class construction refuses the stack as a whole; solve
+    # routes each side of the regime decision to its own branch
     stack = build_states([0.3, 1.5]).bit_problem()
     with pytest.raises(BranchNotApplicable) as err:
-        solve_gu_4d(stack)
-    assert err.value.cause == "regime"
-    assert solve_gu_4d(stack.take([0]))[0].branch is Branch.GU_PROJECTIVE
-    assert solve_gu_4d(stack.take([1]))[0].branch is Branch.FIRST_CLASS_FIDELITY
+        solve_first_class(stack)
+    assert err.value.cause == "rank_conditions"
+    assert solve(stack).branch == (Branch.GU_PROJECTIVE, Branch.FIRST_CLASS_FIDELITY)
+    assert solve(stack.take([0])).branch == (Branch.GU_PROJECTIVE,)
+    assert solve(stack.take([1])).branch == (Branch.FIRST_CLASS_FIDELITY,)
 
 
 def _count_eigen_calls(monkeypatch, fn):
@@ -469,30 +475,36 @@ def test_real_form_of_the_bit_question_solves_alike(mu):
 def test_default_sweep_runs_in_real_arithmetic(monkeypatch):
     # every array that the default sweep's solves decompose, build or
     # return is float64: the states and involutions, their spectra, the
-    # fidelity pair, the measurement, the witness and the projective x
+    # fidelity pair, the measurement, the witness, the kernel-compressed
+    # involution k and the projective x
     import usdisc.bb84
     import usdisc.solvers
 
-    solved, projective = [], []
-    route, construct = usdisc.bb84.solve, usdisc.solvers.gu_4d_projective
+    solved, projective, witnessed = [], [], []
+    route = usdisc.bb84.solve
+    construct, witness = usdisc.solvers.gu_4d_projective, usdisc.solvers.symmetric_projective_witness
 
     def recorded_solve(p):
         rep = route(p)
         solved.append((p, rep))
         return rep
 
-    def recorded_projective(*args):
-        report, solution = construct(*args)
-        projective.append(solution)
-        return report, solution
+    def recorded_projective(p, u, k, op0_min_eig):
+        projective.append(k)
+        return construct(p, u, k, op0_min_eig)
+
+    def recorded_witness(p, x, u):
+        witnessed.append(x)
+        return witness(p, x, u)
 
     monkeypatch.setattr(usdisc.bb84, "solve", recorded_solve)
     monkeypatch.setattr(usdisc.solvers, "gu_4d_projective", recorded_projective)
+    monkeypatch.setattr(usdisc.solvers, "symmetric_projective_witness", recorded_witness)
     rows = sweep()
-    assert len(solved) == 2 and len(projective) == 1
+    assert len(solved) == 2 and len(projective) == len(witnessed) == 1
     assert {r.branch_bit for r in rows} == {Branch.GU_PROJECTIVE, Branch.FIRST_CLASS_FIDELITY}
     # the basis question is solved without its involution
-    arrays = [projective[0].x_vector, projective[0].kernel_operator, solved[1][0].gu_involution]
+    arrays = [witnessed[0], projective[0], solved[1][0].gu_involution]
     for p, rep in solved:
         fd = p.fidelity_pair
         arrays += [p.rho0.matrix, p.rho1.matrix,

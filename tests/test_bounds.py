@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import first_class_instance, rand_subspace_density, random_problem
+from conftest import first_class_instance, random_problem
 from usdisc import (
     DensityMatrix,
     UsdProblem,
@@ -14,7 +14,7 @@ from usdisc import (
     solve_first_class,
     tighter_q0_bound,
 )
-from usdisc.bb84 import bit_problem, bit_spectrum_closed_form
+from usdisc.bb84 import bit_problem, bit_spectrum_closed_form, build_states
 from usdisc.errors import BranchNotApplicable, InvalidInput
 from usdisc.linalg import eigh, hermitize
 
@@ -93,6 +93,13 @@ def test_failure_lower_bound_matches_fidelity():
     assert failure_lower_bound(p) == pytest.approx(
         min(1.0, 2.0 * np.sqrt(p.eta0 * p.eta1) * fd.fidelity), abs=1e-12
     )
+
+
+def test_failure_lower_bound_of_a_stack_is_each_instance_bound():
+    mus = [0.3, 0.5, 1.5]
+    stacked = failure_lower_bound(build_states(mus).bit_problem())
+    assert isinstance(stacked, np.ndarray) and stacked.shape == (3,)
+    assert stacked.tolist() == [failure_lower_bound(bit_problem(mu)) for mu in mus]
 
 
 def test_solver_output_respects_lower_bound():

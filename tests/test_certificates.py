@@ -4,24 +4,26 @@ import pytest
 from conftest import first_class_instance, random_gu4_problem
 from test_check_passes import _count_calls
 from usdisc import (
+    Branch,
     DensityMatrix,
     OptimalityCertificate,
     Povm,
     UsdProblem,
     always_fail_povm,
-    build_fidelity_certificate,
     failure_lower_bound,
     failure_probability,
+    fidelity_witness,
     fit_certificate,
     gu_4d_preconditions,
     gu_4d_projective,
     gu_4d_regime,
     oracle_optimize,
+    solve,
     solve_first_class,
-    solve_gu_4d,
     verify_certificate,
 )
 import usdisc.certificates
+import usdisc.solvers
 from usdisc.bb84 import basis_problem, bit_problem, build_states
 from usdisc.certificates import symmetric_projective_witness
 from usdisc.linalg import hermitize, spectral_norm, support_decomposition
@@ -44,7 +46,8 @@ def test_closed_certificate_trace_equals_success():
     rng = np.random.default_rng(0)
     for _ in range(6):
         p = first_class_instance(rng, int(rng.integers(2, 6)))
-        cert = build_fidelity_certificate(p)
+        cert = fit_certificate(p, solve_first_class(p).povm, candidate=fidelity_witness(p))
+        assert cert is not None
         assert cert.success_trace == pytest.approx(
             1.0 - failure_lower_bound(p), abs=1e-10
         )
@@ -55,8 +58,7 @@ def test_closed_certificate_verifies_on_first_class_povm():
     for _ in range(4):
         p = first_class_instance(rng, int(rng.integers(2, 6)))
         rep = solve_first_class(p)
-        out = verify_certificate(p, rep.povm, build_fidelity_certificate(p))
-        assert out.ok, out.failures
+        assert fit_certificate(p, rep.povm, candidate=fidelity_witness(p)) is not None
 
 
 def test_closed_certificate_orthogonal_pure_states():
@@ -69,7 +71,8 @@ def test_closed_certificate_orthogonal_pure_states():
         0.5,
         0.5,
     )
-    cert = build_fidelity_certificate(p)
+    cert = fit_certificate(p, solve_first_class(p).povm, candidate=fidelity_witness(p))
+    assert cert is not None
     assert cert.success_trace == pytest.approx(1.0, abs=1e-12)
 
 
@@ -88,14 +91,16 @@ def test_fit_succeeds_across_full_sweep_grid():
         rb = solve_first_class(pb)
         assert fit_certificate(pb, rb.povm) is not None, mu
         pt = bit_problem(mu)
-        rt, _ = solve_gu_4d(pt)
+        rt = solve(pt)
+        assert rt.branch is not Branch.ORACLE_ONLY, mu
         assert fit_certificate(pt, rt.povm) is not None, mu
 
 
 def test_fit_rejects_scaled_conclusive_element():
     # shrinking E0 keeps the POVM valid but breaks optimality
     p = bit_problem(0.3)
-    rep, _ = solve_gu_4d(p)
+    rep = solve(p)
+    assert rep.branch is Branch.GU_PROJECTIVE
     m = rep.povm
     bad = Povm(0.5 * m.e0, m.e1, hermitize(np.eye(4) - 0.5 * m.e0 - m.e1))
     assert fit_certificate(p, bad) is None
@@ -103,7 +108,8 @@ def test_fit_rejects_scaled_conclusive_element():
 
 def test_fit_rejects_povm_from_wrong_problem():
     p3 = bit_problem(0.3)
-    rep5, _ = solve_gu_4d(bit_problem(0.5))
+    rep5 = solve(bit_problem(0.5))
+    assert rep5.branch is Branch.GU_PROJECTIVE
     assert fit_certificate(p3, rep5.povm) is None
 
 
@@ -133,7 +139,7 @@ def test_fit_reaches_the_zero_witness_on_distinct_states_with_one_support():
     rho1 = np.array([[0.3, -0.1, 0.0], [-0.1, 0.7, 0.0], [0.0, 0.0, 0.0]], complex)
     p = UsdProblem(DensityMatrix.from_matrix(rho0), DensityMatrix.from_matrix(rho1), 0.4, 0.6)
     m = always_fail_povm(3)
-    assert not verify_certificate(p, m, build_fidelity_certificate(p)).ok
+    assert fit_certificate(p, m, candidate=fidelity_witness(p)) is None
     cert = fit_certificate(p, m)
     assert cert is not None
     assert not np.any(cert.z)
@@ -142,7 +148,8 @@ def test_fit_reaches_the_zero_witness_on_distinct_states_with_one_support():
 
 def test_verify_flags_zero_witness_on_nontrivial_problem():
     p = bit_problem(0.5)
-    rep, _ = solve_gu_4d(p)
+    rep = solve(p)
+    assert rep.branch is Branch.GU_PROJECTIVE
     out = verify_certificate(p, rep.povm, OptimalityCertificate(z=np.zeros((4, 4))))
     assert not out.ok
     assert "trace_identity" in out.failures
@@ -150,7 +157,8 @@ def test_verify_flags_zero_witness_on_nontrivial_problem():
 
 def test_verify_reports_all_residual_names():
     p = bit_problem(0.5)
-    rep, _ = solve_gu_4d(p)
+    rep = solve(p)
+    assert rep.branch is Branch.GU_PROJECTIVE
     out = verify_certificate(p, rep.povm, rep.certificate)
     for name in (
         "z_psd",
@@ -165,21 +173,32 @@ def test_verify_reports_all_residual_names():
     assert out.ok, out.failures
 
 
-def test_projective_witness_is_the_closed_form():
+def test_projective_witness_is_the_closed_form(monkeypatch):
     """On the projective branch the solver's witness is the closed-form
     symmetric candidate itself, so the numerical search never runs."""
     rng = np.random.default_rng(17)
     problems = [bit_problem(mu) for mu in GRID]
     problems += [random_gu4_problem(rng) for _ in range(200)]
+    witnesses = []
+
+    def recorded(p, x, u):
+        witnesses.append(symmetric_projective_witness(p, x, u))
+        return witnesses[-1]
+
+    monkeypatch.setattr(usdisc.solvers, "symmetric_projective_witness", recorded)
     checked = 0
     for p in problems:
-        rep, gu = solve_gu_4d(p)
-        if gu is None:
+        first_class = gu_4d_regime(p)[0]
+        witnesses.clear()
+        rep = solve(p)
+        assert rep.branch is (Branch.FIRST_CLASS_FIDELITY if first_class else Branch.GU_PROJECTIVE)
+        if first_class:
             continue
         checked += 1
         u = p.gu_involution
         z = rep.certificate.z
-        assert np.array_equal(z, symmetric_projective_witness(p, gu.x_vector, u))
+        assert len(witnesses) == 1
+        assert np.array_equal(z, witnesses[0])
         out = verify_certificate(p, rep.povm, rep.certificate)
         assert out.ok, out.failures
         assert spectral_norm(u @ z @ u - z) <= 1e-12
@@ -197,8 +216,7 @@ def _projective_case(states):
     u, k = gu_4d_preconditions(p)
     first_class, mn = gu_4d_regime(p)
     assert not np.any(first_class)
-    report, _ = gu_4d_projective(p, u, k, mn)
-    return p, report.povm
+    return p, gu_4d_projective(p, u, k, mn).povm
 
 
 def _first_class_case(states):
@@ -229,8 +247,8 @@ def _count_fit(monkeypatch, p, m, candidate=None):
         state.spectrum, state.factor, state.support
     p = UsdProblem(p.rho0, p.rho1, p.eta0, p.eta1, p.gu_involution)
     built = []
-    build = usdisc.certificates.build_fidelity_certificate
-    monkeypatch.setattr(usdisc.certificates, "build_fidelity_certificate",
+    build = usdisc.certificates.fidelity_witness
+    monkeypatch.setattr(usdisc.certificates, "fidelity_witness",
                         lambda q: built.append(q) or build(q))
     certs = []
     calls = _count_calls(monkeypatch,
@@ -241,7 +259,8 @@ def _count_fit(monkeypatch, p, m, candidate=None):
 
 def test_fit_builds_no_closed_form_for_a_verifying_candidate(monkeypatch):
     p = bit_problem(0.3)
-    rep, _ = solve_gu_4d(p)
+    rep = solve(p)
+    assert rep.branch is Branch.GU_PROJECTIVE
     assert _count_fit(monkeypatch, p, rep.povm, candidate=rep.certificate.z) == (
         {"eigvalsh": 1}, 0)
 
@@ -250,7 +269,8 @@ def test_fit_builds_each_closed_form_only_after_the_last_failed(monkeypatch):
     # projective: the fidelity witness is built and fails, then E0 is
     # decomposed for the symmetric witness, which verifies
     p = bit_problem(0.3)
-    rep, _ = solve_gu_4d(p)
+    rep = solve(p)
+    assert rep.branch is Branch.GU_PROJECTIVE
     assert _count_fit(monkeypatch, p, rep.povm) == (
         {"svd": 1, "eigvalsh": 2, "eigh": 1}, 1)
     # first class: the fidelity witness verifies and nothing else is built

@@ -13,7 +13,7 @@ from usdisc.bb84 import bit_problem, find_mu0
 from usdisc.cli import main
 from usdisc.errors import BranchNotApplicable, NumericalFailure
 from usdisc.problem import validate_problem
-from usdisc.solvers import solve_gu_4d
+from usdisc.solvers import Branch, gu_4d_regime, solve, solve_first_class
 
 
 def write_problem(path, p):
@@ -90,7 +90,8 @@ def test_solve_falls_back_to_oracle(tmp_path):
     obj = json.loads(out.read_text())
     assert obj["branch"] == "OracleOnly"
     # the oracle lands on the same optimum the symmetric solver proves
-    rep, _ = usdisc.solve_gu_4d(p)
+    rep = solve(p)
+    assert rep.branch is Branch.GU_PROJECTIVE
     assert abs(obj["q_opt"] - rep.q_opt) <= 1e-5
     assert obj["q_opt"] - rep.q_opt <= obj["diagnostics"]["oracle_duality_gap"] + 1e-12
     assert obj["diagnostics"]["oracle_converged"] == 1.0
@@ -121,7 +122,7 @@ def test_solve_falls_back_when_projective_certificate_fails(tmp_path, monkeypatc
 def _near_threshold_involution_pair():
     # the bit pair just below mu0, with rho1 moved by at most 4e-10 inside
     # its own support. For the fifth draw, op0 alone passes the rank check,
-    # so solve_gu_4d takes its first-class side, where op1 then fails it
+    # so the regime decision picks the first-class side, where op1 then fails it
     base = bit_problem(find_mu0() - 2.7e-9)
     proj = base.rho1.support.support_projector
     rng = np.random.default_rng(0)
@@ -139,8 +140,9 @@ def test_solve_falls_back_when_symmetric_rank_conditions_fail(tmp_path, capsys, 
 
     p = _near_threshold_involution_pair()
     assert validate_problem(p).ok
+    assert gu_4d_regime(p)[0]
     with pytest.raises(BranchNotApplicable) as err:
-        solve_gu_4d(p)
+        solve_first_class(p)
     assert err.value.cause == "rank_conditions"
     inp = tmp_path / "problem.json"
     out = tmp_path / "report.json"
@@ -152,10 +154,10 @@ def test_solve_falls_back_when_symmetric_rank_conditions_fail(tmp_path, capsys, 
         calls.append(None)
         return first_class(*args, **kwargs)
 
-    # wherever the router or the symmetric solver reaches it
+    # wherever the router reaches it
     monkeypatch.setattr(usdisc.solvers, "solve_first_class", counted)
     assert main(["solve", "--input", str(inp), "--output", str(out)]) == 0
-    # the symmetric solver's first-class side rejected it; no second try
+    # the first-class side of the regime decision rejected it; no second try
     assert len(calls) == 1
     obj = json.loads(out.read_text())
     assert obj["branch"] == "OracleOnly"
@@ -413,7 +415,8 @@ def test_oracle_command(tmp_path):
     import usdisc
 
     obj = json.loads(out.read_text())
-    rep, _ = usdisc.solve_gu_4d(bit_problem(0.5))
+    rep = solve(bit_problem(0.5))
+    assert rep.branch is Branch.GU_PROJECTIVE
     assert abs(obj["q_opt"] - rep.q_opt) <= 1e-5
 
 

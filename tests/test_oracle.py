@@ -18,8 +18,8 @@ from usdisc import (
     oracle,
     oracle_optimize,
     rank_condition_check,
+    gu_4d_regime,
     solve,
-    solve_gu_4d,
     validate_povm,
     verify_certificate,
 )
@@ -77,9 +77,10 @@ def test_oracle_agrees_with_projective_branch():
     checked = 0
     while checked < 3:
         p = random_gu4_problem(rng)
-        rep, gu = solve_gu_4d(p)
-        if gu is None:
+        if gu_4d_regime(p)[0]:
             continue
+        rep = solve(p)
+        assert rep.branch is Branch.GU_PROJECTIVE
         checked += 1
         res = oracle_optimize(p)
         assert abs(res.q_opt - rep.q_opt) <= 1e-5

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import first_class_instance, random_problem
 from usdisc import UsdProblem, cli, serialize
-from usdisc import solve, solve_gu_4d, validate_povm
+from usdisc import solve, validate_povm
 from usdisc.bb84 import bit_problem
 from usdisc.errors import InvalidInput
 from usdisc.solvers import Branch
@@ -40,7 +40,8 @@ def test_text_round_trip_is_stable():
 def test_report_round_trip_revalidates():
     # a solved report written to text re-validates after reading back
     p = bit_problem(0.3)
-    rep, _ = solve_gu_4d(p)
+    rep = solve(p)
+    assert rep.branch is Branch.GU_PROJECTIVE
     obj = serialize.report_to_obj(p, rep)
     text = serialize.dumps(obj)
     p2, rep2 = serialize.report_from_obj(serialize.loads(text))
@@ -107,7 +108,8 @@ def test_matrix_from_obj_rejects_ragged_rows():
 
 def test_report_from_obj_rejects_unknown_branch():
     p = bit_problem(0.3)
-    rep, _ = solve_gu_4d(p)
+    rep = solve(p)
+    assert rep.branch is Branch.GU_PROJECTIVE
     obj = serialize.report_to_obj(p, rep)
     obj["branch"] = "NoSuchBranch"
     with pytest.raises(InvalidInput):

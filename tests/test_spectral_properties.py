@@ -20,12 +20,12 @@ from usdisc import (
     Branch,
     DensityMatrix,
     UsdProblem,
-    build_fidelity_certificate,
     fidelity_operators,
+    fidelity_witness,
+    fit_certificate,
     rank_condition_check,
     solve,
     solve_first_class,
-    verify_certificate,
 )
 from usdisc.linalg import (
     REL_CUTOFF,
@@ -171,8 +171,8 @@ def test_fidelity_witness_verifies_on_first_class_pairs_of_unequal_rank(seed, d)
     while p.rho0.support.rank == p.rho1.support.rank:
         p = first_class_instance(rng, d)
     rep = solve_first_class(p)
-    cert = build_fidelity_certificate(p)
-    assert verify_certificate(p, rep.povm, cert).ok
+    cert = fit_certificate(p, rep.povm, candidate=fidelity_witness(p))
+    assert cert is not None
     # the witness Y Y^H on a full polar unitary of sqrt(rho0) sqrt(rho1),
     # whose completion off the supports leaves Z as the support factors give it
     polar = _full_space_fidelity(p)[3]
