@@ -8,10 +8,11 @@ threshold photon number, located here by bisection on the closed-form
 spectrum.
 
 A sweep stacks both questions' states for the whole grid as 4 x 4
-matrices, decomposes the stack once and hands each question's rows of
-it to solvers.solve, so each instance gets the bits, and the branch, of
-a solve at its photon number alone. Both questions' states are real
-(see build_states), so the whole sweep runs in float64.
+matrices under one shared involution (see build_states) and hands the
+stack to one solvers.solve call, which decomposes it once and gates it
+once; each instance gets the bits, and the branch, of a solve at its
+photon number alone. Both questions' states are real, so the whole
+sweep runs in float64.
 """
 
 import functools
@@ -79,24 +80,30 @@ def _photon_number(formula):
 
 
 @_photon_number
-def coefficients(mu: float) -> CoherentBb84Model:
-    """Amplitudes of the four phase-superposition components.
-
-    Their squares sum to one for every mu, which is what normalizes the
-    states built from them.
-    """
+def _amplitudes(mu: float) -> tuple:
     pref = math.exp(-mu / 2.0) / math.sqrt(2.0)
     c0 = pref * math.sqrt(math.cosh(mu) + math.cos(mu))
     c1 = pref * math.sqrt(math.sinh(mu) + math.sin(mu))
     c2 = pref * math.sqrt(math.cosh(mu) - math.cos(mu))
     # sinh(mu) - sin(mu) is nonnegative but underflows to tiny negatives
     c3 = pref * math.sqrt(max(math.sinh(mu) - math.sin(mu), 0.0))
-    return CoherentBb84Model(mu=mu, c=(c0, c1, c2, c3))
+    return c0, c1, c2, c3
 
 
-# rho_r and rho_0 as entrywise factors of the products c_i c_j, rho_0 in
-# the real basis of build_states
-_RHO_R_FACTORS = np.array([[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1]], float)
+def coefficients(mu: float) -> CoherentBb84Model:
+    """Amplitudes of the four phase-superposition components.
+
+    Their squares sum to one for every mu, which is what normalizes the
+    states built from them.
+    """
+    return CoherentBb84Model(mu=mu, c=_amplitudes(mu))
+
+
+# the basis of build_states' basis-question states: the paper's, second and third swapped
+_BASIS_ORDER = [0, 2, 1, 3]
+# rho_r and rho_0 as entrywise factors of the products c_i c_j, each in
+# the basis build_states writes it in
+_RHO_R_FACTORS = np.array([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]], float)
 _H = math.sqrt(0.5)
 _RHO_0_FACTORS = np.array([
     [1.0, _H, 0.0, -_H],
@@ -108,15 +115,20 @@ _RHO_0_FACTORS = np.array([
 
 def build_states(mu) -> Bb84States:
     """The two basis-question states, the two bit-question states, and
-    the involutions U relating each pair, all float64; each pair's second
+    the involution U relating each pair, all float64; each pair's second
     state is built as U rho U from its first.
 
-    The basis-question states are the paper's, which are real. The
-    bit-question states are written in the basis that makes them real:
-    with D = diag(exp(-i k pi / 4)), k = 0..3, the paper's states are
-    D^H rho_0 D and D^H rho_1 D. D is diagonal, so it commutes with the
-    bit involution, and the change of basis leaves every failure
-    probability and branch as it is.
+    Both pairs are written in bases of their own, which leave every
+    failure probability and branch as it is:
+    - The basis-question states are the paper's, which are real, with
+      the second and third basis vectors swapped. That permutes their
+      entries exactly and carries the paper's involution
+      diag(1, 1, -1, -1) to the bit involution diag(1, -1, 1, -1), so
+      u_basis is u_bit and both questions' stacks share one involution.
+    - The bit-question states are written in the basis that makes them
+      real: with D = diag(exp(-i k pi / 4)), k = 0..3, the paper's states
+      are D^H rho_0 D and D^H rho_1 D. D is diagonal, so it commutes with
+      the bit involution.
 
     mu is one photon number or a sequence of N of them; for a sequence
     each state is an (N, 4, 4) stack whose instances are bit for bit the
@@ -124,25 +136,16 @@ def build_states(mu) -> Bb84States:
     """
     if np.any(np.asarray(mu) <= 0):
         raise InvalidInput(f"mean photon number must be positive, got {mu!r}")
-    c = np.array([coefficients(m).c for m in np.atleast_1d(mu).tolist()])
+    c = np.array([_amplitudes(m) for m in np.atleast_1d(mu).tolist()])
     products = c[:, :, None] * c[:, None, :]
-    rho_r = products * _RHO_R_FACTORS
+    rho_r = products[:, _BASIS_ORDER][:, :, _BASIS_ORDER] * _RHO_R_FACTORS
     rho_0 = products * _RHO_0_FACTORS
     if np.ndim(mu) == 0:
         rho_r, rho_0 = rho_r[0], rho_0[0]
-    u_basis = np.diag([1.0, 1.0, -1.0, -1.0])
-    rho_i = u_basis @ rho_r @ u_basis
-    u_bit = np.diag([1.0, -1.0, 1.0, -1.0])
-    rho_1 = u_bit @ rho_0 @ u_bit
-
-    return Bb84States(
-        rho_r=DensityMatrix.from_matrix(rho_r, declared_rank=2),
-        rho_i=DensityMatrix.from_matrix(rho_i, declared_rank=2),
-        rho_0=DensityMatrix.from_matrix(rho_0, declared_rank=2),
-        rho_1=DensityMatrix.from_matrix(rho_1, declared_rank=2),
-        u_basis=u_basis,
-        u_bit=u_bit,
-    )
+    u = np.diag([1.0, -1.0, 1.0, -1.0])
+    return Bb84States(*(DensityMatrix.from_matrix(rho, declared_rank=2)
+                        for rho in (rho_r, u @ rho_r @ u, rho_0, u @ rho_0 @ u)),
+                      u_basis=u, u_bit=u)
 
 
 def basis_problem(mu: float) -> UsdProblem:
@@ -200,24 +203,22 @@ def find_mu0() -> float:
 
 def _solve_points(mu):
     """Sweep rows at one photon number (a float) or over a grid of N of
-    them (a list). Both questions' states form one stack of 2N instances,
-    basis question first, so that each decomposition takes one call for
-    both; solve then routes each question on its own rows of the stack."""
+    them (a list). Both questions' states form one stack of 2N instances
+    under their shared involution, bit question first, and solve routes
+    and gates the whole stack at once: the first-class rows (the bit
+    question's above the threshold, then every basis-question row) run
+    consecutively, so that side of the regime decision is one view."""
     mus = np.atleast_1d(mu).tolist()
     n = len(mus)
     states = build_states(mus)
     both = UsdProblem(
-        rho0=DensityMatrix(np.concatenate([states.rho_r.matrix, states.rho_0.matrix]), 2),
-        rho1=DensityMatrix(np.concatenate([states.rho_i.matrix, states.rho_1.matrix]), 2),
-        eta0=0.5, eta1=0.5,
+        rho0=DensityMatrix(np.concatenate([states.rho_0.matrix, states.rho_r.matrix]), 2),
+        rho1=DensityMatrix(np.concatenate([states.rho_1.matrix, states.rho_i.matrix]), 2),
+        eta0=0.5, eta1=0.5, gu_involution=states.u_bit,
     )
-    u_bit = states.u_bit
-    del states  # not held through the solves below
-    # decompose the states, their sums, the fidelity pair and both rank
-    # conditions here: every sub-stack taken below holds row slices of them
-    rank_conditions(both)
-
-    q_basis = solve(both.take(slice(None, n))).q_opt.tolist()
+    del states  # not held through the solve below
+    report = solve(both)
+    q_bit, q_basis = report.q_opt[:n].tolist(), report.q_opt[n:].tolist()
     for m, q in zip(mus, q_basis):
         closed = q_basis_closed_form(m)
         if abs(q - closed) > 1e-8:
@@ -225,14 +226,11 @@ def _solve_points(mu):
                 f"basis failure probability {q!r} deviates "
                 f"from closed form {closed!r}"
             )
-
-    bit = both.take(slice(n, None), gu_involution=u_bit)
-    report = solve(bit)
-    min_eig = rank_conditions(bit)[1][0]
+    # the regime decision's verdict, cached on the stack by the solve
+    min_eig = rank_conditions(both)[1][0, :n]
     return [
         Bb84SweepRow(mu=m, q_basis=qb, q_bit=qt, branch_bit=branch, min_eig_rho0_minus_f0=me)
-        for m, qb, qt, branch, me in zip(mus, q_basis, report.q_opt.tolist(), report.branch,
-                                         min_eig.tolist())
+        for m, qb, qt, branch, me in zip(mus, q_basis, q_bit, report.branch[:n], min_eig.tolist())
     ]
 
 
@@ -269,7 +267,7 @@ def sweep(mu_start: float = DEFAULT_GRID[0], mu_end: float = DEFAULT_GRID[1],
     except UsdError:
         pass  # the stacked pass's frames are let go before the re-solve
     for mu in mus:
-        _at(mu, coefficients)
+        _at(mu, _amplitudes)
     return [row for mu in mus for row in _at(mu, _solve_points)]
 
 

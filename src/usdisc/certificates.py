@@ -110,27 +110,29 @@ def symmetric_projective_witness(p: UsdProblem, x: np.ndarray, u: np.ndarray) ->
 def _condition_spectra(p: UsdProblem, m: Povm, z: np.ndarray) -> np.ndarray:
     """Ascending spectra of Z, the two kernel compressions, the Gram
     matrix of Z Eq and the two equality residuals, from one eigenvalue
-    call. The six are written into one stack and symmetrized in place;
-    the stack is freed on return."""
+    call. Each is written into one stack as soon as it is formed, and the
+    stack is symmetrized in place; it is freed on return."""
     r0, r1 = p.rho0.matrix, p.rho1.matrix
     k0 = p.rho0.support.kernel_projector
     k1 = p.rho1.support.kernel_projector
-    zeq = z @ m.eq
-    d0, d1 = z - p.eta0 * r0, z - p.eta1 * r1
-    a = np.empty((6,) + zeq.shape, np.result_type(zeq, d0, d1, k0, k1, m.e0, m.e1))
+    a = np.empty((6,) + z.shape, np.result_type(z, m.eq, r0, r1, k0, k1, m.e0, m.e1))
     a[0] = z
-    np.matmul(k1 @ d0, k1, out=a[1])
-    np.matmul(k0 @ d1, k0, out=a[2])
-    np.matmul(dagger(zeq), zeq, out=a[3])
-    np.matmul(m.e0 @ d0, m.e0, out=a[4])
-    np.matmul(m.e1 @ d1, m.e1, out=a[5])
-    # a + a^H by real and imaginary part, each in place beside a copy of
-    # its transpose: half a stack, where a + dagger(a) takes two
-    re = a.real
-    re += re.swapaxes(-1, -2).copy()
-    if a.dtype.kind == "c":
-        im = a.imag
-        im -= im.swapaxes(-1, -2).copy()
+    d = z - p.eta0 * r0
+    np.matmul(k1 @ d, k1, out=a[1])
+    np.matmul(m.e0 @ d, m.e0, out=a[4])
+    d = z - p.eta1 * r1
+    np.matmul(k0 @ d, k0, out=a[2])
+    np.matmul(m.e1 @ d, m.e1, out=a[5])
+    d = z @ m.eq
+    np.matmul(dagger(d), d, out=a[3])
+    # a + a^H by real and imaginary part, each in place beside a copy of its
+    # transpose; a stack's six one at a time, where a + dagger(a) takes two stacks
+    for part in a if a.ndim > 3 else (a,):
+        re = part.real
+        re += re.swapaxes(-1, -2).copy()
+        if a.dtype.kind == "c":
+            im = part.imag
+            im -= im.swapaxes(-1, -2).copy()
     a *= 0.5
     return np.linalg.eigvalsh(a)
 

@@ -10,10 +10,11 @@ kernel-compressed involution. Every emitted solution is gated by an
 optimality certificate before it is returned. solve chooses between
 the two families and falls back to the interior-point oracle.
 
-solve also takes a stacked problem (see problem.UsdProblem) and
-routes, solves and falls back instance by instance. So do
-solve_first_class, gu_4d_preconditions, gu_4d_regime and
-gu_4d_projective, except that a failure on any instance fails the stack.
+solve also takes a stacked problem (see problem.UsdProblem): it routes
+instance by instance, gates the whole stack once and falls back by
+side or by row. So do solve_first_class, gu_4d_preconditions,
+gu_4d_regime and gu_4d_projective, except that a failure on any
+instance fails the stack.
 """
 
 import math
@@ -131,32 +132,23 @@ def audit_report(p: UsdProblem, report: SolutionReport) -> ValidationReport:
     return rep
 
 
-def _gate_solution(p: UsdProblem, m: Povm, z: np.ndarray, branch: Branch,
-                   diagnostics: dict) -> SolutionReport:
-    """Report on a constructed measurement and its closed-form witness Z,
-    checked by validate_povm and by fit_certificate given Z alone, with the
-    branch's diagnostics; BranchNotApplicable (cause "certificate") on a miss."""
-    vrep = validate_povm(p, m)
+def _gate_solution(p: UsdProblem, report: SolutionReport) -> SolutionReport:
+    """A constructed report, whose certificate holds its closed-form Z
+    unverified, once validate_povm passes its measurement and fit_certificate
+    verifies Z alone; BranchNotApplicable (cause "certificate") on a miss."""
+    vrep = validate_povm(p, report.povm)
     if not vrep.ok:
         raise BranchNotApplicable(f"constructed measurement failed validation: {vrep.failures}",
                                   cause="certificate")
-    cert = fit_certificate(p, m, candidate=z)
-    if cert is None:
+    report.certificate = fit_certificate(p, report.povm, candidate=report.certificate.z)
+    if report.certificate is None:
         raise BranchNotApplicable("closed-form witness fails verification", cause="certificate")
-    return SolutionReport(*failure_probability(p, m), povm=m, branch=branch, certificate=cert,
-                          diagnostics={**vrep.residuals, **cert.residuals, **diagnostics})
+    report.diagnostics = {**vrep.residuals, **report.certificate.residuals, **report.diagnostics}
+    return report
 
 
-def solve_first_class(p: UsdProblem) -> SolutionReport:
-    """Optimal measurement when the failure probability meets the
-    fidelity bound.
-
-    The conclusive elements sandwich the rank-condition operators
-    between sqrt(state) and the state-sum pseudo-inverse. With unequal
-    priors the operators carry the prior-ratio weight; since that
-    extrapolates beyond the equal-prior display, the certificate gate
-    is what makes the output trustworthy.
-    """
+def _construct_first_class(p: UsdProblem) -> SolutionReport:
+    """solve_first_class's report, ungated."""
     fd = p.fidelity_pair
     rc = rank_condition_check(p)
     if not all_true(rc.both_psd):
@@ -171,12 +163,26 @@ def solve_first_class(p: UsdProblem) -> SolutionReport:
     r0, r1 = p.rho0.support.rank, p.rho1.support.rank
     e0 = hermitize(m0 @ fd.rank_operators[0, ..., :r0, :r0] @ dagger(m0))
     e1 = hermitize(m1 @ fd.rank_operators[1, ..., :r1, :r1] @ dagger(m1))
-    eq = hermitize(np.eye(p.dim) - e0 - e1)
-    report = _gate_solution(p, Povm(e0=e0, e1=e1, eq=eq), fidelity_witness(p),
-                            Branch.FIRST_CLASS_FIDELITY,
-                            {"fidelity": fd.fidelity, "op0_min_eig": rc.op0_min_eig,
-                             "op1_min_eig": rc.op1_min_eig})
-    report.diagnostics["bound_gap"] = report.q_opt - 2.0 * math.sqrt(p.eta0 * p.eta1) * fd.fidelity
+    m = Povm(e0=e0, e1=e1, eq=hermitize(np.eye(p.dim) - e0 - e1))
+    return SolutionReport(*failure_probability(p, m), m, Branch.FIRST_CLASS_FIDELITY,
+                          {"fidelity": fd.fidelity, "op0_min_eig": rc.op0_min_eig,
+                           "op1_min_eig": rc.op1_min_eig},
+                          OptimalityCertificate(fidelity_witness(p)))
+
+
+def solve_first_class(p: UsdProblem) -> SolutionReport:
+    """Optimal measurement when the failure probability meets the
+    fidelity bound.
+
+    The conclusive elements sandwich the rank-condition operators
+    between sqrt(state) and the state-sum pseudo-inverse. With unequal
+    priors the operators carry the prior-ratio weight; since that
+    extrapolates beyond the equal-prior display, the certificate gate
+    is what makes the output trustworthy.
+    """
+    report = _gate_solution(p, _construct_first_class(p))
+    report.diagnostics["bound_gap"] = (report.q_opt - 2.0 * math.sqrt(p.eta0 * p.eta1)
+                                       * p.fidelity_pair.fidelity)
     return report
 
 
@@ -187,23 +193,16 @@ def gu_4d_preconditions(p: UsdProblem):
     Returns the involution and its compression onto the kernel of rho1.
     """
     if p.dim != 4:
-        raise BranchNotApplicable(
-            f"solver covers dimension 4 only, got {p.dim}", cause="dimension"
-        )
+        raise BranchNotApplicable(f"solver covers dimension 4 only, got {p.dim}",
+                                  cause="dimension")
     if abs(p.eta0 - p.eta1) > 1e-12:
-        raise BranchNotApplicable(
-            "solver requires equal priors", cause="priors"
-        )
+        raise BranchNotApplicable("solver requires equal priors", cause="priors")
     if p.gu_involution is None:
-        raise BranchNotApplicable(
-            "problem declares no involution", cause="involution_missing"
-        )
+        raise BranchNotApplicable("problem declares no involution", cause="involution_missing")
     gu = verify_gu_structure(p.rho0, p.rho1, p.gu_involution)
     if not gu.ok:
-        raise BranchNotApplicable(
-            f"involution structure invalid: {gu.failures}",
-            cause="involution_invalid",
-        )
+        raise BranchNotApplicable(f"involution structure invalid: {gu.failures}",
+                                  cause="involution_invalid")
     ranks = (p.rho0.support.rank, p.rho1.support.rank)
     if ranks != (2, 2):
         raise BranchNotApplicable(f"solver requires rank (2, 2), got {ranks}", cause="rank")
@@ -229,8 +228,12 @@ def gu_4d_regime(p: UsdProblem):
 def gu_4d_projective(p: UsdProblem, u: np.ndarray, k: np.ndarray, op0_min_eig):
     """The rank-1 projective measurement determined by the signed
     eigenpair of the kernel-compressed involution k, for instances
-    outside the first-class regime.
-    """
+    outside the first-class regime."""
+    return _gate_solution(p, _construct_projective(p, u, k, op0_min_eig))
+
+
+def _construct_projective(p: UsdProblem, u: np.ndarray, k: np.ndarray, op0_min_eig):
+    """gu_4d_projective's report, ungated."""
     sys = eigh(k)
     w = sys.eigenvalues
     nonzero = nonzero_mask(w, indefinite=True)
@@ -287,29 +290,18 @@ def gu_4d_projective(p: UsdProblem, u: np.ndarray, k: np.ndarray, op0_min_eig):
             cause="spectrum",
         )
 
-    return _gate_solution(p, m, symmetric_projective_witness(p, x, u), Branch.GU_PROJECTIVE,
+    return SolutionReport(*failure_probability(p, m), m, Branch.GU_PROJECTIVE,
                           {"kernel_eig_pos": a, "kernel_eig_neg": -b, "op0_min_eig": op0_min_eig,
-                           "success_crosscheck_gap": item_or_array(success - expanded)})
+                           "success_crosscheck_gap": item_or_array(success - expanded)},
+                          OptimalityCertificate(symmetric_projective_witness(p, x, u)))
 
 
 def _consecutive(mask: np.ndarray):
-    # the flagged rows of a stack, as a slice when they run consecutively
-    # (either side of the regime change on a grid does), so take gives views
+    # the flagged rows of a stack, as a slice (so take gives views) when consecutive
     rows = np.flatnonzero(mask)
     if rows[-1] - rows[0] + 1 == rows.size:
         return slice(int(rows[0]), int(rows[-1]) + 1)
     return rows
-
-
-def _parts(p: UsdProblem, rows, construct=None):
-    """(rows, report) parts for the given rows of the stack p: construct's
-    for them as one sub-stack, else (or if it fails) solve's for each row."""
-    if construct is not None:
-        try:
-            return [(rows, construct(p.take(rows)))]
-        except (BranchNotApplicable, NumericalFailure):
-            pass
-    return [([i], solve(p.take(i))) for i in np.arange(len(p.rho0.matrix))[rows].tolist()]
 
 
 def _joined(p: UsdProblem, parts) -> SolutionReport:
@@ -318,9 +310,10 @@ def _joined(p: UsdProblem, parts) -> SolutionReport:
     certified = all(rep.certificate is not None for _, rep in parts)
     fields = [(rep.q_opt, rep.q0, rep.q1, rep.povm.e0, rep.povm.e1, rep.povm.eq,
                rep.certificate.z if certified else 0.0) for _, rep in parts]
-    numbers = np.empty((3, n))
-    elements = np.empty((4, n, d, d), np.result_type(*(a for f in fields for a in f[3:])))
-    branch = np.empty(n, object)
+    numbers, branch = np.empty((3, n)), np.empty(n, object)
+    # four arrays, not one block of all four: smaller chunks keep a long run's heap from growing
+    dtype = np.result_type(*(a for f in fields for a in f[3:]))
+    elements = [np.empty((n, d, d), dtype) for _ in range(4)]
     for (rows, rep), values in zip(parts, fields):
         for out, value in zip((*numbers, *elements), values):
             out[rows] = value
@@ -342,10 +335,12 @@ def solve(p: UsdProblem) -> SolutionReport:
     that does not apply or fails numerically hands over to the oracle,
     whose dual Z is the witness; the closed forms are tried only if it fails.
 
-    A stack is routed on the same stacked predicates, each side of the
-    regime decision solved as one sub-stack (take). A stack or sub-stack
-    that fails as a whole, as one mixing ranks does, is solved row by
-    row, so each instance gets the bits, and the oracle fallback, of a
+    A stack is routed on the same stacked predicates. When the regime
+    decision splits it, each side's measurement and witness are built on
+    its rows (a view when they run consecutively) and the whole stack is
+    gated once; if that fails, each side is solved as a stack of its own.
+    A stack that fails as a whole, as one mixing ranks does, is solved row
+    by row, so each instance gets the bits, and the oracle fallback, of a
     solve of it alone. A stack's report holds per-instance q_opt, q0, q1,
     the (N, d, d) measurement and witness Z (no certificate if a row has
     none) and the tuple of the rows' branches, and no diagnostics.
@@ -363,15 +358,22 @@ def solve(p: UsdProblem) -> SolutionReport:
             elif not any_true(first_class):
                 report = gu_4d_projective(p, u, k, mn)
             else:
-                fc, pr = _consecutive(first_class), _consecutive(~first_class)
-                return _joined(p, _parts(p, fc, solve_first_class) + _parts(
-                    p, pr, lambda sub: gu_4d_projective(sub, u, k[pr], mn[pr])))
+                sides = fc, pr = _consecutive(first_class), _consecutive(~first_class)
+                try:
+                    report = _gate_solution(p, _joined(p, [
+                        (fc, _construct_first_class(p.take(fc))),
+                        (pr, _construct_projective(p.take(pr), u, k[pr], mn[pr]))]))
+                except (BranchNotApplicable, NumericalFailure):
+                    return _joined(p, [(rows, solve(p.take(rows))) for rows in sides])
+                report.diagnostics = {}
+                return report
         if stacked:
             report.branch, report.diagnostics = (report.branch,) * len(p.rho0.matrix), {}
         return report
     except (BranchNotApplicable, NumericalFailure):
         if stacked:
-            return _joined(p, _parts(p, slice(None)))
+            rows = range(len(p.rho0.matrix))
+            return _joined(p, [([i], solve(p.take(i))) for i in rows])
     result = oracle_optimize(p)
     q, q0, q1 = failure_probability(p, result.povm)
     diagnostics = {
@@ -400,9 +402,7 @@ def spectrum_negation_check(p: UsdProblem) -> bool:
     """Whether the support and kernel compressions of the involution
     carry spectra that are negatives of each other."""
     if p.gu_involution is None:
-        raise BranchNotApplicable(
-            "problem declares no involution", cause="involution_missing"
-        )
+        raise BranchNotApplicable("problem declares no involution", cause="involution_missing")
     u = as_double(p.gu_involution)
     d0 = p.rho0.support
     inside = np.linalg.eigvalsh(hermitize(d0.support_projector @ u @ d0.support_projector))

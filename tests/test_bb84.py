@@ -235,19 +235,32 @@ def _assert_rows_match_scalar_solves(rows):
 
 
 def test_sweep_solves_each_side_on_a_view_of_one_stack(monkeypatch):
+    # both questions share one stack: its first-class side (the bit
+    # question above the threshold and the whole basis question) is
+    # built on a view, and the joined measurement and witness are gated once
     import usdisc.solvers
 
-    owned = []
-    first_class = usdisc.solvers.solve_first_class
+    calls = {}
 
-    def recorded(p):
-        owned.append(p.rho0.matrix.flags.owndata)
-        return first_class(p)
+    def recorded(name):
+        original = getattr(usdisc.solvers, name)
 
-    monkeypatch.setattr(usdisc.solvers, "solve_first_class", recorded)
-    sweep()
-    # the basis question and the bit question above the threshold
-    assert owned == [False, False]
+        def call(p, *args, **kwargs):
+            # each call's row count, and whether its states own their data
+            calls.setdefault(name, []).append((len(p.rho0.matrix), p.rho0.matrix.flags.owndata))
+            return original(p, *args, **kwargs)
+
+        monkeypatch.setattr(usdisc.solvers, name, call)
+
+    for name in ("_construct_first_class", "_construct_projective", "validate_povm",
+                 "fit_certificate"):
+        recorded(name)
+    rows = sweep()
+    n = len(rows)
+    below = sum(r.branch_bit is Branch.GU_PROJECTIVE for r in rows)
+    assert calls["_construct_first_class"] == [(2 * n - below, False)]
+    assert [count for count, _ in calls["_construct_projective"]] == [below]
+    assert calls["validate_povm"] == calls["fit_certificate"] == [(2 * n, True)]
 
 
 def test_points_in_any_order_match_scalar_solves_bitwise():
@@ -317,7 +330,7 @@ def test_sweep_falls_back_to_points_when_the_stack_fails(monkeypatch):
 
     rows = sweep(0.5, 1.0, 0.1)
     expected = sweep_csv(rows)
-    projective = usdisc.solvers.gu_4d_projective
+    projective = usdisc.solvers._construct_projective
 
     # solve retries the rows of a failed sub-stack one at a time, each as
     # a single problem
@@ -326,7 +339,7 @@ def test_sweep_falls_back_to_points_when_the_stack_fails(monkeypatch):
             raise BranchNotApplicable("injected failure on a stack", cause="certificate")
         return projective(p, u, k, op0_min_eig)
 
-    monkeypatch.setattr(usdisc.solvers, "gu_4d_projective", stack_only_failure)
+    monkeypatch.setattr(usdisc.solvers, "_construct_projective", stack_only_failure)
     calls = _recorded_build_states(monkeypatch)
     assert sweep_csv(sweep(0.5, 1.0, 0.1)) == expected
     # the retry happens inside solve, on the stack already built
@@ -340,7 +353,7 @@ def test_sweep_falls_back_to_points_when_the_stack_fails(monkeypatch):
             raise BranchNotApplicable("injected failure at a point", cause="certificate")
         return stack_only_failure(p, u, k, op0_min_eig)
 
-    monkeypatch.setattr(usdisc.solvers, "gu_4d_projective", point_failure)
+    monkeypatch.setattr(usdisc.solvers, "_construct_projective", point_failure)
     fallen = sweep(0.5, 1.0, 0.1)
     assert [r.branch_bit for r in fallen] == [
         Branch.ORACLE_ONLY if r.mu == bad else r.branch_bit for r in rows]
@@ -396,7 +409,7 @@ def _count_eigen_calls(monkeypatch, fn):
 def test_sweep_eigen_calls_do_not_grow_with_the_grid(monkeypatch):
     full = _count_eigen_calls(monkeypatch, sweep)
     six = _count_eigen_calls(monkeypatch, lambda: sweep(0.5, 1.0, 0.1))
-    assert full <= 12
+    assert full <= 8
     assert full == six
 
 
@@ -482,7 +495,8 @@ def test_default_sweep_runs_in_real_arithmetic(monkeypatch):
 
     solved, projective, witnessed = [], [], []
     route = usdisc.bb84.solve
-    construct, witness = usdisc.solvers.gu_4d_projective, usdisc.solvers.symmetric_projective_witness
+    construct = usdisc.solvers._construct_projective
+    witness = usdisc.solvers.symmetric_projective_witness
 
     def recorded_solve(p):
         rep = route(p)
@@ -498,13 +512,13 @@ def test_default_sweep_runs_in_real_arithmetic(monkeypatch):
         return witness(p, x, u)
 
     monkeypatch.setattr(usdisc.bb84, "solve", recorded_solve)
-    monkeypatch.setattr(usdisc.solvers, "gu_4d_projective", recorded_projective)
+    monkeypatch.setattr(usdisc.solvers, "_construct_projective", recorded_projective)
     monkeypatch.setattr(usdisc.solvers, "symmetric_projective_witness", recorded_witness)
     rows = sweep()
-    assert len(solved) == 2 and len(projective) == len(witnessed) == 1
+    assert len(solved) == len(projective) == len(witnessed) == 1
     assert {r.branch_bit for r in rows} == {Branch.GU_PROJECTIVE, Branch.FIRST_CLASS_FIDELITY}
-    # the basis question is solved without its involution
-    arrays = [witnessed[0], projective[0], solved[1][0].gu_involution]
+    # both questions share the stack's involution
+    arrays = [witnessed[0], projective[0], solved[0][0].gu_involution]
     for p, rep in solved:
         fd = p.fidelity_pair
         arrays += [p.rho0.matrix, p.rho1.matrix,

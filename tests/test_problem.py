@@ -133,8 +133,9 @@ def test_verify_gu_structure_accepts_built_states():
 
 
 def test_verify_gu_structure_rejects_wrong_involution():
+    # a Hermitian unitary involution, but not the one relating the bit states
     st = build_states(0.8)
-    p = UsdProblem(st.rho_0, st.rho_1, 0.5, 0.5, gu_involution=st.u_basis)
+    p = UsdProblem(st.rho_0, st.rho_1, 0.5, 0.5, gu_involution=np.diag([1.0, 1.0, -1.0, -1.0]))
     rep = verify_gu_structure(p.rho0, p.rho1, p.gu_involution)
     assert not rep.ok
     assert "conjugation" in rep.failures

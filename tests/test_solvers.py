@@ -422,7 +422,7 @@ def test_stacked_solve_sends_a_row_forced_off_its_branch_to_the_oracle(monkeypat
 
     stack = build_states(STRADDLING_MUS).bit_problem()
     target = stack.rho0.matrix[1].copy()
-    projective = usdisc.solvers.gu_4d_projective
+    projective = usdisc.solvers._construct_projective
 
     def refuse_target(p, u, k, op0_min_eig):
         rows = p.rho0.matrix.reshape((-1, 4, 4))
@@ -430,10 +430,50 @@ def test_stacked_solve_sends_a_row_forced_off_its_branch_to_the_oracle(monkeypat
             raise BranchNotApplicable("injected failure at one row", cause="certificate")
         return projective(p, u, k, op0_min_eig)
 
-    monkeypatch.setattr(usdisc.solvers, "gu_4d_projective", refuse_target)
+    monkeypatch.setattr(usdisc.solvers, "_construct_projective", refuse_target)
     rep = _assert_rows_solve_alone(stack)
     assert rep.branch[1] is Branch.ORACLE_ONLY
     assert rep.branch[0] is Branch.GU_PROJECTIVE
+
+
+@pytest.mark.parametrize("witness, row", [
+    ("symmetric_projective_witness", 1),
+    ("fidelity_witness", 4),
+], ids=["projective_row", "first_class_row"])
+def test_a_row_failing_the_joint_gate_leaves_the_other_side_one_stack(monkeypatch, witness, row):
+    # a stack split by the regime decision is gated once, as a whole; when
+    # one row's witness fails that gate, each side is solved again as a
+    # stack of its own, and only the side holding that row goes row by row
+    import usdisc.solvers
+
+    stack = build_states([round(0.05 * k, 2) for k in range(1, 61, 7)]).bit_problem()
+    branches = solve(stack).branch
+    assert set(branches) == {Branch.GU_PROJECTIVE, Branch.FIRST_CLASS_FIDELITY}
+    target = stack.rho0.matrix[row].copy()
+    original = getattr(usdisc.solvers, witness)
+
+    def broken(p, *args):
+        z = original(p, *args)
+        hit = [np.array_equal(r, target) for r in p.rho0.matrix.reshape((-1, 4, 4))]
+        z.reshape((-1, 4, 4))[np.array(hit)] += 1e-3 * np.eye(4)
+        return z
+
+    solved = []
+    route = usdisc.solvers.solve
+
+    def recorded(p):
+        solved.append(p.rho0.matrix.shape[:-2])
+        return route(p)
+
+    monkeypatch.setattr(usdisc.solvers, witness, broken)
+    monkeypatch.setattr(usdisc.solvers, "solve", recorded)
+    rep = _assert_rows_solve_alone(stack)
+    assert rep.branch[row] is Branch.ORACLE_ONLY
+    assert rep.branch[:row] + rep.branch[row + 1:] == branches[:row] + branches[row + 1:]
+    # the re-solves inside solve(stack): each side once as a stack, then
+    # the failing side's rows one at a time
+    sides = [branches.count(b) for b in (branches[row], *set(branches) - {branches[row]})]
+    assert sorted(solved) == sorted([()] * sides[0] + [(sides[0],), (sides[1],)])
 
 
 def _eigen_calls(monkeypatch, fn):
