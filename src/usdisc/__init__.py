@@ -9,7 +9,6 @@ weak-coherent-pulse application curves, all behind a small CLI.
 from .bb84 import (
     Bb84States,
     Bb84SweepRow,
-    CoherentBb84Model,
     basis_problem,
     bit_problem,
     bit_spectrum_closed_form,
@@ -26,7 +25,6 @@ from .bounds import (
     RankConditionReport,
     failure_lower_bound,
     fidelity_operators,
-    prior_regime_bounds,
     rank_condition_check,
     tighter_q0_bound,
 )
@@ -44,22 +42,17 @@ from .linalg import (
     SupportDecomposition,
     eigh,
     hermitize,
-    pseudo_inverse,
     psd_check,
     require_hermitian,
     sqrt_psd,
-    support_decomposition,
 )
 from .oracle import OracleResult, oracle_optimize
 from .problem import (
     DensityMatrix,
     Povm,
-    StandardFormReport,
     UsdProblem,
     ValidationReport,
-    always_fail_povm,
     failure_probability,
-    standard_form_report,
     validate_povm,
     validate_problem,
     verify_gu_structure,

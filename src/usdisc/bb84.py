@@ -33,27 +33,20 @@ MAX_GRID_POINTS = 10_000
 
 
 @dataclass(frozen=True)
-class CoherentBb84Model:
-    mu: float
-    c: tuple
-
-
-@dataclass(frozen=True)
 class Bb84States:
     rho_r: DensityMatrix
     rho_i: DensityMatrix
     rho_0: DensityMatrix
     rho_1: DensityMatrix
-    u_basis: np.ndarray
-    u_bit: np.ndarray
+    u: np.ndarray  # the involution of both pairs
 
     def basis_problem(self) -> UsdProblem:
         return UsdProblem(rho0=self.rho_r, rho1=self.rho_i, eta0=0.5, eta1=0.5,
-                          gu_involution=self.u_basis)
+                          gu_involution=self.u)
 
     def bit_problem(self) -> UsdProblem:
         return UsdProblem(rho0=self.rho_0, rho1=self.rho_1, eta0=0.5, eta1=0.5,
-                          gu_involution=self.u_bit)
+                          gu_involution=self.u)
 
 
 @dataclass(frozen=True)
@@ -80,7 +73,13 @@ def _photon_number(formula):
 
 
 @_photon_number
-def _amplitudes(mu: float) -> tuple:
+def coefficients(mu: float) -> tuple:
+    """Amplitudes (c0, c1, c2, c3) of the four phase-superposition
+    components.
+
+    Their squares sum to one for every mu, which is what normalizes the
+    states built from them.
+    """
     pref = math.exp(-mu / 2.0) / math.sqrt(2.0)
     c0 = pref * math.sqrt(math.cosh(mu) + math.cos(mu))
     c1 = pref * math.sqrt(math.sinh(mu) + math.sin(mu))
@@ -88,15 +87,6 @@ def _amplitudes(mu: float) -> tuple:
     # sinh(mu) - sin(mu) is nonnegative but underflows to tiny negatives
     c3 = pref * math.sqrt(max(math.sinh(mu) - math.sin(mu), 0.0))
     return c0, c1, c2, c3
-
-
-def coefficients(mu: float) -> CoherentBb84Model:
-    """Amplitudes of the four phase-superposition components.
-
-    Their squares sum to one for every mu, which is what normalizes the
-    states built from them.
-    """
-    return CoherentBb84Model(mu=mu, c=_amplitudes(mu))
 
 
 # the basis of build_states' basis-question states: the paper's, second and third swapped
@@ -124,7 +114,7 @@ def build_states(mu) -> Bb84States:
       the second and third basis vectors swapped. That permutes their
       entries exactly and carries the paper's involution
       diag(1, 1, -1, -1) to the bit involution diag(1, -1, 1, -1), so
-      u_basis is u_bit and both questions' stacks share one involution.
+      both questions' stacks share one involution, u.
     - The bit-question states are written in the basis that makes them
       real: with D = diag(exp(-i k pi / 4)), k = 0..3, the paper's states
       are D^H rho_0 D and D^H rho_1 D. D is diagonal, so it commutes with
@@ -136,16 +126,15 @@ def build_states(mu) -> Bb84States:
     """
     if np.any(np.asarray(mu) <= 0):
         raise InvalidInput(f"mean photon number must be positive, got {mu!r}")
-    c = np.array([_amplitudes(m) for m in np.atleast_1d(mu).tolist()])
+    c = np.array([coefficients(m) for m in np.atleast_1d(mu).tolist()])
     products = c[:, :, None] * c[:, None, :]
     rho_r = products[:, _BASIS_ORDER][:, :, _BASIS_ORDER] * _RHO_R_FACTORS
     rho_0 = products * _RHO_0_FACTORS
     if np.ndim(mu) == 0:
         rho_r, rho_0 = rho_r[0], rho_0[0]
     u = np.diag([1.0, -1.0, 1.0, -1.0])
-    return Bb84States(*(DensityMatrix.from_matrix(rho, declared_rank=2)
-                        for rho in (rho_r, u @ rho_r @ u, rho_0, u @ rho_0 @ u)),
-                      u_basis=u, u_bit=u)
+    return Bb84States(*(DensityMatrix.from_matrix(rho)
+                        for rho in (rho_r, u @ rho_r @ u, rho_0, u @ rho_0 @ u)), u=u)
 
 
 def basis_problem(mu: float) -> UsdProblem:
@@ -212,9 +201,9 @@ def _solve_points(mu):
     n = len(mus)
     states = build_states(mus)
     both = UsdProblem(
-        rho0=DensityMatrix(np.concatenate([states.rho_0.matrix, states.rho_r.matrix]), 2),
-        rho1=DensityMatrix(np.concatenate([states.rho_1.matrix, states.rho_i.matrix]), 2),
-        eta0=0.5, eta1=0.5, gu_involution=states.u_bit,
+        rho0=DensityMatrix(np.concatenate([states.rho_0.matrix, states.rho_r.matrix])),
+        rho1=DensityMatrix(np.concatenate([states.rho_1.matrix, states.rho_i.matrix])),
+        eta0=0.5, eta1=0.5, gu_involution=states.u,
     )
     del states  # not held through the solve below
     report = solve(both)
@@ -267,7 +256,7 @@ def sweep(mu_start: float = DEFAULT_GRID[0], mu_end: float = DEFAULT_GRID[1],
     except UsdError:
         pass  # the stacked pass's frames are let go before the re-solve
     for mu in mus:
-        _at(mu, _amplitudes)
+        _at(mu, coefficients)
     return [row for mu in mus for row in _at(mu, _solve_points)]
 
 

@@ -11,7 +11,7 @@ sqrt(rho1), taken once per problem (UsdProblem.fidelity_pair); both
 rank-condition spectra and their verdict come from one eigenvalue call
 in support coordinates, cached on the FidelityData. The functions here
 also take a stacked problem and return per-instance values, except
-prior_regime_bounds and tighter_q0_bound, which take one problem.
+tighter_q0_bound, which takes one problem.
 """
 
 import math
@@ -170,25 +170,6 @@ def rank_condition_check(p: UsdProblem) -> RankConditionReport:
     (ok0, ok1), (mn0, mn1) = unstack(ok), unstack(mn)
     return RankConditionReport(op0_min_eig=mn0, op1_min_eig=mn1,
                                both_psd=ok0 & ok1)
-
-
-def prior_regime_bounds(p: UsdProblem):
-    """The prior-ratio window inside which both rank conditions can hold.
-
-    Returns (low, high, ratio, inside) where ratio = sqrt(eta1/eta0).
-    """
-    fd = p.fidelity_pair
-    if fd.fidelity <= 0.0:
-        raise InvalidInput(
-            "states are perfectly distinguishable; the prior window is vacuous"
-        )
-    p0 = p.rho0.support.support_projector
-    p1 = p.rho1.support.support_projector
-    low = float(np.trace(p1 @ p.rho0.matrix).real) / fd.fidelity
-    denom = float(np.trace(p0 @ p.rho1.matrix).real)
-    high = math.inf if denom <= 0.0 else fd.fidelity / denom
-    ratio = math.sqrt(p.eta1 / p.eta0)
-    return low, high, ratio, bool(low <= ratio <= high)
 
 
 def tighter_q0_bound(p: UsdProblem):

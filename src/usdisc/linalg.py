@@ -4,10 +4,11 @@ Everything downstream (fidelity operators, measurement construction,
 certificates) reduces to eigendecompositions of Hermitian matrices of
 dimension at most ~16, real or complex: the dtype follows the input (see
 as_double), so a real problem runs in real arithmetic. This module wraps
-the dense eigensolver and derives from one decomposition the handful of
-spectral primitives the rest of the package needs: operator square root,
-pseudo-inverse, support and kernel projectors, all under one relative
-rank cutoff. Positivity tests use eigenvalues alone.
+the dense eigensolver in eigh, whose EigenSystem derives from one
+decomposition the handful of spectral primitives the rest of the package
+needs: rank, operator square root, pseudo-inverse, support and kernel
+projectors, all under one relative rank cutoff, each read off eigh(a)
+(for example eigh(a).support()). Positivity tests use eigenvalues alone.
 
 Every function here also takes a stack of same-shape matrices along
 leading axes and works on each matrix of it; numpy's stacked eigen,
@@ -286,16 +287,6 @@ def eigh(h: np.ndarray) -> EigenSystem:
 def sqrt_psd(a: np.ndarray) -> np.ndarray:
     """Unique PSD square root of a PSD matrix (see EigenSystem.sqrt)."""
     return eigh(a).sqrt()
-
-
-def support_decomposition(a: np.ndarray) -> SupportDecomposition:
-    """Projectors onto the span of above-cutoff eigenvectors and its complement."""
-    return eigh(a).support()
-
-
-def pseudo_inverse(a: np.ndarray) -> np.ndarray:
-    """Spectral pseudo-inverse; components below cutoff are dropped."""
-    return eigh(a).pinv()
 
 
 def psd_check(a: np.ndarray):

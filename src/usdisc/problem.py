@@ -35,7 +35,6 @@ from .linalg import (
     negativity_bound,
     psd_check,
     require_hermitian,
-    support_decomposition,
     trace,
     unstack,
 )
@@ -55,7 +54,6 @@ class DensityMatrix:
     never be modified in place."""
 
     matrix: np.ndarray
-    declared_rank: Optional[int] = None
 
     @property
     def dim(self) -> int:
@@ -82,7 +80,7 @@ class DensityMatrix:
         return sys.eigenvectors[..., k:] * np.sqrt(sys.eigenvalues[..., None, k:])
 
     @staticmethod
-    def from_matrix(matrix, declared_rank=None, renormalize: bool = False):
+    def from_matrix(matrix, renormalize: bool = False):
         m = require_hermitian(matrix, name="density matrix")
         tr = trace(m).real
         if renormalize:
@@ -94,7 +92,7 @@ class DensityMatrix:
             raise InvalidInput(
                 f"density matrix trace {off!r} is not 1; pass renormalize=True to rescale"
             )
-        return DensityMatrix(matrix=m, declared_rank=declared_rank)
+        return DensityMatrix(matrix=m)
 
 
 @dataclass(frozen=True)
@@ -176,7 +174,7 @@ def _take_cached(parent, sub, rows):
 
 
 def _take_state(state: DensityMatrix, rows) -> DensityMatrix:
-    sub = DensityMatrix(state.matrix[rows], state.declared_rank)
+    sub = DensityMatrix(state.matrix[rows])
     _take_cached(state, sub, rows)
     return sub
 
@@ -216,14 +214,6 @@ class ValidationReport:
             self.failures.append(name)
 
 
-@dataclass(frozen=True)
-class StandardFormReport:
-    supports_overlap: bool
-    dim_equals_r0_plus_r1: bool
-    kernel0_meets_support1_dim: int
-    kernel1_meets_support0_dim: int
-
-
 def _hermiticity_residual(a: np.ndarray):
     return max_abs(a - dagger(a)) / at_least(max_abs(a), 1.0)
 
@@ -244,9 +234,6 @@ def validate_problem(p: UsdProblem) -> ValidationReport:
         mn, bound = negativity_bound(state.spectrum.eigenvalues)
         rep.check(f"{name}_psd", max(0.0, -mn), bound)
         rep.check(f"{name}_trace", abs(np.trace(m).real - 1.0), TRACE_TOL)
-        if state.declared_rank is not None:
-            rank = state.spectrum.rank()
-            rep.check(f"{name}_declared_rank", abs(rank - state.declared_rank), 0)
     rep.check("priors_sum", abs(p.eta0 + p.eta1 - 1.0), PRIOR_TOL)
     for name, eta in (("eta0", p.eta0), ("eta1", p.eta1)):
         rep.check(f"{name}_in_open_interval", 0.0 if 0.0 < eta < 1.0 else 1.0, 0.0)
@@ -282,27 +269,6 @@ def failure_probability(p: UsdProblem, m: Povm):
     return q0 + q1, q0, q1
 
 
-def _intersection_dim(pa: np.ndarray, pb: np.ndarray) -> int:
-    # dim(A meet B) = rank(P_A) + rank(P_B) - dim(A join B); the join is
-    # the support of the projector sum, which avoids principal-angle
-    # computations that get ill conditioned at these dimensions. The
-    # rank of an orthogonal projector is its trace.
-    ranks = round(np.trace(pa).real) + round(np.trace(pb).real)
-    return max(0, ranks - support_decomposition(pa + pb).rank)
-
-
-def standard_form_report(p: UsdProblem) -> StandardFormReport:
-    """Support geometry diagnostics for reduction preconditions, on the
-    states' cached supports."""
-    d0, d1 = p.rho0.support, p.rho1.support
-    return StandardFormReport(
-        supports_overlap=p.supports_overlap,
-        dim_equals_r0_plus_r1=(d0.rank + d1.rank == p.dim),
-        kernel0_meets_support1_dim=_intersection_dim(d0.kernel_projector, d1.support_projector),
-        kernel1_meets_support0_dim=_intersection_dim(d1.kernel_projector, d0.support_projector),
-    )
-
-
 def verify_gu_structure(rho0: DensityMatrix, rho1: DensityMatrix,
                         u: np.ndarray) -> ValidationReport:
     """Check that u is a Hermitian involution conjugating state 0 to state 1
@@ -319,10 +285,3 @@ def verify_gu_structure(rho0: DensityMatrix, rho1: DensityMatrix,
     rep.check("u_hermitian", max_abs(u - dagger(u)), INVOLUTION_TOL)
     rep.check("conjugation", max_abs(rho1.matrix - u @ rho0.matrix @ u), INVOLUTION_TOL)
     return rep
-
-
-def always_fail_povm(dim: int) -> Povm:
-    """The trivial measurement that never identifies anything."""
-    eye = np.eye(dim, dtype=complex)
-    zero = np.zeros((dim, dim), dtype=complex)
-    return Povm(e0=zero, e1=zero.copy(), eq=eye)

@@ -27,6 +27,8 @@ def matrix_from_obj(obj, dim: int, field: str) -> np.ndarray:
     try:
         re = np.array(obj["re"], dtype=float)
         im = np.array(obj["im"], dtype=float)
+    except OverflowError as exc:  # an integer past the largest double
+        raise InvalidInput(f"{field}: entries must be finite ({exc})") from exc
     except (TypeError, ValueError) as exc:
         raise InvalidInput(f"{field}: non-numeric entries ({exc})") from exc
     if re.shape != (dim, dim) or im.shape != (dim, dim):
@@ -41,7 +43,10 @@ def matrix_from_obj(obj, dim: int, field: str) -> np.ndarray:
 def _number(value, field: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise InvalidInput(f"{field}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer past the largest double
+        raise InvalidInput(f"{field}: expected a finite number ({exc})") from exc
 
 
 def _number_map(value, field: str) -> dict:
@@ -241,3 +246,6 @@ def loads(text: str):
         raise InvalidInput(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer with more digits than Python converts
+        # the limit as Python words it, without its advice to programmers
+        raise InvalidInput(f"invalid JSON: {str(exc).partition(';')[0]}") from exc

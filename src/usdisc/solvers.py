@@ -45,7 +45,6 @@ from .linalg import (
     nonzero_mask,
     outer,
     spectral_norm,
-    support_decomposition,
     trace,
     unstack,
 )
@@ -425,7 +424,7 @@ def projectivity_check(m: Povm) -> ValidationReport:
     for name, norm in zip(("e0", "e1", "eq"), norms):
         rep.check(f"{name}_idempotent", norm, PROJECTIVE_TOL)
     rep.check("e0_e1_orthogonal", abs(np.trace(m.e0 @ m.e1).real), PROJECTIVE_TOL)
-    rank = support_decomposition(hermitize(m.eq)).rank
+    rank = eigh(hermitize(m.eq)).rank()
     rep.residuals["eq_rank"] = float(rank)
     if rank != 2:
         rep.failures.append("eq_rank")

@@ -6,14 +6,8 @@ test runs stay reproducible.
 
 import numpy as np
 
-from usdisc import DensityMatrix, UsdProblem, rank_condition_check
-from usdisc.linalg import (
-    eigh,
-    hermitize,
-    pseudo_inverse,
-    sqrt_psd,
-    support_decomposition,
-)
+from usdisc import DensityMatrix, Povm, UsdProblem, rank_condition_check
+from usdisc.linalg import eigh, hermitize, sqrt_psd
 
 
 def rand_subspace_density(rng, d, r):
@@ -28,9 +22,16 @@ def rand_subspace_density(rng, d, r):
     return m / np.trace(m).real
 
 
+
+def always_fail(d):
+    """The measurement that never identifies either state."""
+    zero = np.zeros((d, d), complex)
+    return Povm(e0=zero, e1=zero.copy(), eq=np.eye(d, dtype=complex))
+
+
 def _supports_disjoint(rho0, rho1, r0, r1):
-    s0 = support_decomposition(rho0).support_projector
-    s1 = support_decomposition(rho1).support_projector
+    s0 = eigh(rho0).support().support_projector
+    s1 = eigh(rho1).support().support_projector
     return np.linalg.matrix_rank(s0 + s1, tol=1e-8) == r0 + r1
 
 
@@ -79,8 +80,8 @@ def first_class_instance(rng, d):
         s1 = sqrt_psd(rho1)
         f0 = sqrt_psd(hermitize(s0 @ rho1 @ s0))
         f1 = sqrt_psd(hermitize(s1 @ rho0 @ s1))
-        s0inv = pseudo_inverse(s0)
-        s1inv = pseudo_inverse(s1)
+        s0inv = eigh(s0).pinv()
+        s1inv = eigh(s1).pinv()
         hi = 1.0 / eigh(hermitize(s0inv @ f0 @ s0inv)).eigenvalues.max()
         lo = eigh(hermitize(s1inv @ f1 @ s1inv)).eigenvalues.max()
         if lo >= 0.95 * hi:

@@ -40,13 +40,13 @@ GRID = [round(0.05 * k, 2) for k in range(1, 61)]
 
 def test_coefficients_are_normalized():
     for mu in (0.05, 0.5, 1.7, 3.0):
-        c = coefficients(mu).c
+        c = coefficients(mu)
         assert sum(x * x for x in c) == pytest.approx(1.0, abs=1e-12)
         assert all(x >= 0 for x in c)
 
 
 def test_coefficients_small_mu_limit():
-    c = coefficients(1e-9).c
+    c = coefficients(1e-9)
     np.testing.assert_allclose(c, [1.0, 0.0, 0.0, 0.0], atol=1e-4)
 
 
@@ -106,7 +106,7 @@ def test_built_states_are_unit_trace_psd_rank_2():
         for dm in (st.rho_r, st.rho_i, st.rho_0, st.rho_1):
             assert np.trace(dm.matrix).real == pytest.approx(1.0, abs=1e-12)
             assert np.linalg.eigvalsh(dm.matrix)[0] >= -1e-12
-            assert dm.declared_rank == 2
+            assert dm.spectrum.rank() == 2
 
 
 def test_both_pairs_validate_and_carry_involutions():
@@ -122,7 +122,7 @@ def test_basis_fidelity_closed_form():
     # F = |c0^2 - c2^2| + |c1^2 - c3^2| for the basis-value pair
     for mu in GRID[::5]:
         st = build_states(mu)
-        c = coefficients(mu).c
+        c = coefficients(mu)
         expected = abs(c[0] ** 2 - c[2] ** 2) + abs(c[1] ** 2 - c[3] ** 2)
         fd = fidelity_operators(basis_problem(mu))
         assert fd.fidelity == pytest.approx(expected, abs=1e-10)
@@ -471,7 +471,7 @@ def test_real_form_of_the_bit_question_solves_alike(mu):
     # that makes them real; both forms solve on the same branch
     p = bit_problem(mu)
     paper = _paper_form(p)
-    c = np.array(coefficients(mu).c)
+    c = np.array(coefficients(mu))
     pm, mp = (1.0 - 1j) / 2.0, (1.0 + 1j) / 2.0
     written_out = np.outer(c, c) * np.array([[1.0, pm, 0.0, mp], [mp, 1.0, pm, 0.0],
                                              [0.0, mp, 1.0, pm], [pm, 0.0, mp, 1.0]])

@@ -8,7 +8,6 @@ from usdisc import (
     failure_lower_bound,
     failure_probability,
     fidelity_operators,
-    prior_regime_bounds,
     rank_condition_check,
     solve,
     solve_first_class,
@@ -147,17 +146,6 @@ def test_fidelity_takes_any_prior_and_rank_conditions_refuse_a_zero_one(eta0):
         rank_condition_check(p)
 
 
-def test_both_psd_implies_prior_window():
-    rng = np.random.default_rng(4)
-    for _ in range(8):
-        p = first_class_instance(rng, int(rng.integers(2, 6)))
-        rep = rank_condition_check(p)
-        low, high, ratio, inside = prior_regime_bounds(p)
-        if rep.both_psd:
-            assert inside
-            assert low - 1e-9 <= ratio <= high + 1e-9
-
-
 def test_prior_window_excludes_lopsided_pure_case():
     # heavily biased priors on a pure overlapping pair fall outside
     v = np.array([1.0, 0.0], complex)
@@ -168,23 +156,8 @@ def test_prior_window_excludes_lopsided_pure_case():
         100.0 / 101.0,
         1.0 / 101.0,
     )
-    low, high, ratio, inside = prior_regime_bounds(p)
-    assert not inside
     rep = rank_condition_check(p)
     assert not rep.both_psd
-
-
-def test_prior_window_degenerate_for_orthogonal_states():
-    v = np.array([1.0, 0.0], complex)
-    w = np.array([0.0, 1.0], complex)
-    p = UsdProblem(
-        DensityMatrix.from_matrix(np.outer(v, v.conj())),
-        DensityMatrix.from_matrix(np.outer(w, w.conj())),
-        0.5,
-        0.5,
-    )
-    with pytest.raises(InvalidInput, match="perfectly distinguishable"):
-        prior_regime_bounds(p)
 
 
 def test_tighter_q0_bound_needs_involution():

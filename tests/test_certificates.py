@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import first_class_instance, random_gu4_problem
+from conftest import always_fail, first_class_instance, random_gu4_problem
 from test_check_passes import _count_calls
 from usdisc import (
     Branch,
@@ -9,7 +9,6 @@ from usdisc import (
     OptimalityCertificate,
     Povm,
     UsdProblem,
-    always_fail_povm,
     failure_lower_bound,
     failure_probability,
     fidelity_witness,
@@ -26,7 +25,7 @@ import usdisc.certificates
 import usdisc.solvers
 from usdisc.bb84 import basis_problem, bit_problem, build_states
 from usdisc.certificates import symmetric_projective_witness
-from usdisc.linalg import hermitize, spectral_norm, support_decomposition
+from usdisc.linalg import eigh, hermitize, spectral_norm
 
 GRID = [round(0.05 * k, 2) for k in range(1, 61)]
 
@@ -115,7 +114,7 @@ def test_fit_rejects_povm_from_wrong_problem():
 
 def test_fit_rejects_always_fail_on_discriminable_pair():
     p = _pure_pair(0.5)
-    assert fit_certificate(p, always_fail_povm(2)) is None
+    assert fit_certificate(p, always_fail(2)) is None
 
 
 def test_fit_accepts_always_fail_on_identical_states():
@@ -127,7 +126,7 @@ def test_fit_accepts_always_fail_on_identical_states():
         0.5,
         0.5,
     )
-    cert = fit_certificate(p, always_fail_povm(2))
+    cert = fit_certificate(p, always_fail(2))
     assert cert is not None
     assert np.allclose(cert.z, 0.0)
 
@@ -138,7 +137,7 @@ def test_fit_reaches_the_zero_witness_on_distinct_states_with_one_support():
     rho0 = np.array([[0.6, 0.2j, 0.0], [-0.2j, 0.4, 0.0], [0.0, 0.0, 0.0]])
     rho1 = np.array([[0.3, -0.1, 0.0], [-0.1, 0.7, 0.0], [0.0, 0.0, 0.0]], complex)
     p = UsdProblem(DensityMatrix.from_matrix(rho0), DensityMatrix.from_matrix(rho1), 0.4, 0.6)
-    m = always_fail_povm(3)
+    m = always_fail(3)
     assert fit_certificate(p, m, candidate=fidelity_witness(p)) is None
     cert = fit_certificate(p, m)
     assert cert is not None
@@ -202,7 +201,7 @@ def test_projective_witness_is_the_closed_form(monkeypatch):
         out = verify_certificate(p, rep.povm, rep.certificate)
         assert out.ok, out.failures
         assert spectral_norm(u @ z @ u - z) <= 1e-12
-        assert support_decomposition(z).rank <= 2
+        assert eigh(z).rank() <= 2
         q, _, _ = failure_probability(p, rep.povm)
         assert abs(np.trace(z).real - (1.0 - q)) <= 1e-12
     assert checked >= 100

@@ -84,8 +84,8 @@ def test_take_reuses_the_stack_decompositions(monkeypatch):
     sub = stack.take(rows)
     assert _count_calls(monkeypatch, lambda: _decompose(sub))["eigh"] == 0
 
-    fresh = UsdProblem(DensityMatrix(stack.rho0.matrix[rows], 2),
-                       DensityMatrix(stack.rho1.matrix[rows], 2), 0.5, 0.5,
+    fresh = UsdProblem(DensityMatrix(stack.rho0.matrix[rows]),
+                       DensityMatrix(stack.rho1.matrix[rows]), 0.5, 0.5,
                        gu_involution=stack.gu_involution)
     for kept, built in ((sub.rho0, fresh.rho0), (sub.rho1, fresh.rho1)):
         assert (kept.spectrum.eigenvalues == built.spectrum.eigenvalues).all()
@@ -105,10 +105,10 @@ def test_take_can_give_the_rows_an_involution(monkeypatch):
     st = build_states(GRID[:6])
     bare = UsdProblem(st.rho_0, st.rho_1, 0.5, 0.5)
     _decompose(bare)
-    sub = bare.take(slice(1, 4), gu_involution=st.u_bit)
-    assert sub.gu_involution is st.u_bit
+    sub = bare.take(slice(1, 4), gu_involution=st.u)
+    assert sub.gu_involution is st.u
     assert bare.take([0]).gu_involution is None
-    assert sub.take([0]).gu_involution is st.u_bit
+    assert sub.take([0]).gu_involution is st.u
     assert _count_calls(monkeypatch, lambda: _decompose(sub))["eigh"] == 0
     # a slice of rows takes views of the stack's decompositions
     assert np.shares_memory(sub.rho0.factor, bare.rho0.factor)
@@ -131,8 +131,8 @@ def test_rank_check_on_a_sub_stack_reads_the_cached_spectrum(monkeypatch):
 
     # the slices hold the bits the sub-stack computes on its own
     kept = rank_condition_check(stack.take(rows))
-    fresh = rank_condition_check(UsdProblem(DensityMatrix(stack.rho0.matrix[rows], 2),
-                                            DensityMatrix(stack.rho1.matrix[rows], 2), 0.5, 0.5))
+    fresh = rank_condition_check(UsdProblem(DensityMatrix(stack.rho0.matrix[rows]),
+                                            DensityMatrix(stack.rho1.matrix[rows]), 0.5, 0.5))
     for name in ("op0_min_eig", "op1_min_eig", "both_psd"):
         assert np.array_equal(getattr(kept, name), getattr(fresh, name)), name
 

@@ -337,8 +337,9 @@ def test_certify_rejects_non_finite_or_boolean_fields(tmp_path, capsys, path):
     (("certificate", "residuals"), 5),
     (("certificate", "success_trace"), "x"),
     (("diagnostics",), [1, 2]),
+    (("q_opt",), 10**400),
 ], ids=["q_opt_text", "q_opt_list", "q0_text", "q0_list", "q1_text", "q1_list",
-        "residuals_number", "success_trace_text", "diagnostics_list"])
+        "residuals_number", "success_trace_text", "diagnostics_list", "q_opt_past_double"])
 def test_certify_rejects_non_numeric_scalar_fields(tmp_path, capsys, field, value):
     inp = tmp_path / "problem.json"
     rpt = tmp_path / "report.json"
@@ -431,10 +432,15 @@ def test_invalid_priors_exit_code(tmp_path, capsys):
     assert "priors_sum" in capsys.readouterr().err
 
 
-def test_malformed_json_exit_code(tmp_path):
+def test_malformed_json_exit_code(tmp_path, capsys):
     inp = tmp_path / "problem.json"
     inp.write_text("{broken")
     assert main(["solve", "--input", str(inp)]) == 1
+    # an integer longer than Python's int parser takes
+    inp.write_text('{"dim": 1' + "0" * 5000 + "}")
+    capsys.readouterr()
+    assert main(["solve", "--input", str(inp)]) == 1
+    assert capsys.readouterr().err.startswith("error: invalid JSON")
 
 
 def test_sweep_into_overflow_exits_one_with_one_error_line(capsys):

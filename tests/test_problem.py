@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import random_problem
+from conftest import always_fail, random_problem
 from usdisc import (
     DensityMatrix,
     Povm,
     UsdProblem,
-    always_fail_povm,
     failure_probability,
     fidelity_operators,
     solve_first_class,
-    standard_form_report,
     validate_povm,
     validate_problem,
     verify_gu_structure,
@@ -46,19 +44,11 @@ def test_validate_problem_flags_bad_priors():
     assert "priors_sum" in rep.failures
 
 
-def test_validate_problem_flags_declared_rank():
-    rho = DensityMatrix(np.diag([0.5, 0.5, 0.0]).astype(complex), declared_rank=3)
-    other = DensityMatrix.from_matrix(np.diag([0.0, 0.0, 1.0]))
-    rep = validate_problem(UsdProblem(rho, other, 0.5, 0.5))
-    assert not rep.ok
-    assert "rho0_declared_rank" in rep.failures
-
-
 def test_always_fail_povm_has_unit_failure():
     rng = np.random.default_rng(2)
     for d in (2, 4):
         p = random_problem(rng, d)
-        q, q0, q1 = failure_probability(p, always_fail_povm(d))
+        q, q0, q1 = failure_probability(p, always_fail(d))
         assert q == pytest.approx(1.0, abs=1e-14)
         assert q0 + q1 == pytest.approx(1.0, abs=1e-12)
 
@@ -66,7 +56,7 @@ def test_always_fail_povm_has_unit_failure():
 def test_failure_probability_splits_by_prior():
     rng = np.random.default_rng(3)
     p = random_problem(rng, 4)
-    q, q0, q1 = failure_probability(p, always_fail_povm(4))
+    q, q0, q1 = failure_probability(p, always_fail(4))
     assert q0 == pytest.approx(p.eta0, abs=1e-12)
     assert q1 == pytest.approx(p.eta1, abs=1e-12)
 
@@ -104,30 +94,23 @@ def test_povm_lower_bound_holds_for_any_valid_povm():
         p = random_problem(rng, 4)
         fd = fidelity_operators(p)
         bound = 2.0 * np.sqrt(p.eta0 * p.eta1) * fd.fidelity
-        q, _, _ = failure_probability(p, always_fail_povm(4))
+        q, _, _ = failure_probability(p, always_fail(4))
         assert q >= bound - 1e-8
 
 
 def test_standard_form_report_bit_pair():
-    p = bit_problem(0.5)
-    rep = standard_form_report(p)
-    assert not rep.supports_overlap
-    assert rep.dim_equals_r0_plus_r1
-    # kernel of each state meets the other support trivially here
-    assert rep.kernel0_meets_support1_dim == 0
-    assert rep.kernel1_meets_support0_dim == 0
+    assert not bit_problem(0.5).supports_overlap
 
 
 def test_standard_form_report_overlapping():
     r0 = DensityMatrix.from_matrix(np.diag([0.5, 0.5, 0.0]))
     r1 = DensityMatrix.from_matrix(np.diag([0.0, 0.5, 0.5]))
-    rep = standard_form_report(UsdProblem(r0, r1, 0.5, 0.5))
-    assert rep.supports_overlap
+    assert UsdProblem(r0, r1, 0.5, 0.5).supports_overlap
 
 
 def test_verify_gu_structure_accepts_built_states():
     st = build_states(0.8)
-    p = UsdProblem(st.rho_0, st.rho_1, 0.5, 0.5, gu_involution=st.u_bit)
+    p = UsdProblem(st.rho_0, st.rho_1, 0.5, 0.5, gu_involution=st.u)
     rep = verify_gu_structure(p.rho0, p.rho1, p.gu_involution)
     assert rep.ok, rep.failures
 
@@ -143,7 +126,7 @@ def test_verify_gu_structure_rejects_wrong_involution():
 
 def test_verify_gu_structure_rejects_non_involution():
     st = build_states(0.8)
-    u = st.u_bit.astype(complex).copy()
+    u = st.u.astype(complex).copy()
     u[0, 0] = 0.5
     p = UsdProblem(st.rho_0, st.rho_1, 0.5, 0.5, gu_involution=hermitize(u))
     rep = verify_gu_structure(p.rho0, p.rho1, p.gu_involution)

@@ -92,7 +92,8 @@ def test_problem_from_obj_rejects_boolean_dim():
     assert serialize.problem_from_obj(obj).dim == 1
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"),
+                                   pytest.param(10**400, id="int_past_double")])
 def test_matrix_from_obj_rejects_non_finite_entries(value):
     for part in ("re", "im"):
         obj = {"re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}

@@ -372,8 +372,7 @@ def test_solve_falls_back_on_a_numerical_failure(monkeypatch, make):
 
 def _instance(stack, i):
     """Row i of a stacked problem as a problem of its own, with no caches."""
-    return UsdProblem(DensityMatrix(stack.rho0.matrix[i], stack.rho0.declared_rank),
-                      DensityMatrix(stack.rho1.matrix[i], stack.rho1.declared_rank),
+    return UsdProblem(DensityMatrix(stack.rho0.matrix[i]), DensityMatrix(stack.rho1.matrix[i]),
                       stack.eta0, stack.eta1, gu_involution=stack.gu_involution)
 
 
