@@ -39,6 +39,9 @@ PSD_TOL = 1e-9
 # Hermiticity tolerance enforced at construction boundaries.
 HERM_TOL = 1e-12
 
+# Largest entry magnitude whose symmetrized copy cannot overflow.
+_HALF_MAX = np.finfo(float).max / 2
+
 
 def as_double(a) -> np.ndarray:
     """a as a float64 array, or as a complex128 one when a is complex."""
@@ -124,14 +127,19 @@ def unstack(x) -> list:
 def require_hermitian(a, name: str = "matrix") -> np.ndarray:
     """Validate the Hermitian contract and return a symmetrized copy.
 
-    The skew, in the max norm, may not exceed HERM_TOL * max(1, |a|_max).
+    The skew, in the max norm, may not exceed HERM_TOL * max(1, |a|_max);
+    every entry must be finite and small enough that the copy is too.
     """
     a = as_double(a)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise InvalidInput(f"{name} must be square, got shape {a.shape}")
     skew = max_abs(a - dagger(a))
     scale = at_least(max_abs(a), 1.0)
-    if any_true(skew > HERM_TOL * scale):
+    # a NaN entry makes the skew NaN, which fails the comparison
+    if not all_true((skew <= HERM_TOL * scale) & (scale <= _HALF_MAX)):
+        if not (all_true(scale <= _HALF_MAX) and np.isfinite(a).all()):
+            raise InvalidInput(f"{name} entries must be finite and at most "
+                               f"{_HALF_MAX:.3e} in magnitude")
         raise InvalidInput(
             f"{name} is not Hermitian: skew {np.max(skew):.3e} exceeds "
             f"{HERM_TOL:.0e} * {np.max(scale):.3e}"

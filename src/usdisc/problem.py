@@ -26,7 +26,7 @@ from .linalg import (
     PSD_TOL,
     EigenSystem,
     SupportDecomposition,
-    any_true,
+    all_true,
     as_double,
     at_least,
     dagger,
@@ -84,10 +84,14 @@ class DensityMatrix:
         m = require_hermitian(matrix, name="density matrix")
         tr = trace(m).real
         if renormalize:
-            if any_true(tr <= 0):
-                raise InvalidInput("cannot renormalize a matrix with nonpositive trace")
+            if not all_true((tr > 0) & np.isfinite(tr)):
+                raise InvalidInput("cannot renormalize a matrix whose trace is not positive "
+                                   "and finite")
             m = m / tr[..., None, None]
-        elif any_true(abs(tr - 1.0) > TRACE_TOL):
+            # a small trace can overflow the rescaled entries
+            if not np.isfinite(m).all():
+                raise InvalidInput("density matrix entries must be finite once rescaled")
+        elif not all_true(abs(tr - 1.0) <= TRACE_TOL):
             off = np.ravel(tr)[np.argmax(abs(tr - 1.0))].item()
             raise InvalidInput(
                 f"density matrix trace {off!r} is not 1; pass renormalize=True to rescale"
@@ -128,15 +132,14 @@ class UsdProblem:
         from .bounds import fidelity_operators  # bounds builds on this module
         return fidelity_operators(self)
 
-    def take(self, rows, gu_involution=None) -> "UsdProblem":
+    def take(self, rows) -> "UsdProblem":
         """The instances at the given indices of a stacked problem, with
-        gu_involution or, when none is given, the stack's involution. The
-        sub-stack holds the row slices of every decomposition this stack
-        has already cached, so reading them calls no eigensolver."""
+        the stack's involution. The sub-stack holds the row slices of
+        every decomposition this stack has already cached, so reading
+        them calls no eigensolver."""
         sub = UsdProblem(
             rho0=_take_state(self.rho0, rows), rho1=_take_state(self.rho1, rows),
-            eta0=self.eta0, eta1=self.eta1,
-            gu_involution=self.gu_involution if gu_involution is None else gu_involution,
+            eta0=self.eta0, eta1=self.eta1, gu_involution=self.gu_involution,
         )
         _take_cached(self, sub, rows)
         return sub

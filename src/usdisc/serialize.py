@@ -6,6 +6,7 @@ decimal form, so identical inputs give byte-identical documents.
 """
 
 import json
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
@@ -19,6 +20,10 @@ from .solvers import Branch, SolutionReport
 def matrix_to_obj(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=complex)
     return {"re": m.real.tolist(), "im": m.imag.tolist()}
+
+
+# The types json gives a number; bool is not one of them.
+_JSON_NUMBERS = frozenset((int, float))
 
 
 def matrix_from_obj(obj, dim: int, field: str) -> np.ndarray:
@@ -37,6 +42,12 @@ def matrix_from_obj(obj, dim: int, field: str) -> np.ndarray:
         )
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise InvalidInput(f"{field}: entries must be finite")
+    # numpy reads the string "0.5" and the boolean true as numbers; JSON
+    # gives every number as an int or a float, and the shapes above make
+    # each part a list of rows of scalars
+    if not _JSON_NUMBERS.issuperset(map(type, chain(*obj["re"], *obj["im"]))):
+        bad = next(v for v in chain(*obj["re"], *obj["im"]) if type(v) not in _JSON_NUMBERS)
+        raise InvalidInput(f"{field}: expected numbers, got {bad!r}")
     return re + 1j * im
 
 
@@ -81,13 +92,9 @@ def problem_from_obj(obj, renormalize: bool = False) -> UsdProblem:
     rho0 = matrix_from_obj(obj["rho0"], dim, "rho0")
     rho1 = matrix_from_obj(obj["rho1"], dim, "rho1")
     u = matrix_from_obj(obj["u"], dim, "u") if "u" in obj else None
-    try:
-        d0 = DensityMatrix.from_matrix(rho0, renormalize=renormalize)
-        d1 = DensityMatrix.from_matrix(rho1, renormalize=renormalize)
-    except Exception as exc:
-        raise InvalidInput(str(exc)) from exc
     return UsdProblem(
-        rho0=d0, rho1=d1,
+        rho0=DensityMatrix.from_matrix(rho0, renormalize=renormalize),
+        rho1=DensityMatrix.from_matrix(rho1, renormalize=renormalize),
         eta0=eta0, eta1=eta1,
         gu_involution=u,
     )

@@ -6,15 +6,17 @@ probability equals the fidelity bound and the conclusive elements have
 a closed sandwich formula. The second covers equal-prior involution
 symmetric pairs of rank 2 in dimension 4; when the first family does
 not apply, the optimum is a projective measurement built from the
-kernel-compressed involution. Every emitted solution is gated by an
-optimality certificate before it is returned. solve chooses between
-the two families and falls back to the interior-point oracle.
+kernel-compressed involution. Each construction is a function of the
+problem alone, reading what it needs from the problem's caches, and
+returns its report ungated. solve is one router (_construct, the only
+function that chooses between the two families) and one gate
+(_gate_solution, which verifies the measurement and its optimality
+certificate), with the interior-point oracle as the fallback.
 
 solve also takes a stacked problem (see problem.UsdProblem): it routes
-instance by instance, gates the whole stack once and falls back by
-side or by row. So do solve_first_class, gu_4d_preconditions,
-gu_4d_regime and gu_4d_projective, except that a failure on any
-instance fails the stack.
+instance by instance, gates the whole stack once and, if that fails,
+solves it row by row. So do solve_first_class, gu_4d_preconditions and
+gu_4d_regime, except that a failure on any instance fails the stack.
 """
 
 import math
@@ -163,9 +165,11 @@ def _construct_first_class(p: UsdProblem) -> SolutionReport:
     e0 = hermitize(m0 @ fd.rank_operators[0, ..., :r0, :r0] @ dagger(m0))
     e1 = hermitize(m1 @ fd.rank_operators[1, ..., :r1, :r1] @ dagger(m1))
     m = Povm(e0=e0, e1=e1, eq=hermitize(np.eye(p.dim) - e0 - e1))
-    return SolutionReport(*failure_probability(p, m), m, Branch.FIRST_CLASS_FIDELITY,
+    q = failure_probability(p, m)
+    return SolutionReport(*q, m, Branch.FIRST_CLASS_FIDELITY,
                           {"fidelity": fd.fidelity, "op0_min_eig": rc.op0_min_eig,
-                           "op1_min_eig": rc.op1_min_eig},
+                           "op1_min_eig": rc.op1_min_eig,
+                           "bound_gap": q[0] - 2.0 * math.sqrt(p.eta0 * p.eta1) * fd.fidelity},
                           OptimalityCertificate(fidelity_witness(p)))
 
 
@@ -179,18 +183,12 @@ def solve_first_class(p: UsdProblem) -> SolutionReport:
     extrapolates beyond the equal-prior display, the certificate gate
     is what makes the output trustworthy.
     """
-    report = _gate_solution(p, _construct_first_class(p))
-    report.diagnostics["bound_gap"] = (report.q_opt - 2.0 * math.sqrt(p.eta0 * p.eta1)
-                                       * p.fidelity_pair.fidelity)
-    return report
+    return _gate_solution(p, _construct_first_class(p))
 
 
-def gu_4d_preconditions(p: UsdProblem):
+def gu_4d_preconditions(p: UsdProblem) -> None:
     """Scope of the symmetric 4D construction: an equal-prior involution
-    pair of rank-2 states in dimension 4.
-
-    Returns the involution and its compression onto the kernel of rho1.
-    """
+    pair of rank-2 states in dimension 4; raises outside it."""
     if p.dim != 4:
         raise BranchNotApplicable(f"solver covers dimension 4 only, got {p.dim}",
                                   cause="dimension")
@@ -207,9 +205,12 @@ def gu_4d_preconditions(p: UsdProblem):
         raise BranchNotApplicable(f"solver requires rank (2, 2), got {ranks}", cause="rank")
     if p.supports_overlap:
         raise InvalidInput("state supports overlap")
-    u = as_double(p.gu_involution)
+
+
+def _kernel_involution(p: UsdProblem) -> np.ndarray:
+    """The involution compressed onto the kernel of rho1, K1 U K1."""
     k1 = p.rho1.support.kernel_projector
-    return u, hermitize(k1 @ u @ k1)
+    return hermitize(k1 @ as_double(p.gu_involution) @ k1)
 
 
 def gu_4d_regime(p: UsdProblem):
@@ -224,16 +225,12 @@ def gu_4d_regime(p: UsdProblem):
     return unstack(ok)[0], unstack(mn)[0]
 
 
-def gu_4d_projective(p: UsdProblem, u: np.ndarray, k: np.ndarray, op0_min_eig):
+def _construct_projective(p: UsdProblem) -> SolutionReport:
     """The rank-1 projective measurement determined by the signed
-    eigenpair of the kernel-compressed involution k, for instances
-    outside the first-class regime."""
-    return _gate_solution(p, _construct_projective(p, u, k, op0_min_eig))
-
-
-def _construct_projective(p: UsdProblem, u: np.ndarray, k: np.ndarray, op0_min_eig):
-    """gu_4d_projective's report, ungated."""
-    sys = eigh(k)
+    eigenpair of the kernel-compressed involution, for a problem inside
+    the symmetric solver's scope and outside the first-class regime; ungated."""
+    op0_min_eig = gu_4d_regime(p)[1]
+    sys = eigh(_kernel_involution(p))
     w = sys.eigenvalues
     nonzero = nonzero_mask(w, indefinite=True)
     npos = np.count_nonzero(nonzero & (w > 0), axis=-1)
@@ -255,43 +252,18 @@ def _construct_projective(p: UsdProblem, u: np.ndarray, k: np.ndarray, op0_min_e
     b = item_or_array(-w[..., 0])
     v0 = sys.eigenvectors[..., :, -1]
     v1 = sys.eigenvectors[..., :, 0]
-    r0 = p.rho0.matrix
-    cross = form(v0, r0, v1)
-    phase = item_or_array(np.where(np.abs(cross) <= 1e-12, 0.0,
-                                   np.angle(cross) % (2.0 * math.pi)))
-    if np.iscomplexobj(cross):
-        # e^{i phase}, and the e^{-i phase} of the cross-check below
-        spin, turn = np.exp(1j * phase), np.exp(-1j * phase)
-    else:
-        # a real problem's phase is 0 or pi, so e^{i phase} is a sign
-        spin = turn = np.where(phase == 0.0, 1.0, -1.0)
+    cross = form(v0, p.rho0.matrix, v1)
+    phase = np.where(np.abs(cross) <= 1e-12, 0.0, np.angle(cross) % (2.0 * math.pi))
+    # e^{i phase}; a real problem's phase is 0 or pi, so that is a sign
+    spin = np.exp(1j * phase) if np.iscomplexobj(cross) else np.where(phase == 0.0, 1.0, -1.0)
     x = ((spin * np.sqrt(b))[..., None] * v0
          + np.sqrt(a)[..., None] * v1) / np.sqrt(a + b)[..., None]
+    u = as_double(p.gu_involution)
     e0 = outer(x, x)
     e1 = hermitize(u @ e0 @ u)
-    eq = hermitize(np.eye(4) - e0 - e1)
-    m = Povm(e0=e0, e1=e1, eq=eq)
-
-    success = form(x, r0, x).real
-    # Re(cross e^{-i phase}) in real arithmetic: numpy's array loop for a
-    # complex product can round differently from its scalar arithmetic
-    expanded = (
-        b * form(v0, r0, v0).real
-        + a * form(v1, r0, v1).real
-        + 2.0 * np.sqrt(a * b) * (cross.real * turn.real - cross.imag * turn.imag)
-    ) / (a + b)
-    gap = np.abs(success - expanded)
-    if any_true(gap > 1e-10):
-        i = np.argmax(gap)
-        raise BranchNotApplicable(
-            "success probability cross-check failed: "
-            f"{np.ravel(success)[i].item()!r} vs {np.ravel(expanded)[i].item()!r}",
-            cause="spectrum",
-        )
-
+    m = Povm(e0=e0, e1=e1, eq=hermitize(np.eye(4) - e0 - e1))
     return SolutionReport(*failure_probability(p, m), m, Branch.GU_PROJECTIVE,
-                          {"kernel_eig_pos": a, "kernel_eig_neg": -b, "op0_min_eig": op0_min_eig,
-                           "success_crosscheck_gap": item_or_array(success - expanded)},
+                          {"kernel_eig_pos": a, "kernel_eig_neg": -b, "op0_min_eig": op0_min_eig},
                           OptimalityCertificate(symmetric_projective_witness(p, x, u)))
 
 
@@ -324,55 +296,52 @@ def _joined(p: UsdProblem, parts) -> SolutionReport:
     )
 
 
+def _construct(p: UsdProblem) -> SolutionReport:
+    """The ungated report of the construction that applies: the only
+    function that names both. Inside the symmetric solver's scope
+    (gu_4d_preconditions) the regime decision (gu_4d_regime) picks the
+    first-class or the projective one, and when it splits a stack each
+    side's measurement and witness are built on its rows (a view when
+    they run consecutively); any other problem gets the first-class one."""
+    try:
+        gu_4d_preconditions(p)
+    except BranchNotApplicable:
+        return _construct_first_class(p)
+    first_class = gu_4d_regime(p)[0]
+    if all_true(first_class):
+        return _construct_first_class(p)
+    if not any_true(first_class):
+        return _construct_projective(p)
+    fc, pr = _consecutive(first_class), _consecutive(~first_class)
+    return _joined(p, [(fc, _construct_first_class(p.take(fc))),
+                       (pr, _construct_projective(p.take(pr)))])
+
+
 def solve(p: UsdProblem) -> SolutionReport:
     """Optimal measurement for a problem, or for each instance of a stack,
-    from the first branch that applies; the only place that chooses one.
+    from the construction that applies (_construct), gated once. A
+    construction that does not apply or fails numerically hands a problem
+    over to the oracle, whose dual Z is the witness; the closed forms are
+    tried only if it fails.
 
-    Inside the symmetric solver's scope (gu_4d_preconditions) the regime
-    decision (gu_4d_regime) picks the first-class or the projective
-    construction; any other problem goes to solve_first_class. A branch
-    that does not apply or fails numerically hands over to the oracle,
-    whose dual Z is the witness; the closed forms are tried only if it fails.
-
-    A stack is routed on the same stacked predicates. When the regime
-    decision splits it, each side's measurement and witness are built on
-    its rows (a view when they run consecutively) and the whole stack is
-    gated once; if that fails, each side is solved as a stack of its own.
-    A stack that fails as a whole, as one mixing ranks does, is solved row
-    by row, so each instance gets the bits, and the oracle fallback, of a
-    solve of it alone. A stack's report holds per-instance q_opt, q0, q1,
-    the (N, d, d) measurement and witness Z (no certificate if a row has
-    none) and the tuple of the rows' branches, and no diagnostics.
+    A stack that fails is solved row by row, so each instance gets the
+    bits, and the oracle fallback, of a solve of it alone. A stack's
+    report holds per-instance q_opt, q0, q1, the (N, d, d) measurement
+    and witness Z (no certificate if a row has none) and the tuple of the
+    rows' branches, and no diagnostics.
     """
     stacked = p.rho0.matrix.ndim > 2
     try:
-        try:
-            u, k = gu_4d_preconditions(p)
-        except BranchNotApplicable:
-            report = solve_first_class(p)
-        else:
-            first_class, mn = gu_4d_regime(p)
-            if all_true(first_class):
-                report = solve_first_class(p)
-            elif not any_true(first_class):
-                report = gu_4d_projective(p, u, k, mn)
-            else:
-                sides = fc, pr = _consecutive(first_class), _consecutive(~first_class)
-                try:
-                    report = _gate_solution(p, _joined(p, [
-                        (fc, _construct_first_class(p.take(fc))),
-                        (pr, _construct_projective(p.take(pr), u, k[pr], mn[pr]))]))
-                except (BranchNotApplicable, NumericalFailure):
-                    return _joined(p, [(rows, solve(p.take(rows))) for rows in sides])
-                report.diagnostics = {}
-                return report
-        if stacked:
-            report.branch, report.diagnostics = (report.branch,) * len(p.rho0.matrix), {}
-        return report
+        report = _gate_solution(p, _construct(p))
     except (BranchNotApplicable, NumericalFailure):
         if stacked:
-            rows = range(len(p.rho0.matrix))
-            return _joined(p, [([i], solve(p.take(i))) for i in rows])
+            return _joined(p, [([i], solve(p.take(i))) for i in range(len(p.rho0.matrix))])
+    else:
+        if stacked:
+            if isinstance(report.branch, Branch):
+                report.branch = (report.branch,) * len(p.rho0.matrix)
+            report.diagnostics = {}
+        return report
     result = oracle_optimize(p)
     q, q0, q1 = failure_probability(p, result.povm)
     diagnostics = {
@@ -393,7 +362,8 @@ def solve(p: UsdProblem) -> SolutionReport:
 def gu_kernel_spectrum(p: UsdProblem) -> np.ndarray:
     """Nonzero eigenvalues of the kernel-compressed involution, sorted
     descending so the expected sign pattern reads (positive, negative)."""
-    w = eigh(gu_4d_preconditions(p)[1]).eigenvalues
+    gu_4d_preconditions(p)
+    w = eigh(_kernel_involution(p)).eigenvalues
     return w[nonzero_mask(w, indefinite=True)][::-1]
 
 

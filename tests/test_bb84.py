@@ -332,12 +332,12 @@ def test_sweep_falls_back_to_points_when_the_stack_fails(monkeypatch):
     expected = sweep_csv(rows)
     projective = usdisc.solvers._construct_projective
 
-    # solve retries the rows of a failed sub-stack one at a time, each as
-    # a single problem
-    def stack_only_failure(p, u, k, op0_min_eig):
-        if k.ndim > 2:
+    # solve retries the rows of a failed stack one at a time, each as a
+    # single problem
+    def stack_only_failure(p):
+        if p.rho0.matrix.ndim > 2:
             raise BranchNotApplicable("injected failure on a stack", cause="certificate")
-        return projective(p, u, k, op0_min_eig)
+        return projective(p)
 
     monkeypatch.setattr(usdisc.solvers, "_construct_projective", stack_only_failure)
     calls = _recorded_build_states(monkeypatch)
@@ -348,10 +348,10 @@ def test_sweep_falls_back_to_points_when_the_stack_fails(monkeypatch):
     bad = 0.5 + 0.1
     target = build_states(bad).rho_0.matrix
 
-    def point_failure(p, u, k, op0_min_eig):
+    def point_failure(p):
         if np.array_equal(p.rho0.matrix, target):
             raise BranchNotApplicable("injected failure at a point", cause="certificate")
-        return stack_only_failure(p, u, k, op0_min_eig)
+        return stack_only_failure(p)
 
     monkeypatch.setattr(usdisc.solvers, "_construct_projective", point_failure)
     fallen = sweep(0.5, 1.0, 0.1)
@@ -493,9 +493,9 @@ def test_default_sweep_runs_in_real_arithmetic(monkeypatch):
     import usdisc.bb84
     import usdisc.solvers
 
-    solved, projective, witnessed = [], [], []
+    solved, compressed, witnessed = [], [], []
     route = usdisc.bb84.solve
-    construct = usdisc.solvers._construct_projective
+    compress = usdisc.solvers._kernel_involution
     witness = usdisc.solvers.symmetric_projective_witness
 
     def recorded_solve(p):
@@ -503,22 +503,23 @@ def test_default_sweep_runs_in_real_arithmetic(monkeypatch):
         solved.append((p, rep))
         return rep
 
-    def recorded_projective(p, u, k, op0_min_eig):
-        projective.append(k)
-        return construct(p, u, k, op0_min_eig)
+    def recorded_compression(p):
+        k = compress(p)
+        compressed.append(k)
+        return k
 
     def recorded_witness(p, x, u):
         witnessed.append(x)
         return witness(p, x, u)
 
     monkeypatch.setattr(usdisc.bb84, "solve", recorded_solve)
-    monkeypatch.setattr(usdisc.solvers, "_construct_projective", recorded_projective)
+    monkeypatch.setattr(usdisc.solvers, "_kernel_involution", recorded_compression)
     monkeypatch.setattr(usdisc.solvers, "symmetric_projective_witness", recorded_witness)
     rows = sweep()
-    assert len(solved) == len(projective) == len(witnessed) == 1
+    assert len(solved) == len(compressed) == len(witnessed) == 1
     assert {r.branch_bit for r in rows} == {Branch.GU_PROJECTIVE, Branch.FIRST_CLASS_FIDELITY}
     # both questions share the stack's involution
-    arrays = [witnessed[0], projective[0], solved[0][0].gu_involution]
+    arrays = [witnessed[0], compressed[0], solved[0][0].gu_involution]
     for p, rep in solved:
         fd = p.fidelity_pair
         arrays += [p.rho0.matrix, p.rho1.matrix,

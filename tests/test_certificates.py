@@ -13,8 +13,6 @@ from usdisc import (
     failure_probability,
     fidelity_witness,
     fit_certificate,
-    gu_4d_preconditions,
-    gu_4d_projective,
     gu_4d_regime,
     oracle_optimize,
     solve,
@@ -212,10 +210,9 @@ STACK_MUS = [0.1, 0.2, 0.3, 0.4]
 
 def _projective_case(states):
     p = states.bit_problem()
-    u, k = gu_4d_preconditions(p)
-    first_class, mn = gu_4d_regime(p)
-    assert not np.any(first_class)
-    return p, gu_4d_projective(p, u, k, mn).povm
+    rep = solve(p)
+    assert set(np.atleast_1d(np.array(rep.branch, object))) == {Branch.GU_PROJECTIVE}
+    return p, rep.povm
 
 
 def _first_class_case(states):

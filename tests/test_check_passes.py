@@ -99,20 +99,19 @@ def test_take_reuses_the_stack_decompositions(monkeypatch):
     assert sub.supports_overlap == fresh.supports_overlap
 
 
-def test_take_can_give_the_rows_an_involution(monkeypatch):
-    # a sweep stacks both questions without an involution and gives the
-    # bit question's rows the bit involution
-    st = build_states(GRID[:6])
-    bare = UsdProblem(st.rho_0, st.rho_1, 0.5, 0.5)
-    _decompose(bare)
-    sub = bare.take(slice(1, 4), gu_involution=st.u)
-    assert sub.gu_involution is st.u
+def test_a_slice_of_rows_keeps_the_involution_and_views_the_decompositions(monkeypatch):
+    # the solve of a stack split by the regime decision builds each side
+    # on such a slice, under the stack's involution
+    stack = build_states(GRID[:6]).bit_problem()
+    bare = UsdProblem(stack.rho0, stack.rho1, 0.5, 0.5)
+    _decompose(stack)
+    sub = stack.take(slice(1, 4))
+    assert sub.gu_involution is stack.gu_involution
     assert bare.take([0]).gu_involution is None
-    assert sub.take([0]).gu_involution is st.u
     assert _count_calls(monkeypatch, lambda: _decompose(sub))["eigh"] == 0
     # a slice of rows takes views of the stack's decompositions
-    assert np.shares_memory(sub.rho0.factor, bare.rho0.factor)
-    assert np.shares_memory(sub.sum_spectrum.eigenvectors, bare.sum_spectrum.eigenvectors)
+    assert np.shares_memory(sub.rho0.factor, stack.rho0.factor)
+    assert np.shares_memory(sub.sum_spectrum.eigenvectors, stack.sum_spectrum.eigenvectors)
 
 
 def test_take_of_an_undecomposed_stack_decomposes_lazily(monkeypatch):

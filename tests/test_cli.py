@@ -148,14 +148,14 @@ def test_solve_falls_back_when_symmetric_rank_conditions_fail(tmp_path, capsys, 
     out = tmp_path / "report.json"
     write_problem(inp, p)
     calls = []
-    first_class = usdisc.solvers.solve_first_class
+    first_class = usdisc.solvers._construct_first_class
 
     def counted(*args, **kwargs):
         calls.append(None)
         return first_class(*args, **kwargs)
 
     # wherever the router reaches it
-    monkeypatch.setattr(usdisc.solvers, "solve_first_class", counted)
+    monkeypatch.setattr(usdisc.solvers, "_construct_first_class", counted)
     assert main(["solve", "--input", str(inp), "--output", str(out)]) == 0
     # the first-class side of the regime decision rejected it; no second try
     assert len(calls) == 1

@@ -78,6 +78,9 @@ def test_require_hermitian_rejects_skew():
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     with pytest.raises(InvalidInput):
         require_hermitian(a + 1e-3 * 1j * np.eye(3) @ a, name="a")
+    # a NaN entry hides no skew
+    with pytest.raises(InvalidInput, match="finite"):
+        require_hermitian(np.array([[np.nan, 5.0], [0.0, 1.0]]), name="a")
 
 
 def test_sqrt_psd_squares_back():

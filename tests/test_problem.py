@@ -21,6 +21,25 @@ from usdisc.linalg import hermitize
 def test_density_matrix_rejects_bad_trace():
     with pytest.raises(InvalidInput):
         DensityMatrix.from_matrix(np.diag([0.6, 0.6]))
+    # non-finite entries, given or made by symmetrizing or rescaling,
+    # each with or without renormalize
+    cases = [
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), False),
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), True),
+        (np.diag([np.inf, 1.0]), False),
+        # symmetrizing overflows, and the trace is inf - inf
+        (np.diag([1e308, -1e308]), False),
+        # symmetrizing overflows entries that the unit trace does not see
+        (np.array([[1.0, 1e308], [1e308, 0.0]]), False),
+        (np.diag([1e308, -1e308]), True),
+        # finite entries whose trace overflows would rescale to zero
+        (np.diag([8e307] * 3), True),
+        # rescaling by a tiny trace overflows the off-diagonal entries
+        (np.array([[1e-300, 1e10], [1e10, 0.0]]), True),
+    ]
+    for matrix, renormalize in cases:
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidInput):
+            DensityMatrix.from_matrix(matrix, renormalize=renormalize)
 
 
 def test_density_matrix_renormalize_flag():

@@ -102,6 +102,29 @@ def test_matrix_from_obj_rejects_non_finite_entries(value):
             serialize.matrix_from_obj(obj, 2, "rho0")
 
 
+@pytest.mark.parametrize("value", ["0.5", "1", True, False])
+def test_matrix_from_obj_rejects_entries_that_are_not_json_numbers(value):
+    # numpy would read each of these as a number
+    for part in ("re", "im"):
+        obj = {"re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+        obj[part][1][0] = value
+        with pytest.raises(InvalidInput, match="expected numbers"):
+            serialize.matrix_from_obj(obj, 2, "rho0")
+    # integers are JSON numbers
+    ints = serialize.matrix_from_obj({"re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}, 2, "rho0")
+    assert np.array_equal(ints, np.diag([1.0, 0.0]))
+
+
+def test_solve_refuses_a_problem_file_with_quoted_matrix_entries(tmp_path, capsys):
+    obj = serialize.problem_to_obj(bit_problem(0.3))
+    obj["rho0"]["re"][0][0] = str(obj["rho0"]["re"][0][0])
+    obj["rho1"]["im"][1][1] = True
+    inp = tmp_path / "problem.json"
+    inp.write_text(json.dumps(obj))
+    assert cli.main(["solve", "--input", str(inp)]) == 1
+    assert capsys.readouterr().err.startswith("error: rho0: expected numbers")
+
+
 def test_matrix_from_obj_rejects_ragged_rows():
     with pytest.raises(InvalidInput):
         serialize.matrix_from_obj({"re": [[1, 0], [0]], "im": [[0, 0], [0, 0]]}, 2, "rho0")

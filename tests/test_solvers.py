@@ -12,6 +12,9 @@ from test_check_passes import _count_calls
 from usdisc import (
     Branch,
     DensityMatrix,
+    OptimalityCertificate,
+    Povm,
+    SolutionReport,
     UsdProblem,
     audit_report,
     failure_lower_bound,
@@ -27,8 +30,10 @@ from usdisc import (
     validate_povm,
 )
 from usdisc.bb84 import basis_problem, bit_problem, build_states, find_mu0
+from usdisc.certificates import symmetric_projective_witness
 from usdisc.errors import BranchNotApplicable, NumericalFailure
 from usdisc.linalg import hermitize, psd_check, spectral_norm
+from usdisc.solvers import _gate_solution
 
 
 def test_first_class_reaches_the_bound():
@@ -162,7 +167,8 @@ def test_gu_phase_is_optimal():
             continue
         checked += 1
         success = np.trace(rep.povm.e0 @ p.rho0.matrix).real
-        w, vecs = np.linalg.eigh(gu_4d_preconditions(p)[1])
+        k1 = p.rho1.support.kernel_projector
+        w, vecs = np.linalg.eigh(hermitize(k1 @ p.gu_involution @ k1))
         a, b = w[-1], -w[0]
         for phi in np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False):
             x = (np.exp(1j * phi) * np.sqrt(b) * vecs[:, -1] + np.sqrt(a) * vecs[:, 0])
@@ -240,7 +246,6 @@ def test_reports_carry_diagnostics_and_certificates():
     assert rep.branch is Branch.GU_PROJECTIVE
     assert rep.certificate is not None
     assert "kernel_eig_pos" in rep.diagnostics
-    assert rep.diagnostics["success_crosscheck_gap"] <= 1e-10
     q, q0, q1 = failure_probability(p, rep.povm)
     assert rep.q_opt == pytest.approx(q, abs=1e-12)
     assert rep.q0 == pytest.approx(q0, abs=1e-12)
@@ -423,11 +428,11 @@ def test_stacked_solve_sends_a_row_forced_off_its_branch_to_the_oracle(monkeypat
     target = stack.rho0.matrix[1].copy()
     projective = usdisc.solvers._construct_projective
 
-    def refuse_target(p, u, k, op0_min_eig):
+    def refuse_target(p):
         rows = p.rho0.matrix.reshape((-1, 4, 4))
         if any(np.array_equal(r, target) for r in rows):
             raise BranchNotApplicable("injected failure at one row", cause="certificate")
-        return projective(p, u, k, op0_min_eig)
+        return projective(p)
 
     monkeypatch.setattr(usdisc.solvers, "_construct_projective", refuse_target)
     rep = _assert_rows_solve_alone(stack)
@@ -439,10 +444,9 @@ def test_stacked_solve_sends_a_row_forced_off_its_branch_to_the_oracle(monkeypat
     ("symmetric_projective_witness", 1),
     ("fidelity_witness", 4),
 ], ids=["projective_row", "first_class_row"])
-def test_a_row_failing_the_joint_gate_leaves_the_other_side_one_stack(monkeypatch, witness, row):
+def test_a_row_failing_the_joint_gate_sends_the_stack_row_by_row(monkeypatch, witness, row):
     # a stack split by the regime decision is gated once, as a whole; when
-    # one row's witness fails that gate, each side is solved again as a
-    # stack of its own, and only the side holding that row goes row by row
+    # one row's witness fails that gate, every row is solved alone
     import usdisc.solvers
 
     stack = build_states([round(0.05 * k, 2) for k in range(1, 61, 7)]).bit_problem()
@@ -469,10 +473,39 @@ def test_a_row_failing_the_joint_gate_leaves_the_other_side_one_stack(monkeypatc
     rep = _assert_rows_solve_alone(stack)
     assert rep.branch[row] is Branch.ORACLE_ONLY
     assert rep.branch[:row] + rep.branch[row + 1:] == branches[:row] + branches[row + 1:]
-    # the re-solves inside solve(stack): each side once as a stack, then
-    # the failing side's rows one at a time
-    sides = [branches.count(b) for b in (branches[row], *set(branches) - {branches[row]})]
-    assert sorted(solved) == sorted([()] * sides[0] + [(sides[0],), (sides[1],)])
+    # the re-solves inside solve(stack): each row once, alone
+    assert solved == [()] * len(branches)
+
+
+@pytest.mark.parametrize("shift", [0.7, np.pi / 2, np.pi])
+def test_gate_rejects_a_projective_measurement_with_a_wrong_phase(shift):
+    # a wrong interference phase between the signed kernel eigenvectors
+    # still gives a valid measurement whose success term equals its
+    # expansion in them; only the witness shows it is not optimal
+    p = bit_problem(0.3)
+    u, r0 = p.gu_involution, p.rho0.matrix
+    k1 = p.rho1.support.kernel_projector
+    w, vecs = np.linalg.eigh(hermitize(k1 @ u @ k1))
+    a, b, v0, v1 = w[-1], -w[0], vecs[:, -1], vecs[:, 0]
+    cross = v0 @ r0 @ v1
+
+    def gated(phase):
+        x = (np.exp(1j * phase) * np.sqrt(b) * v0 + np.sqrt(a) * v1) / np.sqrt(a + b)
+        e0 = np.outer(x, x.conj())
+        e1 = hermitize(u @ e0 @ u)
+        m = Povm(e0, e1, hermitize(np.eye(4) - e0 - e1))
+        assert validate_povm(p, m).ok
+        expanded = (b * (v0 @ r0 @ v0) + a * (v1 @ r0 @ v1)
+                    + 2.0 * np.sqrt(a * b) * (cross * np.exp(-1j * phase)).real) / (a + b)
+        assert abs((x.conj() @ r0 @ x).real - expanded) <= 1e-10
+        report = SolutionReport(*failure_probability(p, m), m, Branch.GU_PROJECTIVE, {},
+                                OptimalityCertificate(symmetric_projective_witness(p, x, u)))
+        return _gate_solution(p, report)
+
+    phase = np.angle(cross)
+    assert gated(phase).q_opt == pytest.approx(solve(p).q_opt, abs=1e-12)
+    with pytest.raises(BranchNotApplicable, match="witness fails verification"):
+        gated(phase + shift)
 
 
 def _eigen_calls(monkeypatch, fn):
@@ -520,6 +553,6 @@ def test_solve_is_the_only_router():
             functions = [c for c in code.co_consts if hasattr(c, "co_names")]
             stack.extend(functions)
             for fn in functions:
-                if {"solve_first_class", "gu_4d_projective"} <= _names_with_nested(fn):
+                if {"_construct_first_class", "_construct_projective"} <= _names_with_nested(fn):
                     routers.add((name, getattr(fn, "co_qualname", fn.co_name)))
-    assert routers == {("usdisc.solvers", "solve")}
+    assert routers == {("usdisc.solvers", "_construct")}
