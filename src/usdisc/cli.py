@@ -33,37 +33,33 @@ class _Parser(argparse.ArgumentParser):
 
 
 # built on the first main() call and shared after; nothing mutates the
-# parser once it is built, and parse_args keeps no state between calls
+# parsers once they are built, and parse_args keeps no state between calls.
+# parser.commands maps each command name to the parser add_parser returned.
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="usdisc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}
 
-    def add_io(sp, needs_input):
+    def add(name, run, needs_input, **kwargs):
+        sp = parser.commands[name] = sub.add_parser(name, **kwargs)
+        sp.set_defaults(run=run)
         if needs_input:
             sp.add_argument("--input", required=True, help="problem or report file")
         sp.add_argument("--output", help="write result here instead of stdout")
+        return sp
 
-    sp = sub.add_parser("solve", help="optimal measurement for a problem file")
-    add_io(sp, True)
-    sp.add_argument("--renormalize", action="store_true",
-                    help="rescale input states to unit trace")
-
-    sp = sub.add_parser("certify", help="re-verify a solve report")
-    add_io(sp, True)
-
-    sp = sub.add_parser("oracle", help="numerical optimization only")
-    add_io(sp, True)
-    sp.add_argument("--renormalize", action="store_true")
-
-    sp = sub.add_parser("bb84-sweep", help="failure-probability table over photon numbers")
-    add_io(sp, False)
+    add("solve", _cmd_solve, True, help="optimal measurement for a problem file").add_argument(
+        "--renormalize", action="store_true", help="rescale input states to unit trace")
+    add("certify", _cmd_certify, True, help="re-verify a solve report")
+    add("oracle", _cmd_oracle, True, help="numerical optimization only").add_argument(
+        "--renormalize", action="store_true")
+    sp = add("bb84-sweep", _cmd_sweep, False,
+             help="failure-probability table over photon numbers")
     sp.add_argument("--mu-start", type=float, default=bb84.DEFAULT_GRID[0])
     sp.add_argument("--mu-end", type=float, default=bb84.DEFAULT_GRID[1])
     sp.add_argument("--mu-step", type=float, default=bb84.DEFAULT_GRID[2])
-
-    sp = sub.add_parser("bb84-mu0", help="threshold photon number")
-    add_io(sp, False)
+    add("bb84-mu0", _cmd_mu0, False, help="threshold photon number")
     return parser
 
 
@@ -169,23 +165,19 @@ def _cmd_mu0(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "solve": _cmd_solve,
-    "certify": _cmd_certify,
-    "oracle": _cmd_oracle,
-    "bb84-sweep": _cmd_sweep,
-    "bb84-mu0": _cmd_mu0,
-}
-
-
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser()
+    # a named command's arguments go straight to its own parser; the
+    # top-level one runs only for help, a missing or an unknown command
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = _build_parser().parse_args(argv)
+        args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
     except SystemExit as exc:
         # usage errors; --help also lands here, carrying code 0
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except InvalidInput as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -9,7 +9,9 @@ command line can surface every violation at once.
 A problem may also hold a stack of same-shape instances along leading
 axes, sharing one pair of priors and one involution (see UsdProblem).
 validate_povm, failure_probability and verify_gu_structure check or
-evaluate every instance of such a stack. UsdProblem.take selects
+evaluate every instance of such a stack. UsdProblem.decompose takes the
+spectra of rho0, rho1 and rho0 + rho1 in one stacked call, and
+validate_problem and solve start with it. UsdProblem.take selects
 instances; the sub-stack keeps the row slices of every decomposition the
 stack has cached (the fidelity pair too), so it decomposes nothing again.
 """
@@ -82,21 +84,33 @@ class DensityMatrix:
     @staticmethod
     def from_matrix(matrix, renormalize: bool = False):
         m = require_hermitian(matrix, name="density matrix")
-        tr = trace(m).real
-        if renormalize:
-            if not all_true((tr > 0) & np.isfinite(tr)):
-                raise InvalidInput("cannot renormalize a matrix whose trace is not positive "
-                                   "and finite")
-            m = m / tr[..., None, None]
-            # a small trace can overflow the rescaled entries
-            if not np.isfinite(m).all():
-                raise InvalidInput("density matrix entries must be finite once rescaled")
-        elif not all_true(abs(tr - 1.0) <= TRACE_TOL):
-            off = np.ravel(tr)[np.argmax(abs(tr - 1.0))].item()
-            raise InvalidInput(
-                f"density matrix trace {off!r} is not 1; pass renormalize=True to rescale"
-            )
+        with np.errstate(over="ignore"):  # an overflow is refused below, not warned of
+            tr = trace(m).real
+            if renormalize:
+                if not all_true((tr > 0) & np.isfinite(tr)):
+                    raise InvalidInput("cannot renormalize a matrix whose trace is not "
+                                       "positive and finite")
+                m = m / tr[..., None, None]
+                # a small trace can overflow the rescaled entries
+                if not np.isfinite(m).all():
+                    raise InvalidInput("density matrix entries must be finite once rescaled")
+            elif not all_true(abs(tr - 1.0) <= TRACE_TOL):
+                off = np.ravel(tr)[np.argmax(abs(tr - 1.0))].item()
+                raise InvalidInput(
+                    f"density matrix trace {off!r} is not 1; pass renormalize=True to rescale"
+                )
         return DensityMatrix(matrix=m)
+
+    @staticmethod
+    def pair(m0, m1, renormalize: bool = False) -> tuple:
+        """from_matrix of two same-shape matrices, checked as one stack.
+        A pair that fails is checked again state by state, so the error
+        is the one from_matrix gives the first bad state."""
+        try:
+            stack = DensityMatrix.from_matrix(np.stack((m0, m1)), renormalize).matrix
+        except InvalidInput:
+            return tuple(DensityMatrix.from_matrix(m, renormalize) for m in (m0, m1))
+        return DensityMatrix(stack[0]), DensityMatrix(stack[1])
 
 
 @dataclass(frozen=True)
@@ -119,6 +133,22 @@ class UsdProblem:
     def sum_spectrum(self) -> EigenSystem:
         """Eigendecomposition of rho0 + rho1."""
         return eigh(self.rho0.matrix + self.rho1.matrix)
+
+    def decompose(self) -> "UsdProblem":
+        """Decompose rho0, rho1 and rho0 + rho1 in one stacked eigh call,
+        which gives each the bits of a call of its own, and cache the three
+        where the states' spectrum and sum_spectrum read them. A problem
+        that holds any of them already is left to decompose each where it
+        is read. Returns the problem."""
+        r0, r1 = self.rho0.matrix, self.rho1.matrix
+        owners = ((self.rho0, "spectrum"), (self.rho1, "spectrum"), (self, "sum_spectrum"))
+        if r0.shape == r1.shape and r0.dtype == r1.dtype and not any(
+                name in vars(owner) for owner, name in owners):
+            with np.errstate(over="ignore"):  # an overflowing sum gives NaN, as on its own
+                sys = eigh(np.stack((r0, r1, r0 + r1)))
+            for i, (owner, name) in enumerate(owners):
+                vars(owner)[name] = _take_eigensystem(sys, i)
+        return self
 
     @cached_property
     def supports_overlap(self) -> bool:
@@ -225,6 +255,7 @@ def validate_problem(p: UsdProblem) -> ValidationReport:
     """Check every instance invariant; the report lists each residual.
     A state passes the PSD check exactly when DensityMatrix.factor accepts it."""
     rep = ValidationReport()
+    p.decompose()  # the spectra read below, and by the solve or audit after it
     r0, r1 = p.rho0.matrix, p.rho1.matrix
     if r0.shape != r1.shape:
         rep.residuals["dim_match"] = abs(r0.shape[0] - r1.shape[0])

@@ -1,13 +1,16 @@
 """JSON encoding of problems, measurements, certificates and reports.
 
 Matrices travel as paired real arrays "re" and "im". Serialization is
-deterministic: keys are sorted and floats use the shortest round-trip
-decimal form, so identical inputs give byte-identical documents.
+deterministic: dumps writes one line, json's C encoder with sorted keys
+and the shortest round-trip decimal form of every float, so identical
+inputs give byte-identical documents. Reading is format-blind: a report
+pretty-printed by python -m json.tool, or stored indented, reads the
+same. A document's matrices are decoded in one array conversion (see
+_decoded); a field is decoded on its own only to word an error.
 """
 
 import json
 from itertools import chain
-from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -51,6 +54,31 @@ def matrix_from_obj(obj, dim: int, field: str) -> np.ndarray:
     return re + 1j * im
 
 
+def _decoded(objs: dict, dim) -> dict:
+    """The matrices objs maps field names to, decoded in one array
+    conversion with one finiteness and one JSON-number check; {} when any
+    of them fails, so that _matrix decodes each on its own."""
+    try:
+        parts = np.array([(o["re"], o["im"]) for o in objs.values()], dtype=float)
+        entries = chain.from_iterable(chain(*o["re"], *o["im"]) for o in objs.values())
+        if (parts.shape[1:] == (2, dim, dim) and np.isfinite(parts).all()
+                and _JSON_NUMBERS.issuperset(map(type, entries))):
+            return dict(zip(objs, parts[:, 0] + 1j * parts[:, 1]))
+    except (KeyError, TypeError, ValueError, OverflowError):
+        pass
+    return {}
+
+
+def _fields(doc, prefix: str, names) -> dict:
+    """{prefix + name: doc[name]} for the names doc holds, if it is an object."""
+    return {prefix + n: doc[n] for n in names if n in doc} if isinstance(doc, dict) else {}
+
+
+def _matrix(decoded, obj, dim, field: str) -> np.ndarray:
+    m = decoded.get(field) if decoded else None
+    return matrix_from_obj(obj, dim, field) if m is None else m
+
+
 def _number(value, field: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise InvalidInput(f"{field}: expected a number, got {value!r}")
@@ -79,7 +107,9 @@ def problem_to_obj(p: UsdProblem) -> dict:
     return obj
 
 
-def problem_from_obj(obj, renormalize: bool = False) -> UsdProblem:
+def problem_from_obj(obj, renormalize: bool = False, decoded=None) -> UsdProblem:
+    """The problem a document describes; decoded holds its matrices when a
+    caller has decoded them already (see _decoded)."""
     if not isinstance(obj, dict):
         raise InvalidInput("problem document must be an object")
     for key in ("dim", "eta0", "eta1", "rho0", "rho1"):
@@ -89,15 +119,12 @@ def problem_from_obj(obj, renormalize: bool = False) -> UsdProblem:
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise InvalidInput(f"dim: expected a positive integer, got {dim!r}")
     eta0, eta1 = _number(obj["eta0"], "eta0"), _number(obj["eta1"], "eta1")
-    rho0 = matrix_from_obj(obj["rho0"], dim, "rho0")
-    rho1 = matrix_from_obj(obj["rho1"], dim, "rho1")
-    u = matrix_from_obj(obj["u"], dim, "u") if "u" in obj else None
-    return UsdProblem(
-        rho0=DensityMatrix.from_matrix(rho0, renormalize=renormalize),
-        rho1=DensityMatrix.from_matrix(rho1, renormalize=renormalize),
-        eta0=eta0, eta1=eta1,
-        gu_involution=u,
-    )
+    if decoded is None:
+        decoded = _decoded(_fields(obj, "", ("rho0", "rho1", "u")), dim)
+    rho0, rho1, u = (_matrix(decoded, obj[f], dim, f) if f in obj else None
+                     for f in ("rho0", "rho1", "u"))
+    return UsdProblem(*DensityMatrix.pair(rho0, rho1, renormalize), eta0=eta0, eta1=eta1,
+                      gu_involution=u)
 
 
 def povm_to_obj(m: Povm) -> dict:
@@ -108,17 +135,13 @@ def povm_to_obj(m: Povm) -> dict:
     }
 
 
-def povm_from_obj(obj, dim: int) -> Povm:
+def povm_from_obj(obj, dim: int, decoded=None) -> Povm:
     if not isinstance(obj, dict):
         raise InvalidInput("povm: expected an object")
     for key in ("e0", "e1", "eq"):
         if key not in obj:
             raise InvalidInput(f"povm: missing element '{key}'")
-    return Povm(
-        e0=matrix_from_obj(obj["e0"], dim, "povm.e0"),
-        e1=matrix_from_obj(obj["e1"], dim, "povm.e1"),
-        eq=matrix_from_obj(obj["eq"], dim, "povm.eq"),
-    )
+    return Povm(*(_matrix(decoded, obj[k], dim, f"povm.{k}") for k in ("e0", "e1", "eq")))
 
 
 def certificate_to_obj(c: OptimalityCertificate) -> dict:
@@ -129,10 +152,10 @@ def certificate_to_obj(c: OptimalityCertificate) -> dict:
     }
 
 
-def certificate_from_obj(obj, dim: int) -> OptimalityCertificate:
+def certificate_from_obj(obj, dim: int, decoded=None) -> OptimalityCertificate:
     if not isinstance(obj, dict) or "z" not in obj:
         raise InvalidInput("certificate: expected an object with a 'z' matrix")
-    z = matrix_from_obj(obj["z"], dim, "certificate.z")
+    z = _matrix(decoded, obj["z"], dim, "certificate.z")
     return OptimalityCertificate(
         z=z,
         residuals=_number_map(obj.get("residuals", {}), "certificate.residuals"),
@@ -160,7 +183,12 @@ def report_from_obj(obj):
     """Decode a solve report back into (problem, report) for re-checking."""
     if not isinstance(obj, dict) or "problem" not in obj:
         raise InvalidInput("report document must contain a 'problem' object")
-    p = problem_from_obj(obj["problem"])
+    doc = obj["problem"]
+    decoded = _decoded({**_fields(doc, "", ("rho0", "rho1", "u")),
+                        **_fields(obj.get("povm"), "povm.", ("e0", "e1", "eq")),
+                        **_fields(obj.get("certificate"), "certificate.", ("z",))},
+                       doc.get("dim") if isinstance(doc, dict) else None)
+    p = problem_from_obj(doc, decoded=decoded)
     for key in ("q_opt", "q0", "q1", "branch", "povm"):
         if key not in obj:
             raise InvalidInput(f"report: missing field '{key}'")
@@ -170,12 +198,12 @@ def report_from_obj(obj):
         raise InvalidInput(f"report: unknown branch {obj['branch']!r}") from exc
     cert = None
     if "certificate" in obj:
-        cert = certificate_from_obj(obj["certificate"], p.dim)
+        cert = certificate_from_obj(obj["certificate"], p.dim, decoded)
     report = SolutionReport(
         q_opt=_number(obj["q_opt"], "q_opt"),
         q0=_number(obj["q0"], "q0"),
         q1=_number(obj["q1"], "q1"),
-        povm=povm_from_obj(obj["povm"], p.dim),
+        povm=povm_from_obj(obj["povm"], p.dim, decoded),
         branch=branch,
         diagnostics=_number_map(obj.get("diagnostics", {}), "diagnostics"),
         certificate=cert,
@@ -184,66 +212,8 @@ def report_from_obj(obj):
 
 
 def dumps(obj) -> str:
-    """Exactly json.dumps(obj, sort_keys=True, indent=2) + "\\n".
-
-    An indent makes json fall back to its pure-Python encoder, so the
-    common shapes (string-keyed dicts, lists, str, int, finite float) are
-    written here, each matrix row in one join.
-    """
-    out = []
-    _write(obj, "\n", out)
-    out.append("\n")
-    return "".join(out)
-
-
-def _write(value, newline, out):
-    """Append the text of value to out; newline starts a line at its depth."""
-    kind = type(value)
-    if kind is str:
-        out.append(_quote(value))
-        return
-    elif kind is float:
-        text = float.__repr__(value)
-        if "n" not in text:
-            out.append(text)
-            return
-    elif kind is int:
-        out.append(int.__repr__(value))
-        return
-    elif kind is list and value:
-        inner = newline + "  "
-        if type(value[0]) is float:
-            try:
-                text = ("," + inner).join(map(float.__repr__, value))
-            except TypeError:  # not every entry is a float
-                pass
-            else:
-                if "n" not in text:  # no nan or inf
-                    out.append("[" + inner + text + newline + "]")
-                    return
-        else:
-            lead = "[" + inner
-            for item in value:
-                out.append(lead)
-                _write(item, inner, out)
-                lead = "," + inner
-            out.append(newline + "]")
-            return
-    elif kind is dict and value and all(type(key) is str for key in value):
-        inner = newline + "  "
-        lead = "{" + inner
-        for key in sorted(value):
-            out.append(lead)
-            out.append(_quote(key))
-            out.append(": ")
-            _write(value[key], inner, out)
-            lead = "," + inner
-        out.append(newline + "}")
-        return
-    # NaN and the infinities, bool, None, empty containers, numpy scalars,
-    # float rows holding any of them: json's own text, moved to this depth
-    # (json text holds no raw newline but the ones its indent puts in)
-    out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", newline))
+    """json.dumps(obj, sort_keys=True) + "\\n": one line from json's C encoder."""
+    return json.dumps(obj, sort_keys=True) + "\n"
 
 
 def loads(text: str):

@@ -183,7 +183,7 @@ def solve_first_class(p: UsdProblem) -> SolutionReport:
     extrapolates beyond the equal-prior display, the certificate gate
     is what makes the output trustworthy.
     """
-    return _gate_solution(p, _construct_first_class(p))
+    return _gate_solution(p, _construct_first_class(p.decompose()))
 
 
 def gu_4d_preconditions(p: UsdProblem) -> None:
@@ -332,7 +332,7 @@ def solve(p: UsdProblem) -> SolutionReport:
     """
     stacked = p.rho0.matrix.ndim > 2
     try:
-        report = _gate_solution(p, _construct(p))
+        report = _gate_solution(p, _construct(p.decompose()))
     except (BranchNotApplicable, NumericalFailure):
         if stacked:
             return _joined(p, [([i], solve(p.take(i))) for i in range(len(p.rho0.matrix))])

@@ -114,6 +114,21 @@ def test_a_slice_of_rows_keeps_the_involution_and_views_the_decompositions(monke
     assert np.shares_memory(sub.sum_spectrum.eigenvectors, stack.sum_spectrum.eigenvectors)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: first_class_instance(np.random.default_rng(3), 4),
+    lambda: build_states(GRID).bit_problem(),
+], ids=["complex", "real_stack"])
+def test_decompose_takes_the_three_in_one_call_with_the_bits_of_three(monkeypatch, make):
+    p, lazy = make(), make()
+    assert _count_calls(monkeypatch, p.decompose) == {"eigh": 1}
+    assert _count_calls(monkeypatch, p.decompose) == {}
+    pairs = [(p.rho0.spectrum, lazy.rho0.spectrum), (p.rho1.spectrum, lazy.rho1.spectrum),
+             (p.sum_spectrum, lazy.sum_spectrum)]
+    for kept, alone in pairs:
+        assert (kept.eigenvalues == alone.eigenvalues).all()
+        assert (kept.eigenvectors == alone.eigenvectors).all()
+
+
 def test_take_of_an_undecomposed_stack_decomposes_lazily(monkeypatch):
     stack = build_states(GRID[:4]).bit_problem()
     sub = stack.take([1, 2])

@@ -550,6 +550,44 @@ def test_unknown_flag_exits_one(capsys):
     capsys.readouterr()
 
 
+def test_a_usage_error_after_a_command_prints_that_commands_usage(capsys):
+    assert main(["solve", "--input", "problem.json", "--no-such-flag"]) == 1
+    usage, error = capsys.readouterr().err.splitlines()
+    assert usage.startswith("usage: usdisc solve [-h] --input INPUT")
+    assert error == "error: unrecognized arguments: --no-such-flag"
+    assert main(["certify"]) == 1
+    assert capsys.readouterr().err.startswith("usage: usdisc certify")
+    # no command, or an unknown one, gets the top-level usage
+    for argv in ([], ["no-such-command"]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("usage: usdisc [-h]")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("renormalize", [True, False])
+def test_an_overflowing_trace_exits_one_with_one_error_line(tmp_path, capsys, renormalize):
+    # the trace of rho0 overflows: refused without a numpy warning
+    obj = serialize.problem_to_obj(bit_problem(0.3))
+    obj["rho0"] = serialize.matrix_to_obj(np.diag([8e307, 8e307, 8e307, 0.0]))
+    inp = tmp_path / "problem.json"
+    inp.write_text(json.dumps(obj))
+    assert main(["solve", "--input", str(inp), *["--renormalize"] * renormalize]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ")
+
+
+def test_a_report_stored_indented_still_certifies(tmp_path, capsys):
+    inp = tmp_path / "problem.json"
+    rpt = tmp_path / "report.json"
+    write_problem(inp, bit_problem(0.3))
+    assert main(["solve", "--input", str(inp), "--output", str(rpt)]) == 0
+    text = rpt.read_text()
+    assert text.count("\n") == 1
+    rpt.write_text(json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n")
+    assert main(["certify", "--input", str(rpt)]) == 0
+    assert capsys.readouterr().out.endswith("PASS\n")
+
+
 def test_mu0_command(capsys):
     assert main(["bb84-mu0"]) == 0
     value = float(capsys.readouterr().out.strip())

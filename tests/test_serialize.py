@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import first_class_instance, random_problem
-from usdisc import UsdProblem, cli, serialize
+from usdisc import DensityMatrix, UsdProblem, cli, serialize
 from usdisc import solve, validate_povm
 from usdisc.bb84 import bit_problem
 from usdisc.errors import InvalidInput
@@ -125,6 +125,23 @@ def test_solve_refuses_a_problem_file_with_quoted_matrix_entries(tmp_path, capsy
     assert capsys.readouterr().err.startswith("error: rho0: expected numbers")
 
 
+@pytest.mark.parametrize("renormalize", [False, True])
+def test_the_states_are_checked_as_one_stack_with_each_states_error(renormalize):
+    obj = serialize.problem_to_obj(bit_problem(0.3))
+    p = serialize.problem_from_obj(obj, renormalize=renormalize)
+    for name in ("rho0", "rho1"):
+        alone = DensityMatrix.from_matrix(serialize.matrix_from_obj(obj[name], 4, name),
+                                          renormalize=renormalize)
+        assert np.array_equal(getattr(p, name).matrix, alone.matrix)
+    # the error is the first bad state's, although the stack's worst trace is rho1's
+    obj["rho1"] = serialize.matrix_to_obj(np.diag([2.0, 0.0, 0.0, 0.0]))
+    with pytest.raises(InvalidInput, match="trace 2.0 "):
+        serialize.problem_from_obj(obj)
+    obj["rho0"] = serialize.matrix_to_obj(np.diag([1.25, 0.0, 0.0, 0.0]))
+    with pytest.raises(InvalidInput, match="trace 1.25 "):
+        serialize.problem_from_obj(obj)
+
+
 def test_matrix_from_obj_rejects_ragged_rows():
     with pytest.raises(InvalidInput):
         serialize.matrix_from_obj({"re": [[1, 0], [0]], "im": [[0, 0], [0, 0]]}, 2, "rho0")
@@ -141,6 +158,10 @@ def test_report_from_obj_rejects_unknown_branch():
 
 
 def _reference(obj):
+    return json.dumps(obj, sort_keys=True) + "\n"
+
+
+def _indented(obj):
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
@@ -160,6 +181,24 @@ _trees = st.recursive(
 @given(_trees)
 def test_dumps_matches_json_on_generated_trees(obj):
     assert serialize.dumps(obj) == _reference(obj)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(_trees)
+def test_a_reindented_document_is_the_indented_text(obj):
+    # the text an indent=2 writer gives, which reports used to be stored in
+    assert _indented(json.loads(serialize.dumps(obj))) == _indented(obj)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30, database=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4]), st.booleans())
+def test_a_reindented_report_is_the_indented_text(seed, dim, first_class):
+    rng = np.random.default_rng(seed)
+    p = first_class_instance(rng, dim) if first_class else random_problem(rng, dim)
+    obj = serialize.report_to_obj(p, solve(p))
+    text = serialize.dumps(obj)
+    assert text.count("\n") == 1
+    assert _indented(json.loads(text)) == _indented(obj)
 
 
 def test_dumps_matches_json_on_edge_values():
@@ -205,3 +244,51 @@ def test_dumps_matches_json_on_the_oracle_command_object(tmp_path, monkeypatch):
     (obj,) = seen
     assert {"converged", "stop", "povm"} <= obj.keys()
     assert dumps(obj) == _reference(obj)
+
+
+_REPORT_FIELDS = {"rho0": ("problem", "rho0"), "rho1": ("problem", "rho1"), "u": ("problem", "u"),
+                  "povm.e0": ("povm", "e0"), "povm.e1": ("povm", "e1"),
+                  "povm.eq": ("povm", "eq"), "certificate.z": ("certificate", "z")}
+
+
+def _spoil(m, case):
+    """Spoil a matrix object in place; returns the start of the error
+    message after the field name."""
+    if case == "non_finite":
+        m["re"][1][0] = float("nan")
+        return "entries must be finite"
+    if case == "string":
+        m["re"][0][0] = "0.5"
+        return "expected numbers, got '0.5'"
+    if case == "boolean":
+        m["im"][1][1] = True
+        return "expected numbers, got True"
+    if case == "shape":
+        for part in ("re", "im"):
+            m[part] = [row[:-1] for row in m[part][:-1]]
+        return "expected shape (4, 4), got re (3, 3) and im (3, 3)"
+    if case == "ragged":
+        m["re"][1].pop()
+        return "non-numeric entries ("
+    del m[case.removeprefix("missing_")]
+    return "expected an object with 're' and 'im' arrays"
+
+
+_SPOILS = ["non_finite", "string", "boolean", "shape", "ragged", "missing_re", "missing_im"]
+
+
+@pytest.mark.parametrize("case", _SPOILS)
+@pytest.mark.parametrize("field", list(_REPORT_FIELDS))
+def test_a_bad_matrix_is_refused_naming_its_field(field, case):
+    # every other matrix of the report is sound, so only the spoiled one can be named
+    p = bit_problem(0.3)
+    obj = json.loads(serialize.dumps(serialize.report_to_obj(p, solve(p))))
+    doc, key = _REPORT_FIELDS[field]
+    message = f"{field}: " + _spoil(obj[doc][key], case)
+    with pytest.raises(InvalidInput) as exc:
+        serialize.report_from_obj(obj)
+    assert str(exc.value).startswith(message)
+    if doc == "problem":
+        with pytest.raises(InvalidInput) as exc:
+            serialize.problem_from_obj(obj["problem"])
+        assert str(exc.value).startswith(message)

@@ -27,9 +27,10 @@ from usdisc import (
     solve,
     solve_first_class,
     spectrum_negation_check,
+    serialize,
     validate_povm,
 )
-from usdisc.bb84 import basis_problem, bit_problem, build_states, find_mu0
+from usdisc.bb84 import basis_problem, bit_problem, build_states, find_mu0, sweep
 from usdisc.certificates import symmetric_projective_witness
 from usdisc.errors import BranchNotApplicable, NumericalFailure
 from usdisc.linalg import hermitize, psd_check, spectral_norm
@@ -254,26 +255,45 @@ def test_reports_carry_diagnostics_and_certificates():
 
 
 @pytest.mark.parametrize("make, expected", [
-    (lambda: first_class_instance(np.random.default_rng(3), 4), 3),
-    (lambda: bit_problem(1.5), 3),
-    (lambda: bit_problem(0.3), 4),
+    (lambda: first_class_instance(np.random.default_rng(3), 4), 1),
+    (lambda: bit_problem(1.5), 1),
+    (lambda: bit_problem(0.3), 2),
 ], ids=["first_class", "symmetric_first_class", "projective"])
 def test_solve_decomposes_each_state_once(monkeypatch, make, expected):
-    # rho0, rho1 and rho0 + rho1 (plus the kernel-compressed involution
-    # on the projective side), the fidelity operators coming from one
-    # SVD: every other spectral quantity is derived from these
-    # decompositions, and the router adds none
+    # rho0, rho1 and rho0 + rho1 in one stacked call (plus the
+    # kernel-compressed involution on the projective side), the fidelity
+    # operators coming from one SVD: every other spectral quantity is
+    # derived from these decompositions, and the router adds none
     p = make()
-    calls = []
-    eigh = np.linalg.eigh
+    assert _count_calls(monkeypatch, lambda: solve(p))["eigh"] == expected
 
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return eigh(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
-    solve(p)
-    assert len(calls) == expected
+def _bare_bit_pair():
+    p = bit_problem(0.3)
+    return UsdProblem(p.rho0, p.rho1, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("make, branch, expected", [
+    (lambda: first_class_instance(np.random.default_rng(3), 4), Branch.FIRST_CLASS_FIDELITY, 1),
+    (lambda: bit_problem(1.5), Branch.FIRST_CLASS_FIDELITY, 1),
+    (lambda: bit_problem(0.3), Branch.GU_PROJECTIVE, 2),
+    (_bare_bit_pair, Branch.ORACLE_ONLY, 1),
+], ids=["first_class", "symmetric_first_class", "projective", "oracle"])
+def test_audit_decomposes_each_state_once(monkeypatch, make, branch, expected):
+    # a report read back from its text holds no decomposition: the audit
+    # takes the three in one call (plus the kernel-compressed involution
+    # that the projective label is checked on)
+    p = make()
+    text = serialize.dumps(serialize.report_to_obj(p, solve(p)))
+    p2, report = serialize.report_from_obj(serialize.loads(text))
+    assert report.branch is branch
+    assert _count_calls(monkeypatch, lambda: audit_report(p2, report))["eigh"] == expected
+    assert audit_report(p2, report).ok
+
+
+def test_sweep_decomposes_each_state_once(monkeypatch):
+    # the sweep's one stack, then the kernel-compressed involution of its projective rows
+    assert _count_calls(monkeypatch, sweep)["eigh"] == 2
 
 
 @pytest.mark.parametrize("make", [
