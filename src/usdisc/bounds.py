@@ -99,8 +99,8 @@ def fidelity_operators(p: UsdProblem) -> FidelityData:
     (DensityMatrix.factor). Then sqrt(rho0) sqrt(rho1) = B0 C B1^H, so
     C = w S v^H gives F0 = (B0 w) S (B0 w)^H, F1 = (B1 v) S (B1 v)^H,
     F = sum S and the polar factor w v^H that the fidelity witness uses.
-    Singular values whose square is below the rank cutoff are zeroed, as
-    in the square root of either sandwich. Before that cut,
+    Singular values below the rank cutoff, relative to the largest, are
+    zeroed; the SVD resolves them well below it. Before that cut,
     Re Tr((w v^H)^H C) must equal sum S within 1e-9; a miss means the SVD
     is inaccurate.
     """
@@ -119,7 +119,7 @@ def fidelity_operators(p: UsdProblem) -> FidelityData:
         i = np.argmax(~(gap <= 1e-9))
         raise NumericalFailure("singular values miss the polar trace by "
                                f"{np.ravel(gap)[i].item()!r}")
-    s = np.where(nonzero_mask(s * s), s, 0.0)
+    s = np.where(nonzero_mask(s), s, 0.0)
 
     # Lambda_i on the diagonal of a zero stack, the Gram matrices of the
     # singular vectors weighted by gamma S and S / gamma subtracted; a

@@ -13,7 +13,9 @@ candidate alone, such as the oracle's dual solution, and without one
 tries these in turn; it searches no further.
 
 The closed forms, verify_certificate and fit_certificate also take a
-stacked problem.
+stacked problem. certify_stack decides a stack's measurement and
+witness together, without eigenvalues and without residuals, for a
+caller that needs only the verdict.
 """
 
 import math
@@ -39,7 +41,13 @@ from .linalg import (
     trace,
     unstack,
 )
-from .problem import Povm, UsdProblem, ValidationReport, failure_probability
+from .problem import (
+    Povm,
+    UsdProblem,
+    ValidationReport,
+    failure_probability,
+    povm_entry_checks,
+)
 
 CERT_TOL = 1e-7
 
@@ -107,11 +115,24 @@ def symmetric_projective_witness(p: UsdProblem, x: np.ndarray, u: np.ndarray) ->
     return alpha[..., None, None] * (xx + yy) + c[..., None, None] * (xy + dagger(xy))
 
 
-def _condition_spectra(p: UsdProblem, m: Povm, z: np.ndarray) -> np.ndarray:
-    """Ascending spectra of Z, the two kernel compressions, the Gram
-    matrix of Z Eq and the two equality residuals, from one eigenvalue
-    call. Each is written into one stack as soon as it is formed, and the
-    stack is symmetrized in place; it is freed on return."""
+def _symmetrize(a: np.ndarray):
+    """a <- (a + a^H) / 2 over a stack of matrix stacks, by real and
+    imaginary part, each in place beside a copy of its transpose; one
+    entry of the first axis at a time, where a + dagger(a) takes two
+    stacks."""
+    for part in a if a.ndim > 3 else (a,):
+        re = part.real
+        re += re.swapaxes(-1, -2).copy()
+        if a.dtype.kind == "c":
+            im = part.imag
+            im -= im.swapaxes(-1, -2).copy()
+    a *= 0.5
+
+
+def _condition_matrices(p: UsdProblem, m: Povm, z: np.ndarray) -> np.ndarray:
+    """Z, the two kernel compressions, the Gram matrix of Z Eq and the two
+    equality residuals, symmetrized: each is written into one stack as
+    soon as it is formed."""
     r0, r1 = p.rho0.matrix, p.rho1.matrix
     k0 = p.rho0.support.kernel_projector
     k1 = p.rho1.support.kernel_projector
@@ -125,16 +146,17 @@ def _condition_spectra(p: UsdProblem, m: Povm, z: np.ndarray) -> np.ndarray:
     np.matmul(m.e1 @ d, m.e1, out=a[5])
     d = z @ m.eq
     np.matmul(dagger(d), d, out=a[3])
-    # a + a^H by real and imaginary part, each in place beside a copy of its
-    # transpose; a stack's six one at a time, where a + dagger(a) takes two stacks
-    for part in a if a.ndim > 3 else (a,):
-        re = part.real
-        re += re.swapaxes(-1, -2).copy()
-        if a.dtype.kind == "c":
-            im = part.imag
-            im -= im.swapaxes(-1, -2).copy()
-    a *= 0.5
-    return np.linalg.eigvalsh(a)
+    _symmetrize(a)
+    return a
+
+
+def _check_traces(rep: ValidationReport, p: UsdProblem, m: Povm, z: np.ndarray,
+                  success_trace):
+    """The trace identity tr Z = 1 - q, and tr Z against the stored trace."""
+    q, _, _ = failure_probability(p, m)
+    tz = trace(z).real
+    rep.check("trace_identity", abs(tz - (1.0 - q)), CERT_TOL)
+    rep.check("success_trace_consistency", abs(tz - success_trace), 1e-12)
 
 
 def verify_certificate(p: UsdProblem, m: Povm, c: OptimalityCertificate) -> ValidationReport:
@@ -148,7 +170,7 @@ def verify_certificate(p: UsdProblem, m: Povm, c: OptimalityCertificate) -> Vali
     z = hermitize(as_double(c.z))
     # symmetrizing leaves the already Hermitian z as it is; an equality
     # residual's norm is the larger magnitude at the ends of its spectrum
-    w = _condition_spectra(p, m, z)
+    w = np.linalg.eigvalsh(_condition_matrices(p, m, z))
     zmin, mn1, mn0 = unstack(w[:3, ..., 0])
     annihilation = item_or_array(gram_norm(w[3]))
     equality0, equality1 = unstack(np.maximum(-w[4:, ..., 0], w[4:, ..., -1]))
@@ -161,12 +183,53 @@ def verify_certificate(p: UsdProblem, m: Povm, c: OptimalityCertificate) -> Vali
     rep.residuals["kernel0_inequality_min_eig"] = mn0
     rep.check("kernel1_inequality", at_least(-mn1, 0.0), CERT_TOL)
     rep.check("kernel0_inequality", at_least(-mn0, 0.0), CERT_TOL)
-
-    q, _, _ = failure_probability(p, m)
-    tz = trace(z).real
-    rep.check("trace_identity", abs(tz - (1.0 - q)), CERT_TOL)
-    rep.check("success_trace_consistency", abs(tz - c.success_trace), 1e-12)
+    _check_traces(rep, p, m, z, c.success_trace)
     return rep
+
+
+def certify_stack(p: UsdProblem, m: Povm, z: np.ndarray) -> Optional[OptimalityCertificate]:
+    """Whether validate_povm passes a stack's measurement m and
+    verify_certificate its witness z on every instance, decided without
+    eigenvalues: the certificate fit_certificate(p, m, candidate=z) would
+    give, without residuals, or None.
+
+    The trace checks and validate_povm's entrywise ones are taken as they
+    are, every other check at half its bound: a stack that passes passes
+    both checks on every instance alone, and one that fails may still pass
+    them. A PSD condition holds when the Cholesky factorisation of its
+    matrix, shifted by half its bound, succeeds: E0, E1 and Eq at half
+    validate_povm's bound, Z and the kernel compressions at half CERT_TOL,
+    three matrices to a stacked call. A norm condition holds when a
+    Frobenius norm, which bounds the operator norm, is within half CERT_TOL:
+    that of Z Eq, from the trace of its Gram matrix, and that of each
+    equality residual. Rounding in eigvalsh and in the factorisation, about
+    1e-15 at these scales, stays far below the half margins.
+    """
+    rep, bounds = povm_entry_checks(p, m)
+    zh = hermitize(as_double(z))
+    success = item_or_array(trace(z).real)
+    _check_traces(rep, p, m, zh, success)
+    if not rep.ok:
+        return None
+    a = _condition_matrices(p, m, zh)
+    norms = np.sqrt(trace(a[3]).real), np.linalg.norm(a[4:], axis=(-2, -1))
+    if not all(all_true(n <= 0.5 * CERT_TOL) for n in norms):
+        return None
+    # the elements take the slots the norm conditions no longer need
+    a[3], a[4], a[5] = m.e0, m.e1, m.eq
+    _symmetrize(a[3:])
+    d = a.shape[-1]
+    diagonal = a.reshape(a.shape[:-2] + (d * d,))[..., ::d + 1]
+    diagonal[:3] += 0.5 * CERT_TOL
+    diagonal[3:] += 0.5 * np.array(bounds)[..., None]
+    # three matrices a call: a factor of all six beside the stack raised
+    # the sweep's peak resident set by about 0.15 MB
+    try:
+        for part in (a[:3], a[3:]):
+            np.linalg.cholesky(part)
+    except np.linalg.LinAlgError:
+        return None
+    return OptimalityCertificate(z=z, success_trace=success)
 
 
 def _candidates(p: UsdProblem, m: Povm):

@@ -278,22 +278,44 @@ def validate_problem(p: UsdProblem) -> ValidationReport:
     return rep
 
 
+def _element_checks(m: Povm):
+    """Each element's name, its Hermiticity residual and its PSD bound,
+    both relative to its largest entry magnitude (at least 1)."""
+    for name, el in (("e0", m.e0), ("e1", m.e1), ("eq", m.eq)):
+        scale = at_least(max_abs(el), 1.0)
+        yield name, max_abs(el - dagger(el)) / scale, PSD_TOL * scale
+
+
+def _check_sums(p: UsdProblem, m: Povm, rep: ValidationReport):
+    """Completeness and the two error-free trace conditions."""
+    rep.check("completeness", max_abs(m.e0 + m.e1 + m.eq - np.eye(p.dim)), COMPLETENESS_TOL)
+    rep.check("error_free_0", abs(trace(m.e0 @ p.rho1.matrix).real), ERROR_FREE_TOL)
+    rep.check("error_free_1", abs(trace(m.e1 @ p.rho0.matrix).real), ERROR_FREE_TOL)
+
+
 def validate_povm(p: UsdProblem, m: Povm) -> ValidationReport:
     """Positivity, completeness and the two error-free trace conditions."""
     rep = ValidationReport()
-    eye = np.eye(p.dim)
-    elements = (("e0", m.e0), ("e1", m.e1), ("eq", m.eq))
     # the three elements' spectra in one stacked call
-    _, mins = psd_check(np.array([el for _, el in elements]))
-    for (name, el), mn in zip(elements, unstack(mins)):
-        scale = at_least(max_abs(el), 1.0)
-        rep.check(f"{name}_hermitian", max_abs(el - dagger(el)) / scale, 1e-10)
-        rep.check(f"{name}_psd", at_least(-mn, 0.0), PSD_TOL * scale)
-    total = m.e0 + m.e1 + m.eq
-    rep.check("completeness", max_abs(total - eye), COMPLETENESS_TOL)
-    rep.check("error_free_0", abs(trace(m.e0 @ p.rho1.matrix).real), ERROR_FREE_TOL)
-    rep.check("error_free_1", abs(trace(m.e1 @ p.rho0.matrix).real), ERROR_FREE_TOL)
+    _, mins = psd_check(np.array([m.e0, m.e1, m.eq]))
+    for (name, skew, bound), mn in zip(_element_checks(m), unstack(mins)):
+        rep.check(f"{name}_hermitian", skew, 1e-10)
+        rep.check(f"{name}_psd", at_least(-mn, 0.0), bound)
+    _check_sums(p, m, rep)
     return rep
+
+
+def povm_entry_checks(p: UsdProblem, m: Povm):
+    """validate_povm's checks that read the entries alone: each element's
+    Hermiticity, completeness and the two error-free conditions, in one
+    report, and each element's PSD bound, for a caller that decides
+    positivity without eigenvalues."""
+    rep, bounds = ValidationReport(), []
+    for name, skew, bound in _element_checks(m):
+        rep.check(f"{name}_hermitian", skew, 1e-10)
+        bounds.append(bound)
+    _check_sums(p, m, rep)
+    return rep, bounds
 
 
 def failure_probability(p: UsdProblem, m: Povm):

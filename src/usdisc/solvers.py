@@ -6,17 +6,18 @@ probability equals the fidelity bound and the conclusive elements have
 a closed sandwich formula. The second covers equal-prior involution
 symmetric pairs of rank 2 in dimension 4; when the first family does
 not apply, the optimum is a projective measurement built from the
-kernel-compressed involution. Each construction is a function of the
-problem alone, reading what it needs from the problem's caches, and
-returns its report ungated. solve is one router (_construct, the only
-function that chooses between the two families) and one gate
+kernel-compressed involution. Each construction reads the problem's
+caches and returns its report ungated. solve is one router (_construct,
+the only function that chooses between the two families) and one gate
 (_gate_solution, which verifies the measurement and its optimality
-certificate), with the interior-point oracle as the fallback.
+certificate; _gate_stack for a stack), with the interior-point oracle
+as the fallback.
 
 solve also takes a stacked problem (see problem.UsdProblem): it routes
-instance by instance, gates the whole stack once and, if that fails,
-solves it row by row. So do solve_first_class, gu_4d_preconditions and
-gu_4d_regime, except that a failure on any instance fails the stack.
+instance by instance, gates the whole stack once, without eigenvalues,
+and, if that fails, solves it row by row. So do solve_first_class,
+gu_4d_preconditions and gu_4d_regime, except that a failure on any
+instance fails the stack.
 """
 
 import math
@@ -29,6 +30,7 @@ import numpy as np
 from .bounds import rank_condition_check, rank_conditions
 from .certificates import (
     OptimalityCertificate,
+    certify_stack,
     fidelity_witness,
     fit_certificate,
     symmetric_projective_witness,
@@ -104,12 +106,12 @@ def audit_report(p: UsdProblem, report: SolutionReport) -> ValidationReport:
     the stored failure probabilities, the witness and the branch label.
 
     A FirstClassFidelity label needs both rank-condition operators PSD.
-    A GuProjective label needs the symmetric solver's
-    preconditions (an equal-prior involution pair of rank-2 states in
-    dimension 4) and a projective measurement. OracleOnly claims nothing
-    the other checks leave open. A prior outside (0, 1) fails the audit
-    and skips the checks that weigh the states by it: the branch label,
-    the witness and the stored failure probabilities.
+    A GuProjective label needs the symmetric solver's preconditions (an
+    equal-prior involution pair of rank-2 states in dimension 4) and a
+    projective measurement. OracleOnly claims nothing the other checks
+    leave open. A prior outside (0, 1) fails the audit and skips the
+    checks that weigh the states by it: the branch label, the witness and
+    the stored failure probabilities.
     """
     rep = validate_problem(p)
     # undefined for a prior out of range: a zero or negative one breaks
@@ -145,6 +147,18 @@ def _gate_solution(p: UsdProblem, report: SolutionReport) -> SolutionReport:
     if report.certificate is None:
         raise BranchNotApplicable("closed-form witness fails verification", cause="certificate")
     report.diagnostics = {**vrep.residuals, **report.certificate.residuals, **report.diagnostics}
+    return report
+
+
+def _gate_stack(p: UsdProblem, report: SolutionReport) -> SolutionReport:
+    """_gate_solution for a stack, by certify_stack: a branch per row, no
+    residuals or diagnostics."""
+    report.certificate = certify_stack(p, report.povm, report.certificate.z)
+    if report.certificate is None:
+        raise BranchNotApplicable("stack fails its gate", cause="certificate")
+    if isinstance(report.branch, Branch):
+        report.branch = (report.branch,) * len(p.rho0.matrix)
+    report.diagnostics = {}
     return report
 
 
@@ -215,9 +229,9 @@ def _kernel_involution(p: UsdProblem) -> np.ndarray:
 
 def gu_4d_regime(p: UsdProblem):
     """Regime decision inside that scope: whether the first-class
-    construction applies, decided by the first rank-condition operator
-    alone, rho0 - F0 at equal priors (where the two are U-images of each
-    other); it reads the verdict the first-class rank check reads after it.
+    construction applies, from rho0 - F0 alone (at equal priors the two
+    rank-condition operators are U-images of each other): the verdict the
+    first-class rank check reads too.
 
     Returns (first_class, op0_min_eig), per instance for a stack.
     """
@@ -297,12 +311,10 @@ def _joined(p: UsdProblem, parts) -> SolutionReport:
 
 
 def _construct(p: UsdProblem) -> SolutionReport:
-    """The ungated report of the construction that applies: the only
-    function that names both. Inside the symmetric solver's scope
-    (gu_4d_preconditions) the regime decision (gu_4d_regime) picks the
-    first-class or the projective one, and when it splits a stack each
-    side's measurement and witness are built on its rows (a view when
-    they run consecutively); any other problem gets the first-class one."""
+    """The ungated report of the construction that applies, the only
+    function that names both: inside gu_4d_preconditions' scope, the one
+    gu_4d_regime picks, each side of a split stack built on its rows (a
+    view when consecutive); else the first-class one."""
     try:
         gu_4d_preconditions(p)
     except BranchNotApplicable:
@@ -319,43 +331,32 @@ def _construct(p: UsdProblem) -> SolutionReport:
 
 def solve(p: UsdProblem) -> SolutionReport:
     """Optimal measurement for a problem, or for each instance of a stack,
-    from the construction that applies (_construct), gated once. A
-    construction that does not apply or fails numerically hands a problem
-    over to the oracle, whose dual Z is the witness; the closed forms are
-    tried only if it fails.
+    from the construction that applies (_construct), gated once, or from
+    the oracle, whose dual Z is the witness (a closed form if it fails).
 
-    A stack that fails is solved row by row, so each instance gets the
-    bits, and the oracle fallback, of a solve of it alone. A stack's
-    report holds per-instance q_opt, q0, q1, the (N, d, d) measurement
-    and witness Z (no certificate if a row has none) and the tuple of the
-    rows' branches, and no diagnostics.
+    A stack is gated by _gate_stack; one that fails is solved row by row,
+    so each instance gets the bits, and the fallback, of a solve of it
+    alone. A stack's report holds per-instance q_opt, q0, q1, the
+    (N, d, d) measurement and witness Z (no certificate if a row has
+    none, no residuals in it), the tuple of the rows' branches, and no
+    diagnostics.
     """
     stacked = p.rho0.matrix.ndim > 2
     try:
-        report = _gate_solution(p, _construct(p.decompose()))
+        report = (_gate_stack if stacked else _gate_solution)(p, _construct(p.decompose()))
     except (BranchNotApplicable, NumericalFailure):
         if stacked:
             return _joined(p, [([i], solve(p.take(i))) for i in range(len(p.rho0.matrix))])
     else:
-        if stacked:
-            if isinstance(report.branch, Branch):
-                report.branch = (report.branch,) * len(p.rho0.matrix)
-            report.diagnostics = {}
         return report
     result = oracle_optimize(p)
-    q, q0, q1 = failure_probability(p, result.povm)
-    diagnostics = {
-        "oracle_iterations": float(result.iterations),
-        "oracle_converged": float(result.converged),
-        "oracle_duality_gap": result.duality_gap,
-    }
     return SolutionReport(
-        q_opt=q, q0=q0, q1=q1,
-        povm=result.povm,
-        branch=Branch.ORACLE_ONLY,
-        diagnostics=diagnostics,
-        certificate=(fit_certificate(p, result.povm, candidate=result.certificate.z)
-                     or fit_certificate(p, result.povm)),
+        *failure_probability(p, result.povm), result.povm, Branch.ORACLE_ONLY,
+        {"oracle_iterations": float(result.iterations),
+         "oracle_converged": float(result.converged),
+         "oracle_duality_gap": result.duality_gap},
+        fit_certificate(p, result.povm, candidate=result.certificate.z)
+        or fit_certificate(p, result.povm),
     )
 
 

@@ -237,7 +237,8 @@ def _assert_rows_match_scalar_solves(rows):
 def test_sweep_solves_each_side_on_a_view_of_one_stack(monkeypatch):
     # both questions share one stack: its first-class side (the bit
     # question above the threshold and the whole basis question) is
-    # built on a view, and the joined measurement and witness are gated once
+    # built on a view, and the joined measurement and witness are gated
+    # once by the stacked verdict, which no row fails
     import usdisc.solvers
 
     calls = {}
@@ -252,15 +253,16 @@ def test_sweep_solves_each_side_on_a_view_of_one_stack(monkeypatch):
 
         monkeypatch.setattr(usdisc.solvers, name, call)
 
-    for name in ("_construct_first_class", "_construct_projective", "validate_povm",
-                 "fit_certificate"):
+    for name in ("_construct_first_class", "_construct_projective", "certify_stack",
+                 "_gate_solution"):
         recorded(name)
     rows = sweep()
     n = len(rows)
     below = sum(r.branch_bit is Branch.GU_PROJECTIVE for r in rows)
     assert calls["_construct_first_class"] == [(2 * n - below, False)]
     assert [count for count, _ in calls["_construct_projective"]] == [below]
-    assert calls["validate_povm"] == calls["fit_certificate"] == [(2 * n, True)]
+    assert calls["certify_stack"] == [(2 * n, True)]
+    assert "_gate_solution" not in calls
 
 
 def test_points_in_any_order_match_scalar_solves_bitwise():
@@ -273,6 +275,18 @@ def test_points_in_any_order_match_scalar_solves_bitwise():
     assert [r.mu for r in rows] == mus
     assert [r.branch_bit for r in rows][:2] == [Branch.FIRST_CLASS_FIDELITY, Branch.GU_PROJECTIVE]
     _assert_rows_match_scalar_solves(rows)
+
+
+def test_a_sweep_at_half_pi_keeps_the_basis_question_analytic():
+    # near pi/2 one singular value of the basis pair's support core is
+    # about 1e-8; a cut on its square dropped it, the basis question went
+    # to the oracle, and the sweep refused the oracle's q
+    mu = 1.5707963867948966
+    assert main(["bb84-sweep", "--mu-start", repr(mu), "--mu-end", "1.58",
+                 "--mu-step", "0.05"]) == 0
+    (row,) = sweep(mu, 1.58, 0.05)
+    assert row.q_basis == pytest.approx(q_basis_closed_form(mu), abs=1e-11)
+    assert solve(basis_problem(mu)).branch is Branch.FIRST_CLASS_FIDELITY
 
 
 def test_stacked_states_match_scalar_states_bitwise():
@@ -409,7 +423,7 @@ def _count_eigen_calls(monkeypatch, fn):
 def test_sweep_eigen_calls_do_not_grow_with_the_grid(monkeypatch):
     full = _count_eigen_calls(monkeypatch, sweep)
     six = _count_eigen_calls(monkeypatch, lambda: sweep(0.5, 1.0, 0.1))
-    assert full <= 8
+    assert full <= 4
     assert full == six
 
 

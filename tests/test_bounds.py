@@ -3,8 +3,10 @@ import pytest
 
 from conftest import first_class_instance, random_problem
 from usdisc import (
+    Branch,
     DensityMatrix,
     UsdProblem,
+    audit_report,
     failure_lower_bound,
     failure_probability,
     fidelity_operators,
@@ -31,18 +33,32 @@ def test_fidelity_symmetric():
         assert abs(f01 - f10) <= 1e-9
 
 
-def test_fidelity_cutoff_drops_a_singular_value_below_it_without_failing():
-    # sqrt(rho0) sqrt(rho1) has singular values 0.387 and 4.5e-7: the
-    # second one's square falls below the rank cutoff, so F leaves it out,
-    # and the trace-norm check, taken before the cut, still passes
+def _pair_with_small_singular_value(eps):
+    # sqrt(rho0) sqrt(rho1) has singular values 0.387 and 0.447 eps
     e = np.eye(5, dtype=complex)
     a = (e[0] + e[2]) / np.sqrt(2)
-    b = np.sqrt(1 - 1e-12) * e[3] + 1e-6 * e[1]
+    b = np.sqrt(1 - eps ** 2) * e[3] + eps * e[1]
     rho1 = 0.5 * np.outer(a, a.conj()) + 0.5 * np.outer(b, b.conj())
-    p = UsdProblem(DensityMatrix.from_matrix(np.diag([0.6, 0.4, 0, 0, 0]).astype(complex)),
-                   DensityMatrix.from_matrix(rho1), 0.5, 0.5)
+    return UsdProblem(DensityMatrix.from_matrix(np.diag([0.6, 0.4, 0, 0, 0]).astype(complex)),
+                      DensityMatrix.from_matrix(rho1), 0.5, 0.5)
+
+
+def test_fidelity_cutoff_drops_a_singular_value_below_it_without_failing():
+    # the cutoff is on the singular values themselves: 4.5e-7 beside
+    # 0.387 is kept, and the pair is solved at the fidelity floor
+    p = _pair_with_small_singular_value(1e-6)
+    s = fidelity_operators(p).s
+    assert s[1] == pytest.approx(np.sqrt(0.2) * 1e-6, rel=1e-9)
+    report = solve(p)
+    assert report.branch is Branch.FIRST_CLASS_FIDELITY
+    assert report.q_opt == pytest.approx(failure_lower_bound(p), abs=1e-15)
+    assert audit_report(p, report).ok
+    # 4.5e-12, below 1e-10 times the largest, is dropped, and the
+    # trace-norm check, taken before the cut, still passes
+    p = _pair_with_small_singular_value(1e-11)
+    assert fidelity_operators(p).s[1] == 0.0
     assert fidelity_operators(p).fidelity == pytest.approx(np.sqrt(0.15), abs=1e-15)
-    assert solve(p).q_opt >= failure_lower_bound(p)
+    assert solve(p).q_opt == pytest.approx(failure_lower_bound(p), abs=1e-15)
 
 
 def test_fidelity_unitary_invariant():

@@ -22,8 +22,9 @@ from usdisc import (
 import usdisc.certificates
 import usdisc.solvers
 from usdisc.bb84 import basis_problem, bit_problem, build_states
-from usdisc.certificates import symmetric_projective_witness
-from usdisc.linalg import eigh, hermitize, spectral_norm
+from usdisc.certificates import CERT_TOL, certify_stack, symmetric_projective_witness
+from usdisc.errors import BranchNotApplicable
+from usdisc.linalg import eigh, hermitize, outer, spectral_norm
 
 GRID = [round(0.05 * k, 2) for k in range(1, 61)]
 
@@ -287,3 +288,104 @@ def test_oracle_dual_certifies_only_as_a_given_candidate(mu):
     cert = fit_certificate(p, oracle.povm, candidate=oracle.certificate.z)
     assert cert is not None
     assert verify_certificate(p, oracle.povm, cert).ok
+
+
+def _sweep_stack(mus):
+    """Both questions' states at the photon numbers mus, stacked as the
+    sweep stacks them, with the ungated report of their construction."""
+    st = build_states(mus)
+    p = UsdProblem(DensityMatrix(np.concatenate([st.rho_0.matrix, st.rho_r.matrix])),
+                   DensityMatrix(np.concatenate([st.rho_1.matrix, st.rho_i.matrix])),
+                   0.5, 0.5, gu_involution=st.u)
+    return p, usdisc.solvers._construct(p.decompose())
+
+
+def _row_gate_passes(p, report, z, i):
+    """Whether _gate_solution passes instance i alone, with witness z[i]."""
+    m = report.povm
+    row = usdisc.solvers.SolutionReport(
+        report.q_opt[i], report.q0[i], report.q1[i], Povm(m.e0[i], m.e1[i], m.eq[i]),
+        Branch.ORACLE_ONLY, {}, OptimalityCertificate(z[i]))
+    try:
+        usdisc.solvers._gate_solution(p.take(i), row)
+    except BranchNotApplicable:
+        return False
+    return True
+
+
+def _moved_to_eq(p, m, rng):
+    """m with weight 10^-10.5 to 10^-8.5, around the PSD bound 1e-9, moved
+    from E0 to Eq on half the rows, along a random direction in the kernel
+    of rho1 that keeps completeness and E0 error-free."""
+    n = len(m.e0)
+    k1 = p.rho1.spectrum.kernel_columns()
+    v = (k1 @ rng.standard_normal((n, k1.shape[-1], 1)))[..., 0]
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    step = (10.0 ** rng.uniform(-10.5, -8.5, n) * (rng.random(n) < 0.5))[:, None, None]
+    return Povm(m.e0 - step * outer(v, v), m.e1, m.eq + step * outer(v, v))
+
+
+def test_a_stack_that_passes_certify_stack_passes_the_gate_on_every_row():
+    """Sweep stacks whose witnesses are perturbed on random rows by
+    symmetric noise from 1e-9 to 1e-6, around CERT_TOL, or whose E0 loses
+    weight to Eq around the PSD bound: whenever the stacked verdict
+    passes, each row passes _gate_solution alone."""
+    rng = np.random.default_rng(25)
+    outcomes = set()
+    for _ in range(80):
+        p, report = _sweep_stack(np.sort(rng.uniform(0.05, 3.0, 6)).tolist())
+        z = report.certificate.z.copy()
+        n = len(z)
+        if rng.random() < 0.5:
+            noise = rng.standard_normal((n, 4, 4))
+            noise += noise.swapaxes(-1, -2)
+            scale = 10.0 ** rng.uniform(-9, -6, n) * (rng.random(n) < 0.5)
+            z += (scale / spectral_norm(noise))[:, None, None] * noise
+        else:
+            report.povm = _moved_to_eq(p, report.povm, rng)
+        verdict = certify_stack(p, report.povm, z) is not None
+        rows = [_row_gate_passes(p, report, z, i) for i in range(n)]
+        if verdict:
+            assert all(rows)
+        outcomes.add((verdict, all(rows)))
+    # the stacked verdict both passes and refuses, and it refuses some
+    # stacks whose rows all pass alone
+    assert outcomes == {(True, True), (False, True), (False, False)}
+
+
+def test_a_residual_between_half_and_full_bound_falls_back_to_row_solves(monkeypatch):
+    """A projective row's witness raised by 0.75 CERT_TOL E0 moves only its
+    E0 equality residual, to 0.75 CERT_TOL: within the bound, which that
+    row passes alone, but over the half the stacked verdict allows. solve
+    then re-solves the stack row by row, with the bits of each row's solve."""
+    p, report = _sweep_stack(GRID[::6])
+    k = report.branch.index(Branch.GU_PROJECTIVE)
+    z = report.certificate.z.copy()
+    z[k] += 0.75 * CERT_TOL * report.povm.e0[k]
+    assert certify_stack(p, report.povm, z) is None
+    assert all(_row_gate_passes(p, report, z, i) for i in range(len(z)))
+
+    expected = solve(_sweep_stack(GRID[::6])[0])
+    assert expected.certificate.residuals == {}
+    witness = usdisc.solvers.symmetric_projective_witness
+
+    def raised(q, x, u):
+        z = witness(q, x, u)
+        if x.ndim > 1:  # on the stack, not on the rows solved alone
+            z[0] += 0.75 * CERT_TOL * outer(x[0], x[0])
+        return z
+
+    monkeypatch.setattr(usdisc.solvers, "symmetric_projective_witness", raised)
+    p = _sweep_stack(GRID[::6])[0]
+    got = solve(p)
+    monkeypatch.undo()
+    assert got.branch == expected.branch
+    # the stacked witness kept the raised row only if the verdict passed
+    rows = [solve(p.take(i)) for i in range(len(got.branch))]
+    for i, row in enumerate(rows):
+        assert got.branch[i] is row.branch
+        for name in ("q_opt", "q0", "q1"):
+            assert getattr(got, name)[i] == getattr(row, name), (i, name)
+        for name in ("e0", "e1", "eq"):
+            assert np.array_equal(getattr(got.povm, name)[i], getattr(row.povm, name)), (i, name)
+        assert np.array_equal(got.certificate.z[i], row.certificate.z), i
