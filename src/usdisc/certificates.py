@@ -8,18 +8,15 @@ In the fidelity-bound regime the witness has a closed construction from
 a polar decomposition. For the projective measurement of an equal-prior
 involution pair it has a closed form on the span of the two conclusive
 directions. When the two states share one support, giving up is
-optimal and Z = 0 certifies it. fit_certificate verifies a given
-candidate alone, such as the oracle's dual solution, and without one
-tries these in turn; it searches no further.
+optimal and Z = 0 certifies it.
 
-The closed forms, verify_certificate and fit_certificate also take a
-stacked problem. certify_stack decides a stack's measurement and
-witness together, without eigenvalues and without residuals, for a
-caller that needs only the verdict.
+fit_certificate, the gate of every solve, decides each witness it tries
+by certify_stack, without eigenvalues; verify_certificate gives the
+residuals that certify prints. All of them also take a stacked problem.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -55,7 +52,6 @@ CERT_TOL = 1e-7
 @dataclass
 class OptimalityCertificate:
     z: np.ndarray
-    residuals: dict = field(default_factory=dict)
     success_trace: float = 0.0
 
 
@@ -188,10 +184,9 @@ def verify_certificate(p: UsdProblem, m: Povm, c: OptimalityCertificate) -> Vali
 
 
 def certify_stack(p: UsdProblem, m: Povm, z: np.ndarray) -> Optional[OptimalityCertificate]:
-    """Whether validate_povm passes a stack's measurement m and
-    verify_certificate its witness z on every instance, decided without
-    eigenvalues: the certificate fit_certificate(p, m, candidate=z) would
-    give, without residuals, or None.
+    """The certificate of witness z if validate_povm passes the measurement
+    m and verify_certificate passes z, on every instance of a stack, else
+    None; decided without eigenvalues.
 
     The trace checks and validate_povm's entrywise ones are taken as they
     are, every other check at half its bound: a stack that passes passes
@@ -247,19 +242,17 @@ def _candidates(p: UsdProblem, m: Povm):
 
 def fit_certificate(p: UsdProblem, m: Povm,
                     candidate: Optional[np.ndarray] = None) -> Optional[OptimalityCertificate]:
-    """The first witness that certifies the given measurement.
+    """The certificate of the first witness that certify_stack passes with
+    the given measurement.
 
     A given candidate, such as a branch's closed form or the oracle's
     dual, is tried alone; without one, the closed forms in turn: the
     fidelity-bound witness, the symmetric projective witness when E0 has
-    rank 1 on a 4D involution pair, and Z = 0. A stacked problem is
-    certified only when one witness verifies on every instance. Absence
-    of a result means "not certified", which is weaker than "refuted".
+    rank 1 on a 4D involution pair, and Z = 0. A stack needs one witness
+    for every instance. None means "not certified", not "refuted".
     """
     for z in _candidates(p, m) if candidate is None else (candidate,):
-        cert = OptimalityCertificate(z=z, success_trace=item_or_array(trace(z).real))
-        rep = verify_certificate(p, m, cert)
-        if rep.ok:
-            cert.residuals = rep.residuals
+        cert = certify_stack(p, m, z)
+        if cert is not None:
             return cert
     return None

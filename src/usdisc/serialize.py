@@ -17,7 +17,7 @@ import numpy as np
 from .certificates import OptimalityCertificate
 from .errors import InvalidInput
 from .problem import DensityMatrix, Povm, UsdProblem
-from .solvers import Branch, SolutionReport
+from .solvers import ORACLE_DIAGNOSTICS, Branch, SolutionReport
 
 
 def matrix_to_obj(m: np.ndarray) -> dict:
@@ -145,20 +145,18 @@ def povm_from_obj(obj, dim: int, decoded=None) -> Povm:
 
 
 def certificate_to_obj(c: OptimalityCertificate) -> dict:
-    return {
-        "z": matrix_to_obj(c.z),
-        "residuals": {k: float(v) for k, v in c.residuals.items()},
-        "success_trace": c.success_trace,
-    }
+    return {"z": matrix_to_obj(c.z), "success_trace": c.success_trace}
 
 
 def certificate_from_obj(obj, dim: int, decoded=None) -> OptimalityCertificate:
     if not isinstance(obj, dict) or "z" not in obj:
         raise InvalidInput("certificate: expected an object with a 'z' matrix")
+    if "residuals" in obj:
+        # certify recomputes every residual; a stored one would go unchecked
+        raise InvalidInput("certificate.residuals: a report stores no residuals")
     z = _matrix(decoded, obj["z"], dim, "certificate.z")
     return OptimalityCertificate(
         z=z,
-        residuals=_number_map(obj.get("residuals", {}), "certificate.residuals"),
         success_trace=(_number(obj["success_trace"], "certificate.success_trace")
                        if "success_trace" in obj else float(np.trace(z).real)),
     )
@@ -180,7 +178,8 @@ def report_to_obj(p: UsdProblem, report: SolutionReport) -> dict:
 
 
 def report_from_obj(obj):
-    """Decode a solve report back into (problem, report) for re-checking."""
+    """Decode a solve report back into (problem, report) for re-checking;
+    a stored number that its branch does not write is refused."""
     if not isinstance(obj, dict) or "problem" not in obj:
         raise InvalidInput("report document must contain a 'problem' object")
     doc = obj["problem"]
@@ -196,6 +195,11 @@ def report_from_obj(obj):
         branch = Branch(obj["branch"])
     except ValueError as exc:
         raise InvalidInput(f"report: unknown branch {obj['branch']!r}") from exc
+    diagnostics = _number_map(obj.get("diagnostics", {}), "diagnostics")
+    allowed = ORACLE_DIAGNOSTICS if branch is Branch.ORACLE_ONLY else ()
+    extra = sorted(set(diagnostics).difference(allowed))
+    if extra:
+        raise InvalidInput(f"diagnostics.{extra[0]}: a {branch.value} report does not store it")
     cert = None
     if "certificate" in obj:
         cert = certificate_from_obj(obj["certificate"], p.dim, decoded)
@@ -205,7 +209,7 @@ def report_from_obj(obj):
         q1=_number(obj["q1"], "q1"),
         povm=povm_from_obj(obj["povm"], p.dim, decoded),
         branch=branch,
-        diagnostics=_number_map(obj.get("diagnostics", {}), "diagnostics"),
+        diagnostics=diagnostics,
         certificate=cert,
     )
     return p, report

@@ -6,18 +6,15 @@ probability equals the fidelity bound and the conclusive elements have
 a closed sandwich formula. The second covers equal-prior involution
 symmetric pairs of rank 2 in dimension 4; when the first family does
 not apply, the optimum is a projective measurement built from the
-kernel-compressed involution. Each construction reads the problem's
-caches and returns its report ungated. solve is one router (_construct,
-the only function that chooses between the two families) and one gate
-(_gate_solution, which verifies the measurement and its optimality
-certificate; _gate_stack for a stack), with the interior-point oracle
-as the fallback.
+kernel-compressed involution. solve is one router (_construct, the only
+function that chooses between the two families) and one gate (_gate, by
+certificates.fit_certificate), with the interior-point oracle as the
+fallback.
 
 solve also takes a stacked problem (see problem.UsdProblem): it routes
-instance by instance, gates the whole stack once, without eigenvalues,
-and, if that fails, solves it row by row. So do solve_first_class,
-gu_4d_preconditions and gu_4d_regime, except that a failure on any
-instance fails the stack.
+instance by instance, gates the stack once and, if that fails, solves
+it row by row. So do solve_first_class, gu_4d_preconditions and
+gu_4d_regime, except that a failure on any instance fails the stack.
 """
 
 import math
@@ -30,7 +27,6 @@ import numpy as np
 from .bounds import rank_condition_check, rank_conditions
 from .certificates import (
     OptimalityCertificate,
-    certify_stack,
     fidelity_witness,
     fit_certificate,
     symmetric_projective_witness,
@@ -69,6 +65,10 @@ STORED_Q_TOL = 1e-10
 
 # Residual bound of each projectivity_check condition.
 PROJECTIVE_TOL = 1e-9
+
+# The diagnostics of an oracle report, its run record; no recomputation
+# checks them, and no other report stores any.
+ORACLE_DIAGNOSTICS = ("oracle_iterations", "oracle_converged", "oracle_duality_gap")
 
 
 class Branch(Enum):
@@ -135,30 +135,15 @@ def audit_report(p: UsdProblem, report: SolutionReport) -> ValidationReport:
     return rep
 
 
-def _gate_solution(p: UsdProblem, report: SolutionReport) -> SolutionReport:
-    """A constructed report, whose certificate holds its closed-form Z
-    unverified, once validate_povm passes its measurement and fit_certificate
-    verifies Z alone; BranchNotApplicable (cause "certificate") on a miss."""
-    vrep = validate_povm(p, report.povm)
-    if not vrep.ok:
-        raise BranchNotApplicable(f"constructed measurement failed validation: {vrep.failures}",
-                                  cause="certificate")
+def _gate(p: UsdProblem, report: SolutionReport) -> SolutionReport:
+    """A constructed report, its closed-form Z unverified, once
+    fit_certificate passes its measurement with Z alone, a branch per row
+    for a stack; BranchNotApplicable (cause "certificate") on a miss."""
     report.certificate = fit_certificate(p, report.povm, candidate=report.certificate.z)
     if report.certificate is None:
         raise BranchNotApplicable("closed-form witness fails verification", cause="certificate")
-    report.diagnostics = {**vrep.residuals, **report.certificate.residuals, **report.diagnostics}
-    return report
-
-
-def _gate_stack(p: UsdProblem, report: SolutionReport) -> SolutionReport:
-    """_gate_solution for a stack, by certify_stack: a branch per row, no
-    residuals or diagnostics."""
-    report.certificate = certify_stack(p, report.povm, report.certificate.z)
-    if report.certificate is None:
-        raise BranchNotApplicable("stack fails its gate", cause="certificate")
-    if isinstance(report.branch, Branch):
+    if p.rho0.matrix.ndim > 2 and isinstance(report.branch, Branch):
         report.branch = (report.branch,) * len(p.rho0.matrix)
-    report.diagnostics = {}
     return report
 
 
@@ -179,12 +164,8 @@ def _construct_first_class(p: UsdProblem) -> SolutionReport:
     e0 = hermitize(m0 @ fd.rank_operators[0, ..., :r0, :r0] @ dagger(m0))
     e1 = hermitize(m1 @ fd.rank_operators[1, ..., :r1, :r1] @ dagger(m1))
     m = Povm(e0=e0, e1=e1, eq=hermitize(np.eye(p.dim) - e0 - e1))
-    q = failure_probability(p, m)
-    return SolutionReport(*q, m, Branch.FIRST_CLASS_FIDELITY,
-                          {"fidelity": fd.fidelity, "op0_min_eig": rc.op0_min_eig,
-                           "op1_min_eig": rc.op1_min_eig,
-                           "bound_gap": q[0] - 2.0 * math.sqrt(p.eta0 * p.eta1) * fd.fidelity},
-                          OptimalityCertificate(fidelity_witness(p)))
+    return SolutionReport(*failure_probability(p, m), m, Branch.FIRST_CLASS_FIDELITY,
+                          certificate=OptimalityCertificate(fidelity_witness(p)))
 
 
 def solve_first_class(p: UsdProblem) -> SolutionReport:
@@ -197,7 +178,7 @@ def solve_first_class(p: UsdProblem) -> SolutionReport:
     extrapolates beyond the equal-prior display, the certificate gate
     is what makes the output trustworthy.
     """
-    return _gate_solution(p, _construct_first_class(p.decompose()))
+    return _gate(p, _construct_first_class(p.decompose()))
 
 
 def gu_4d_preconditions(p: UsdProblem) -> None:
@@ -243,7 +224,6 @@ def _construct_projective(p: UsdProblem) -> SolutionReport:
     """The rank-1 projective measurement determined by the signed
     eigenpair of the kernel-compressed involution, for a problem inside
     the symmetric solver's scope and outside the first-class regime; ungated."""
-    op0_min_eig = gu_4d_regime(p)[1]
     sys = eigh(_kernel_involution(p))
     w = sys.eigenvalues
     nonzero = nonzero_mask(w, indefinite=True)
@@ -257,7 +237,7 @@ def _construct_projective(p: UsdProblem) -> SolutionReport:
         raise BranchNotApplicable(
             "kernel-compressed involution should carry one positive and one "
             f"negative eigenvalue, found {np.round(vals, 12).tolist()} "
-            f"(min eig of the fidelity-gap operator {np.ravel(op0_min_eig)[i]:.3e})",
+            f"(min eig of the fidelity-gap operator {np.ravel(gu_4d_regime(p)[1])[i]:.3e})",
             cause="spectrum",
         )
     # the spectrum ascends, so the positive eigenpair is the last and the
@@ -277,8 +257,7 @@ def _construct_projective(p: UsdProblem) -> SolutionReport:
     e1 = hermitize(u @ e0 @ u)
     m = Povm(e0=e0, e1=e1, eq=hermitize(np.eye(4) - e0 - e1))
     return SolutionReport(*failure_probability(p, m), m, Branch.GU_PROJECTIVE,
-                          {"kernel_eig_pos": a, "kernel_eig_neg": -b, "op0_min_eig": op0_min_eig},
-                          OptimalityCertificate(symmetric_projective_witness(p, x, u)))
+                          certificate=OptimalityCertificate(symmetric_projective_witness(p, x, u)))
 
 
 def _consecutive(mask: np.ndarray):
@@ -334,27 +313,23 @@ def solve(p: UsdProblem) -> SolutionReport:
     from the construction that applies (_construct), gated once, or from
     the oracle, whose dual Z is the witness (a closed form if it fails).
 
-    A stack is gated by _gate_stack; one that fails is solved row by row,
-    so each instance gets the bits, and the fallback, of a solve of it
-    alone. A stack's report holds per-instance q_opt, q0, q1, the
-    (N, d, d) measurement and witness Z (no certificate if a row has
-    none, no residuals in it), the tuple of the rows' branches, and no
-    diagnostics.
+    A stack that fails its gate is solved row by row, so each instance
+    gets the bits, and the fallback, of a solve of it alone. A stack's
+    report holds per-instance q_opt, q0, q1, the (N, d, d) measurement and
+    witness Z (no certificate if a row has none) and the tuple of the
+    rows' branches. Only an oracle report carries diagnostics: its run
+    record, which nothing recomputes.
     """
-    stacked = p.rho0.matrix.ndim > 2
     try:
-        report = (_gate_stack if stacked else _gate_solution)(p, _construct(p.decompose()))
+        return _gate(p, _construct(p.decompose()))
     except (BranchNotApplicable, NumericalFailure):
-        if stacked:
+        if p.rho0.matrix.ndim > 2:
             return _joined(p, [([i], solve(p.take(i))) for i in range(len(p.rho0.matrix))])
-    else:
-        return report
     result = oracle_optimize(p)
     return SolutionReport(
         *failure_probability(p, result.povm), result.povm, Branch.ORACLE_ONLY,
-        {"oracle_iterations": float(result.iterations),
-         "oracle_converged": float(result.converged),
-         "oracle_duality_gap": result.duality_gap},
+        dict(zip(ORACLE_DIAGNOSTICS, (float(result.iterations), float(result.converged),
+                                      result.duality_gap))),
         fit_certificate(p, result.povm, candidate=result.certificate.z)
         or fit_certificate(p, result.povm),
     )

@@ -33,6 +33,7 @@ from usdisc import (
     spectrum_negation_check,
     tighter_q0_bound,
     validate_povm,
+    verify_certificate,
     verify_gu_structure,
 )
 from usdisc.bb84 import (
@@ -150,7 +151,8 @@ def test_criterion_05_bit_below_threshold(bit_solutions):
         assert rep.branch is Branch.GU_PROJECTIVE
         cert = fit_certificate(p, rep.povm)
         assert cert is not None
-        res = max(cert.residuals[k] for k in VIOLATION_KEYS)
+        residuals = verify_certificate(p, rep.povm, cert).residuals
+        res = max(residuals[k] for k in VIOLATION_KEYS)
         worst_res = max(worst_res, res)
         assert res <= 1e-7
         oracle = oracle_optimize(p)

@@ -231,7 +231,7 @@ def _assert_rows_match_scalar_solves(rows):
         assert r.q_basis == basis.q_opt
         assert r.q_bit == bit.q_opt
         assert r.branch_bit is bit.branch
-        assert r.min_eig_rho0_minus_f0 == bit.diagnostics["op0_min_eig"]
+        assert r.min_eig_rho0_minus_f0 == gu_4d_regime(p)[1]
 
 
 def test_sweep_solves_each_side_on_a_view_of_one_stack(monkeypatch):
@@ -253,16 +253,14 @@ def test_sweep_solves_each_side_on_a_view_of_one_stack(monkeypatch):
 
         monkeypatch.setattr(usdisc.solvers, name, call)
 
-    for name in ("_construct_first_class", "_construct_projective", "certify_stack",
-                 "_gate_solution"):
+    for name in ("_construct_first_class", "_construct_projective", "fit_certificate", "_gate"):
         recorded(name)
     rows = sweep()
     n = len(rows)
     below = sum(r.branch_bit is Branch.GU_PROJECTIVE for r in rows)
     assert calls["_construct_first_class"] == [(2 * n - below, False)]
     assert [count for count, _ in calls["_construct_projective"]] == [below]
-    assert calls["certify_stack"] == [(2 * n, True)]
-    assert "_gate_solution" not in calls
+    assert calls["_gate"] == calls["fit_certificate"] == [(2 * n, True)]
 
 
 def test_points_in_any_order_match_scalar_solves_bitwise():

@@ -17,14 +17,14 @@ from usdisc import (
     oracle_optimize,
     solve,
     solve_first_class,
+    validate_povm,
     verify_certificate,
 )
 import usdisc.certificates
 import usdisc.solvers
 from usdisc.bb84 import basis_problem, bit_problem, build_states
 from usdisc.certificates import CERT_TOL, certify_stack, symmetric_projective_witness
-from usdisc.errors import BranchNotApplicable
-from usdisc.linalg import eigh, hermitize, outer, spectral_norm
+from usdisc.linalg import eigh, hermitize, outer, spectral_norm, trace
 
 GRID = [round(0.05 * k, 2) for k in range(1, 61)]
 
@@ -258,8 +258,7 @@ def test_fit_builds_no_closed_form_for_a_verifying_candidate(monkeypatch):
     p = bit_problem(0.3)
     rep = solve(p)
     assert rep.branch is Branch.GU_PROJECTIVE
-    assert _count_fit(monkeypatch, p, rep.povm, candidate=rep.certificate.z) == (
-        {"eigvalsh": 1}, 0)
+    assert _count_fit(monkeypatch, p, rep.povm, candidate=rep.certificate.z) == ({}, 0)
 
 
 def test_fit_builds_each_closed_form_only_after_the_last_failed(monkeypatch):
@@ -268,12 +267,11 @@ def test_fit_builds_each_closed_form_only_after_the_last_failed(monkeypatch):
     p = bit_problem(0.3)
     rep = solve(p)
     assert rep.branch is Branch.GU_PROJECTIVE
-    assert _count_fit(monkeypatch, p, rep.povm) == (
-        {"svd": 1, "eigvalsh": 2, "eigh": 1}, 1)
+    assert _count_fit(monkeypatch, p, rep.povm) == ({"svd": 1, "eigh": 1}, 1)
     # first class: the fidelity witness verifies and nothing else is built
     p = basis_problem(0.7)
     rep = solve_first_class(p)
-    assert _count_fit(monkeypatch, p, rep.povm) == ({"svd": 1, "eigvalsh": 1}, 1)
+    assert _count_fit(monkeypatch, p, rep.povm) == ({"svd": 1}, 1)
 
 
 @pytest.mark.parametrize("mu", [0.2, 0.3, 0.4])
@@ -301,16 +299,12 @@ def _sweep_stack(mus):
 
 
 def _row_gate_passes(p, report, z, i):
-    """Whether _gate_solution passes instance i alone, with witness z[i]."""
-    m = report.povm
-    row = usdisc.solvers.SolutionReport(
-        report.q_opt[i], report.q0[i], report.q1[i], Povm(m.e0[i], m.e1[i], m.eq[i]),
-        Branch.ORACLE_ONLY, {}, OptimalityCertificate(z[i]))
-    try:
-        usdisc.solvers._gate_solution(p.take(i), row)
-    except BranchNotApplicable:
-        return False
-    return True
+    """Whether instance i alone, with witness z[i], passes validate_povm and
+    verify_certificate: certify's checks, at their full bounds."""
+    m, row = report.povm, p.take(i)
+    povm = Povm(m.e0[i], m.e1[i], m.eq[i])
+    cert = OptimalityCertificate(z[i], success_trace=trace(z[i]).real)
+    return validate_povm(row, povm).ok and verify_certificate(row, povm, cert).ok
 
 
 def _moved_to_eq(p, m, rng):
@@ -329,7 +323,7 @@ def test_a_stack_that_passes_certify_stack_passes_the_gate_on_every_row():
     """Sweep stacks whose witnesses are perturbed on random rows by
     symmetric noise from 1e-9 to 1e-6, around CERT_TOL, or whose E0 loses
     weight to Eq around the PSD bound: whenever the stacked verdict
-    passes, each row passes _gate_solution alone."""
+    passes, each row passes certify's checks alone."""
     rng = np.random.default_rng(25)
     outcomes = set()
     for _ in range(80):
@@ -355,9 +349,10 @@ def test_a_stack_that_passes_certify_stack_passes_the_gate_on_every_row():
 
 def test_a_residual_between_half_and_full_bound_falls_back_to_row_solves(monkeypatch):
     """A projective row's witness raised by 0.75 CERT_TOL E0 moves only its
-    E0 equality residual, to 0.75 CERT_TOL: within the bound, which that
-    row passes alone, but over the half the stacked verdict allows. solve
-    then re-solves the stack row by row, with the bits of each row's solve."""
+    E0 equality residual, to 0.75 CERT_TOL: within certify's bound, which
+    that row passes alone, but over the half the gate allows. solve then
+    re-solves the stack row by row, with the bits of each row's solve, and
+    sends that row, solved alone with the raised witness, to the oracle."""
     p, report = _sweep_stack(GRID[::6])
     k = report.branch.index(Branch.GU_PROJECTIVE)
     z = report.certificate.z.copy()
@@ -366,7 +361,6 @@ def test_a_residual_between_half_and_full_bound_falls_back_to_row_solves(monkeyp
     assert all(_row_gate_passes(p, report, z, i) for i in range(len(z)))
 
     expected = solve(_sweep_stack(GRID[::6])[0])
-    assert expected.certificate.residuals == {}
     witness = usdisc.solvers.symmetric_projective_witness
 
     def raised(q, x, u):
@@ -389,3 +383,8 @@ def test_a_residual_between_half_and_full_bound_falls_back_to_row_solves(monkeyp
         for name in ("e0", "e1", "eq"):
             assert np.array_equal(getattr(got.povm, name)[i], getattr(row.povm, name)), (i, name)
         assert np.array_equal(got.certificate.z[i], row.certificate.z), i
+
+    monkeypatch.setattr(usdisc.solvers, "symmetric_projective_witness",
+                        lambda q, x, u: witness(q, x, u) + 0.75 * CERT_TOL * outer(x, x))
+    alone = p.take(k)
+    assert solve(alone).branch is Branch.ORACLE_ONLY

@@ -22,10 +22,11 @@ from usdisc.linalg import at_least, hermitize, spectral_norm
 GRID = [round(0.05 * k, 2) for k in range(1, 61)]
 
 
-def _count_calls(monkeypatch, fn):
-    """Run fn, counting numpy's eigh, eigvalsh and svd calls by name."""
+def _count_calls(monkeypatch, fn, names=("eigh", "eigvalsh", "svd")):
+    """Run fn, counting numpy's eigh, eigvalsh and svd calls (or those of
+    names) by name."""
     calls = Counter()
-    for name in ("eigh", "eigvalsh", "svd"):
+    for name in names:
         original = getattr(np.linalg, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):

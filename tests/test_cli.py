@@ -278,13 +278,63 @@ def _matrix(obj):
     return np.array(obj["re"]) + 1j * np.array(obj["im"])
 
 
-def test_certify_rejects_tampered_failure_probability(tmp_path, capsys):
-    def halve(obj):
-        obj["q_opt"] = 0.5 * obj["q_opt"]
+def _scaled(section, name, factor):
+    def scale(obj):
+        obj[section][name] = serialize.matrix_to_obj(factor * _matrix(obj[section][name]))
+    return scale
 
-    code, verdict = _certify_tampered(tmp_path, capsys, halve)
+
+def _shifted(name, step):
+    def shift(obj):
+        obj[name] += step
+    return shift
+
+
+def _rotated(name):
+    # rho -> G rho G^T for a rotation G by 1e-3 in the plane of the first
+    # two basis vectors: still a unit-trace state, no longer the solved one
+    def rotate(obj):
+        g = np.eye(obj["problem"]["dim"])
+        g[:2, :2] = [[np.cos(1e-3), -np.sin(1e-3)], [np.sin(1e-3), np.cos(1e-3)]]
+        rho = _matrix(obj["problem"][name])
+        obj["problem"][name] = serialize.matrix_to_obj(g @ rho @ g.T)
+    return rotate
+
+
+def _set(path, value):
+    def put(obj):
+        owner = obj
+        for key in path[:-1]:
+            owner = owner[key]
+        owner[path[-1]] = value
+    return put
+
+
+# one tamper of every number a report stores, and the check it fails
+TAMPERS = {
+    "q_opt": (lambda obj: obj.update(q_opt=0.5 * obj["q_opt"]), "q_opt_stored"),
+    "q0": (_shifted("q0", 1e-6), "q0_stored"),
+    "q1": (_shifted("q1", 1e-6), "q1_stored"),
+    "e0": (_scaled("povm", "e0", 1.0 - 1e-6), "completeness"),
+    "e1": (_scaled("povm", "e1", 1.0 - 1e-6), "completeness"),
+    "eq": (_scaled("povm", "eq", 1.0 - 1e-6), "completeness"),
+    "z": (_scaled("certificate", "z", 1.0 + 1e-5), "trace_identity"),
+    "success_trace": (lambda obj: obj["certificate"].update(
+        success_trace=obj["certificate"]["success_trace"] + 1e-9), "success_trace_consistency"),
+    "eta0": (_set(("problem", "eta0"), 0.5 + 1e-6), "priors_sum"),
+    "eta1": (_set(("problem", "eta1"), 0.5 - 1e-6), "priors_sum"),
+    "rho0": (_rotated("rho0"), "error_free_1"),
+    "rho1": (_rotated("rho1"), "error_free_0"),
+    "u": (_set(("problem", "u"), serialize.matrix_to_obj(np.eye(4))), "branch_label"),
+    "branch": (_set(("branch",), "FirstClassFidelity"), "branch_label"),
+}
+
+
+@pytest.mark.parametrize("tamper, failure", list(TAMPERS.values()), ids=list(TAMPERS))
+def test_certify_rejects_a_tampered_number(tmp_path, capsys, tamper, failure):
+    code, verdict = _certify_tampered(tmp_path, capsys, tamper)
     assert code == 1
-    assert verdict.startswith("FAIL") and "q_opt_stored" in verdict
+    assert verdict.startswith("FAIL") and failure in verdict.split(": ", 1)[1].split(", ")
 
 
 def test_certify_rejects_tampered_measurement(tmp_path, capsys):
@@ -356,6 +406,34 @@ def test_certify_rejects_non_numeric_scalar_fields(tmp_path, capsys, field, valu
     assert main(["certify", "--input", str(rpt)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and field[-1] in err
+
+
+@pytest.mark.parametrize("problem, edit, field", [
+    # a first-class report whose maps claim a negative witness eigenvalue,
+    # a fidelity of 7 and a bound gap
+    (bit_problem(1.5), {"certificate": {"z_min_eig": -0.5},
+                        "diagnostics": {"z_min_eig": -0.5, "fidelity": 7.0, "bound_gap": 0.3}},
+     "diagnostics.bound_gap"),
+    (bit_problem(1.5), {"certificate": {"z_min_eig": -0.5}}, "certificate.residuals"),
+    (_bare_bit_pair(), {"diagnostics": {"fidelity": 7.0}}, "diagnostics.fidelity"),
+], ids=["first_class_both_maps", "first_class_residuals", "oracle_extra_key"])
+def test_certify_refuses_a_report_that_stores_unchecked_numbers(tmp_path, capsys, problem,
+                                                                 edit, field):
+    # certify recomputes every residual, so a stored residual map, or a
+    # diagnostics key the branch does not write, is a format error naming it
+    inp = tmp_path / "problem.json"
+    rpt = tmp_path / "report.json"
+    write_problem(inp, problem)
+    assert main(["solve", "--input", str(inp), "--output", str(rpt)]) == 0
+    obj = json.loads(rpt.read_text())
+    if "certificate" in edit:
+        obj["certificate"]["residuals"] = edit["certificate"]
+    obj["diagnostics"].update(edit.get("diagnostics", {}))
+    rpt.write_text(serialize.dumps(obj))
+    capsys.readouterr()
+    assert main(["certify", "--input", str(rpt)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {field}:")
 
 
 @pytest.mark.parametrize("eta0", [0.0, -0.5, float("inf"), float("nan")],

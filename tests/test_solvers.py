@@ -34,7 +34,7 @@ from usdisc.bb84 import basis_problem, bit_problem, build_states, find_mu0, swee
 from usdisc.certificates import symmetric_projective_witness
 from usdisc.errors import BranchNotApplicable, NumericalFailure
 from usdisc.linalg import hermitize, psd_check, spectral_norm
-from usdisc.solvers import _gate_solution
+from usdisc.solvers import _gate
 
 
 def test_first_class_reaches_the_bound():
@@ -242,16 +242,21 @@ def test_gu_kernel_spectrum_signs():
 
 
 def test_reports_carry_diagnostics_and_certificates():
+    # an analytic report stores its witness and no diagnostics; only the
+    # oracle's report carries diagnostics, its run record
     p = bit_problem(0.3)
     rep = solve(p)
     assert rep.branch is Branch.GU_PROJECTIVE
     assert rep.certificate is not None
-    assert "kernel_eig_pos" in rep.diagnostics
+    assert rep.diagnostics == {}
     q, q0, q1 = failure_probability(p, rep.povm)
     assert rep.q_opt == pytest.approx(q, abs=1e-12)
     assert rep.q0 == pytest.approx(q0, abs=1e-12)
     assert rep.q1 == pytest.approx(q1, abs=1e-12)
-    assert rep.diagnostics["op0_min_eig"] < 0.0
+    oracle = solve(_bare_bit_pair())
+    assert oracle.branch is Branch.ORACLE_ONLY
+    assert set(oracle.diagnostics) == {"oracle_iterations", "oracle_converged",
+                                       "oracle_duality_gap"}
 
 
 @pytest.mark.parametrize("make, expected", [
@@ -315,8 +320,8 @@ def test_solve_takes_one_svd(monkeypatch, make):
 ], ids=["first_class", "symmetric_first_class", "projective"])
 def test_an_exact_branch_verifies_its_own_witness_once(monkeypatch, make, branch):
     # each exact branch gates its closed-form witness with one
-    # fit_certificate call given that witness alone: one verify_certificate,
-    # and the chain of closed-form witnesses is never started
+    # fit_certificate call given that witness alone, decided without
+    # verify_certificate, and the chain of closed-form witnesses is never started
     import usdisc.certificates
     import usdisc.solvers
 
@@ -330,7 +335,21 @@ def test_an_exact_branch_verifies_its_own_witness_once(monkeypatch, make, branch
 
         monkeypatch.setattr(owner, name, wrapped)
     assert solve(make()).branch is branch
-    assert calls == [("fit_certificate", True), ("verify_certificate", False)]
+    assert calls == [("fit_certificate", True)]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: first_class_instance(np.random.default_rng(3), 4),
+    lambda: bit_problem(1.5),
+    lambda: bit_problem(0.3),
+], ids=["first_class", "symmetric_first_class", "projective"])
+def test_an_analytic_solve_takes_one_eigvalsh_and_two_cholesky(monkeypatch, make):
+    # the rank conditions take the one eigenvalue call; the gate factors
+    # the witness conditions and the measurement, three matrices a call
+    p, reports = make(), []
+    calls = _count_calls(monkeypatch, lambda: reports.append(solve(p)), ("eigvalsh", "cholesky"))
+    assert reports[0].branch is not Branch.ORACLE_ONLY
+    assert calls == {"eigvalsh": 1, "cholesky": 2}
 
 
 def test_a_projective_witness_that_fails_sends_solve_to_the_oracle(monkeypatch):
@@ -520,7 +539,7 @@ def test_gate_rejects_a_projective_measurement_with_a_wrong_phase(shift):
         assert abs((x.conj() @ r0 @ x).real - expanded) <= 1e-10
         report = SolutionReport(*failure_probability(p, m), m, Branch.GU_PROJECTIVE, {},
                                 OptimalityCertificate(symmetric_projective_witness(p, x, u)))
-        return _gate_solution(p, report)
+        return _gate(p, report)
 
     phase = np.angle(cross)
     assert gated(phase).q_opt == pytest.approx(solve(p).q_opt, abs=1e-12)
