@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import BranchNotApplicable, InvalidInput, NumericalFailure
 from .linalg import (
-    all_true,
+    REL_CUTOFF,
+    any_true,
     assemble,
     dagger,
     hermitize,
@@ -115,10 +116,10 @@ def fidelity_operators(p: UsdProblem) -> FidelityData:
     v = dagger(vh)
     core_polar = w[..., :k] @ vh[..., :k, :]
     gap = np.abs((core_polar.conj() * core).real.sum(axis=(-2, -1)) - s.sum(axis=-1))
-    if not all_true(gap <= 1e-9):
-        i = np.argmax(~(gap <= 1e-9))
+    miss = ~(gap <= 1e-9)  # a NaN gap misses too
+    if any_true(miss):
         raise NumericalFailure("singular values miss the polar trace by "
-                               f"{np.ravel(gap)[i].item()!r}")
+                               f"{np.ravel(gap)[np.argmax(miss)].item()!r}")
     s = np.where(nonzero_mask(s), s, 0.0)
 
     # Lambda_i on the diagonal of a zero stack, the Gram matrices of the
@@ -179,7 +180,8 @@ def tighter_q0_bound(p: UsdProblem):
     Returns (bound, lambda_min) where lambda_min is the smallest
     non-vanishing eigenvalue of the kernel-compressed state
     P1_perp rho0 P1_perp, with P1_perp rho1's cached kernel projector. The
-    rank cutoff decides which eigenvalues count as vanishing.
+    rank cutoff relative to rho0's largest eigenvalue, not the compression's
+    (which may be rounding noise alone), decides which count as vanishing.
     """
     if p.gu_involution is None:
         raise BranchNotApplicable(
@@ -191,7 +193,7 @@ def tighter_q0_bound(p: UsdProblem):
     k1 = d1.kernel_projector
     compressed = hermitize(k1 @ p.rho0.matrix @ k1)
     w = np.linalg.eigvalsh(compressed)
-    nonzero = w[nonzero_mask(w)]
+    nonzero = w[w > REL_CUTOFF * p.rho0.spectrum.eigenvalues[-1]]
     if nonzero.size == 0:
         raise InvalidInput("kernel-compressed state vanishes; bound undefined")
     lambda_min = float(nonzero[0])

@@ -146,13 +146,12 @@ def _condition_matrices(p: UsdProblem, m: Povm, z: np.ndarray) -> np.ndarray:
     return a
 
 
-def _check_traces(rep: ValidationReport, p: UsdProblem, m: Povm, z: np.ndarray,
-                  success_trace):
-    """The trace identity tr Z = 1 - q, and tr Z against the stored trace."""
+def _check_trace_identity(rep: ValidationReport, p: UsdProblem, m: Povm, z: np.ndarray):
+    """Check the trace identity tr Z = 1 - q and return tr Z."""
     q, _, _ = failure_probability(p, m)
     tz = trace(z).real
     rep.check("trace_identity", abs(tz - (1.0 - q)), CERT_TOL)
-    rep.check("success_trace_consistency", abs(tz - success_trace), 1e-12)
+    return tz
 
 
 def verify_certificate(p: UsdProblem, m: Povm, c: OptimalityCertificate) -> ValidationReport:
@@ -179,7 +178,8 @@ def verify_certificate(p: UsdProblem, m: Povm, c: OptimalityCertificate) -> Vali
     rep.residuals["kernel0_inequality_min_eig"] = mn0
     rep.check("kernel1_inequality", at_least(-mn1, 0.0), CERT_TOL)
     rep.check("kernel0_inequality", at_least(-mn0, 0.0), CERT_TOL)
-    _check_traces(rep, p, m, z, c.success_trace)
+    tz = _check_trace_identity(rep, p, m, z)
+    rep.check("success_trace_consistency", abs(tz - c.success_trace), 1e-12)
     return rep
 
 
@@ -188,8 +188,8 @@ def certify_stack(p: UsdProblem, m: Povm, z: np.ndarray) -> Optional[OptimalityC
     m and verify_certificate passes z, on every instance of a stack, else
     None; decided without eigenvalues.
 
-    The trace checks and validate_povm's entrywise ones are taken as they
-    are, every other check at half its bound: a stack that passes passes
+    The trace identity and validate_povm's entrywise checks are taken as
+    they are, every other check at half its bound: a stack that passes passes
     both checks on every instance alone, and one that fails may still pass
     them. A PSD condition holds when the Cholesky factorisation of its
     matrix, shifted by half its bound, succeeds: E0, E1 and Eq at half
@@ -202,8 +202,8 @@ def certify_stack(p: UsdProblem, m: Povm, z: np.ndarray) -> Optional[OptimalityC
     """
     rep, bounds = povm_entry_checks(p, m)
     zh = hermitize(as_double(z))
-    success = item_or_array(trace(z).real)
-    _check_traces(rep, p, m, zh, success)
+    # symmetrizing keeps the real diagonal, so this is tr Z of z as given
+    success = item_or_array(_check_trace_identity(rep, p, m, zh))
     if not rep.ok:
         return None
     a = _condition_matrices(p, m, zh)

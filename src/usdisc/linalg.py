@@ -31,9 +31,9 @@ from .errors import BranchNotApplicable, InvalidInput, NumericalFailure
 # dim <= 16 and well below any physical eigenvalue this package meets.
 REL_CUTOFF = 1e-10
 
-# Relative tolerance for positivity decisions (negativity_bound,
-# psd_verdict). Operator square roots are chained twice in the fidelity
-# construction, each contributing roughly 1e-12 of error.
+# Relative tolerance for positivity decisions (negativity_bound). Operator
+# square roots are chained twice in the fidelity construction, each
+# contributing roughly 1e-12 of error.
 PSD_TOL = 1e-9
 
 # Hermiticity tolerance enforced at construction boundaries.
@@ -124,24 +124,30 @@ def unstack(x) -> list:
     return x.tolist() if x.ndim == 1 else list(x)
 
 
-def require_hermitian(a, name: str = "matrix") -> np.ndarray:
-    """Validate the Hermitian contract and return a symmetrized copy.
+def hermitian_skew(a: np.ndarray):
+    """The Hermiticity rule: (relative skew, scale) of each matrix, the skew
+    |a - a^H|_max over the scale max(1, |a|_max); callers bound the former."""
+    scale = at_least(max_abs(a), 1.0)
+    return max_abs(a - dagger(a)) / scale, scale
 
-    The skew, in the max norm, may not exceed HERM_TOL * max(1, |a|_max);
-    every entry must be finite and small enough that the copy is too.
-    """
+
+def require_hermitian(a, name: str = "matrix") -> np.ndarray:
+    """Validate the Hermitian contract (hermitian_skew within HERM_TOL)
+    and return a symmetrized copy. The matrix must be square and nonempty,
+    every entry finite and small enough that the copy is too."""
     a = as_double(a)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise InvalidInput(f"{name} must be square, got shape {a.shape}")
-    skew = max_abs(a - dagger(a))
-    scale = at_least(max_abs(a), 1.0)
+    if not a.shape[-1]:
+        raise InvalidInput(f"{name} must not be empty, got shape {a.shape}")
+    skew, scale = hermitian_skew(a)
     # a NaN entry makes the skew NaN, which fails the comparison
-    if not all_true((skew <= HERM_TOL * scale) & (scale <= _HALF_MAX)):
+    if not all_true((skew <= HERM_TOL) & (scale <= _HALF_MAX)):
         if not (all_true(scale <= _HALF_MAX) and np.isfinite(a).all()):
             raise InvalidInput(f"{name} entries must be finite and at most "
                                f"{_HALF_MAX:.3e} in magnitude")
         raise InvalidInput(
-            f"{name} is not Hermitian: skew {np.max(skew):.3e} exceeds "
+            f"{name} is not Hermitian: skew {np.max(skew * scale):.3e} exceeds "
             f"{HERM_TOL:.0e} * {np.max(scale):.3e}"
         )
     return hermitize(a)
@@ -172,14 +178,14 @@ def nonzero_mask(w: np.ndarray, indefinite: bool = False) -> np.ndarray:
     return w > REL_CUTOFF * w.max(axis=-1, keepdims=True)
 
 
-def negativity_bound(w: np.ndarray):
+def negativity_bound(w: np.ndarray, floor: float = 1e-300):
     """The PSD rule for a matrix given its ascending spectrum w: returns
     (lowest eigenvalue, bound), and the matrix counts as PSD unless the
-    lowest eigenvalue is below -bound. The bound is PSD_TOL times the largest
-    eigenvalue magnitude, so it scales with the matrix, not with 1."""
+    lowest eigenvalue is below -bound, PSD_TOL times the larger of floor
+    and the largest eigenvalue magnitude (psd_verdict's floor is 1)."""
     low, top = item_or_array(w[..., 0]), item_or_array(w[..., -1])
     # the largest magnitude sits at one end of the ascending spectrum
-    return low, PSD_TOL * at_least(at_least(top, abs(low)), 1e-300)
+    return low, PSD_TOL * at_least(at_least(top, abs(low)), floor)
 
 
 @dataclass(frozen=True)
@@ -309,9 +315,8 @@ def psd_check(a: np.ndarray):
 
 def psd_verdict(w: np.ndarray):
     """psd_check's (is_psd, min_eigenvalue) from an ascending spectrum w,
-    for a caller that already holds it."""
+    for a caller that already holds it: negativity_bound with a floor of 1."""
     if not w.shape[-1]:
         return True, 0.0
-    mn = item_or_array(w[..., 0])
-    mx = item_or_array(np.abs(w).max(axis=-1))
-    return mn >= -PSD_TOL * at_least(mx, 1.0), mn
+    mn, bound = negativity_bound(w, floor=1.0)
+    return mn >= -bound, mn

@@ -8,9 +8,9 @@ command line can surface every violation at once.
 
 A problem may also hold a stack of same-shape instances along leading
 axes, sharing one pair of priors and one involution (see UsdProblem).
-validate_povm, failure_probability and verify_gu_structure check or
-evaluate every instance of such a stack. UsdProblem.decompose takes the
-spectra of rho0, rho1 and rho0 + rho1 in one stacked call, and
+validate_problem, validate_povm, failure_probability and verify_gu_structure
+check or evaluate every instance of such a stack. UsdProblem.decompose
+takes the spectra of rho0, rho1 and rho0 + rho1 in one stacked call, and
 validate_problem and solve start with it. UsdProblem.take selects
 instances; the sub-stack keeps the row slices of every decomposition the
 stack has cached (the fidelity pair too), so it decomposes nothing again.
@@ -33,6 +33,7 @@ from .linalg import (
     at_least,
     dagger,
     eigh,
+    hermitian_skew,
     max_abs,
     negativity_bound,
     psd_check,
@@ -100,17 +101,6 @@ class DensityMatrix:
                     f"density matrix trace {off!r} is not 1; pass renormalize=True to rescale"
                 )
         return DensityMatrix(matrix=m)
-
-    @staticmethod
-    def pair(m0, m1, renormalize: bool = False) -> tuple:
-        """from_matrix of two same-shape matrices, checked as one stack.
-        A pair that fails is checked again state by state, so the error
-        is the one from_matrix gives the first bad state."""
-        try:
-            stack = DensityMatrix.from_matrix(np.stack((m0, m1)), renormalize).matrix
-        except InvalidInput:
-            return tuple(DensityMatrix.from_matrix(m, renormalize) for m in (m0, m1))
-        return DensityMatrix(stack[0]), DensityMatrix(stack[1])
 
 
 @dataclass(frozen=True)
@@ -247,10 +237,6 @@ class ValidationReport:
             self.failures.append(name)
 
 
-def _hermiticity_residual(a: np.ndarray):
-    return max_abs(a - dagger(a)) / at_least(max_abs(a), 1.0)
-
-
 def validate_problem(p: UsdProblem) -> ValidationReport:
     """Check every instance invariant; the report lists each residual.
     A state passes the PSD check exactly when DensityMatrix.factor accepts it."""
@@ -258,16 +244,15 @@ def validate_problem(p: UsdProblem) -> ValidationReport:
     p.decompose()  # the spectra read below, and by the solve or audit after it
     r0, r1 = p.rho0.matrix, p.rho1.matrix
     if r0.shape != r1.shape:
-        rep.residuals["dim_match"] = abs(r0.shape[0] - r1.shape[0])
+        rep.residuals["dim_match"] = abs(r0.shape[-1] - r1.shape[-1])
         rep.failures.append("dim_match")
         return rep
     for name, state in (("rho0", p.rho0), ("rho1", p.rho1)):
-        m = state.matrix
-        rep.check(f"{name}_hermitian", _hermiticity_residual(m), HERM_TOL)
+        rep.check(f"{name}_hermitian", hermitian_skew(state.matrix)[0], HERM_TOL)
         # the state's cached spectrum, which the solve and audit read too
         mn, bound = negativity_bound(state.spectrum.eigenvalues)
-        rep.check(f"{name}_psd", max(0.0, -mn), bound)
-        rep.check(f"{name}_trace", abs(np.trace(m).real - 1.0), TRACE_TOL)
+        rep.check(f"{name}_psd", at_least(-mn, 0.0), bound)
+        rep.check(f"{name}_trace", abs(trace(state.matrix).real - 1.0), TRACE_TOL)
     rep.check("priors_sum", abs(p.eta0 + p.eta1 - 1.0), PRIOR_TOL)
     for name, eta in (("eta0", p.eta0), ("eta1", p.eta1)):
         rep.check(f"{name}_in_open_interval", 0.0 if 0.0 < eta < 1.0 else 1.0, 0.0)
@@ -278,12 +263,13 @@ def validate_problem(p: UsdProblem) -> ValidationReport:
     return rep
 
 
-def _element_checks(m: Povm):
-    """Each element's name, its Hermiticity residual and its PSD bound,
-    both relative to its largest entry magnitude (at least 1)."""
+def _element_checks(m: Povm, rep: ValidationReport):
+    """Record each element's Hermiticity check in rep as it yields the
+    element's name and PSD bound, both relative to the element's scale."""
     for name, el in (("e0", m.e0), ("e1", m.e1), ("eq", m.eq)):
-        scale = at_least(max_abs(el), 1.0)
-        yield name, max_abs(el - dagger(el)) / scale, PSD_TOL * scale
+        skew, scale = hermitian_skew(el)
+        rep.check(f"{name}_hermitian", skew, 1e-10)
+        yield name, PSD_TOL * scale
 
 
 def _check_sums(p: UsdProblem, m: Povm, rep: ValidationReport):
@@ -298,8 +284,7 @@ def validate_povm(p: UsdProblem, m: Povm) -> ValidationReport:
     rep = ValidationReport()
     # the three elements' spectra in one stacked call
     _, mins = psd_check(np.array([m.e0, m.e1, m.eq]))
-    for (name, skew, bound), mn in zip(_element_checks(m), unstack(mins)):
-        rep.check(f"{name}_hermitian", skew, 1e-10)
+    for (name, bound), mn in zip(_element_checks(m, rep), unstack(mins)):
         rep.check(f"{name}_psd", at_least(-mn, 0.0), bound)
     _check_sums(p, m, rep)
     return rep
@@ -310,10 +295,8 @@ def povm_entry_checks(p: UsdProblem, m: Povm):
     Hermiticity, completeness and the two error-free conditions, in one
     report, and each element's PSD bound, for a caller that decides
     positivity without eigenvalues."""
-    rep, bounds = ValidationReport(), []
-    for name, skew, bound in _element_checks(m):
-        rep.check(f"{name}_hermitian", skew, 1e-10)
-        bounds.append(bound)
+    rep = ValidationReport()
+    bounds = [bound for _, bound in _element_checks(m, rep)]
     _check_sums(p, m, rep)
     return rep, bounds
 

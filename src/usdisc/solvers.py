@@ -102,8 +102,9 @@ def _branch_holds(p: UsdProblem, report: SolutionReport) -> bool:
 
 
 def audit_report(p: UsdProblem, report: SolutionReport) -> ValidationReport:
-    """Re-check what a stored report claims: the problem, the measurement,
-    the stored failure probabilities, the witness and the branch label.
+    """Re-check what a stored report of one problem claims: the problem,
+    the measurement, the stored failure probabilities, the witness and
+    the branch label.
 
     A FirstClassFidelity label needs both rank-condition operators PSD.
     A GuProjective label needs the symmetric solver's preconditions (an
@@ -113,6 +114,8 @@ def audit_report(p: UsdProblem, report: SolutionReport) -> ValidationReport:
     checks that weigh the states by it: the branch label, the witness and
     the stored failure probabilities.
     """
+    if p.rho0.matrix.ndim > 2:
+        raise InvalidInput("audit_report takes one problem, not a stack")
     rep = validate_problem(p)
     # undefined for a prior out of range: a zero or negative one breaks
     # the prior ratio, an infinite or NaN one the eigensolvers
@@ -128,10 +131,8 @@ def audit_report(p: UsdProblem, report: SolutionReport) -> ValidationReport:
         rep.residuals.update(part.residuals)
         rep.failures.extend(part.failures)
     if weighable:
-        recomputed = failure_probability(p, report.povm)
-        for name, stored, value in zip(("q_opt", "q0", "q1"),
-                                       (report.q_opt, report.q0, report.q1), recomputed):
-            rep.check(f"{name}_stored", abs(stored - value), STORED_Q_TOL)
+        for name, value in zip(("q_opt", "q0", "q1"), failure_probability(p, report.povm)):
+            rep.check(f"{name}_stored", abs(getattr(report, name) - value), STORED_Q_TOL)
     return rep
 
 
@@ -232,8 +233,7 @@ def _construct_projective(p: UsdProblem) -> SolutionReport:
     anomalous = np.ravel((npos != 1) | (nneg != 1))
     if any_true(anomalous):
         i = int(np.argmax(anomalous))
-        n = w.shape[-1]
-        vals = np.reshape(w, (-1, n))[i][np.reshape(nonzero, (-1, n))[i]][::-1]
+        vals = w.reshape(-1, 4)[i][nonzero.reshape(-1, 4)[i]][::-1]
         raise BranchNotApplicable(
             "kernel-compressed involution should carry one positive and one "
             f"negative eigenvalue, found {np.round(vals, 12).tolist()} "
@@ -369,7 +369,7 @@ def projectivity_check(m: Povm) -> ValidationReport:
     norms = unstack(spectral_norm(elements @ elements - elements))
     for name, norm in zip(("e0", "e1", "eq"), norms):
         rep.check(f"{name}_idempotent", norm, PROJECTIVE_TOL)
-    rep.check("e0_e1_orthogonal", abs(np.trace(m.e0 @ m.e1).real), PROJECTIVE_TOL)
+    rep.check("e0_e1_orthogonal", abs(trace(m.e0 @ m.e1).real), PROJECTIVE_TOL)
     rank = eigh(hermitize(m.eq)).rank()
     rep.residuals["eq_rank"] = float(rank)
     if rank != 2:

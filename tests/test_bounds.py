@@ -184,6 +184,25 @@ def test_tighter_q0_bound_needs_involution():
     assert err.value.cause == "gu_involution"
 
 
+@pytest.mark.parametrize("make", [
+    lambda: np.diag([1.0, 0.0, 0.0, 0.0]),
+    lambda: _random_pure_state(np.random.default_rng(3), 4),
+], ids=["exact", "rounded"])
+def test_tighter_q0_bound_refuses_a_vanishing_compression(make):
+    # rho0 = rho1 puts rho0 in rho1's support, so K1 rho0 K1 vanishes: exactly
+    # for a diagonal state, up to rounding for a random one, and both are refused
+    rho = DensityMatrix.from_matrix(make())
+    p = UsdProblem(rho, rho, 0.5, 0.5, gu_involution=np.eye(4))
+    with pytest.raises(InvalidInput, match="vanishes"):
+        tighter_q0_bound(p)
+
+
+def _random_pure_state(rng, d):
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    v /= np.linalg.norm(v)
+    return np.outer(v, v.conj())
+
+
 def test_tighter_q0_bound_dominates_naive_compression():
     # the 1/(1 - lambda_min/2) factor can only increase the naive bound
     for mu in (0.1, 0.3, 0.5):

@@ -377,6 +377,19 @@ def test_certify_rejects_non_finite_or_boolean_fields(tmp_path, capsys, path):
     assert err.startswith("error:") and ("finite" in err or "dim" in err)
 
 
+def test_certify_rejects_a_report_without_q_opt(tmp_path, capsys):
+    inp = tmp_path / "problem.json"
+    rpt = tmp_path / "report.json"
+    write_problem(inp, bit_problem(0.3))
+    assert main(["solve", "--input", str(inp), "--output", str(rpt)]) == 0
+    obj = json.loads(rpt.read_text())
+    del obj["q_opt"]
+    rpt.write_text(serialize.dumps(obj))
+    capsys.readouterr()
+    assert main(["certify", "--input", str(rpt)]) == 1
+    assert capsys.readouterr().err == "error: report: missing field 'q_opt'\n"
+
+
 @pytest.mark.parametrize("field, value", [
     (("q_opt",), "x"),
     (("q_opt",), [1]),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,12 @@ def test_density_matrix_rejects_bad_trace():
             DensityMatrix.from_matrix(matrix, renormalize=renormalize)
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (2, 0, 0)], ids=["empty", "stack_of_empty"])
+def test_an_empty_matrix_is_refused_naming_its_shape(shape):
+    with pytest.raises(InvalidInput, match=re.escape(f"got shape {shape}")):
+        DensityMatrix.from_matrix(np.zeros(shape))
+
+
 def test_density_matrix_renormalize_flag():
     dm = DensityMatrix.from_matrix(np.diag([0.6, 0.6]), renormalize=True)
     assert np.trace(dm.matrix).real == pytest.approx(1.0, abs=1e-14)
@@ -52,6 +60,22 @@ def test_validate_problem_happy_path():
     p = random_problem(rng, 4)
     rep = validate_problem(p)
     assert rep.ok, rep.failures
+
+
+def test_validate_problem_checks_every_instance_of_a_stack():
+    stack = build_states([0.3, 0.5, 1.5]).bit_problem()
+    rep = validate_problem(stack)
+    assert rep.ok, rep.failures
+    rows = [validate_problem(UsdProblem(DensityMatrix(stack.rho0.matrix[i]),
+                                        DensityMatrix(stack.rho1.matrix[i]), stack.eta0,
+                                        stack.eta1, gu_involution=stack.gu_involution))
+            for i in range(3)]
+    assert list(rep.residuals) == list(rows[0].residuals)
+    for name, value in rep.residuals.items():
+        expected = [row.residuals[name] for row in rows]
+        # the checks of the states give one residual per instance, the
+        # priors' one for the stack
+        assert (value.tolist() if np.ndim(value) else [value] * 3) == expected, name
 
 
 def test_validate_problem_flags_bad_priors():

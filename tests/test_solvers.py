@@ -7,7 +7,7 @@ import pytest
 
 import usdisc
 
-from conftest import first_class_instance, random_gu4_problem
+from conftest import always_fail, first_class_instance, random_gu4_problem
 from test_check_passes import _count_calls
 from usdisc import (
     Branch,
@@ -32,7 +32,7 @@ from usdisc import (
 )
 from usdisc.bb84 import basis_problem, bit_problem, build_states, find_mu0, sweep
 from usdisc.certificates import symmetric_projective_witness
-from usdisc.errors import BranchNotApplicable, NumericalFailure
+from usdisc.errors import BranchNotApplicable, InvalidInput, NumericalFailure
 from usdisc.linalg import hermitize, psd_check, spectral_norm
 from usdisc.solvers import _gate
 
@@ -111,6 +111,28 @@ def test_gu_solver_requires_dim_4():
     with pytest.raises(BranchNotApplicable) as err:
         gu_4d_preconditions(p)
     assert err.value.cause == "dimension"
+
+
+def test_gu_solver_requires_rank_2():
+    # an equal-prior involution pair of pure states: outside the symmetric
+    # solver's scope, and solved and audited as first class
+    u = np.diag([1.0, -1.0, 1.0, -1.0])
+    a = np.array([np.cos(0.3), np.sin(0.3), 0.0, 0.0])
+    p = UsdProblem(DensityMatrix.from_matrix(np.outer(a, a)),
+                   DensityMatrix.from_matrix(np.outer(u @ a, u @ a)), 0.5, 0.5, gu_involution=u)
+    with pytest.raises(BranchNotApplicable) as err:
+        gu_4d_preconditions(p)
+    assert err.value.cause == "rank"
+    rep = solve(p)
+    assert rep.branch is Branch.FIRST_CLASS_FIDELITY
+    audit = audit_report(p, rep)
+    assert audit.ok, audit.failures
+
+
+def test_audit_refuses_a_stack():
+    stack = build_states([0.3, 1.5]).bit_problem()
+    with pytest.raises(InvalidInput, match="not a stack"):
+        audit_report(stack, solve(stack))
 
 
 def test_branch_dichotomy_follows_rank_condition():
@@ -192,6 +214,13 @@ def test_projectivity_rejects_first_class_smear():
     rep = solve_first_class(basis_problem(0.4))
     out = projectivity_check(rep.povm)
     assert not out.ok
+
+
+def test_projectivity_rejects_giving_up_for_its_inconclusive_rank():
+    # E0 = E1 = 0, Eq = I: every element idempotent, but Eq has rank 4, not 2
+    out = projectivity_check(always_fail(4))
+    assert out.failures == ["eq_rank"]
+    assert out.residuals["eq_rank"] == 4.0
 
 
 def test_branch_flips_across_threshold():
@@ -359,6 +388,21 @@ def test_a_projective_witness_that_fails_sends_solve_to_the_oracle(monkeypatch):
     monkeypatch.setattr(usdisc.solvers, "symmetric_projective_witness",
                         lambda *args: 1.01 * witness(*args))
     p = bit_problem(0.3)
+    rep = solve(p)
+    assert rep.branch is Branch.ORACLE_ONLY
+    audit = audit_report(p, rep)
+    assert audit.ok, audit.failures
+
+
+def test_a_kernel_involution_without_a_signed_pair_sends_solve_to_the_oracle(monkeypatch):
+    import usdisc.solvers
+
+    monkeypatch.setattr(usdisc.solvers, "_kernel_involution",
+                        lambda p: np.diag([1.0, 0.5, 0.0, 0.0]))
+    p = bit_problem(0.3)
+    with pytest.raises(BranchNotApplicable) as err:
+        usdisc.solvers._construct_projective(p)
+    assert err.value.cause == "spectrum"
     rep = solve(p)
     assert rep.branch is Branch.ORACLE_ONLY
     audit = audit_report(p, rep)
