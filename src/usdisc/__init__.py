@@ -62,7 +62,6 @@ from .solvers import (
     SolutionReport,
     audit_report,
     gu_4d_preconditions,
-    gu_4d_regime,
     gu_kernel_spectrum,
     projectivity_check,
     solve,

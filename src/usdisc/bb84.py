@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import rank_conditions
+from .bounds import rank_condition_check
 from .errors import InvalidInput, NumericalFailure, UsdError
 from .problem import DensityMatrix, UsdProblem
 from .solvers import Branch, solve
@@ -216,7 +216,7 @@ def _solve_points(mu):
                 f"from closed form {closed!r}"
             )
     # the regime decision's verdict, cached on the stack by the solve
-    min_eig = rank_conditions(both)[1][0, :n]
+    min_eig = rank_condition_check(both).op0_min_eig[:n]
     return [
         Bb84SweepRow(mu=m, q_basis=qb, q_bit=qt, branch_bit=branch, min_eig_rho0_minus_f0=me)
         for m, qb, qt, branch, me in zip(mus, q_basis, q_bit, report.branch[:n], min_eig.tolist())

@@ -37,16 +37,22 @@ from .problem import UsdProblem
 
 # For a stacked problem each field of these two holds per-instance values.
 @dataclass(frozen=True)
+class RankConditionReport:
+    op0_min_eig: float
+    op1_min_eig: float
+    both_psd: bool
+
+
+@dataclass(frozen=True)
 class FidelityData:
     """The fidelity pair of a problem in support coordinates (see
-    fidelity_operators): the SVD w S v^H of its r0 x r1 support core,
+    fidelity_operators): w and S of the SVD w S v^H of its support core,
     rho0's eigenvectors (support columns B0 last) and both rank-condition
     operators. F0 = left S left^H with left = B0 w is built on first use;
     F1 is F0 of the problem with the states swapped."""
 
     s: np.ndarray  # the singular values, cut as fidelity_operators says
     w: np.ndarray
-    v: np.ndarray
     core_polar: np.ndarray  # w v^H on the pairs of singular vectors, r0 x r1
     vectors0: np.ndarray
     fidelity: float
@@ -60,36 +66,25 @@ class FidelityData:
         return assemble(self.s, left[..., :self.s.shape[-1]])
 
     @cached_property
-    def rank_spectrum(self) -> np.ndarray:
-        """Ascending spectra of both rank_operators, from one call."""
-        return np.linalg.eigvalsh(self.rank_operators)
-
-    @cached_property
-    def rank_verdict(self):
-        """rank_conditions' values, read off rank_spectrum."""
-        ok, mn = psd_verdict(self.rank_spectrum)
-        return ok, np.minimum(mn, 0.0)
+    def rank_report(self) -> RankConditionReport:
+        """The regime verdict, from one eigenvalue call over both
+        rank_operators. Each operator vanishes on its state's kernel, which
+        a pair whose supports do not overlap never has empty, so its minimum
+        eigenvalue is min(lowest support-coordinate eigenvalue, 0), exactly."""
+        ok, mn = psd_verdict(np.linalg.eigvalsh(self.rank_operators))
+        (ok0, ok1), (mn0, mn1) = unstack(ok), unstack(np.minimum(mn, 0.0))
+        return RankConditionReport(op0_min_eig=mn0, op1_min_eig=mn1, both_psd=ok0 & ok1)
 
     def take(self, rows) -> "FidelityData":
         """The instances at the given indices of a stack's fidelity data,
-        with the row slices of its cached rank-condition values."""
-        pair = (slice(None), rows)
-        sub = FidelityData(self.s[rows], self.w[rows], self.v[rows], self.core_polar[rows],
-                           self.vectors0[rows], item_or_array(self.fidelity[rows]),
-                           self.rank_operators[pair])
-        # both operators' values stack along the first axis
-        if "rank_spectrum" in vars(self):
-            vars(sub)["rank_spectrum"] = self.rank_spectrum[pair]
-        if "rank_verdict" in vars(self):
-            vars(sub)["rank_verdict"] = tuple(a[pair] for a in self.rank_verdict)
+        with the row slices of its cached rank_report."""
+        sub = FidelityData(self.s[rows], self.w[rows], self.core_polar[rows], self.vectors0[rows],
+                           item_or_array(self.fidelity[rows]), self.rank_operators[:, rows])
+        if "rank_report" in vars(self):
+            r = self.rank_report
+            vars(sub)["rank_report"] = RankConditionReport(
+                *(item_or_array(a[rows]) for a in (r.op0_min_eig, r.op1_min_eig, r.both_psd)))
         return sub
-
-
-@dataclass(frozen=True)
-class RankConditionReport:
-    op0_min_eig: float
-    op1_min_eig: float
-    both_psd: bool
 
 
 def fidelity_operators(p: UsdProblem) -> FidelityData:
@@ -124,7 +119,7 @@ def fidelity_operators(p: UsdProblem) -> FidelityData:
 
     # Lambda_i on the diagonal of a zero stack, the Gram matrices of the
     # singular vectors weighted by gamma S and S / gamma subtracted; a
-    # nonpositive prior leaves gamma undefined, and rank_conditions
+    # nonpositive prior leaves gamma undefined, and rank_condition_check
     # refuses such a problem before it reads them
     gamma = math.sqrt(p.eta1 / p.eta0) if p.eta0 > 0.0 and p.eta1 > 0.0 else math.nan
     m = max(r0, r1)
@@ -136,7 +131,7 @@ def fidelity_operators(p: UsdProblem) -> FidelityData:
         r = lam.shape[-1]
         diag[i, ..., :r * (m + 1):m + 1] = lam
         ops[i, ..., :r, :r] -= (u * (scale * s)[..., None, :]) @ dagger(u)
-    return FidelityData(s, w, v, core_polar, p.rho0.spectrum.eigenvectors,
+    return FidelityData(s, w, core_polar, p.rho0.spectrum.eigenvectors,
                         item_or_array(s.sum(axis=-1)), ops)
 
 
@@ -146,31 +141,18 @@ def failure_lower_bound(p: UsdProblem) -> float:
                                  0.0, 1.0))
 
 
-def rank_conditions(p: UsdProblem):
-    """(is_psd, min_eigenvalue) of rho0 - gamma F0 and of rho1 - F1 / gamma,
-    stacked along a new first axis: the verdict cached on the problem's
-    fidelity pair (FidelityData.rank_verdict), shared by every reader.
-
-    Each operator vanishes on its state's kernel, which a pair whose
-    supports do not overlap never has empty, so its minimum eigenvalue
-    is min(lowest support-coordinate eigenvalue, 0), exactly.
-    """
+def rank_condition_check(p: UsdProblem) -> RankConditionReport:
+    """Minimum eigenvalues of the two operators whose joint positivity
+    marks the regime where the fidelity bound is attained: the verdict
+    cached on the problem's fidelity pair (FidelityData.rank_report), the
+    one every reader of the regime takes."""
     if p.supports_overlap:
         raise InvalidInput(
             "state supports overlap; reduce the problem before testing rank conditions"
         )
     if not (p.eta0 > 0.0 and p.eta1 > 0.0):
         raise InvalidInput(f"rank conditions need positive priors, got {p.eta0!r}, {p.eta1!r}")
-    return p.fidelity_pair.rank_verdict
-
-
-def rank_condition_check(p: UsdProblem) -> RankConditionReport:
-    """Minimum eigenvalues of the two operators whose joint positivity
-    marks the regime where the fidelity bound is attained."""
-    ok, mn = rank_conditions(p)
-    (ok0, ok1), (mn0, mn1) = unstack(ok), unstack(mn)
-    return RankConditionReport(op0_min_eig=mn0, op1_min_eig=mn1,
-                               both_psd=ok0 & ok1)
+    return p.fidelity_pair.rank_report
 
 
 def tighter_q0_bound(p: UsdProblem):

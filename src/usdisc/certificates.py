@@ -27,6 +27,7 @@ from .linalg import (
     at_least,
     dagger,
     eigh,
+    eigvalsh,
     form,
     gram_norm,
     hermitize,
@@ -165,7 +166,7 @@ def verify_certificate(p: UsdProblem, m: Povm, c: OptimalityCertificate) -> Vali
     z = hermitize(as_double(c.z))
     # symmetrizing leaves the already Hermitian z as it is; an equality
     # residual's norm is the larger magnitude at the ends of its spectrum
-    w = np.linalg.eigvalsh(_condition_matrices(p, m, z))
+    w = eigvalsh(_condition_matrices(p, m, z))
     zmin, mn1, mn0 = unstack(w[:3, ..., 0])
     annihilation = item_or_array(gram_norm(w[3]))
     equality0, equality1 = unstack(np.maximum(-w[4:, ..., 0], w[4:, ..., -1]))

@@ -140,12 +140,12 @@ def require_hermitian(a, name: str = "matrix") -> np.ndarray:
         raise InvalidInput(f"{name} must be square, got shape {a.shape}")
     if not a.shape[-1]:
         raise InvalidInput(f"{name} must not be empty, got shape {a.shape}")
+    # first, as a - a^H would warn of such entries; a NaN one fails this too
+    if not all_true(max_abs(a) <= _HALF_MAX):
+        raise InvalidInput(f"{name} entries must be finite and at most "
+                           f"{_HALF_MAX:.3e} in magnitude")
     skew, scale = hermitian_skew(a)
-    # a NaN entry makes the skew NaN, which fails the comparison
-    if not all_true((skew <= HERM_TOL) & (scale <= _HALF_MAX)):
-        if not (all_true(scale <= _HALF_MAX) and np.isfinite(a).all()):
-            raise InvalidInput(f"{name} entries must be finite and at most "
-                               f"{_HALF_MAX:.3e} in magnitude")
+    if not all_true(skew <= HERM_TOL):
         raise InvalidInput(
             f"{name} is not Hermitian: skew {np.max(skew * scale):.3e} exceeds "
             f"{HERM_TOL:.0e} * {np.max(scale):.3e}"
@@ -153,9 +153,19 @@ def require_hermitian(a, name: str = "matrix") -> np.ndarray:
     return hermitize(a)
 
 
+def eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of each Hermitian matrix, from its lower
+    triangle, in one call; NaN ones for a matrix with an entry that is not
+    finite, which the solver cannot decompose, so every check on them fails."""
+    finite = np.isfinite(a).all(axis=(-2, -1))[..., None]
+    if all_true(finite):
+        return np.linalg.eigvalsh(a)
+    return np.where(finite, np.linalg.eigvalsh(np.where(finite[..., None], a, 0.0)), np.nan)
+
+
 def spectral_norm(a: np.ndarray):
     """Largest singular value of each matrix, read off a^H a by gram_norm."""
-    return item_or_array(gram_norm(np.linalg.eigvalsh(hermitize(dagger(a) @ a))))
+    return item_or_array(gram_norm(eigvalsh(hermitize(dagger(a) @ a))))
 
 
 def gram_norm(w: np.ndarray):
@@ -310,7 +320,7 @@ def psd_check(a: np.ndarray):
     The decision threshold is -PSD_TOL * max(1, spectral norm); the exact
     minimum eigenvalue found is always returned.
     """
-    return psd_verdict(np.linalg.eigvalsh(hermitize(as_double(a))))
+    return psd_verdict(eigvalsh(hermitize(as_double(a))))
 
 
 def psd_verdict(w: np.ndarray):

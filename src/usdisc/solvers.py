@@ -13,8 +13,8 @@ fallback.
 
 solve also takes a stacked problem (see problem.UsdProblem): it routes
 instance by instance, gates the stack once and, if that fails, solves
-it row by row. So do solve_first_class, gu_4d_preconditions and
-gu_4d_regime, except that a failure on any instance fails the stack.
+it row by row. So do solve_first_class and gu_4d_preconditions, except
+that a failure on any instance fails the stack.
 """
 
 import math
@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import rank_condition_check, rank_conditions
+from .bounds import rank_condition_check
 from .certificates import (
     OptimalityCertificate,
     fidelity_witness,
@@ -101,6 +101,8 @@ def _branch_holds(p: UsdProblem, report: SolutionReport) -> bool:
     return True
 
 
+# a report's matrices may overflow the products of its checks, which then fail
+@np.errstate(over="ignore", invalid="ignore")
 def audit_report(p: UsdProblem, report: SolutionReport) -> ValidationReport:
     """Re-check what a stored report of one problem claims: the problem,
     the measurement, the stored failure probabilities, the witness and
@@ -209,18 +211,6 @@ def _kernel_involution(p: UsdProblem) -> np.ndarray:
     return hermitize(k1 @ as_double(p.gu_involution) @ k1)
 
 
-def gu_4d_regime(p: UsdProblem):
-    """Regime decision inside that scope: whether the first-class
-    construction applies, from rho0 - F0 alone (at equal priors the two
-    rank-condition operators are U-images of each other): the verdict the
-    first-class rank check reads too.
-
-    Returns (first_class, op0_min_eig), per instance for a stack.
-    """
-    ok, mn = rank_conditions(p)
-    return unstack(ok)[0], unstack(mn)[0]
-
-
 def _construct_projective(p: UsdProblem) -> SolutionReport:
     """The rank-1 projective measurement determined by the signed
     eigenpair of the kernel-compressed involution, for a problem inside
@@ -237,7 +227,7 @@ def _construct_projective(p: UsdProblem) -> SolutionReport:
         raise BranchNotApplicable(
             "kernel-compressed involution should carry one positive and one "
             f"negative eigenvalue, found {np.round(vals, 12).tolist()} "
-            f"(min eig of the fidelity-gap operator {np.ravel(gu_4d_regime(p)[1])[i]:.3e})",
+            f"(min eig of the fidelity-gap operator {np.ravel(rank_condition_check(p).op0_min_eig)[i]:.3e})",
             cause="spectrum",
         )
     # the spectrum ascends, so the positive eigenpair is the last and the
@@ -291,14 +281,15 @@ def _joined(p: UsdProblem, parts) -> SolutionReport:
 
 def _construct(p: UsdProblem) -> SolutionReport:
     """The ungated report of the construction that applies, the only
-    function that names both: inside gu_4d_preconditions' scope, the one
-    gu_4d_regime picks, each side of a split stack built on its rows (a
-    view when consecutive); else the first-class one."""
+    function that names both: inside gu_4d_preconditions' scope, the
+    first-class one where rank_condition_check passes both operators and
+    the projective one elsewhere, each side of a split stack built on its
+    rows (a view when consecutive); else the first-class one."""
     try:
         gu_4d_preconditions(p)
     except BranchNotApplicable:
         return _construct_first_class(p)
-    first_class = gu_4d_regime(p)[0]
+    first_class = rank_condition_check(p).both_psd
     if all_true(first_class):
         return _construct_first_class(p)
     if not any_true(first_class):

@@ -9,7 +9,7 @@ from usdisc import (
     DensityMatrix,
     UsdProblem,
     audit_report,
-    gu_4d_regime,
+    rank_condition_check,
     solve,
     solve_first_class,
     validate_povm,
@@ -226,12 +226,12 @@ def _assert_rows_match_scalar_solves(rows):
         basis = solve_first_class(st.basis_problem())
         p = st.bit_problem()
         bit = solve(p)
-        assert bit.branch is (Branch.FIRST_CLASS_FIDELITY if gu_4d_regime(p)[0]
+        assert bit.branch is (Branch.FIRST_CLASS_FIDELITY if rank_condition_check(p).both_psd
                               else Branch.GU_PROJECTIVE)
         assert r.q_basis == basis.q_opt
         assert r.q_bit == bit.q_opt
         assert r.branch_bit is bit.branch
-        assert r.min_eig_rho0_minus_f0 == gu_4d_regime(p)[1]
+        assert r.min_eig_rho0_minus_f0 == rank_condition_check(p).op0_min_eig
 
 
 def test_sweep_solves_each_side_on_a_view_of_one_stack(monkeypatch):
@@ -537,8 +537,8 @@ def test_default_sweep_runs_in_real_arithmetic(monkeypatch):
         arrays += [p.rho0.matrix, p.rho1.matrix,
                    p.rho0.factor, p.rho1.factor, p.rho0.support.kernel_projector,
                    p.rho1.support.kernel_projector,
-                   fd.s, fd.w, fd.v, fd.core_polar, fd.vectors0, fd.rank_operators,
-                   fd.rank_spectrum, fd.f0,
+                   fd.s, fd.w, fd.core_polar, fd.vectors0, fd.rank_operators,
+                   fd.rank_report.op0_min_eig, fd.f0,
                    rep.povm.e0, rep.povm.e1, rep.povm.eq, rep.certificate.z]
         for sys in (p.rho0.spectrum, p.rho1.spectrum, p.sum_spectrum):
             arrays += [sys.eigenvalues, sys.eigenvectors]

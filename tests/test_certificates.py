@@ -13,8 +13,8 @@ from usdisc import (
     failure_probability,
     fidelity_witness,
     fit_certificate,
-    gu_4d_regime,
     oracle_optimize,
+    rank_condition_check,
     solve,
     solve_first_class,
     validate_povm,
@@ -186,7 +186,7 @@ def test_projective_witness_is_the_closed_form(monkeypatch):
     monkeypatch.setattr(usdisc.solvers, "symmetric_projective_witness", recorded)
     checked = 0
     for p in problems:
-        first_class = gu_4d_regime(p)[0]
+        first_class = rank_condition_check(p).both_psd
         witnesses.clear()
         rep = solve(p)
         assert rep.branch is (Branch.FIRST_CLASS_FIDELITY if first_class else Branch.GU_PROJECTIVE)

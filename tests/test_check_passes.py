@@ -140,7 +140,7 @@ def test_take_of_an_undecomposed_stack_decomposes_lazily(monkeypatch):
 def test_rank_check_on_a_sub_stack_reads_the_cached_spectrum(monkeypatch):
     stack = build_states(GRID).bit_problem()
     _decompose(stack)
-    stack.fidelity_pair.rank_spectrum
+    stack.fidelity_pair.rank_report
     rows = np.array([0, 7, 8, 31, 59])
     assert _count_calls(monkeypatch, lambda: rank_condition_check(stack.take(rows))) == {}
 

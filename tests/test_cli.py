@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from conftest import first_class_instance
-from usdisc import DensityMatrix, UsdProblem, cli, serialize
+from usdisc import (DensityMatrix, UsdProblem, cli, failure_probability, oracle_optimize,
+                    rank_condition_check, serialize)
 from usdisc.bb84 import bit_problem, find_mu0
 from usdisc.cli import main
 from usdisc.errors import BranchNotApplicable, NumericalFailure
+from usdisc.linalg import PSD_TOL
 from usdisc.problem import validate_problem
-from usdisc.solvers import Branch, gu_4d_regime, solve, solve_first_class
+from usdisc.solvers import Branch, solve, solve_first_class
 
 
 def write_problem(path, p):
@@ -121,8 +123,8 @@ def test_solve_falls_back_when_projective_certificate_fails(tmp_path, monkeypatc
 
 def _near_threshold_involution_pair():
     # the bit pair just below mu0, with rho1 moved by at most 4e-10 inside
-    # its own support. For the fifth draw, op0 alone passes the rank check,
-    # so the regime decision picks the first-class side, where op1 then fails it
+    # its own support. For the fifth draw, op0 passes its rank condition
+    # and op1 fails its own
     base = bit_problem(find_mu0() - 2.7e-9)
     proj = base.rho1.support.support_projector
     rng = np.random.default_rng(0)
@@ -135,12 +137,15 @@ def _near_threshold_involution_pair():
                       base.eta0, base.eta1, base.gu_involution)
 
 
-def test_solve_falls_back_when_symmetric_rank_conditions_fail(tmp_path, capsys, monkeypatch):
+def test_solve_takes_the_projective_branch_when_one_symmetric_rank_condition_fails(
+        tmp_path, capsys, monkeypatch):
     import usdisc.solvers
 
     p = _near_threshold_involution_pair()
     assert validate_problem(p).ok
-    assert gu_4d_regime(p)[0]
+    # the operators' spectra are at most 1 in norm, so PSD_TOL is each one's bound
+    rc = rank_condition_check(p)
+    assert rc.op0_min_eig >= -PSD_TOL > rc.op1_min_eig and not rc.both_psd
     with pytest.raises(BranchNotApplicable) as err:
         solve_first_class(p)
     assert err.value.cause == "rank_conditions"
@@ -157,13 +162,35 @@ def test_solve_falls_back_when_symmetric_rank_conditions_fail(tmp_path, capsys, 
     # wherever the router reaches it
     monkeypatch.setattr(usdisc.solvers, "_construct_first_class", counted)
     assert main(["solve", "--input", str(inp), "--output", str(out)]) == 0
-    # the first-class side of the regime decision rejected it; no second try
-    assert len(calls) == 1
+    # the router reads the same verdict as the first-class construction
+    assert calls == []
     obj = json.loads(out.read_text())
-    assert obj["branch"] == "OracleOnly"
+    assert obj["branch"] == "GuProjective"
     assert abs(obj["q_opt"] - 0.487084) <= 1e-6
     assert main(["certify", "--input", str(out)]) == 0
     assert capsys.readouterr().out.strip().endswith("PASS")
+    # the oracle lands no lower than the projective optimum, up to its gap
+    result = oracle_optimize(p)
+    assert 0.0 <= failure_probability(p, result.povm)[0] - obj["q_opt"] \
+        <= result.duality_gap + 1e-12
+
+
+def test_solve_today_refuses_a_rank_2_pair_under_a_signature_3_1_involution(tmp_path, capsys):
+    # the 3D +1 eigenspace of U meets every 2D support, and U fixes that
+    # meet, so the supports overlap; this pins today's refusal, which an
+    # exact reduction of the supports' intersection would lift
+    u = np.diag([1.0, 1.0, 1.0, -1.0])
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    rho0 = x @ x.conj().T
+    rho0 /= np.trace(rho0).real
+    p = UsdProblem(DensityMatrix.from_matrix(rho0), DensityMatrix.from_matrix(u @ rho0 @ u),
+                   0.5, 0.5, u)
+    assert validate_problem(p).ok and p.supports_overlap
+    inp = tmp_path / "problem.json"
+    write_problem(inp, p)
+    assert main(["solve", "--input", str(inp)]) == 1
+    assert capsys.readouterr().err == "error: state supports overlap\n"
 
 
 def test_solve_numerical_failure_exits_two(tmp_path, capsys, monkeypatch):
@@ -319,6 +346,10 @@ TAMPERS = {
     "e1": (_scaled("povm", "e1", 1.0 - 1e-6), "completeness"),
     "eq": (_scaled("povm", "eq", 1.0 - 1e-6), "completeness"),
     "z": (_scaled("certificate", "z", 1.0 + 1e-5), "trace_identity"),
+    # finite entries whose products in the checks overflow
+    "z_overflow": (_scaled("certificate", "z", 1e200), "z_annihilates_eq"),
+    "e0_overflow": (_scaled("povm", "e0", 1e80), "branch_label"),
+    "eq_overflow": (_scaled("povm", "eq", 1e80), "branch_label"),
     "success_trace": (lambda obj: obj["certificate"].update(
         success_trace=obj["certificate"]["success_trace"] + 1e-9), "success_trace_consistency"),
     "eta0": (_set(("problem", "eta0"), 0.5 + 1e-6), "priors_sum"),

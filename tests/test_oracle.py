@@ -18,7 +18,6 @@ from usdisc import (
     oracle,
     oracle_optimize,
     rank_condition_check,
-    gu_4d_regime,
     solve,
     validate_povm,
     verify_certificate,
@@ -77,7 +76,7 @@ def test_oracle_agrees_with_projective_branch():
     checked = 0
     while checked < 3:
         p = random_gu4_problem(rng)
-        if gu_4d_regime(p)[0]:
+        if rank_condition_check(p).both_psd:
             continue
         rep = solve(p)
         assert rep.branch is Branch.GU_PROJECTIVE

@@ -40,7 +40,7 @@ def test_density_matrix_rejects_bad_trace():
         (np.array([[1e-300, 1e10], [1e10, 0.0]]), True),
     ]
     for matrix, renormalize in cases:
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput):
             DensityMatrix.from_matrix(matrix, renormalize=renormalize)
 
 
@@ -76,6 +76,13 @@ def test_validate_problem_checks_every_instance_of_a_stack():
         # the checks of the states give one residual per instance, the
         # priors' one for the stack
         assert (value.tolist() if np.ndim(value) else [value] * 3) == expected, name
+
+
+def test_validate_problem_flags_states_of_different_dimension():
+    p = UsdProblem(DensityMatrix.from_matrix(np.eye(2) / 2),
+                   DensityMatrix.from_matrix(np.eye(3) / 3), 0.5, 0.5)
+    rep = validate_problem(p)
+    assert rep.failures == ["dim_match"] and rep.residuals["dim_match"] == 1
 
 
 def test_validate_problem_flags_bad_priors():
@@ -174,3 +181,9 @@ def test_verify_gu_structure_rejects_non_involution():
     p = UsdProblem(st.rho_0, st.rho_1, 0.5, 0.5, gu_involution=hermitize(u))
     rep = verify_gu_structure(p.rho0, p.rho1, p.gu_involution)
     assert "u_unitary" in rep.failures or "u_involution" in rep.failures
+
+
+def test_verify_gu_structure_flags_an_involution_of_the_wrong_shape():
+    st = build_states(0.8)
+    rep = verify_gu_structure(st.rho_0, st.rho_1, np.eye(3))
+    assert rep.failures == ["u_shape"]

@@ -16,10 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import first_class_instance, random_gu4_problem, rank_failing_problem
-from usdisc import Branch, DensityMatrix, OptimalityCertificate, audit_report, solve
+from usdisc import (Branch, DensityMatrix, OptimalityCertificate, audit_report,
+                    rank_condition_check, solve)
 from usdisc.linalg import PSD_TOL, dagger, hermitize, spectral_norm
 from usdisc.serialize import dumps, loads, report_from_obj, report_to_obj
-from usdisc.solvers import gu_4d_regime
 
 PROFILE = settings(derandomize=True, deadline=None, max_examples=60, database=None)
 seeds = st.integers(0, 2**32 - 1)
@@ -30,7 +30,7 @@ def _projective_pair(rng):
     boundary, where the projective construction applies."""
     while True:
         p = random_gu4_problem(rng)
-        if not gu_4d_regime(p)[0]:
+        if not rank_condition_check(p).both_psd:
             return p
 
 

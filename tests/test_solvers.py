@@ -21,9 +21,9 @@ from usdisc import (
     failure_probability,
     fidelity_operators,
     gu_4d_preconditions,
-    gu_4d_regime,
     gu_kernel_spectrum,
     projectivity_check,
+    rank_condition_check,
     solve,
     solve_first_class,
     spectrum_negation_check,
@@ -158,7 +158,7 @@ def _solve_symmetric(p):
     """solve on an involution pair, checked to take the exact branch that
     the regime decision names, so no oracle fallback passes unseen."""
     rep = solve(p)
-    first_class = gu_4d_regime(p)[0]
+    first_class = rank_condition_check(p).both_psd
     assert rep.branch is (Branch.FIRST_CLASS_FIDELITY if first_class else Branch.GU_PROJECTIVE)
     return rep
 
@@ -415,15 +415,16 @@ def test_symmetric_first_class_solve_reads_one_rank_condition_spectrum(monkeypat
     import usdisc.solvers
 
     inside, calls = [], []
-    for name in ("gu_4d_regime", "rank_condition_check"):
-        def wrapped(*args, _original=getattr(usdisc.solvers, name), **kwargs):
-            inside.append(None)
-            try:
-                return _original(*args, **kwargs)
-            finally:
-                inside.pop()
+    original = usdisc.solvers.rank_condition_check
 
-        monkeypatch.setattr(usdisc.solvers, name, wrapped)
+    def wrapped(*args, **kwargs):
+        inside.append(None)
+        try:
+            return original(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(usdisc.solvers, "rank_condition_check", wrapped)
     eigvalsh = np.linalg.eigvalsh
 
     def counted(*args, **kwargs):

@@ -196,7 +196,7 @@ def test_solve_is_invariant_under_a_change_of_basis(seed, d, kind):
     p = random_gu4_problem(rng) if kind == "gu4" else first_class_instance(rng, d)
     # away from the regime boundary, where a rounding can flip the branch:
     # the lowest eigenvalue of rho0 - F0 on the support of rho0
-    assume(abs(fidelity_operators(p).rank_spectrum[0, 0]) > 1e-6)
+    assume(abs(np.linalg.eigvalsh(fidelity_operators(p).rank_operators)[0, 0]) > 1e-6)
     g, _ = np.linalg.qr(rng.standard_normal((p.dim, p.dim))
                         + 1j * rng.standard_normal((p.dim, p.dim)))
     before, after = solve(p), solve(_rotated(p, g))
