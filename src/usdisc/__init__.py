@@ -53,6 +53,7 @@ from .problem import (
     UsdProblem,
     ValidationReport,
     failure_probability,
+    projectivity_check,
     validate_povm,
     validate_problem,
     verify_gu_structure,
@@ -63,7 +64,6 @@ from .solvers import (
     audit_report,
     gu_4d_preconditions,
     gu_kernel_spectrum,
-    projectivity_check,
     solve,
     solve_first_class,
     spectrum_negation_check,

@@ -26,6 +26,7 @@ from .linalg import (
     any_true,
     assemble,
     dagger,
+    eigvalsh,
     hermitize,
     item_or_array,
     nonzero_mask,
@@ -71,9 +72,10 @@ class FidelityData:
         rank_operators. Each operator vanishes on its state's kernel, which
         a pair whose supports do not overlap never has empty, so its minimum
         eigenvalue is min(lowest support-coordinate eigenvalue, 0), exactly."""
-        ok, mn = psd_verdict(np.linalg.eigvalsh(self.rank_operators))
-        (ok0, ok1), (mn0, mn1) = unstack(ok), unstack(np.minimum(mn, 0.0))
-        return RankConditionReport(op0_min_eig=mn0, op1_min_eig=mn1, both_psd=ok0 & ok1)
+        # each operator's verdict on its own: scalar arithmetic for one problem
+        (ok0, mn0), (ok1, mn1) = map(psd_verdict, unstack(np.linalg.eigvalsh(self.rank_operators)))
+        return RankConditionReport(op0_min_eig=np.minimum(mn0, 0.0),
+                                   op1_min_eig=np.minimum(mn1, 0.0), both_psd=ok0 & ok1)
 
     def take(self, rows) -> "FidelityData":
         """The instances at the given indices of a stack's fidelity data,
@@ -108,8 +110,8 @@ def fidelity_operators(p: UsdProblem) -> FidelityData:
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"SVD did not converge: {exc}") from exc
     k = s.shape[-1]
-    v = dagger(vh)
-    core_polar = w[..., :k] @ vh[..., :k, :]
+    vh = vh[..., :k, :]  # the right singular vectors paired with a singular value
+    core_polar = w[..., :k] @ vh
     gap = np.abs((core_polar.conj() * core).real.sum(axis=(-2, -1)) - s.sum(axis=-1))
     miss = ~(gap <= 1e-9)  # a NaN gap misses too
     if any_true(miss):
@@ -127,7 +129,7 @@ def fidelity_operators(p: UsdProblem) -> FidelityData:
     diag = ops.reshape(ops.shape[:-2] + (m * m,))
     for i, (lam, u, scale) in enumerate((
             (p.rho0.spectrum.eigenvalues[..., d - r0:], w[..., :k], gamma),
-            (p.rho1.spectrum.eigenvalues[..., d - r1:], v[..., :k], 1.0 / gamma))):
+            (p.rho1.spectrum.eigenvalues[..., d - r1:], dagger(vh), 1.0 / gamma))):
         r = lam.shape[-1]
         diag[i, ..., :r * (m + 1):m + 1] = lam
         ops[i, ..., :r, :r] -= (u * (scale * s)[..., None, :]) @ dagger(u)
@@ -174,7 +176,7 @@ def tighter_q0_bound(p: UsdProblem):
     d1 = p.rho1.support
     k1 = d1.kernel_projector
     compressed = hermitize(k1 @ p.rho0.matrix @ k1)
-    w = np.linalg.eigvalsh(compressed)
+    w = eigvalsh(compressed)
     nonzero = w[w > REL_CUTOFF * p.rho0.spectrum.eigenvalues[-1]]
     if nonzero.size == 0:
         raise InvalidInput("kernel-compressed state vanishes; bound undefined")

@@ -12,7 +12,8 @@ optimal and Z = 0 certifies it.
 
 fit_certificate, the gate of every solve, decides each witness it tries
 by certify_stack, without eigenvalues; verify_certificate gives the
-residuals that certify prints. All of them also take a stacked problem.
+residuals that certify prints (witness_report, from the spectra of
+condition_matrices). All of them also take a stacked problem.
 """
 
 import math
@@ -44,7 +45,7 @@ from .problem import (
     UsdProblem,
     ValidationReport,
     failure_probability,
-    povm_entry_checks,
+    povm_report,
 )
 
 CERT_TOL = 1e-7
@@ -126,7 +127,7 @@ def _symmetrize(a: np.ndarray):
     a *= 0.5
 
 
-def _condition_matrices(p: UsdProblem, m: Povm, z: np.ndarray) -> np.ndarray:
+def condition_matrices(p: UsdProblem, m: Povm, z: np.ndarray) -> np.ndarray:
     """Z, the two kernel compressions, the Gram matrix of Z Eq and the two
     equality residuals, symmetrized: each is written into one stack as
     soon as it is formed."""
@@ -147,9 +148,8 @@ def _condition_matrices(p: UsdProblem, m: Povm, z: np.ndarray) -> np.ndarray:
     return a
 
 
-def _check_trace_identity(rep: ValidationReport, p: UsdProblem, m: Povm, z: np.ndarray):
+def _check_trace_identity(rep: ValidationReport, z: np.ndarray, q):
     """Check the trace identity tr Z = 1 - q and return tr Z."""
-    q, _, _ = failure_probability(p, m)
     tz = trace(z).real
     rep.check("trace_identity", abs(tz - (1.0 - q)), CERT_TOL)
     return tz
@@ -162,11 +162,17 @@ def verify_certificate(p: UsdProblem, m: Povm, c: OptimalityCertificate) -> Vali
     eigenvalues of the kernel compressions (with the violation amount
     checked against CERT_TOL). All six matrices take one eigenvalue call.
     """
-    rep = ValidationReport()
     z = hermitize(as_double(c.z))
-    # symmetrizing leaves the already Hermitian z as it is; an equality
-    # residual's norm is the larger magnitude at the ends of its spectrum
-    w = eigvalsh(_condition_matrices(p, m, z))
+    w = eigvalsh(condition_matrices(p, m, z))
+    return witness_report(c, z, w, failure_probability(p, m)[0])
+
+
+def witness_report(c: OptimalityCertificate, z: np.ndarray, w, q) -> ValidationReport:
+    """verify_certificate's report from the hermitized witness z, the
+    spectra w of its condition_matrices (a caller's larger call may take
+    them) and q."""
+    rep = ValidationReport()
+    # an equality residual's norm is the larger magnitude at the ends of its spectrum
     zmin, mn1, mn0 = unstack(w[:3, ..., 0])
     annihilation = item_or_array(gram_norm(w[3]))
     equality0, equality1 = unstack(np.maximum(-w[4:, ..., 0], w[4:, ..., -1]))
@@ -179,7 +185,7 @@ def verify_certificate(p: UsdProblem, m: Povm, c: OptimalityCertificate) -> Vali
     rep.residuals["kernel0_inequality_min_eig"] = mn0
     rep.check("kernel1_inequality", at_least(-mn1, 0.0), CERT_TOL)
     rep.check("kernel0_inequality", at_least(-mn0, 0.0), CERT_TOL)
-    tz = _check_trace_identity(rep, p, m, z)
+    tz = _check_trace_identity(rep, z, q)
     rep.check("success_trace_consistency", abs(tz - c.success_trace), 1e-12)
     return rep
 
@@ -201,13 +207,13 @@ def certify_stack(p: UsdProblem, m: Povm, z: np.ndarray) -> Optional[OptimalityC
     equality residual. Rounding in eigvalsh and in the factorisation, about
     1e-15 at these scales, stays far below the half margins.
     """
-    rep, bounds = povm_entry_checks(p, m)
+    rep, bounds = povm_report(p, m)
     zh = hermitize(as_double(z))
     # symmetrizing keeps the real diagonal, so this is tr Z of z as given
-    success = item_or_array(_check_trace_identity(rep, p, m, zh))
+    success = item_or_array(_check_trace_identity(rep, zh, failure_probability(p, m)[0]))
     if not rep.ok:
         return None
-    a = _condition_matrices(p, m, zh)
+    a = condition_matrices(p, m, zh)
     norms = np.sqrt(trace(a[3]).real), np.linalg.norm(a[4:], axis=(-2, -1))
     if not all(all_true(n <= 0.5 * CERT_TOL) for n in norms):
         return None

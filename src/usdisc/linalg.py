@@ -14,7 +14,7 @@ Every function here also takes a stack of same-shape matrices along
 leading axes and works on each matrix of it; numpy's stacked eigen,
 SVD and matrix-product calls give each matrix the same bits as a call
 on that matrix alone. So a check over several matrices stacks them into
-one call to psd_check, spectral_norm or sqrt_psd (unstack splits the
+one call to eigvalsh, psd_check or sqrt_psd (unstack splits the
 result), and the row slices of a stack's decompositions are those of
 the sub-stack. A stack shares one rank: the support and kernel columns
 are slices, so a stack that mixes ranks is refused.
@@ -146,9 +146,10 @@ def require_hermitian(a, name: str = "matrix") -> np.ndarray:
                            f"{_HALF_MAX:.3e} in magnitude")
     skew, scale = hermitian_skew(a)
     if not all_true(skew <= HERM_TOL):
+        i = np.argmax(np.ravel(skew > HERM_TOL))  # the first bad matrix of a stack words the error
         raise InvalidInput(
-            f"{name} is not Hermitian: skew {np.max(skew * scale):.3e} exceeds "
-            f"{HERM_TOL:.0e} * {np.max(scale):.3e}"
+            f"{name} is not Hermitian: skew {np.ravel(skew * scale)[i]:.3e} exceeds "
+            f"{HERM_TOL:.0e} * {np.ravel(scale)[i]:.3e}"
         )
     return hermitize(a)
 
@@ -198,6 +199,18 @@ def negativity_bound(w: np.ndarray, floor: float = 1e-300):
     return low, PSD_TOL * at_least(at_least(top, abs(low)), floor)
 
 
+def shared_rank(w: np.ndarray) -> int:
+    """Number of above-cutoff eigenvalues in the ascending spectrum w,
+    which every matrix of a stack must share."""
+    mask = nonzero_mask(w)
+    # the spectrum ascends, so equal ranks mean equal masks
+    first = mask if mask.ndim == 1 else mask.reshape(-1, mask.shape[-1])[0]
+    if mask.ndim > 1 and not (mask == first).all():
+        ranks = sorted(set(np.count_nonzero(mask, axis=-1).ravel().tolist()))
+        raise BranchNotApplicable(f"stack mixes ranks {ranks}", cause="rank")
+    return int(np.count_nonzero(first))
+
+
 @dataclass(frozen=True)
 class SupportDecomposition:
     """Orthogonal projectors onto the support and kernel of a PSD matrix."""
@@ -221,15 +234,7 @@ class EigenSystem:
     eigenvectors: np.ndarray
 
     def rank(self) -> int:
-        """Number of above-cutoff eigenvalues, which every matrix of a
-        stack must share."""
-        mask = nonzero_mask(self.eigenvalues)
-        # the spectrum ascends, so equal ranks mean equal masks
-        first = mask if mask.ndim == 1 else mask.reshape(-1, mask.shape[-1])[0]
-        if mask.ndim > 1 and not (mask == first).all():
-            ranks = sorted(set(np.count_nonzero(mask, axis=-1).ravel().tolist()))
-            raise BranchNotApplicable(f"stack mixes ranks {ranks}", cause="rank")
-        return int(np.count_nonzero(first))
+        return shared_rank(self.eigenvalues)
 
     def _columns(self, cols: slice) -> np.ndarray:
         # each matrix's columns stored one after another (Fortran order),
@@ -249,7 +254,8 @@ class EigenSystem:
         p = hermitize(cols @ dagger(cols))
         return SupportDecomposition(
             support_projector=p,
-            kernel_projector=hermitize(np.eye(p.shape[-1]) - p),
+            # I - p is as exactly Hermitian as p, so it needs no symmetrizing
+            kernel_projector=np.eye(p.shape[-1]) - p,
             rank=rank,
         )
 

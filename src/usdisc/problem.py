@@ -8,12 +8,13 @@ command line can surface every violation at once.
 
 A problem may also hold a stack of same-shape instances along leading
 axes, sharing one pair of priors and one involution (see UsdProblem).
-validate_problem, validate_povm, failure_probability and verify_gu_structure
-check or evaluate every instance of such a stack. UsdProblem.decompose
-takes the spectra of rho0, rho1 and rho0 + rho1 in one stacked call, and
-validate_problem and solve start with it. UsdProblem.take selects
-instances; the sub-stack keeps the row slices of every decomposition the
-stack has cached (the fidelity pair too), so it decomposes nothing again.
+validate_problem, validate_povm, projectivity_check, failure_probability
+and verify_gu_structure check or evaluate every instance of such a
+stack. UsdProblem.decompose takes the spectra of rho0, rho1 and
+rho0 + rho1 in one stacked call, and validate_problem and solve start
+with it. UsdProblem.take selects instances; the sub-stack keeps the row
+slices of every decomposition the stack has cached (the fidelity pair
+too), so it decomposes nothing again.
 """
 
 from dataclasses import dataclass, field
@@ -33,11 +34,15 @@ from .linalg import (
     at_least,
     dagger,
     eigh,
+    eigvalsh,
+    gram_norm,
     hermitian_skew,
+    hermitize,
     max_abs,
     negativity_bound,
     psd_check,
     require_hermitian,
+    shared_rank,
     trace,
     unstack,
 )
@@ -47,6 +52,7 @@ PRIOR_TOL = 1e-12
 COMPLETENESS_TOL = 1e-9
 ERROR_FREE_TOL = 1e-9
 INVOLUTION_TOL = 1e-9
+PROJECTIVE_TOL = 1e-9  # each projectivity_check residual's bound
 
 
 @dataclass(frozen=True)
@@ -96,7 +102,8 @@ class DensityMatrix:
                 if not np.isfinite(m).all():
                     raise InvalidInput("density matrix entries must be finite once rescaled")
             elif not all_true(abs(tr - 1.0) <= TRACE_TOL):
-                off = np.ravel(tr)[np.argmax(abs(tr - 1.0))].item()
+                # the first bad state of a stack words the error
+                off = np.ravel(tr)[np.argmax(np.ravel(~(abs(tr - 1.0) <= TRACE_TOL)))].item()
                 raise InvalidInput(
                     f"density matrix trace {off!r} is not 1; pass renormalize=True to rescale"
                 )
@@ -135,10 +142,15 @@ class UsdProblem:
         if r0.shape == r1.shape and r0.dtype == r1.dtype and not any(
                 name in vars(owner) for owner, name in owners):
             with np.errstate(over="ignore"):  # an overflowing sum gives NaN, as on its own
-                sys = eigh(np.stack((r0, r1, r0 + r1)))
+                sys = eigh(np.array((r0, r1, r0 + r1)))
             for i, (owner, name) in enumerate(owners):
                 vars(owner)[name] = _take_eigensystem(sys, i)
         return self
+
+    @cached_property
+    def gu_structure(self) -> "ValidationReport":
+        """verify_gu_structure of the states and the involution."""
+        return verify_gu_structure(self.rho0, self.rho1, self.gu_involution)
 
     @cached_property
     def supports_overlap(self) -> bool:
@@ -247,57 +259,48 @@ def validate_problem(p: UsdProblem) -> ValidationReport:
         rep.residuals["dim_match"] = abs(r0.shape[-1] - r1.shape[-1])
         rep.failures.append("dim_match")
         return rep
-    for name, state in (("rho0", p.rho0), ("rho1", p.rho1)):
-        rep.check(f"{name}_hermitian", hermitian_skew(state.matrix)[0], HERM_TOL)
+    states = np.array((r0, r1))
+    skews, traces = unstack(hermitian_skew(states)[0]), unstack(abs(trace(states).real - 1.0))
+    for name, state, skew, tr in zip(("rho0", "rho1"), (p.rho0, p.rho1), skews, traces):
+        rep.check(f"{name}_hermitian", skew, HERM_TOL)
         # the state's cached spectrum, which the solve and audit read too
         mn, bound = negativity_bound(state.spectrum.eigenvalues)
         rep.check(f"{name}_psd", at_least(-mn, 0.0), bound)
-        rep.check(f"{name}_trace", abs(trace(state.matrix).real - 1.0), TRACE_TOL)
+        rep.check(f"{name}_trace", tr, TRACE_TOL)
     rep.check("priors_sum", abs(p.eta0 + p.eta1 - 1.0), PRIOR_TOL)
     for name, eta in (("eta0", p.eta0), ("eta1", p.eta1)):
         rep.check(f"{name}_in_open_interval", 0.0 if 0.0 < eta < 1.0 else 1.0, 0.0)
     if p.gu_involution is not None:
-        gu = verify_gu_structure(p.rho0, p.rho1, p.gu_involution)
+        gu = p.gu_structure
         rep.residuals.update({f"gu_{k}": v for k, v in gu.residuals.items()})
         rep.failures.extend(f"gu_{k}" for k in gu.failures)
     return rep
 
 
-def _element_checks(m: Povm, rep: ValidationReport):
-    """Record each element's Hermiticity check in rep as it yields the
-    element's name and PSD bound, both relative to the element's scale."""
-    for name, el in (("e0", m.e0), ("e1", m.e1), ("eq", m.eq)):
-        skew, scale = hermitian_skew(el)
+def validate_povm(p: UsdProblem, m: Povm) -> ValidationReport:
+    """Positivity, completeness and the two error-free trace conditions."""
+    # the three elements' spectra in one stacked call
+    return povm_report(p, m, psd_check(np.array([m.e0, m.e1, m.eq]))[1])[0]
+
+
+def povm_report(p: UsdProblem, m: Povm, mins=None):
+    """validate_povm's report and each element's PSD bound, relative to
+    its scale. mins, the minimum eigenvalues of the hermitized E0, E1 and
+    Eq, may come from a caller's larger stacked call; without them the
+    report holds the checks that read the entries alone (completeness and
+    the error-free traces too), for a caller that decides positivity
+    without eigenvalues."""
+    rep = ValidationReport()
+    skews, scales = hermitian_skew(np.array([m.e0, m.e1, m.eq]))
+    bounds = [PSD_TOL * scale for scale in unstack(scales)]
+    mins = (None,) * 3 if mins is None else unstack(mins)
+    for name, skew, bound, mn in zip(("e0", "e1", "eq"), unstack(skews), bounds, mins):
         rep.check(f"{name}_hermitian", skew, 1e-10)
-        yield name, PSD_TOL * scale
-
-
-def _check_sums(p: UsdProblem, m: Povm, rep: ValidationReport):
-    """Completeness and the two error-free trace conditions."""
+        if mn is not None:
+            rep.check(f"{name}_psd", at_least(-mn, 0.0), bound)
     rep.check("completeness", max_abs(m.e0 + m.e1 + m.eq - np.eye(p.dim)), COMPLETENESS_TOL)
     rep.check("error_free_0", abs(trace(m.e0 @ p.rho1.matrix).real), ERROR_FREE_TOL)
     rep.check("error_free_1", abs(trace(m.e1 @ p.rho0.matrix).real), ERROR_FREE_TOL)
-
-
-def validate_povm(p: UsdProblem, m: Povm) -> ValidationReport:
-    """Positivity, completeness and the two error-free trace conditions."""
-    rep = ValidationReport()
-    # the three elements' spectra in one stacked call
-    _, mins = psd_check(np.array([m.e0, m.e1, m.eq]))
-    for (name, bound), mn in zip(_element_checks(m, rep), unstack(mins)):
-        rep.check(f"{name}_psd", at_least(-mn, 0.0), bound)
-    _check_sums(p, m, rep)
-    return rep
-
-
-def povm_entry_checks(p: UsdProblem, m: Povm):
-    """validate_povm's checks that read the entries alone: each element's
-    Hermiticity, completeness and the two error-free conditions, in one
-    report, and each element's PSD bound, for a caller that decides
-    positivity without eigenvalues."""
-    rep = ValidationReport()
-    bounds = [bound for _, bound in _element_checks(m, rep)]
-    _check_sums(p, m, rep)
     return rep, bounds
 
 
@@ -308,6 +311,8 @@ def failure_probability(p: UsdProblem, m: Povm):
     return q0 + q1, q0, q1
 
 
+# huge entries overflow the products below, and the checks then fail
+@np.errstate(over="ignore", invalid="ignore")
 def verify_gu_structure(rho0: DensityMatrix, rho1: DensityMatrix,
                         u: np.ndarray) -> ValidationReport:
     """Check that u is a Hermitian involution conjugating state 0 to state 1
@@ -323,4 +328,32 @@ def verify_gu_structure(rho0: DensityMatrix, rho1: DensityMatrix,
     rep.check("u_involution", max_abs(u @ u - eye), INVOLUTION_TOL)
     rep.check("u_hermitian", max_abs(u - dagger(u)), INVOLUTION_TOL)
     rep.check("conjugation", max_abs(rho1.matrix - u @ rho0.matrix @ u), INVOLUTION_TOL)
+    return rep
+
+
+def projectivity_check(m: Povm) -> ValidationReport:
+    """Idempotence of all three elements, conclusive-element
+    orthogonality, and the rank-2 inconclusive element."""
+    return projectivity_report(m, eigvalsh(projectivity_matrices(m)))
+
+
+def projectivity_matrices(m: Povm) -> np.ndarray:
+    """The Gram matrices a^H a of the idempotence residuals a = E^2 - E of
+    E0, E1 and Eq, then the hermitized Eq, along a first axis."""
+    elements = np.array([m.e0, m.e1, m.eq])
+    a = elements @ elements - elements
+    return hermitize(np.concatenate((dagger(a) @ a, elements[2:])))
+
+
+def projectivity_report(m: Povm, w: np.ndarray) -> ValidationReport:
+    """projectivity_check's report from the spectra w of
+    projectivity_matrices(m), which a caller may take in a larger call."""
+    rep = ValidationReport()
+    for name, norm in zip(("e0", "e1", "eq"), unstack(gram_norm(w[:3]))):
+        rep.check(f"{name}_idempotent", norm, PROJECTIVE_TOL)
+    rep.check("e0_e1_orthogonal", abs(trace(m.e0 @ m.e1).real), PROJECTIVE_TOL)
+    rank = shared_rank(w[3])
+    rep.residuals["eq_rank"] = float(rank)
+    if rank != 2:
+        rep.failures.append("eq_rank")
     return rep

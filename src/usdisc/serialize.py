@@ -123,8 +123,9 @@ def problem_from_obj(obj, renormalize: bool = False, decoded=None) -> UsdProblem
         decoded = _decoded(_fields(obj, "", ("rho0", "rho1", "u")), dim)
     rho0, rho1, u = (_matrix(decoded, obj[f], dim, f) if f in obj else None
                      for f in ("rho0", "rho1", "u"))
-    return UsdProblem(DensityMatrix.from_matrix(rho0, renormalize),
-                      DensityMatrix.from_matrix(rho1, renormalize), eta0, eta1, u)
+    # both states checked in one stacked call, the first bad one wording the error
+    states = DensityMatrix.from_matrix(np.array((rho0, rho1)), renormalize).matrix
+    return UsdProblem(DensityMatrix(states[0]), DensityMatrix(states[1]), eta0, eta1, u)
 
 
 def povm_to_obj(m: Povm) -> dict:

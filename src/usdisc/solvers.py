@@ -27,10 +27,11 @@ import numpy as np
 from .bounds import rank_condition_check
 from .certificates import (
     OptimalityCertificate,
+    condition_matrices,
     fidelity_witness,
     fit_certificate,
     symmetric_projective_witness,
-    verify_certificate,
+    witness_report,
 )
 from .errors import BranchNotApplicable, InvalidInput, NumericalFailure, UsdError
 from .linalg import (
@@ -39,14 +40,13 @@ from .linalg import (
     as_double,
     dagger,
     eigh,
+    eigvalsh,
     form,
     hermitize,
     item_or_array,
     nonzero_mask,
     outer,
-    spectral_norm,
     trace,
-    unstack,
 )
 from .oracle import oracle_optimize
 from .problem import (
@@ -54,17 +54,15 @@ from .problem import (
     UsdProblem,
     ValidationReport,
     failure_probability,
-    validate_povm,
+    povm_report,
+    projectivity_matrices,
+    projectivity_report,
     validate_problem,
-    verify_gu_structure,
 )
 
 # A stored failure probability must match the one recomputed from the
 # stored measurement; a report written by this package matches to rounding.
 STORED_Q_TOL = 1e-10
-
-# Residual bound of each projectivity_check condition.
-PROJECTIVE_TOL = 1e-9
 
 # The diagnostics of an oracle report, its run record; no recomputation
 # checks them, and no other report stores any.
@@ -88,13 +86,14 @@ class SolutionReport:
     certificate: Optional[OptimalityCertificate] = None
 
 
-def _branch_holds(p: UsdProblem, report: SolutionReport) -> bool:
+def _branch_holds(p: UsdProblem, report: SolutionReport, w: np.ndarray) -> bool:
+    # w: the audit's spectra, projectivity_matrices' last
     try:
         if report.branch is Branch.FIRST_CLASS_FIDELITY:
             return rank_condition_check(p).both_psd
         if report.branch is Branch.GU_PROJECTIVE:
             gu_4d_preconditions(p)
-            return projectivity_check(report.povm).ok
+            return projectivity_report(report.povm, w[-4:]).ok
     except UsdError:
         # the problem fails the branch's preconditions
         return False
@@ -114,7 +113,8 @@ def audit_report(p: UsdProblem, report: SolutionReport) -> ValidationReport:
     projective measurement. OracleOnly claims nothing the other checks
     leave open. A prior outside (0, 1) fails the audit and skips the
     checks that weigh the states by it: the branch label, the witness and
-    the stored failure probabilities.
+    the stored failure probabilities. The spectra that validate_povm,
+    verify_certificate and projectivity_check read come from one call.
     """
     if p.rho0.matrix.ndim > 2:
         raise InvalidInput("audit_report takes one problem, not a stack")
@@ -122,18 +122,27 @@ def audit_report(p: UsdProblem, report: SolutionReport) -> ValidationReport:
     # undefined for a prior out of range: a zero or negative one breaks
     # the prior ratio, an infinite or NaN one the eigensolvers
     weighable = not {"eta0_in_open_interval", "eta1_in_open_interval"} & set(rep.failures)
+    m, cert = report.povm, report.certificate if weighable else None
+    stack = [hermitize(as_double(np.array([m.e0, m.e1, m.eq])))]
+    if cert is not None:
+        z = hermitize(as_double(cert.z))
+        stack.append(condition_matrices(p, m, z))
+    if weighable and report.branch is Branch.GU_PROJECTIVE:
+        stack.append(projectivity_matrices(m))
+    w = eigvalsh(np.concatenate(stack))
     if weighable:
-        rep.check("branch_label", 0.0 if _branch_holds(p, report) else 1.0, 0.0)
-    parts = [validate_povm(p, report.povm)]
+        rep.check("branch_label", 0.0 if _branch_holds(p, report, w) else 1.0, 0.0)
+        q = failure_probability(p, m)
+    parts = [povm_report(p, m, w[:3, 0])[0]]
     if report.certificate is None:
         rep.failures.append("certificate_missing")
     elif weighable:
-        parts.append(verify_certificate(p, report.povm, report.certificate))
+        parts.append(witness_report(cert, z, w[3:9], q[0]))
     for part in parts:
         rep.residuals.update(part.residuals)
         rep.failures.extend(part.failures)
     if weighable:
-        for name, value in zip(("q_opt", "q0", "q1"), failure_probability(p, report.povm)):
+        for name, value in zip(("q_opt", "q0", "q1"), q):
             rep.check(f"{name}_stored", abs(getattr(report, name) - value), STORED_Q_TOL)
     return rep
 
@@ -166,7 +175,8 @@ def _construct_first_class(p: UsdProblem) -> SolutionReport:
     r0, r1 = p.rho0.support.rank, p.rho1.support.rank
     e0 = hermitize(m0 @ fd.rank_operators[0, ..., :r0, :r0] @ dagger(m0))
     e1 = hermitize(m1 @ fd.rank_operators[1, ..., :r1, :r1] @ dagger(m1))
-    m = Povm(e0=e0, e1=e1, eq=hermitize(np.eye(p.dim) - e0 - e1))
+    # I - E0 - E1 is as exactly Hermitian as E0 and E1
+    m = Povm(e0=e0, e1=e1, eq=np.eye(p.dim) - e0 - e1)
     return SolutionReport(*failure_probability(p, m), m, Branch.FIRST_CLASS_FIDELITY,
                           certificate=OptimalityCertificate(fidelity_witness(p)))
 
@@ -194,7 +204,7 @@ def gu_4d_preconditions(p: UsdProblem) -> None:
         raise BranchNotApplicable("solver requires equal priors", cause="priors")
     if p.gu_involution is None:
         raise BranchNotApplicable("problem declares no involution", cause="involution_missing")
-    gu = verify_gu_structure(p.rho0, p.rho1, p.gu_involution)
+    gu = p.gu_structure
     if not gu.ok:
         raise BranchNotApplicable(f"involution structure invalid: {gu.failures}",
                                   cause="involution_invalid")
@@ -341,29 +351,13 @@ def spectrum_negation_check(p: UsdProblem) -> bool:
         raise BranchNotApplicable("problem declares no involution", cause="involution_missing")
     u = as_double(p.gu_involution)
     d0 = p.rho0.support
-    inside = np.linalg.eigvalsh(hermitize(d0.support_projector @ u @ d0.support_projector))
-    outside = np.linalg.eigvalsh(hermitize(d0.kernel_projector @ u @ d0.kernel_projector))
-    # one cutoff for both spectra, relative to the larger of the two
-    keep = nonzero_mask(np.concatenate([inside, outside]), indefinite=True)
-    s_in = np.sort(inside[keep[:inside.size]])
-    s_out = np.sort(outside[keep[inside.size:]])
+    proj = np.array((d0.support_projector, d0.kernel_projector))
+    w = eigvalsh(hermitize(proj @ u @ proj))
+    # one cutoff for both spectra, relative to the larger of the two; a NaN
+    # eigenvalue, of an involution with an entry that is not finite, is kept
+    keep = nonzero_mask(w.ravel(), indefinite=True) | np.isnan(w.ravel())
+    s_in, s_out = (np.sort(x[k]) for x, k in zip(w, keep.reshape(w.shape)))
     if s_in.size != s_out.size:
         return False
     return bool(np.all(np.abs(s_in + s_out[::-1]) <= 1e-9))
-
-
-def projectivity_check(m: Povm) -> ValidationReport:
-    """Idempotence of all three elements, conclusive-element
-    orthogonality, and the rank-2 inconclusive element."""
-    rep = ValidationReport()
-    elements = np.array([m.e0, m.e1, m.eq])
-    norms = unstack(spectral_norm(elements @ elements - elements))
-    for name, norm in zip(("e0", "e1", "eq"), norms):
-        rep.check(f"{name}_idempotent", norm, PROJECTIVE_TOL)
-    rep.check("e0_e1_orthogonal", abs(trace(m.e0 @ m.e1).real), PROJECTIVE_TOL)
-    rank = eigh(hermitize(m.eq)).rank()
-    rep.residuals["eq_rank"] = float(rank)
-    if rank != 2:
-        rep.failures.append("eq_rank")
-    return rep
 

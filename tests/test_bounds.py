@@ -16,7 +16,7 @@ from usdisc import (
     tighter_q0_bound,
 )
 from usdisc.bb84 import bit_problem, bit_spectrum_closed_form, build_states
-from usdisc.errors import BranchNotApplicable, InvalidInput
+from usdisc.errors import BranchNotApplicable, InvalidInput, NumericalFailure
 from usdisc.linalg import eigh, hermitize
 
 
@@ -195,6 +195,16 @@ def test_tighter_q0_bound_refuses_a_vanishing_compression(make):
     p = UsdProblem(rho, rho, 0.5, 0.5, gu_involution=np.eye(4))
     with pytest.raises(InvalidInput, match="vanishes"):
         tighter_q0_bound(p)
+
+
+def test_tighter_q0_bound_raises_a_usdisc_error_for_a_state_with_a_nan_entry():
+    # the compression's spectrum is NaN, not numpy's LinAlgError; the state's
+    # own decomposition then fails as a NumericalFailure
+    p = bit_problem(0.3)
+    r = p.rho0.matrix.copy()
+    r[0, 1] = r[1, 0] = np.nan
+    with pytest.raises(NumericalFailure):
+        tighter_q0_bound(UsdProblem(DensityMatrix(r), p.rho1, 0.5, 0.5, p.gu_involution))
 
 
 def _random_pure_state(rng, d):

@@ -10,13 +10,18 @@ from conftest import first_class_instance
 from usdisc import (
     DensityMatrix,
     UsdProblem,
+    audit_report,
     fidelity_operators,
+    projectivity_check,
     rank_condition_check,
+    serialize,
+    solve,
     solve_first_class,
     validate_povm,
+    validate_problem,
     verify_certificate,
 )
-from usdisc.bb84 import build_states
+from usdisc.bb84 import bit_problem, build_states
 from usdisc.linalg import at_least, hermitize, spectral_norm
 
 GRID = [round(0.05 * k, 2) for k in range(1, 61)]
@@ -193,3 +198,37 @@ def test_stacked_residuals_equal_per_matrix_calls(case):
     for name in ("z_psd", "kernel1_inequality", "kernel0_inequality"):
         source = "z_min_eig" if name == "z_psd" else f"{name}_min_eig"
         assert np.all(cert[name] == at_least(-expected[source], 0.0)), name
+
+
+def _bare_bit_pair():
+    p = bit_problem(0.3)
+    return UsdProblem(p.rho0, p.rho1, 0.5, 0.5)
+
+
+def _read_back(p):
+    """A solve report of p as certify reads it: decoded from its text, with
+    no decomposition cached."""
+    text = serialize.dumps(serialize.report_to_obj(p, solve(p)))
+    return serialize.report_from_obj(serialize.loads(text))
+
+
+@pytest.mark.parametrize("make, expected", [
+    (lambda: first_class_instance(np.random.default_rng(3), 4), {"eigvalsh": 2, "svd": 1}),
+    (lambda: bit_problem(0.3), {"eigvalsh": 1}),
+    (_bare_bit_pair, {"eigvalsh": 1}),
+], ids=["first_class", "projective", "oracle"])
+def test_the_audit_takes_its_spectra_in_one_call_with_the_bits_of_separate_checks(monkeypatch,
+                                                                                  make, expected):
+    # besides the regime verdict a first-class label needs, one eigenvalue
+    # call covers the elements, the witness conditions and, for a
+    # projective label, the projectivity matrices
+    p, report = _read_back(make())
+    p.decompose()
+    assert _count_calls(monkeypatch, lambda: audit_report(p, report)) == expected
+    p, report = _read_back(make())
+    audit = audit_report(p, report)
+    assert audit.ok, audit.failures
+    separate = {**validate_problem(p).residuals, **validate_povm(p, report.povm).residuals,
+                **verify_certificate(p, report.povm, report.certificate).residuals}
+    assert {k: audit.residuals[k] for k in separate} == separate
+    assert projectivity_check(report.povm).ok == (report.branch.value == "GuProjective")

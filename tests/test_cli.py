@@ -1,13 +1,16 @@
 import argparse
+import cProfile
 import json
 import os
 import pathlib
+import pstats
 import stat
 
 import numpy as np
 import pytest
 
 from conftest import first_class_instance
+from test_check_passes import _count_calls
 from usdisc import (DensityMatrix, UsdProblem, cli, failure_probability, oracle_optimize,
                     rank_condition_check, serialize)
 from usdisc.bb84 import bit_problem, find_mu0
@@ -696,6 +699,72 @@ def test_an_overflowing_trace_exits_one_with_one_error_line(tmp_path, capsys, re
     assert main(["solve", "--input", str(inp), *["--renormalize"] * renormalize]) == 1
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ")
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_overflowing_involution_exits_one_with_one_error_line(tmp_path, capsys):
+    # u's finite entries of about 1e200 overflow the involution checks, which
+    # then fail: refused without a numpy warning
+    p = bit_problem(0.3)
+    inp = tmp_path / "problem.json"
+    write_problem(inp, UsdProblem(p.rho0, p.rho1, 0.5, 0.5, 1e200 * p.gu_involution))
+    assert main(["solve", "--input", str(inp)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: problem fails validation: gu_u_unitary (residual inf)")
+
+
+ROUND_TRIP_CASES = {
+    "first_class": lambda: first_class_instance(np.random.default_rng(3), 4),
+    "symmetric_first_class": lambda: bit_problem(1.5),
+    "projective": lambda: bit_problem(0.3),
+    "oracle": _bare_bit_pair,
+}
+
+
+def _solved(tmp_path, case):
+    """The problem and report files of a solve of ROUND_TRIP_CASES[case]."""
+    inp, out = tmp_path / "problem.json", tmp_path / "report.json"
+    write_problem(inp, ROUND_TRIP_CASES[case]())
+    assert main(["solve", "--input", str(inp), "--output", str(out)]) == 0
+    return inp, out
+
+
+@pytest.mark.parametrize("case, branch, expected", [
+    ("first_class", "FirstClassFidelity", {"eigh": 1, "svd": 1, "eigvalsh": 2}),
+    ("projective", "GuProjective", {"eigh": 1, "eigvalsh": 1}),
+    ("oracle", "OracleOnly", {"eigh": 1, "eigvalsh": 1}),
+])
+def test_certify_takes_the_spectra_of_its_audit_in_one_call(tmp_path, monkeypatch, case, branch,
+                                                            expected):
+    # the states in one stacked eigh; for a first-class label the regime's
+    # SVD and rank-condition eigvalsh; then one eigvalsh over the elements,
+    # the witness conditions and, for a projective label, the projectivity
+    # matrices
+    _, out = _solved(tmp_path, case)
+    assert json.loads(out.read_text())["branch"] == branch
+    verdict = tmp_path / "verdict.txt"
+    argv = ["certify", "--input", str(out), "--output", str(verdict)]
+    assert _count_calls(monkeypatch, lambda: main(argv)) == expected
+    assert verdict.read_text().splitlines()[-1] == "PASS"
+
+
+# Python-level function calls of one solve + certify round trip through
+# main, counted by cProfile with Python 3.11 and numpy 2.4 (the count is
+# fixed for fixed inputs and versions); the bound leaves 10% headroom.
+ROUND_TRIP_CALLS = {"first_class": 1688, "symmetric_first_class": 1805, "projective": 1789}
+
+
+@pytest.mark.parametrize("case", list(ROUND_TRIP_CALLS))
+def test_a_solve_certify_round_trip_stays_within_its_call_budget(tmp_path, case):
+    inp, out = _solved(tmp_path, case)  # also builds the parsers, once per process
+    verdict = tmp_path / "verdict.txt"
+    profile = cProfile.Profile()
+    profile.enable()
+    codes = (main(["solve", "--input", str(inp), "--output", str(out)]),
+             main(["certify", "--input", str(out), "--output", str(verdict)]))
+    profile.disable()
+    assert codes == (0, 0)
+    assert pstats.Stats(profile).total_calls <= 1.1 * ROUND_TRIP_CALLS[case]
 
 
 def test_a_report_stored_indented_still_certifies(tmp_path, capsys):

@@ -249,6 +249,14 @@ def test_spectrum_negation_on_bit_pair():
         assert spectrum_negation_check(bit_problem(mu))
 
 
+def test_spectrum_negation_is_false_for_an_involution_with_a_nan_entry():
+    # its compressions' spectra are NaN, and numpy's eigensolver is not reached
+    p = bit_problem(0.3)
+    u = p.gu_involution.copy()
+    u[0, 1] = np.nan
+    assert spectrum_negation_check(UsdProblem(p.rho0, p.rho1, 0.5, 0.5, u)) is False
+
+
 def test_spectrum_negation_needs_involution():
     p = bit_problem(0.3)
     bare = UsdProblem(p.rho0, p.rho1, 0.5, 0.5)
@@ -310,13 +318,13 @@ def _bare_bit_pair():
 @pytest.mark.parametrize("make, branch, expected", [
     (lambda: first_class_instance(np.random.default_rng(3), 4), Branch.FIRST_CLASS_FIDELITY, 1),
     (lambda: bit_problem(1.5), Branch.FIRST_CLASS_FIDELITY, 1),
-    (lambda: bit_problem(0.3), Branch.GU_PROJECTIVE, 2),
+    (lambda: bit_problem(0.3), Branch.GU_PROJECTIVE, 1),
     (_bare_bit_pair, Branch.ORACLE_ONLY, 1),
 ], ids=["first_class", "symmetric_first_class", "projective", "oracle"])
 def test_audit_decomposes_each_state_once(monkeypatch, make, branch, expected):
     # a report read back from its text holds no decomposition: the audit
-    # takes the three in one call (plus the kernel-compressed involution
-    # that the projective label is checked on)
+    # takes the three in one call; the rank of Eq that the projective label
+    # needs comes from the audit's one eigenvalue call, not from an eigh
     p = make()
     text = serialize.dumps(serialize.report_to_obj(p, solve(p)))
     p2, report = serialize.report_from_obj(serialize.loads(text))
