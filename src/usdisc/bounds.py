@@ -124,6 +124,11 @@ def fidelity_operators(p: UsdProblem) -> FidelityData:
     # nonpositive prior leaves gamma undefined, and rank_condition_check
     # refuses such a problem before it reads them
     gamma = math.sqrt(p.eta1 / p.eta0) if p.eta0 > 0.0 and p.eta1 > 0.0 else math.nan
+    if math.isinf(gamma):
+        # eta1 / eta0 overflows for a subnormal eta0, the quotient of the
+        # square roots does not; an infinite gamma times a zero singular
+        # value would leave NaN in the operator and in the regime verdict
+        gamma = math.sqrt(p.eta1) / math.sqrt(p.eta0)
     m = max(r0, r1)
     ops = np.zeros((2,) + core.shape[:-2] + (m, m), core.dtype)
     diag = ops.reshape(ops.shape[:-2] + (m * m,))
@@ -171,7 +176,7 @@ def tighter_q0_bound(p: UsdProblem):
         raise BranchNotApplicable(
             "bound is derived for symmetric measurements; the problem "
             "declares no involution",
-            cause="gu_involution",
+            cause="involution_missing",
         )
     d1 = p.rho1.support
     k1 = d1.kernel_projector

@@ -11,9 +11,9 @@ directions. When the two states share one support, giving up is
 optimal and Z = 0 certifies it.
 
 fit_certificate, the gate of every solve, decides each witness it tries
-by certify_stack, without eigenvalues; verify_certificate gives the
-residuals that certify prints (witness_report, from the spectra of
-condition_matrices). All of them also take a stacked problem.
+without eigenvalues; verify_certificate gives the residuals that certify
+prints (witness_report, from the spectra of condition_matrices). All of
+them also take a stacked problem.
 """
 
 import math
@@ -148,13 +148,6 @@ def condition_matrices(p: UsdProblem, m: Povm, z: np.ndarray) -> np.ndarray:
     return a
 
 
-def _check_trace_identity(rep: ValidationReport, z: np.ndarray, q):
-    """Check the trace identity tr Z = 1 - q and return tr Z."""
-    tz = trace(z).real
-    rep.check("trace_identity", abs(tz - (1.0 - q)), CERT_TOL)
-    return tz
-
-
 def verify_certificate(p: UsdProblem, m: Povm, c: OptimalityCertificate) -> ValidationReport:
     """Evaluate all witness conditions and the trace identity.
 
@@ -185,53 +178,10 @@ def witness_report(c: OptimalityCertificate, z: np.ndarray, w, q) -> ValidationR
     rep.residuals["kernel0_inequality_min_eig"] = mn0
     rep.check("kernel1_inequality", at_least(-mn1, 0.0), CERT_TOL)
     rep.check("kernel0_inequality", at_least(-mn0, 0.0), CERT_TOL)
-    tz = _check_trace_identity(rep, z, q)
+    tz = trace(z).real
+    rep.check("trace_identity", abs(tz - (1.0 - q)), CERT_TOL)
     rep.check("success_trace_consistency", abs(tz - c.success_trace), 1e-12)
     return rep
-
-
-def certify_stack(p: UsdProblem, m: Povm, z: np.ndarray) -> Optional[OptimalityCertificate]:
-    """The certificate of witness z if validate_povm passes the measurement
-    m and verify_certificate passes z, on every instance of a stack, else
-    None; decided without eigenvalues.
-
-    The trace identity and validate_povm's entrywise checks are taken as
-    they are, every other check at half its bound: a stack that passes passes
-    both checks on every instance alone, and one that fails may still pass
-    them. A PSD condition holds when the Cholesky factorisation of its
-    matrix, shifted by half its bound, succeeds: E0, E1 and Eq at half
-    validate_povm's bound, Z and the kernel compressions at half CERT_TOL,
-    three matrices to a stacked call. A norm condition holds when a
-    Frobenius norm, which bounds the operator norm, is within half CERT_TOL:
-    that of Z Eq, from the trace of its Gram matrix, and that of each
-    equality residual. Rounding in eigvalsh and in the factorisation, about
-    1e-15 at these scales, stays far below the half margins.
-    """
-    rep, bounds = povm_report(p, m)
-    zh = hermitize(as_double(z))
-    # symmetrizing keeps the real diagonal, so this is tr Z of z as given
-    success = item_or_array(_check_trace_identity(rep, zh, failure_probability(p, m)[0]))
-    if not rep.ok:
-        return None
-    a = condition_matrices(p, m, zh)
-    norms = np.sqrt(trace(a[3]).real), np.linalg.norm(a[4:], axis=(-2, -1))
-    if not all(all_true(n <= 0.5 * CERT_TOL) for n in norms):
-        return None
-    # the elements take the slots the norm conditions no longer need
-    a[3], a[4], a[5] = m.e0, m.e1, m.eq
-    _symmetrize(a[3:])
-    d = a.shape[-1]
-    diagonal = a.reshape(a.shape[:-2] + (d * d,))[..., ::d + 1]
-    diagonal[:3] += 0.5 * CERT_TOL
-    diagonal[3:] += 0.5 * np.array(bounds)[..., None]
-    # three matrices a call: a factor of all six beside the stack raised
-    # the sweep's peak resident set by about 0.15 MB
-    try:
-        for part in (a[:3], a[3:]):
-            np.linalg.cholesky(part)
-    except np.linalg.LinAlgError:
-        return None
-    return OptimalityCertificate(z=z, success_trace=success)
 
 
 def _candidates(p: UsdProblem, m: Povm):
@@ -249,17 +199,56 @@ def _candidates(p: UsdProblem, m: Povm):
 
 def fit_certificate(p: UsdProblem, m: Povm,
                     candidate: Optional[np.ndarray] = None) -> Optional[OptimalityCertificate]:
-    """The certificate of the first witness that certify_stack passes with
-    the given measurement.
+    """The certificate of the first witness that, with the measurement m,
+    passes validate_povm and verify_certificate on every instance of a
+    stack, else None; decided without eigenvalues.
 
     A given candidate, such as a branch's closed form or the oracle's
     dual, is tried alone; without one, the closed forms in turn: the
     fidelity-bound witness, the symmetric projective witness when E0 has
     rank 1 on a 4D involution pair, and Z = 0. A stack needs one witness
     for every instance. None means "not certified", not "refuted".
+
+    validate_povm's entrywise checks are taken once, before any witness is
+    built, and the trace identity once per witness, both at their full
+    bounds; every other check at half its bound. So a stack that passes
+    passes validate_povm and verify_certificate on every instance alone,
+    and one that fails may still pass them. A PSD condition holds when the Cholesky factorisation of its
+    matrix, shifted by half its bound, succeeds: E0, E1 and Eq at half
+    validate_povm's bound, Z and the kernel compressions at half CERT_TOL,
+    three matrices to a stacked call. A norm condition holds when a
+    Frobenius norm, which bounds the operator norm, is within half CERT_TOL:
+    that of Z Eq, from the trace of its Gram matrix, and that of each
+    equality residual. Rounding in eigvalsh and in the factorisation, about
+    1e-15 at these scales, stays far below the half margins.
     """
+    rep, bounds = povm_report(p, m)
+    if not rep.ok:
+        return None
+    success_target = 1.0 - failure_probability(p, m)[0]
     for z in _candidates(p, m) if candidate is None else (candidate,):
-        cert = certify_stack(p, m, z)
-        if cert is not None:
-            return cert
+        zh = hermitize(as_double(z))
+        # symmetrizing keeps the real diagonal, so this is tr Z of z as given
+        success = item_or_array(trace(zh).real)
+        if not all_true(abs(success - success_target) <= CERT_TOL):
+            continue
+        a = condition_matrices(p, m, zh)
+        norms = np.sqrt(trace(a[3]).real), np.linalg.norm(a[4:], axis=(-2, -1))
+        if not all(all_true(n <= 0.5 * CERT_TOL) for n in norms):
+            continue
+        # the elements take the slots the norm conditions no longer need
+        a[3], a[4], a[5] = m.e0, m.e1, m.eq
+        _symmetrize(a[3:])
+        d = a.shape[-1]
+        diagonal = a.reshape(a.shape[:-2] + (d * d,))[..., ::d + 1]
+        diagonal[:3] += 0.5 * CERT_TOL
+        diagonal[3:] += 0.5 * np.array(bounds)[..., None]
+        # three matrices a call: a factor of all six beside the stack raised
+        # the sweep's peak resident set by about 0.15 MB
+        try:
+            for part in (a[:3], a[3:]):
+                np.linalg.cholesky(part)
+        except np.linalg.LinAlgError:
+            continue
+        return OptimalityCertificate(z=z, success_trace=success)
     return None

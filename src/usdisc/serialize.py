@@ -155,11 +155,13 @@ def certificate_from_obj(obj, dim: int, decoded=None) -> OptimalityCertificate:
     if "residuals" in obj:
         # certify recomputes every residual; a stored one would go unchecked
         raise InvalidInput("certificate.residuals: a report stores no residuals")
-    z = _matrix(decoded, obj["z"], dim, "certificate.z")
+    if "success_trace" not in obj:
+        # certify checks the stored trace against tr Z; one filled in from Z
+        # would check nothing
+        raise InvalidInput("certificate: missing field 'success_trace'")
     return OptimalityCertificate(
-        z=z,
-        success_trace=(_number(obj["success_trace"], "certificate.success_trace")
-                       if "success_trace" in obj else float(np.trace(z).real)),
+        z=_matrix(decoded, obj["z"], dim, "certificate.z"),
+        success_trace=_number(obj["success_trace"], "certificate.success_trace"),
     )
 
 

@@ -176,12 +176,25 @@ def test_prior_window_excludes_lopsided_pure_case():
     assert not rep.both_psd
 
 
+@pytest.mark.parametrize("eta0", [1e-310, 5e-324])
+def test_a_subnormal_prior_gives_a_definite_regime_verdict(eta0):
+    # eta1 / eta0 overflows; gamma comes out finite all the same, so no
+    # infinite weight meets a zero singular value, and the verdict is read
+    # from finite spectra, with no warning under the suite's filter
+    p = bit_problem(1.5)
+    q = UsdProblem(p.rho0, p.rho1, eta0, 0.9999999999999999)
+    rc = rank_condition_check(q)
+    assert np.isfinite(rc.op0_min_eig) and np.isfinite(rc.op1_min_eig)
+    assert rc.op0_min_eig < 0.0 and not rc.both_psd
+    assert solve(q).branch is Branch.ORACLE_ONLY
+
+
 def test_tighter_q0_bound_needs_involution():
     rng = np.random.default_rng(5)
     p = random_problem(rng, 4)
     with pytest.raises(BranchNotApplicable) as err:
         tighter_q0_bound(p)
-    assert err.value.cause == "gu_involution"
+    assert err.value.cause == "involution_missing"
 
 
 @pytest.mark.parametrize("make", [

@@ -23,7 +23,7 @@ from usdisc import (
 import usdisc.certificates
 import usdisc.solvers
 from usdisc.bb84 import basis_problem, bit_problem, build_states
-from usdisc.certificates import CERT_TOL, certify_stack, symmetric_projective_witness
+from usdisc.certificates import CERT_TOL, symmetric_projective_witness
 from usdisc.linalg import eigh, hermitize, outer, spectral_norm, trace
 
 GRID = [round(0.05 * k, 2) for k in range(1, 61)]
@@ -102,6 +102,24 @@ def test_fit_rejects_scaled_conclusive_element():
     m = rep.povm
     bad = Povm(0.5 * m.e0, m.e1, hermitize(np.eye(4) - 0.5 * m.e0 - m.e1))
     assert fit_certificate(p, bad) is None
+
+
+def test_fit_checks_a_failing_measurement_once_and_builds_no_witness(monkeypatch):
+    # E0 scaled by 1.01 breaks completeness, an entrywise check: the gate
+    # refuses the measurement before the chain builds any closed-form
+    # witness, and so before the projective witness takes E0's eigh
+    p = bit_problem(0.3)
+    m = solve(p).povm
+    bad = Povm(1.01 * m.e0, m.e1, m.eq)
+    reports = []
+    povm_report = usdisc.certificates.povm_report
+    monkeypatch.setattr(usdisc.certificates, "povm_report",
+                        lambda *args: reports.append(1) or povm_report(*args))
+    certs = []
+    calls = _count_calls(monkeypatch, lambda: certs.append(fit_certificate(p, bad)))
+    assert certs == [None]
+    assert len(reports) == 1
+    assert sum(calls.values()) == 0, calls
 
 
 def test_fit_rejects_povm_from_wrong_problem():
@@ -319,7 +337,7 @@ def _moved_to_eq(p, m, rng):
     return Povm(m.e0 - step * outer(v, v), m.e1, m.eq + step * outer(v, v))
 
 
-def test_a_stack_that_passes_certify_stack_passes_the_gate_on_every_row():
+def test_a_stack_that_passes_fit_certificate_passes_the_gate_on_every_row():
     """Sweep stacks whose witnesses are perturbed on random rows by
     symmetric noise from 1e-9 to 1e-6, around CERT_TOL, or whose E0 loses
     weight to Eq around the PSD bound: whenever the stacked verdict
@@ -337,7 +355,7 @@ def test_a_stack_that_passes_certify_stack_passes_the_gate_on_every_row():
             z += (scale / spectral_norm(noise))[:, None, None] * noise
         else:
             report.povm = _moved_to_eq(p, report.povm, rng)
-        verdict = certify_stack(p, report.povm, z) is not None
+        verdict = fit_certificate(p, report.povm, candidate=z) is not None
         rows = [_row_gate_passes(p, report, z, i) for i in range(n)]
         if verdict:
             assert all(rows)
@@ -357,7 +375,7 @@ def test_a_residual_between_half_and_full_bound_falls_back_to_row_solves(monkeyp
     k = report.branch.index(Branch.GU_PROJECTIVE)
     z = report.certificate.z.copy()
     z[k] += 0.75 * CERT_TOL * report.povm.e0[k]
-    assert certify_stack(p, report.povm, z) is None
+    assert fit_certificate(p, report.povm, candidate=z) is None
     assert all(_row_gate_passes(p, report, z, i) for i in range(len(z)))
 
     expected = solve(_sweep_stack(GRID[::6])[0])

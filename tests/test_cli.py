@@ -70,6 +70,25 @@ def test_solve_is_byte_identical_across_runs(tmp_path):
         assert json.loads(outs[0].read_text())["branch"] == branch, name
 
 
+def test_solve_with_a_subnormal_prior_writes_its_report_without_a_warning(tmp_path, capsys):
+    # eta1 / eta0 overflows at eta0 = 1e-310; the regime verdict stays
+    # definite, so the oracle's report comes out alone on stdout
+    p = bit_problem(1.5)
+    q = UsdProblem(p.rho0, p.rho1, 1e-310, 0.9999999999999999)
+    assert validate_problem(q).ok
+    inp = tmp_path / "problem.json"
+    write_problem(inp, q)
+    capsys.readouterr()
+    assert main(["solve", "--input", str(inp)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    # the problem as the command read it
+    q = serialize.problem_from_obj(json.loads(inp.read_text()))
+    report = solve(q)
+    assert report.branch is Branch.ORACLE_ONLY
+    assert captured.out == serialize.dumps(serialize.report_to_obj(q, report))
+
+
 def test_solve_first_class_branch(tmp_path):
     rng = np.random.default_rng(0)
     p = first_class_instance(rng, 4)
@@ -422,6 +441,22 @@ def test_certify_rejects_a_report_without_q_opt(tmp_path, capsys):
     capsys.readouterr()
     assert main(["certify", "--input", str(rpt)]) == 1
     assert capsys.readouterr().err == "error: report: missing field 'q_opt'\n"
+
+
+def test_certify_rejects_a_report_without_success_trace(tmp_path, capsys):
+    # a trace filled in from Z would pass the stored-trace check by itself
+    inp = tmp_path / "problem.json"
+    rpt = tmp_path / "report.json"
+    write_problem(inp, bit_problem(0.3))
+    assert main(["solve", "--input", str(inp), "--output", str(rpt)]) == 0
+    obj = json.loads(rpt.read_text())
+    del obj["certificate"]["success_trace"]
+    rpt.write_text(serialize.dumps(obj))
+    capsys.readouterr()
+    assert main(["certify", "--input", str(rpt)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: certificate: missing field 'success_trace'\n"
 
 
 @pytest.mark.parametrize("field, value", [
