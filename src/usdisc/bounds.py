@@ -16,7 +16,6 @@ tighter_q0_bound, which takes one problem.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -25,13 +24,13 @@ from .linalg import (
     REL_CUTOFF,
     any_true,
     assemble,
+    cached,
     dagger,
     eigvalsh,
     hermitize,
     item_or_array,
     nonzero_mask,
     psd_verdict,
-    unstack,
 )
 from .problem import UsdProblem
 
@@ -56,24 +55,28 @@ class FidelityData:
     w: np.ndarray
     core_polar: np.ndarray  # w v^H on the pairs of singular vectors, r0 x r1
     vectors0: np.ndarray
-    fidelity: float
     # Lambda0 - gamma w S w^H and Lambda1 - v S v^H / gamma, each
     # zero-padded to max(r0, r1), stacked along a new first axis
     rank_operators: np.ndarray
 
-    @cached_property
+    @cached
+    def fidelity(self) -> float:
+        """F, the sum of the singular values."""
+        return item_or_array(self.s.sum(axis=-1))
+
+    @cached
     def f0(self) -> np.ndarray:
         left = self.vectors0[..., self.vectors0.shape[-1] - self.w.shape[-1]:] @ self.w
         return assemble(self.s, left[..., :self.s.shape[-1]])
 
-    @cached_property
+    @cached
     def rank_report(self) -> RankConditionReport:
         """The regime verdict, from one eigenvalue call over both
         rank_operators. Each operator vanishes on its state's kernel, which
         a pair whose supports do not overlap never has empty, so its minimum
         eigenvalue is min(lowest support-coordinate eigenvalue, 0), exactly."""
-        # each operator's verdict on its own: scalar arithmetic for one problem
-        (ok0, mn0), (ok1, mn1) = map(psd_verdict, unstack(np.linalg.eigvalsh(self.rank_operators)))
+        # both operators' verdicts in one call, one entry of the first axis each
+        (ok0, ok1), (mn0, mn1) = psd_verdict(np.linalg.eigvalsh(self.rank_operators))
         return RankConditionReport(op0_min_eig=np.minimum(mn0, 0.0),
                                    op1_min_eig=np.minimum(mn1, 0.0), both_psd=ok0 & ok1)
 
@@ -81,7 +84,7 @@ class FidelityData:
         """The instances at the given indices of a stack's fidelity data,
         with the row slices of its cached rank_report."""
         sub = FidelityData(self.s[rows], self.w[rows], self.core_polar[rows], self.vectors0[rows],
-                           item_or_array(self.fidelity[rows]), self.rank_operators[:, rows])
+                           self.rank_operators[:, rows])
         if "rank_report" in vars(self):
             r = self.rank_report
             vars(sub)["rank_report"] = RankConditionReport(
@@ -138,8 +141,7 @@ def fidelity_operators(p: UsdProblem) -> FidelityData:
         r = lam.shape[-1]
         diag[i, ..., :r * (m + 1):m + 1] = lam
         ops[i, ..., :r, :r] -= (u * (scale * s)[..., None, :]) @ dagger(u)
-    return FidelityData(s, w, core_polar, p.rho0.spectrum.eigenvectors,
-                        item_or_array(s.sum(axis=-1)), ops)
+    return FidelityData(s, w, core_polar, p.rho0.spectrum.eigenvectors, ops)
 
 
 def failure_lower_bound(p: UsdProblem) -> float:

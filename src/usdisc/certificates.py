@@ -107,8 +107,8 @@ def symmetric_projective_witness(p: UsdProblem, x: np.ndarray, u: np.ndarray) ->
     x_perp = matvec(kcols, perp)
     m = -p.eta0 * form(x, p.rho0.matrix, x_perp)
     t = inner(y, x_perp)
-    c = np.reshape([_witness_cross_term(*mt) for mt in zip(np.ravel(m), np.ravel(t))],
-                   np.shape(m))
+    c = np.array([_witness_cross_term(*mt) for mt in zip(np.ravel(m), np.ravel(t))])
+    c = c.reshape(np.shape(m))
     xx, yy, xy = outer(x, x), outer(y, y), outer(x, y)
     return alpha[..., None, None] * (xx + yy) + c[..., None, None] * (xy + dagger(xy))
 
@@ -167,20 +167,18 @@ def witness_report(c: OptimalityCertificate, z: np.ndarray, w, q) -> ValidationR
     rep = ValidationReport()
     # an equality residual's norm is the larger magnitude at the ends of its spectrum
     zmin, mn1, mn0 = unstack(w[:3, ..., 0])
+    zneg, neg1, neg0 = unstack(at_least(-w[:3, ..., 0], 0.0))
     annihilation = item_or_array(gram_norm(w[3]))
     equality0, equality1 = unstack(np.maximum(-w[4:, ..., 0], w[4:, ..., -1]))
     rep.residuals["z_min_eig"] = zmin
-    rep.check("z_psd", at_least(-zmin, 0.0), CERT_TOL)
-    rep.check("z_annihilates_eq", annihilation, CERT_TOL)
-    rep.check("e0_equality", equality0, CERT_TOL)
-    rep.check("e1_equality", equality1, CERT_TOL)
+    rep.check(("z_psd", zneg, CERT_TOL), ("z_annihilates_eq", annihilation, CERT_TOL),
+              ("e0_equality", equality0, CERT_TOL), ("e1_equality", equality1, CERT_TOL))
     rep.residuals["kernel1_inequality_min_eig"] = mn1
     rep.residuals["kernel0_inequality_min_eig"] = mn0
-    rep.check("kernel1_inequality", at_least(-mn1, 0.0), CERT_TOL)
-    rep.check("kernel0_inequality", at_least(-mn0, 0.0), CERT_TOL)
     tz = trace(z).real
-    rep.check("trace_identity", abs(tz - (1.0 - q)), CERT_TOL)
-    rep.check("success_trace_consistency", abs(tz - c.success_trace), 1e-12)
+    rep.check(("kernel1_inequality", neg1, CERT_TOL), ("kernel0_inequality", neg0, CERT_TOL),
+              ("trace_identity", abs(tz - (1.0 - q)), CERT_TOL),
+              ("success_trace_consistency", abs(tz - c.success_trace), 1e-12))
     return rep
 
 
@@ -197,8 +195,8 @@ def _candidates(p: UsdProblem, m: Povm):
     yield np.zeros_like(as_double(m.eq))
 
 
-def fit_certificate(p: UsdProblem, m: Povm,
-                    candidate: Optional[np.ndarray] = None) -> Optional[OptimalityCertificate]:
+def fit_certificate(p: UsdProblem, m: Povm, candidate: Optional[np.ndarray] = None,
+                    q=None) -> Optional[OptimalityCertificate]:
     """The certificate of the first witness that, with the measurement m,
     passes validate_povm and verify_certificate on every instance of a
     stack, else None; decided without eigenvalues.
@@ -207,7 +205,8 @@ def fit_certificate(p: UsdProblem, m: Povm,
     dual, is tried alone; without one, the closed forms in turn: the
     fidelity-bound witness, the symmetric projective witness when E0 has
     rank 1 on a 4D involution pair, and Z = 0. A stack needs one witness
-    for every instance. None means "not certified", not "refuted".
+    for every instance. None means "not certified", not "refuted". q is
+    failure_probability(p, m)[0], for a caller that computed it already.
 
     validate_povm's entrywise checks are taken once, before any witness is
     built, and the trace identity once per witness, both at their full
@@ -225,7 +224,7 @@ def fit_certificate(p: UsdProblem, m: Povm,
     rep, bounds = povm_report(p, m)
     if not rep.ok:
         return None
-    success_target = 1.0 - failure_probability(p, m)[0]
+    success_target = 1.0 - (failure_probability(p, m)[0] if q is None else q)
     for z in _candidates(p, m) if candidate is None else (candidate,):
         zh = hermitize(as_double(z))
         # symmetrizing keeps the real diagonal, so this is tr Z of z as given
@@ -234,7 +233,7 @@ def fit_certificate(p: UsdProblem, m: Povm,
             continue
         a = condition_matrices(p, m, zh)
         norms = np.sqrt(trace(a[3]).real), np.linalg.norm(a[4:], axis=(-2, -1))
-        if not all(all_true(n <= 0.5 * CERT_TOL) for n in norms):
+        if not (all_true(norms[0] <= 0.5 * CERT_TOL) and all_true(norms[1] <= 0.5 * CERT_TOL)):
             continue
         # the elements take the slots the norm conditions no longer need
         a[3], a[4], a[5] = m.e0, m.e1, m.eq

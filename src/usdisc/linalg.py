@@ -21,6 +21,7 @@ are slices, so a stack that mixes ranks is refused.
 """
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -43,10 +44,29 @@ HERM_TOL = 1e-12
 _HALF_MAX = np.finfo(float).max / 2
 
 
+class cached(cached_property):
+    """functools.cached_property without the lock that it takes on each
+    first read before Python 3.12."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
+
+
 def as_double(a) -> np.ndarray:
     """a as a float64 array, or as a complex128 one when a is complex."""
     a = np.asarray(a)
     return np.asarray(a, complex if a.dtype.kind == "c" else float)
+
+
+@cache
+def identity(d: int) -> np.ndarray:
+    """The d x d identity, built once per dimension and shared, so read-only."""
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -124,10 +144,11 @@ def unstack(x) -> list:
     return x.tolist() if x.ndim == 1 else list(x)
 
 
-def hermitian_skew(a: np.ndarray):
+def hermitian_skew(a: np.ndarray, top=None):
     """The Hermiticity rule: (relative skew, scale) of each matrix, the skew
-    |a - a^H|_max over the scale max(1, |a|_max); callers bound the former."""
-    scale = at_least(max_abs(a), 1.0)
+    |a - a^H|_max over the scale max(1, |a|_max); callers bound the former.
+    top is max_abs(a), for a caller that took it already."""
+    scale = at_least(max_abs(a) if top is None else top, 1.0)
     return max_abs(a - dagger(a)) / scale, scale
 
 
@@ -141,10 +162,11 @@ def require_hermitian(a, name: str = "matrix") -> np.ndarray:
     if not a.shape[-1]:
         raise InvalidInput(f"{name} must not be empty, got shape {a.shape}")
     # first, as a - a^H would warn of such entries; a NaN one fails this too
-    if not all_true(max_abs(a) <= _HALF_MAX):
+    top = max_abs(a)
+    if not all_true(top <= _HALF_MAX):
         raise InvalidInput(f"{name} entries must be finite and at most "
                            f"{_HALF_MAX:.3e} in magnitude")
-    skew, scale = hermitian_skew(a)
+    skew, scale = hermitian_skew(a, top)
     if not all_true(skew <= HERM_TOL):
         i = np.argmax(np.ravel(skew > HERM_TOL))  # the first bad matrix of a stack words the error
         raise InvalidInput(
@@ -255,7 +277,7 @@ class EigenSystem:
         return SupportDecomposition(
             support_projector=p,
             # I - p is as exactly Hermitian as p, so it needs no symmetrizing
-            kernel_projector=np.eye(p.shape[-1]) - p,
+            kernel_projector=identity(p.shape[-1]) - p,
             rank=rank,
         )
 
@@ -271,11 +293,15 @@ class EigenSystem:
         w = np.where(nonzero_mask(self.eigenvalues), self.eigenvalues, 0.0)
         return assemble(np.sqrt(w), self.eigenvectors)
 
+    @cached
+    def psd_rule(self):
+        """negativity_bound of the spectrum, for every reader."""
+        return negativity_bound(self.eigenvalues)
+
     def require_psd(self):
         """Raise unless the matrix passes the PSD rule of negativity_bound."""
-        w = self.eigenvalues
-        if w.shape[-1]:
-            low, bound = negativity_bound(w)
+        if self.eigenvalues.shape[-1]:
+            low, bound = self.psd_rule
             below = low < -bound
             if any_true(below):
                 worst = np.min(np.where(below, low, np.inf))
@@ -284,6 +310,7 @@ class EigenSystem:
                     f"-{np.max(np.where(below, bound, 0.0)):.3e}"
                 )
 
+    @cached
     def _inverse_eigenvalues(self) -> np.ndarray:
         w = self.eigenvalues
         mask = nonzero_mask(w, indefinite=True)
@@ -293,13 +320,13 @@ class EigenSystem:
 
     def pinv(self) -> np.ndarray:
         """Spectral pseudo-inverse; components below cutoff are dropped."""
-        return assemble(self._inverse_eigenvalues(), self.eigenvectors)
+        return assemble(self._inverse_eigenvalues, self.eigenvectors)
 
     def pinv_times(self, x: np.ndarray) -> np.ndarray:
         """pinv() @ x, computed as V ((1/w) V^H x) without forming the
         d x d pseudo-inverse."""
         v = self.eigenvectors
-        return v @ (self._inverse_eigenvalues()[..., :, None] * (dagger(v) @ x))
+        return v @ (self._inverse_eigenvalues[..., :, None] * (dagger(v) @ x))
 
 
 def eigh(h: np.ndarray) -> EigenSystem:

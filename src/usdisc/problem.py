@@ -18,7 +18,6 @@ too), so it decomposes nothing again.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -32,12 +31,14 @@ from .linalg import (
     all_true,
     as_double,
     at_least,
+    cached,
     dagger,
     eigh,
     eigvalsh,
     gram_norm,
     hermitian_skew,
     hermitize,
+    identity,
     max_abs,
     negativity_bound,
     psd_check,
@@ -64,20 +65,20 @@ class DensityMatrix:
 
     matrix: np.ndarray
 
-    @property
+    @cached
     def dim(self) -> int:
         return self.matrix.shape[-1]
 
-    @cached_property
+    @cached
     def spectrum(self) -> EigenSystem:
         return eigh(self.matrix)
 
-    @cached_property
+    @cached
     def support(self) -> SupportDecomposition:
         """Support and kernel projectors at the package's rank cutoff."""
         return self.spectrum.support()
 
-    @cached_property
+    @cached
     def factor(self) -> np.ndarray:
         """The support columns B scaled by the square roots of their
         eigenvalues Lambda: the d x r factor X = B sqrt(Lambda) with
@@ -122,11 +123,11 @@ class UsdProblem:
     eta1: float
     gu_involution: Optional[np.ndarray] = None
 
-    @property
+    @cached
     def dim(self) -> int:
         return self.rho0.dim
 
-    @cached_property
+    @cached
     def sum_spectrum(self) -> EigenSystem:
         """Eigendecomposition of rho0 + rho1."""
         return eigh(self.rho0.matrix + self.rho1.matrix)
@@ -134,31 +135,41 @@ class UsdProblem:
     def decompose(self) -> "UsdProblem":
         """Decompose rho0, rho1 and rho0 + rho1 in one stacked eigh call,
         which gives each the bits of a call of its own, and cache the three
-        where the states' spectrum and sum_spectrum read them. A problem
-        that holds any of them already is left to decompose each where it
-        is read. Returns the problem."""
+        where the states' spectrum and sum_spectrum read them, the states'
+        with their psd_rule. A problem that holds any of them already is
+        left to decompose each where it is read. Returns the problem."""
         r0, r1 = self.rho0.matrix, self.rho1.matrix
-        owners = ((self.rho0, "spectrum"), (self.rho1, "spectrum"), (self, "sum_spectrum"))
-        if r0.shape == r1.shape and r0.dtype == r1.dtype and not any(
-                name in vars(owner) for owner, name in owners):
+        if (r0.shape == r1.shape and r0.dtype == r1.dtype and "spectrum" not in vars(self.rho0)
+                and "spectrum" not in vars(self.rho1) and "sum_spectrum" not in vars(self)):
             with np.errstate(over="ignore"):  # an overflowing sum gives NaN, as on its own
                 sys = eigh(np.array((r0, r1, r0 + r1)))
-            for i, (owner, name) in enumerate(owners):
-                vars(owner)[name] = _take_eigensystem(sys, i)
+            lows, bounds = negativity_bound(sys.eigenvalues[:2])
+            for i, (low, bound, state) in enumerate(zip(unstack(lows), unstack(bounds),
+                                                        (self.rho0, self.rho1))):
+                spectrum = vars(state)["spectrum"] = _take_eigensystem(sys, i)
+                vars(spectrum)["psd_rule"] = low, bound
+            vars(self)["sum_spectrum"] = _take_eigensystem(sys, 2)
         return self
 
-    @cached_property
+    @cached
+    def state_residuals(self):
+        """The Hermiticity skews and |trace - 1| of rho0 and rho1, each pair
+        along a first axis: validate_problem's residuals for the states."""
+        states = np.array((self.rho0.matrix, self.rho1.matrix))
+        return hermitian_skew(states)[0], abs(trace(states).real - 1.0)
+
+    @cached
     def gu_structure(self) -> "ValidationReport":
         """verify_gu_structure of the states and the involution."""
         return verify_gu_structure(self.rho0, self.rho1, self.gu_involution)
 
-    @cached_property
+    @cached
     def supports_overlap(self) -> bool:
         """Whether the supports share a direction: their ranks add up to
         more than the rank of their sum."""
         return self.rho0.support.rank + self.rho1.support.rank > self.sum_spectrum.rank()
 
-    @cached_property
+    @cached
     def fidelity_pair(self):
         """bounds.fidelity_operators of the problem, for every reader."""
         from .bounds import fidelity_operators  # bounds builds on this module
@@ -187,7 +198,7 @@ def _take_support(dec: SupportDecomposition, rows) -> SupportDecomposition:
                                 kernel_projector=dec.kernel_projector[rows], rank=dec.rank)
 
 
-# How each cached_property of a stack slices to a sub-stack. Every matrix
+# How each cached property of a stack slices to a sub-stack. Every matrix
 # of a stack is decomposed on its own, so the slice has the bits the
 # sub-stack would compute; supports_overlap follows from the shared ranks.
 _TAKE = {
@@ -201,7 +212,7 @@ _TAKE = {
 
 
 def _take_cached(parent, sub, rows):
-    # cached_property keeps its values in the instance __dict__, which a
+    # a cached property keeps its value in the instance __dict__, which a
     # frozen dataclass leaves writable
     for name, value in vars(parent).items():
         if name in _TAKE:
@@ -234,19 +245,19 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def check(self, name: str, residual, bound: float):
-        """Record a residual, or its per-instance array for a stack; the
-        check fails when any of them exceeds its bound (which may also be
-        per instance) or is NaN."""
-        if isinstance(residual, np.ndarray) and residual.ndim:
+    def check(self, *checks):
+        """Record each (name, residual, bound) check in turn: its residual,
+        or its per-instance array for a stack, fails when any of them
+        exceeds its bound (which may also be per instance) or is NaN."""
+        for name, residual, bound in checks:
+            if isinstance(residual, np.ndarray) and residual.ndim:
+                ok = (residual <= bound).all()
+            else:
+                residual = float(residual)
+                ok = residual <= bound
             self.residuals[name] = residual
-            ok = (residual <= bound).all()
-        else:
-            residual = float(residual)
-            self.residuals[name] = residual
-            ok = residual <= bound
-        if not ok:
-            self.failures.append(name)
+            if not ok:
+                self.failures.append(name)
 
 
 def validate_problem(p: UsdProblem) -> ValidationReport:
@@ -256,20 +267,18 @@ def validate_problem(p: UsdProblem) -> ValidationReport:
     p.decompose()  # the spectra read below, and by the solve or audit after it
     r0, r1 = p.rho0.matrix, p.rho1.matrix
     if r0.shape != r1.shape:
-        rep.residuals["dim_match"] = abs(r0.shape[-1] - r1.shape[-1])
-        rep.failures.append("dim_match")
+        rep.check(("dim_match", abs(r0.shape[-1] - r1.shape[-1]), 0))
         return rep
-    states = np.array((r0, r1))
-    skews, traces = unstack(hermitian_skew(states)[0]), unstack(abs(trace(states).real - 1.0))
+    skews, traces = map(unstack, p.state_residuals)
+    checks = []
     for name, state, skew, tr in zip(("rho0", "rho1"), (p.rho0, p.rho1), skews, traces):
-        rep.check(f"{name}_hermitian", skew, HERM_TOL)
-        # the state's cached spectrum, which the solve and audit read too
-        mn, bound = negativity_bound(state.spectrum.eigenvalues)
-        rep.check(f"{name}_psd", at_least(-mn, 0.0), bound)
-        rep.check(f"{name}_trace", tr, TRACE_TOL)
-    rep.check("priors_sum", abs(p.eta0 + p.eta1 - 1.0), PRIOR_TOL)
-    for name, eta in (("eta0", p.eta0), ("eta1", p.eta1)):
-        rep.check(f"{name}_in_open_interval", 0.0 if 0.0 < eta < 1.0 else 1.0, 0.0)
+        # the PSD rule of the state's cached spectrum, which factor applies too
+        mn, bound = state.spectrum.psd_rule
+        checks += [(f"{name}_hermitian", skew, HERM_TOL),
+                   (f"{name}_psd", at_least(-mn, 0.0), bound), (f"{name}_trace", tr, TRACE_TOL)]
+    rep.check(*checks, ("priors_sum", abs(p.eta0 + p.eta1 - 1.0), PRIOR_TOL),
+              ("eta0_in_open_interval", 0.0 if 0.0 < p.eta0 < 1.0 else 1.0, 0.0),
+              ("eta1_in_open_interval", 0.0 if 0.0 < p.eta1 < 1.0 else 1.0, 0.0))
     if p.gu_involution is not None:
         gu = p.gu_structure
         rep.residuals.update({f"gu_{k}": v for k, v in gu.residuals.items()})
@@ -292,15 +301,17 @@ def povm_report(p: UsdProblem, m: Povm, mins=None):
     without eigenvalues."""
     rep = ValidationReport()
     skews, scales = hermitian_skew(np.array([m.e0, m.e1, m.eq]))
-    bounds = [PSD_TOL * scale for scale in unstack(scales)]
-    mins = (None,) * 3 if mins is None else unstack(mins)
-    for name, skew, bound, mn in zip(("e0", "e1", "eq"), unstack(skews), bounds, mins):
-        rep.check(f"{name}_hermitian", skew, 1e-10)
-        if mn is not None:
-            rep.check(f"{name}_psd", at_least(-mn, 0.0), bound)
-    rep.check("completeness", max_abs(m.e0 + m.e1 + m.eq - np.eye(p.dim)), COMPLETENESS_TOL)
-    rep.check("error_free_0", abs(trace(m.e0 @ p.rho1.matrix).real), ERROR_FREE_TOL)
-    rep.check("error_free_1", abs(trace(m.e1 @ p.rho0.matrix).real), ERROR_FREE_TOL)
+    bounds = unstack(PSD_TOL * scales)
+    negativity = (None,) * 3 if mins is None else unstack(at_least(-mins, 0.0))
+    checks = []
+    for name, skew, bound, neg in zip(("e0", "e1", "eq"), unstack(skews), bounds, negativity):
+        checks += [(f"{name}_hermitian", skew, 1e-10)]
+        if neg is not None:
+            checks += [(f"{name}_psd", neg, bound)]
+    rep.check(*checks,
+              ("completeness", max_abs(m.e0 + m.e1 + m.eq - identity(p.dim)), COMPLETENESS_TOL),
+              ("error_free_0", abs(trace(m.e0 @ p.rho1.matrix).real), ERROR_FREE_TOL),
+              ("error_free_1", abs(trace(m.e1 @ p.rho0.matrix).real), ERROR_FREE_TOL))
     return rep, bounds
 
 
@@ -320,14 +331,15 @@ def verify_gu_structure(rho0: DensityMatrix, rho1: DensityMatrix,
     rep = ValidationReport()
     u = as_double(u)
     if u.shape != rho0.matrix.shape[-2:]:
-        rep.residuals["u_shape"] = 1.0
-        rep.failures.append("u_shape")
+        rep.check(("u_shape", 1.0, 0.0))
         return rep
-    eye = np.eye(u.shape[0])
-    rep.check("u_unitary", max_abs(dagger(u) @ u - eye), INVOLUTION_TOL)
-    rep.check("u_involution", max_abs(u @ u - eye), INVOLUTION_TOL)
-    rep.check("u_hermitian", max_abs(u - dagger(u)), INVOLUTION_TOL)
-    rep.check("conjugation", max_abs(rho1.matrix - u @ rho0.matrix @ u), INVOLUTION_TOL)
+    eye = identity(u.shape[0])
+    # the three residuals of u alone, one matrix even for a stack, in one reduction
+    unitary, involution, hermitian = unstack(max_abs(np.array(
+        (dagger(u) @ u - eye, u @ u - eye, u - dagger(u)))))
+    rep.check(("u_unitary", unitary, INVOLUTION_TOL), ("u_involution", involution, INVOLUTION_TOL),
+              ("u_hermitian", hermitian, INVOLUTION_TOL),
+              ("conjugation", max_abs(rho1.matrix - u @ rho0.matrix @ u), INVOLUTION_TOL))
     return rep
 
 
@@ -349,9 +361,9 @@ def projectivity_report(m: Povm, w: np.ndarray) -> ValidationReport:
     """projectivity_check's report from the spectra w of
     projectivity_matrices(m), which a caller may take in a larger call."""
     rep = ValidationReport()
-    for name, norm in zip(("e0", "e1", "eq"), unstack(gram_norm(w[:3]))):
-        rep.check(f"{name}_idempotent", norm, PROJECTIVE_TOL)
-    rep.check("e0_e1_orthogonal", abs(trace(m.e0 @ m.e1).real), PROJECTIVE_TOL)
+    rep.check(*zip(("e0_idempotent", "e1_idempotent", "eq_idempotent"),
+                   unstack(gram_norm(w[:3])), (PROJECTIVE_TOL,) * 3),
+              ("e0_e1_orthogonal", abs(trace(m.e0 @ m.e1).real), PROJECTIVE_TOL))
     rank = shared_rank(w[3])
     rep.residuals["eq_rank"] = float(rank)
     if rank != 2:

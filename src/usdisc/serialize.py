@@ -16,6 +16,8 @@ import numpy as np
 
 from .certificates import OptimalityCertificate
 from .errors import InvalidInput
+from .linalg import trace
+from .oracle import MAX_STEPS
 from .problem import DensityMatrix, Povm, UsdProblem
 from .solvers import ORACLE_DIAGNOSTICS, Branch, SolutionReport
 
@@ -54,29 +56,35 @@ def matrix_from_obj(obj, dim: int, field: str) -> np.ndarray:
     return re + 1j * im
 
 
-def _decoded(objs: dict, dim) -> dict:
-    """The matrices objs maps field names to, decoded in one array
-    conversion with one finiteness and one JSON-number check; {} when any
-    of them fails, so that _matrix decodes each on its own."""
+# The matrix fields of a problem and of a measurement, in decoding order.
+_PROBLEM_MATRICES = ("rho0", "rho1", "u")
+_POVM_MATRICES = ("e0", "e1", "eq")
+
+
+def _decoded(sections, dim) -> dict:
+    """The named matrices of each (doc, prefix, names) section, keyed by
+    prefix + name and decoded in one array conversion with one finiteness
+    and one JSON-number check; {} when any fails (see _matrices)."""
+    objs = {prefix + n: doc[n] for doc, prefix, names in sections if isinstance(doc, dict)
+            for n in names if n in doc}
     try:
-        parts = np.array([(o["re"], o["im"]) for o in objs.values()], dtype=float)
-        entries = chain.from_iterable(chain(*o["re"], *o["im"]) for o in objs.values())
+        pairs = [(o["re"], o["im"]) for o in objs.values()]
+        parts = np.array(pairs, dtype=float)
+        rows = [row for pair in pairs for part in pair for row in part]
         if (parts.shape[1:] == (2, dim, dim) and np.isfinite(parts).all()
-                and _JSON_NUMBERS.issuperset(map(type, entries))):
+                and _JSON_NUMBERS.issuperset(map(type, chain.from_iterable(rows)))):
             return dict(zip(objs, parts[:, 0] + 1j * parts[:, 1]))
     except (KeyError, TypeError, ValueError, OverflowError):
         pass
     return {}
 
 
-def _fields(doc, prefix: str, names) -> dict:
-    """{prefix + name: doc[name]} for the names doc holds, if it is an object."""
-    return {prefix + n: doc[n] for n in names if n in doc} if isinstance(doc, dict) else {}
-
-
-def _matrix(decoded, obj, dim, field: str) -> np.ndarray:
-    m = decoded.get(field) if decoded else None
-    return matrix_from_obj(obj, dim, field) if m is None else m
+def _matrices(decoded, doc, dim, prefix: str, names) -> list:
+    """The named matrices of doc in turn, None for one it does not hold:
+    from decoded, or else each decoded on its own, which words the error."""
+    decoded = decoded or {}
+    return [decoded[prefix + n] if prefix + n in decoded
+            else matrix_from_obj(doc[n], dim, prefix + n) if n in doc else None for n in names]
 
 
 def _number(value, field: str) -> float:
@@ -94,17 +102,37 @@ def _number_map(value, field: str) -> dict:
     return {k: _number(v, f"{field}.{k}") for k, v in value.items()}
 
 
+def _encoded(*sections) -> dict:
+    """Each (doc, names) section's named matrices replaced in doc by their
+    matrix_to_obj, all in one array conversion; returns the first doc."""
+    slots = [(doc, n) for doc, names in sections for n in names if n in doc]
+    stack = matrix_to_obj([doc[n] for doc, n in slots])
+    for (doc, n), re, im in zip(slots, stack["re"], stack["im"]):
+        doc[n] = {"re": re, "im": im}
+    return sections[0][0]
+
+
+def _check_run_record(diagnostics: dict):
+    """Refuse an oracle run record that no run writes: a missing key, a
+    step count that is not an integer in [0, MAX_STEPS], or a convergence
+    flag other than 0 or 1. The audit checks the duality gap."""
+    for key in ORACLE_DIAGNOSTICS:
+        if key not in diagnostics:
+            raise InvalidInput(f"diagnostics.{key}: an OracleOnly report stores it")
+    steps, converged = diagnostics["oracle_iterations"], diagnostics["oracle_converged"]
+    if not (steps.is_integer() and 0 <= steps <= MAX_STEPS):
+        raise InvalidInput(f"diagnostics.oracle_iterations: expected an integer in "
+                           f"[0, {MAX_STEPS}], got {steps!r}")
+    if converged not in (0.0, 1.0):
+        raise InvalidInput(f"diagnostics.oracle_converged: expected 0 or 1, got {converged!r}")
+
+
 def problem_to_obj(p: UsdProblem) -> dict:
-    obj = {
-        "dim": p.dim,
-        "eta0": p.eta0,
-        "eta1": p.eta1,
-        "rho0": matrix_to_obj(p.rho0.matrix),
-        "rho1": matrix_to_obj(p.rho1.matrix),
-    }
+    obj = {"dim": p.dim, "eta0": p.eta0, "eta1": p.eta1,
+           "rho0": p.rho0.matrix, "rho1": p.rho1.matrix}
     if p.gu_involution is not None:
-        obj["u"] = matrix_to_obj(p.gu_involution)
-    return obj
+        obj["u"] = p.gu_involution
+    return _encoded((obj, _PROBLEM_MATRICES))
 
 
 def problem_from_obj(obj, renormalize: bool = False, decoded=None) -> UsdProblem:
@@ -120,20 +148,19 @@ def problem_from_obj(obj, renormalize: bool = False, decoded=None) -> UsdProblem
         raise InvalidInput(f"dim: expected a positive integer, got {dim!r}")
     eta0, eta1 = _number(obj["eta0"], "eta0"), _number(obj["eta1"], "eta1")
     if decoded is None:
-        decoded = _decoded(_fields(obj, "", ("rho0", "rho1", "u")), dim)
-    rho0, rho1, u = (_matrix(decoded, obj[f], dim, f) if f in obj else None
-                     for f in ("rho0", "rho1", "u"))
+        decoded = _decoded(((obj, "", _PROBLEM_MATRICES),), dim)
+    rho0, rho1, u = _matrices(decoded, obj, dim, "", _PROBLEM_MATRICES)
     # both states checked in one stacked call, the first bad one wording the error
     states = DensityMatrix.from_matrix(np.array((rho0, rho1)), renormalize).matrix
-    return UsdProblem(DensityMatrix(states[0]), DensityMatrix(states[1]), eta0, eta1, u)
+    p = UsdProblem(DensityMatrix(states[0]), DensityMatrix(states[1]), eta0, eta1, u)
+    # from_matrix refused a skew above HERM_TOL and symmetrized the states,
+    # which leaves them exactly Hermitian: their skews are 0
+    vars(p)["state_residuals"] = np.zeros(2), abs(trace(states).real - 1.0)
+    return p
 
 
 def povm_to_obj(m: Povm) -> dict:
-    return {
-        "e0": matrix_to_obj(m.e0),
-        "e1": matrix_to_obj(m.e1),
-        "eq": matrix_to_obj(m.eq),
-    }
+    return _encoded(({"e0": m.e0, "e1": m.e1, "eq": m.eq}, _POVM_MATRICES))
 
 
 def povm_from_obj(obj, dim: int, decoded=None) -> Povm:
@@ -142,11 +169,7 @@ def povm_from_obj(obj, dim: int, decoded=None) -> Povm:
     for key in ("e0", "e1", "eq"):
         if key not in obj:
             raise InvalidInput(f"povm: missing element '{key}'")
-    return Povm(*(_matrix(decoded, obj[k], dim, f"povm.{k}") for k in ("e0", "e1", "eq")))
-
-
-def certificate_to_obj(c: OptimalityCertificate) -> dict:
-    return {"z": matrix_to_obj(c.z), "success_trace": c.success_trace}
+    return Povm(*_matrices(decoded, obj, dim, "povm.", _POVM_MATRICES))
 
 
 def certificate_from_obj(obj, dim: int, decoded=None) -> OptimalityCertificate:
@@ -160,23 +183,26 @@ def certificate_from_obj(obj, dim: int, decoded=None) -> OptimalityCertificate:
         # would check nothing
         raise InvalidInput("certificate: missing field 'success_trace'")
     return OptimalityCertificate(
-        z=_matrix(decoded, obj["z"], dim, "certificate.z"),
+        z=_matrices(decoded, obj, dim, "certificate.", ("z",))[0],
         success_trace=_number(obj["success_trace"], "certificate.success_trace"),
     )
 
 
 def report_to_obj(p: UsdProblem, report: SolutionReport) -> dict:
+    m, cert = report.povm, report.certificate
     obj = {
         "problem": problem_to_obj(p),
         "q_opt": report.q_opt,
         "q0": report.q0,
         "q1": report.q1,
         "branch": report.branch.value,
-        "povm": povm_to_obj(report.povm),
+        "povm": {"e0": m.e0, "e1": m.e1, "eq": m.eq},
         "diagnostics": {k: float(v) for k, v in report.diagnostics.items()},
     }
-    if report.certificate is not None:
-        obj["certificate"] = certificate_to_obj(report.certificate)
+    if cert is not None:
+        obj["certificate"] = {"z": cert.z, "success_trace": cert.success_trace}
+    # the measurement and the witness in one array conversion
+    _encoded((obj["povm"], _POVM_MATRICES), (obj.get("certificate", {}), ("z",)))
     return obj
 
 
@@ -186,9 +212,8 @@ def report_from_obj(obj):
     if not isinstance(obj, dict) or "problem" not in obj:
         raise InvalidInput("report document must contain a 'problem' object")
     doc = obj["problem"]
-    decoded = _decoded({**_fields(doc, "", ("rho0", "rho1", "u")),
-                        **_fields(obj.get("povm"), "povm.", ("e0", "e1", "eq")),
-                        **_fields(obj.get("certificate"), "certificate.", ("z",))},
+    decoded = _decoded(((doc, "", _PROBLEM_MATRICES), (obj.get("povm"), "povm.", _POVM_MATRICES),
+                        (obj.get("certificate"), "certificate.", ("z",))),
                        doc.get("dim") if isinstance(doc, dict) else None)
     p = problem_from_obj(doc, decoded=decoded)
     for key in ("q_opt", "q0", "q1", "branch", "povm"):
@@ -203,6 +228,8 @@ def report_from_obj(obj):
     extra = sorted(set(diagnostics).difference(allowed))
     if extra:
         raise InvalidInput(f"diagnostics.{extra[0]}: a {branch.value} report does not store it")
+    if branch is Branch.ORACLE_ONLY:
+        _check_run_record(diagnostics)
     cert = None
     if "certificate" in obj:
         cert = certificate_from_obj(obj["certificate"], p.dim, decoded)

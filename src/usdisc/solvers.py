@@ -43,6 +43,7 @@ from .linalg import (
     eigvalsh,
     form,
     hermitize,
+    identity,
     item_or_array,
     nonzero_mask,
     outer,
@@ -64,8 +65,8 @@ from .problem import (
 # stored measurement; a report written by this package matches to rounding.
 STORED_Q_TOL = 1e-10
 
-# The diagnostics of an oracle report, its run record; no recomputation
-# checks them, and no other report stores any.
+# The diagnostics of an oracle report, its run record, which no other
+# report stores; certify refuses values no run writes and recomputes the gap.
 ORACLE_DIAGNOSTICS = ("oracle_iterations", "oracle_converged", "oracle_duality_gap")
 
 
@@ -131,7 +132,7 @@ def audit_report(p: UsdProblem, report: SolutionReport) -> ValidationReport:
         stack.append(projectivity_matrices(m))
     w = eigvalsh(np.concatenate(stack))
     if weighable:
-        rep.check("branch_label", 0.0 if _branch_holds(p, report, w) else 1.0, 0.0)
+        rep.check(("branch_label", 0.0 if _branch_holds(p, report, w) else 1.0, 0.0))
         q = failure_probability(p, m)
     parts = [povm_report(p, m, w[:3, 0])[0]]
     if report.certificate is None:
@@ -142,8 +143,14 @@ def audit_report(p: UsdProblem, report: SolutionReport) -> ValidationReport:
         rep.residuals.update(part.residuals)
         rep.failures.extend(part.failures)
     if weighable:
-        for name, value in zip(("q_opt", "q0", "q1"), q):
-            rep.check(f"{name}_stored", abs(getattr(report, name) - value), STORED_Q_TOL)
+        rep.check(("q_opt_stored", abs(report.q_opt - q[0]), STORED_Q_TOL),
+                  ("q0_stored", abs(report.q0 - q[1]), STORED_Q_TOL),
+                  ("q1_stored", abs(report.q1 - q[2]), STORED_Q_TOL))
+        if cert is not None and report.branch is Branch.ORACLE_ONLY:
+            # the run record's gap, recomputed; a failure only, as certificate_missing is
+            gap = report.diagnostics.get("oracle_duality_gap", math.nan)
+            if not abs(gap - (trace(z).real - (1.0 - q[0]))) <= STORED_Q_TOL:
+                rep.failures.append("oracle_duality_gap_stored")
     return rep
 
 
@@ -151,7 +158,8 @@ def _gate(p: UsdProblem, report: SolutionReport) -> SolutionReport:
     """A constructed report, its closed-form Z unverified, once
     fit_certificate passes its measurement with Z alone, a branch per row
     for a stack; BranchNotApplicable (cause "certificate") on a miss."""
-    report.certificate = fit_certificate(p, report.povm, candidate=report.certificate.z)
+    z = report.certificate.z
+    report.certificate = fit_certificate(p, report.povm, candidate=z, q=report.q_opt)
     if report.certificate is None:
         raise BranchNotApplicable("closed-form witness fails verification", cause="certificate")
     if p.rho0.matrix.ndim > 2 and isinstance(report.branch, Branch):
@@ -176,7 +184,7 @@ def _construct_first_class(p: UsdProblem) -> SolutionReport:
     e0 = hermitize(m0 @ fd.rank_operators[0, ..., :r0, :r0] @ dagger(m0))
     e1 = hermitize(m1 @ fd.rank_operators[1, ..., :r1, :r1] @ dagger(m1))
     # I - E0 - E1 is as exactly Hermitian as E0 and E1
-    m = Povm(e0=e0, e1=e1, eq=np.eye(p.dim) - e0 - e1)
+    m = Povm(e0=e0, e1=e1, eq=identity(p.dim) - e0 - e1)
     return SolutionReport(*failure_probability(p, m), m, Branch.FIRST_CLASS_FIDELITY,
                           certificate=OptimalityCertificate(fidelity_witness(p)))
 
@@ -228,11 +236,10 @@ def _construct_projective(p: UsdProblem) -> SolutionReport:
     sys = eigh(_kernel_involution(p))
     w = sys.eigenvalues
     nonzero = nonzero_mask(w, indefinite=True)
-    npos = np.count_nonzero(nonzero & (w > 0), axis=-1)
-    nneg = np.count_nonzero(nonzero & (w < 0), axis=-1)
-    anomalous = np.ravel((npos != 1) | (nneg != 1))
+    npos, nneg = np.count_nonzero(nonzero & np.array((w > 0, w < 0)), axis=-1)
+    anomalous = (npos != 1) | (nneg != 1)
     if any_true(anomalous):
-        i = int(np.argmax(anomalous))
+        i = int(np.argmax(np.ravel(anomalous)))
         vals = w.reshape(-1, 4)[i][nonzero.reshape(-1, 4)[i]][::-1]
         raise BranchNotApplicable(
             "kernel-compressed involution should carry one positive and one "
@@ -242,10 +249,8 @@ def _construct_projective(p: UsdProblem) -> SolutionReport:
         )
     # the spectrum ascends, so the positive eigenpair is the last and the
     # negative one the first
-    a = item_or_array(w[..., -1])
-    b = item_or_array(-w[..., 0])
-    v0 = sys.eigenvectors[..., :, -1]
-    v1 = sys.eigenvectors[..., :, 0]
+    a, b = item_or_array(w[..., -1]), item_or_array(-w[..., 0])
+    v0, v1 = sys.eigenvectors[..., :, -1], sys.eigenvectors[..., :, 0]
     cross = form(v0, p.rho0.matrix, v1)
     phase = np.where(np.abs(cross) <= 1e-12, 0.0, np.angle(cross) % (2.0 * math.pi))
     # e^{i phase}; a real problem's phase is 0 or pi, so that is a sign
@@ -255,7 +260,7 @@ def _construct_projective(p: UsdProblem) -> SolutionReport:
     u = as_double(p.gu_involution)
     e0 = outer(x, x)
     e1 = hermitize(u @ e0 @ u)
-    m = Povm(e0=e0, e1=e1, eq=hermitize(np.eye(4) - e0 - e1))
+    m = Povm(e0=e0, e1=e1, eq=hermitize(identity(4) - e0 - e1))
     return SolutionReport(*failure_probability(p, m), m, Branch.GU_PROJECTIVE,
                           certificate=OptimalityCertificate(symmetric_projective_witness(p, x, u)))
 
@@ -327,13 +332,12 @@ def solve(p: UsdProblem) -> SolutionReport:
         if p.rho0.matrix.ndim > 2:
             return _joined(p, [([i], solve(p.take(i))) for i in range(len(p.rho0.matrix))])
     result = oracle_optimize(p)
-    return SolutionReport(
-        *failure_probability(p, result.povm), result.povm, Branch.ORACLE_ONLY,
-        dict(zip(ORACLE_DIAGNOSTICS, (float(result.iterations), float(result.converged),
-                                      result.duality_gap))),
-        fit_certificate(p, result.povm, candidate=result.certificate.z)
-        or fit_certificate(p, result.povm),
-    )
+    q = failure_probability(p, result.povm)
+    record = dict(zip(ORACLE_DIAGNOSTICS, (float(result.iterations), float(result.converged),
+                                           result.duality_gap)))
+    return SolutionReport(*q, result.povm, Branch.ORACLE_ONLY, record,
+                          fit_certificate(p, result.povm, candidate=result.certificate.z, q=q[0])
+                          or fit_certificate(p, result.povm, q=q[0]))
 
 
 def gu_kernel_spectrum(p: UsdProblem) -> np.ndarray:

@@ -518,6 +518,66 @@ def test_certify_refuses_a_report_that_stores_unchecked_numbers(tmp_path, capsys
     assert captured.out == "" and captured.err.startswith(f"error: {field}:")
 
 
+@pytest.fixture(scope="module")
+def oracle_report_text(tmp_path_factory):
+    """The report text of a solve that falls back to the oracle."""
+    tmp = tmp_path_factory.mktemp("oracle")
+    write_problem(tmp / "problem.json", _bare_bit_pair())
+    assert main(["solve", "--input", str(tmp / "problem.json"),
+                 "--output", str(tmp / "report.json")]) == 0
+    return (tmp / "report.json").read_text()
+
+
+@pytest.mark.parametrize("edit, code, verdict", [
+    ({"oracle_iterations": 999.0}, 1, "error: diagnostics.oracle_iterations: expected an integer"),
+    ({"oracle_iterations": 7.5}, 1, "error: diagnostics.oracle_iterations: expected an integer"),
+    ({"oracle_iterations": -1.0}, 1, "error: diagnostics.oracle_iterations: expected an integer"),
+    ({"oracle_converged": 2.0}, 1, "error: diagnostics.oracle_converged: expected 0 or 1"),
+    ({"oracle_duality_gap": 0.7}, 1, "FAIL: oracle_duality_gap_stored"),
+    ({"oracle_iterations": 999.0, "oracle_converged": 0.0, "oracle_duality_gap": 0.7}, 1,
+     "error: diagnostics.oracle_iterations: expected an integer"),
+    ({"oracle_converged": 0.0, "oracle_duality_gap": 0.7}, 1, "FAIL: oracle_duality_gap_stored"),
+    # a convergence flag edited alone is a value some run writes, and
+    # nothing in the report refutes it
+    ({"oracle_converged": 0.0}, 0, "PASS"),
+], ids=["iterations_past_max", "iterations_fraction", "iterations_negative",
+        "converged_two", "gap", "all_three", "converged_and_gap", "converged_alone"])
+def test_certify_checks_the_oracle_run_record(tmp_path, capsys, oracle_report_text, edit,
+                                              code, verdict):
+    obj = json.loads(oracle_report_text)
+    obj["diagnostics"].update(edit)
+    rpt = tmp_path / "report.json"
+    rpt.write_text(serialize.dumps(obj))
+    capsys.readouterr()
+    assert main(["certify", "--input", str(rpt)]) == code
+    captured = capsys.readouterr()
+    assert (captured.err if verdict.startswith("error:") else captured.out.splitlines()[-1]
+            ).startswith(verdict)
+
+
+@pytest.mark.parametrize("key", ["oracle_iterations", "oracle_converged", "oracle_duality_gap"])
+def test_certify_refuses_an_oracle_report_without_a_run_record_key(tmp_path, capsys,
+                                                                   oracle_report_text, key):
+    obj = json.loads(oracle_report_text)
+    del obj["diagnostics"][key]
+    rpt = tmp_path / "report.json"
+    rpt.write_text(serialize.dumps(obj))
+    capsys.readouterr()
+    assert main(["certify", "--input", str(rpt)]) == 1
+    assert capsys.readouterr().err == f"error: diagnostics.{key}: an OracleOnly report stores it\n"
+
+
+def test_an_honest_oracle_verdict_keeps_its_lines(tmp_path, capsys, oracle_report_text):
+    # the gap check records a failure only, so a passing verdict lists the
+    # same residuals as before the check existed
+    rpt = tmp_path / "report.json"
+    rpt.write_text(oracle_report_text)
+    capsys.readouterr()
+    assert main(["certify", "--input", str(rpt)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "PASS" and not any("duality_gap" in line for line in lines)
+
+
 @pytest.mark.parametrize("eta0", [0.0, -0.5, float("inf"), float("nan")],
                          ids=["zero", "negative", "inf", "nan"])
 @pytest.mark.parametrize("problem", [
@@ -786,7 +846,8 @@ def test_certify_takes_the_spectra_of_its_audit_in_one_call(tmp_path, monkeypatc
 # Python-level function calls of one solve + certify round trip through
 # main, counted by cProfile with Python 3.11 and numpy 2.4 (the count is
 # fixed for fixed inputs and versions); the bound leaves 10% headroom.
-ROUND_TRIP_CALLS = {"first_class": 1688, "symmetric_first_class": 1805, "projective": 1789}
+ROUND_TRIP_CALLS = {"first_class": 1381, "symmetric_first_class": 1458, "projective": 1479,
+                    "oracle": 3558}
 
 
 @pytest.mark.parametrize("case", list(ROUND_TRIP_CALLS))

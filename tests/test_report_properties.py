@@ -1,7 +1,8 @@
 """Property tests of solve reports on every branch: the report JSON round
 trip is byte-stable, certify is idempotent on what solve writes, the
 projective branch's measurement and witness are involution symmetric,
-and the audit rejects every tamper larger than its tolerance.
+the audit rejects every tamper larger than its tolerance, and swapping
+the two states with their priors keeps the branch and the optimum.
 
 Each example draws a numpy seed and builds its problem from the shared
 generators, so the examples are reproducible; the profile is
@@ -15,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import first_class_instance, random_gu4_problem, rank_failing_problem
-from usdisc import (Branch, DensityMatrix, OptimalityCertificate, audit_report,
+from conftest import (first_class_instance, random_gu4_problem, random_problem,
+                      rank_failing_problem)
+from usdisc import (Branch, DensityMatrix, OptimalityCertificate, UsdProblem, audit_report,
                     rank_condition_check, solve)
 from usdisc.linalg import PSD_TOL, dagger, hermitize, spectral_norm
 from usdisc.serialize import dumps, loads, report_from_obj, report_to_obj
@@ -123,3 +125,18 @@ def test_audit_rejects_every_tamper_above_its_tolerance(branch, seed, d, reach, 
         low, span = SIZES.get(kind, (0.0, 1.0))
         audit = audit_report(*_tampered(p, report, kind, sign * low * span ** reach, rng))
         assert not audit.ok, kind
+
+
+@PROFILE
+@given(seed=seeds, d=st.integers(2, 5))
+def test_swapping_the_states_with_their_priors_keeps_the_branch_and_q(seed, d):
+    # the optimum is symmetric under (rho0, eta0) <-> (rho1, eta1); an
+    # oracle optimum is pinned only to within its duality gap
+    p = random_problem(np.random.default_rng(seed), d)
+    report = solve(p)
+    swapped = solve(UsdProblem(p.rho1, p.rho0, p.eta1, p.eta0))
+    assert swapped.branch is report.branch
+    tol = 1e-12
+    if report.branch is Branch.ORACLE_ONLY:
+        tol += max(r.diagnostics["oracle_duality_gap"] for r in (report, swapped))
+    assert abs(swapped.q_opt - report.q_opt) <= tol

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import first_class_instance, random_problem
 from usdisc import DensityMatrix, UsdProblem, cli, serialize
-from usdisc import solve, validate_povm
+from usdisc import solve, validate_povm, validate_problem
 from usdisc.bb84 import bit_problem
 from usdisc.errors import InvalidInput
 from usdisc.solvers import Branch
@@ -140,6 +140,24 @@ def test_the_states_are_checked_as_one_stack_with_each_states_error(renormalize)
     obj["rho0"] = serialize.matrix_to_obj(np.diag([1.25, 0.0, 0.0, 0.0]))
     with pytest.raises(InvalidInput, match="trace 1.25 "):
         serialize.problem_from_obj(obj)
+
+
+@pytest.mark.parametrize("renormalize", [False, True])
+@pytest.mark.parametrize("seed", range(5))
+def test_a_decoded_problem_records_the_state_residuals_that_validate_problem_computes(
+        seed, renormalize):
+    # from_matrix symmetrizes the states exactly, so the zero skews that the
+    # decoder records are the ones computed from the stored matrices, here
+    # for input with a skew inside HERM_TOL and, when rescaled, a trace of 2
+    obj = serialize.problem_to_obj(random_problem(np.random.default_rng(seed), 2 + seed))
+    obj["rho0"]["im"][0][1] += 1e-13
+    if renormalize:
+        obj["rho1"] = {k: [[2.0 * x for x in row] for row in v] for k, v in obj["rho1"].items()}
+    p = serialize.problem_from_obj(obj, renormalize=renormalize)
+    fresh = UsdProblem(DensityMatrix(p.rho0.matrix), DensityMatrix(p.rho1.matrix), p.eta0, p.eta1)
+    for recorded, computed in zip(p.state_residuals, fresh.state_residuals):
+        assert np.array_equal(recorded, computed)
+    assert validate_problem(p).residuals == validate_problem(fresh).residuals
 
 
 def test_matrix_from_obj_rejects_ragged_rows():
