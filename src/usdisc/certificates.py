@@ -7,13 +7,12 @@ kernel compressions, and whose trace equals the success probability.
 In the fidelity-bound regime the witness has a closed construction from
 a polar decomposition. For the projective measurement of an equal-prior
 involution pair it has a closed form on the span of the two conclusive
-directions. When the two states share one support, giving up is
-optimal and Z = 0 certifies it.
+directions. The oracle's dual Z certifies the oracle's measurement.
 
-fit_certificate, the gate of every solve, decides each witness it tries
-without eigenvalues; verify_certificate gives the residuals that certify
-prints (witness_report, from the spectra of condition_matrices). All of
-them also take a stacked problem.
+fit_certificate, the gate of every solve, decides the one witness it is
+given without eigenvalues; verify_certificate gives the residuals that
+certify prints (witness_report, from the spectra of condition_matrices).
+All of them also take a stacked problem.
 """
 
 import math
@@ -27,7 +26,6 @@ from .linalg import (
     as_double,
     at_least,
     dagger,
-    eigh,
     eigvalsh,
     form,
     gram_norm,
@@ -35,7 +33,6 @@ from .linalg import (
     inner,
     item_or_array,
     matvec,
-    nonzero_mask,
     outer,
     trace,
     unstack,
@@ -182,72 +179,53 @@ def witness_report(c: OptimalityCertificate, z: np.ndarray, w, q) -> ValidationR
     return rep
 
 
-def _candidates(p: UsdProblem, m: Povm):
-    """The closed-form witnesses in turn, each built only once the one
-    before it has failed."""
-    yield fidelity_witness(p)
-    if p.gu_involution is not None and p.dim == 4:
-        sys = eigh(m.e0)
-        if all_true(np.count_nonzero(nonzero_mask(sys.eigenvalues), axis=-1) == 1):
-            # the witness does not depend on the phase of E0's top eigenvector
-            yield symmetric_projective_witness(p, sys.eigenvectors[..., :, -1], p.gu_involution)
-    # giving up is optimal only when the states share one support
-    yield np.zeros_like(as_double(m.eq))
-
-
-def fit_certificate(p: UsdProblem, m: Povm, candidate: Optional[np.ndarray] = None,
+def fit_certificate(p: UsdProblem, m: Povm, z: np.ndarray,
                     q=None) -> Optional[OptimalityCertificate]:
-    """The certificate of the first witness that, with the measurement m,
-    passes validate_povm and verify_certificate on every instance of a
-    stack, else None; decided without eigenvalues.
-
-    A given candidate, such as a branch's closed form or the oracle's
-    dual, is tried alone; without one, the closed forms in turn: the
-    fidelity-bound witness, the symmetric projective witness when E0 has
-    rank 1 on a 4D involution pair, and Z = 0. A stack needs one witness
-    for every instance. None means "not certified", not "refuted". q is
+    """The certificate of the witness z, a branch's closed form or the
+    oracle's dual, if with the measurement m it passes validate_povm and
+    verify_certificate on every instance of a stack, else None; decided
+    without eigenvalues. None means "not certified", not "refuted". q is
     failure_probability(p, m)[0], for a caller that computed it already.
 
-    validate_povm's entrywise checks are taken once, before any witness is
-    built, and the trace identity once per witness, both at their full
-    bounds; every other check at half its bound. So a stack that passes
-    passes validate_povm and verify_certificate on every instance alone,
-    and one that fails may still pass them. A PSD condition holds when the Cholesky factorisation of its
-    matrix, shifted by half its bound, succeeds: E0, E1 and Eq at half
-    validate_povm's bound, Z and the kernel compressions at half CERT_TOL,
-    three matrices to a stacked call. A norm condition holds when a
-    Frobenius norm, which bounds the operator norm, is within half CERT_TOL:
-    that of Z Eq, from the trace of its Gram matrix, and that of each
-    equality residual. Rounding in eigvalsh and in the factorisation, about
-    1e-15 at these scales, stays far below the half margins.
+    validate_povm's entrywise checks are taken first, before z is read,
+    and the trace identity next, both at their full bounds; every other
+    check at half its bound. So a stack that passes passes validate_povm
+    and verify_certificate on every instance alone, and one that fails
+    may still pass them. A PSD condition holds when the Cholesky
+    factorisation of its matrix, shifted by half its bound, succeeds: E0,
+    E1 and Eq at half validate_povm's bound, Z and the kernel compressions
+    at half CERT_TOL, three matrices to a stacked call. A norm condition
+    holds when a Frobenius norm, which bounds the operator norm, is within
+    half CERT_TOL: that of Z Eq, from the trace of its Gram matrix, and
+    that of each equality residual. Rounding in eigvalsh and in the
+    factorisation, about 1e-15 at these scales, stays far below the half
+    margins.
     """
     rep, bounds = povm_report(p, m)
     if not rep.ok:
         return None
     success_target = 1.0 - (failure_probability(p, m)[0] if q is None else q)
-    for z in _candidates(p, m) if candidate is None else (candidate,):
-        zh = hermitize(as_double(z))
-        # symmetrizing keeps the real diagonal, so this is tr Z of z as given
-        success = item_or_array(trace(zh).real)
-        if not all_true(abs(success - success_target) <= CERT_TOL):
-            continue
-        a = condition_matrices(p, m, zh)
-        norms = np.sqrt(trace(a[3]).real), np.linalg.norm(a[4:], axis=(-2, -1))
-        if not (all_true(norms[0] <= 0.5 * CERT_TOL) and all_true(norms[1] <= 0.5 * CERT_TOL)):
-            continue
-        # the elements take the slots the norm conditions no longer need
-        a[3], a[4], a[5] = m.e0, m.e1, m.eq
-        _symmetrize(a[3:])
-        d = a.shape[-1]
-        diagonal = a.reshape(a.shape[:-2] + (d * d,))[..., ::d + 1]
-        diagonal[:3] += 0.5 * CERT_TOL
-        diagonal[3:] += 0.5 * np.array(bounds)[..., None]
-        # three matrices a call: a factor of all six beside the stack raised
-        # the sweep's peak resident set by about 0.15 MB
-        try:
-            for part in (a[:3], a[3:]):
-                np.linalg.cholesky(part)
-        except np.linalg.LinAlgError:
-            continue
-        return OptimalityCertificate(z=z, success_trace=success)
-    return None
+    zh = hermitize(as_double(z))
+    # symmetrizing keeps the real diagonal, so this is tr Z of z as given
+    success = item_or_array(trace(zh).real)
+    if not all_true(abs(success - success_target) <= CERT_TOL):
+        return None
+    a = condition_matrices(p, m, zh)
+    norms = np.sqrt(trace(a[3]).real), np.linalg.norm(a[4:], axis=(-2, -1))
+    if not (all_true(norms[0] <= 0.5 * CERT_TOL) and all_true(norms[1] <= 0.5 * CERT_TOL)):
+        return None
+    # the elements take the slots the norm conditions no longer need
+    a[3], a[4], a[5] = m.e0, m.e1, m.eq
+    _symmetrize(a[3:])
+    d = a.shape[-1]
+    diagonal = a.reshape(a.shape[:-2] + (d * d,))[..., ::d + 1]
+    diagonal[:3] += 0.5 * CERT_TOL
+    diagonal[3:] += 0.5 * np.array(bounds)[..., None]
+    # three matrices a call: a factor of all six beside the stack raised
+    # the sweep's peak resident set by about 0.15 MB
+    try:
+        for part in (a[:3], a[3:]):
+            np.linalg.cholesky(part)
+    except np.linalg.LinAlgError:
+        return None
+    return OptimalityCertificate(z=z, success_trace=success)

@@ -158,8 +158,7 @@ def _gate(p: UsdProblem, report: SolutionReport) -> SolutionReport:
     """A constructed report, its closed-form Z unverified, once
     fit_certificate passes its measurement with Z alone, a branch per row
     for a stack; BranchNotApplicable (cause "certificate") on a miss."""
-    z = report.certificate.z
-    report.certificate = fit_certificate(p, report.povm, candidate=z, q=report.q_opt)
+    report.certificate = fit_certificate(p, report.povm, report.certificate.z, q=report.q_opt)
     if report.certificate is None:
         raise BranchNotApplicable("closed-form witness fails verification", cause="certificate")
     if p.rho0.matrix.ndim > 2 and isinstance(report.branch, Branch):
@@ -317,14 +316,14 @@ def _construct(p: UsdProblem) -> SolutionReport:
 def solve(p: UsdProblem) -> SolutionReport:
     """Optimal measurement for a problem, or for each instance of a stack,
     from the construction that applies (_construct), gated once, or from
-    the oracle, whose dual Z is the witness (a closed form if it fails).
+    the oracle, whose dual Z is the witness (no certificate if it fails).
 
     A stack that fails its gate is solved row by row, so each instance
     gets the bits, and the fallback, of a solve of it alone. A stack's
     report holds per-instance q_opt, q0, q1, the (N, d, d) measurement and
     witness Z (no certificate if a row has none) and the tuple of the
     rows' branches. Only an oracle report carries diagnostics: its run
-    record, which nothing recomputes.
+    record.
     """
     try:
         return _gate(p, _construct(p.decompose()))
@@ -336,8 +335,7 @@ def solve(p: UsdProblem) -> SolutionReport:
     record = dict(zip(ORACLE_DIAGNOSTICS, (float(result.iterations), float(result.converged),
                                            result.duality_gap)))
     return SolutionReport(*q, result.povm, Branch.ORACLE_ONLY, record,
-                          fit_certificate(p, result.povm, candidate=result.certificate.z, q=q[0])
-                          or fit_certificate(p, result.povm, q=q[0]))
+                          fit_certificate(p, result.povm, result.certificate.z, q=q[0]))
 
 
 def gu_kernel_spectrum(p: UsdProblem) -> np.ndarray:

@@ -44,6 +44,7 @@ from usdisc.bb84 import (
     locate_threshold,
     q_basis_closed_form,
 )
+from usdisc.certificates import symmetric_projective_witness
 from usdisc.errors import BranchNotApplicable
 from usdisc.linalg import eigh, hermitize, psd_check
 
@@ -149,7 +150,12 @@ def test_criterion_05_bit_below_threshold(bit_solutions):
         p = bit_problem(mu)
         rep = solve(p)
         assert rep.branch is Branch.GU_PROJECTIVE
-        cert = fit_certificate(p, rep.povm)
+        # the symmetric projective witness, built here from E0's top
+        # eigenvector (its phase drops out), not taken from the report
+        e0 = eigh(rep.povm.e0)
+        assert e0.rank() == 1
+        z = symmetric_projective_witness(p, e0.eigenvectors[:, -1], p.gu_involution)
+        cert = fit_certificate(p, rep.povm, z)
         assert cert is not None
         residuals = verify_certificate(p, rep.povm, cert).residuals
         res = max(residuals[k] for k in VIOLATION_KEYS)
@@ -265,11 +271,12 @@ def _pure_grid_search(a, b, eta0, eta1):
     def refine(lo_a, hi_a, lo_b, hi_b, n=501):
         av = np.linspace(lo_a, hi_a, n)
         bv = np.linspace(lo_b, hi_b, n)
-        aa, bb = np.meshgrid(av, bv, indexing="ij")
+        # broadcast a column of a against a row of b, as meshgrid's "ij" grids
+        aa, bb = av[:, None], bv[None, :]
         m00 = 1.0 - aa * abs(w1[0]) ** 2 - bb * abs(w0[0]) ** 2
         m11 = 1.0 - aa * abs(w1[1]) ** 2 - bb * abs(w0[1]) ** 2
         m01 = -aa * (w1[0] * w1[1].conj()) - bb * (w0[0] * w0[1].conj())
-        feas = (m00 + m11 >= -1e-12) & (m00 * m11 - np.abs(m01) ** 2 >= -1e-12)
+        feas = (m00 + m11 >= -1e-12) & (m00 * m11 - (m01.real ** 2 + m01.imag ** 2) >= -1e-12)
         q = 1.0 - eta0 * g0 * aa - eta1 * g1 * bb
         q = np.where(feas, q, np.inf)
         idx = np.unravel_index(np.argmin(q), q.shape)
@@ -277,7 +284,7 @@ def _pure_grid_search(a, b, eta0, eta1):
 
     # the optimum rides the curved feasibility boundary, so the argmax of a
     # coarse stage can sit many cells away from it along the boundary; keep
-    # the refinement windows wide (25 cells) while the cell size drops 10x
+    # the refinement windows wide (40 cells) while the cell size drops 10x
     qv, ca, cb, step = refine(0.0, 1.0, 0.0, 1.0)
     for _ in range(4):
         qv, ca, cb, step = refine(

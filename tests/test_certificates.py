@@ -44,7 +44,7 @@ def test_closed_certificate_trace_equals_success():
     rng = np.random.default_rng(0)
     for _ in range(6):
         p = first_class_instance(rng, int(rng.integers(2, 6)))
-        cert = fit_certificate(p, solve_first_class(p).povm, candidate=fidelity_witness(p))
+        cert = fit_certificate(p, solve_first_class(p).povm, fidelity_witness(p))
         assert cert is not None
         assert cert.success_trace == pytest.approx(
             1.0 - failure_lower_bound(p), abs=1e-10
@@ -56,7 +56,7 @@ def test_closed_certificate_verifies_on_first_class_povm():
     for _ in range(4):
         p = first_class_instance(rng, int(rng.integers(2, 6)))
         rep = solve_first_class(p)
-        assert fit_certificate(p, rep.povm, candidate=fidelity_witness(p)) is not None
+        assert fit_certificate(p, rep.povm, fidelity_witness(p)) is not None
 
 
 def test_closed_certificate_orthogonal_pure_states():
@@ -69,7 +69,7 @@ def test_closed_certificate_orthogonal_pure_states():
         0.5,
         0.5,
     )
-    cert = fit_certificate(p, solve_first_class(p).povm, candidate=fidelity_witness(p))
+    cert = fit_certificate(p, solve_first_class(p).povm, fidelity_witness(p))
     assert cert is not None
     assert cert.success_trace == pytest.approx(1.0, abs=1e-12)
 
@@ -77,7 +77,7 @@ def test_closed_certificate_orthogonal_pure_states():
 def test_fit_matches_closed_construction_trace():
     p = basis_problem(0.7)
     rep = solve_first_class(p)
-    cert = fit_certificate(p, rep.povm)
+    cert = fit_certificate(p, rep.povm, fidelity_witness(p))
     assert cert is not None
     assert cert.success_trace == pytest.approx(1.0 - rep.q_opt, abs=1e-9)
 
@@ -87,11 +87,11 @@ def test_fit_succeeds_across_full_sweep_grid():
     for mu in GRID:
         pb = basis_problem(mu)
         rb = solve_first_class(pb)
-        assert fit_certificate(pb, rb.povm) is not None, mu
+        assert fit_certificate(pb, rb.povm, fidelity_witness(pb)) is not None, mu
         pt = bit_problem(mu)
         rt = solve(pt)
         assert rt.branch is not Branch.ORACLE_ONLY, mu
-        assert fit_certificate(pt, rt.povm) is not None, mu
+        assert fit_certificate(pt, rt.povm, rt.certificate.z) is not None, mu
 
 
 def test_fit_rejects_scaled_conclusive_element():
@@ -101,22 +101,24 @@ def test_fit_rejects_scaled_conclusive_element():
     assert rep.branch is Branch.GU_PROJECTIVE
     m = rep.povm
     bad = Povm(0.5 * m.e0, m.e1, hermitize(np.eye(4) - 0.5 * m.e0 - m.e1))
-    assert fit_certificate(p, bad) is None
+    assert fit_certificate(p, bad, rep.certificate.z) is None
 
 
 def test_fit_checks_a_failing_measurement_once_and_builds_no_witness(monkeypatch):
     # E0 scaled by 1.01 breaks completeness, an entrywise check: the gate
-    # refuses the measurement before the chain builds any closed-form
-    # witness, and so before the projective witness takes E0's eigh
+    # refuses the measurement once, before it reads the witness, and
+    # takes no eigen call
     p = bit_problem(0.3)
-    m = solve(p).povm
+    rep = solve(p)
+    m = rep.povm
     bad = Povm(1.01 * m.e0, m.e1, m.eq)
     reports = []
     povm_report = usdisc.certificates.povm_report
     monkeypatch.setattr(usdisc.certificates, "povm_report",
                         lambda *args: reports.append(1) or povm_report(*args))
     certs = []
-    calls = _count_calls(monkeypatch, lambda: certs.append(fit_certificate(p, bad)))
+    calls = _count_calls(monkeypatch,
+                         lambda: certs.append(fit_certificate(p, bad, rep.certificate.z)))
     assert certs == [None]
     assert len(reports) == 1
     assert sum(calls.values()) == 0, calls
@@ -126,12 +128,14 @@ def test_fit_rejects_povm_from_wrong_problem():
     p3 = bit_problem(0.3)
     rep5 = solve(bit_problem(0.5))
     assert rep5.branch is Branch.GU_PROJECTIVE
-    assert fit_certificate(p3, rep5.povm) is None
+    assert fit_certificate(p3, rep5.povm, rep5.certificate.z) is None
 
 
 def test_fit_rejects_always_fail_on_discriminable_pair():
+    # neither the zero witness nor the fidelity witness proves giving up
     p = _pure_pair(0.5)
-    assert fit_certificate(p, always_fail(2)) is None
+    assert fit_certificate(p, always_fail(2), np.zeros((2, 2))) is None
+    assert fit_certificate(p, always_fail(2), fidelity_witness(p)) is None
 
 
 def test_fit_accepts_always_fail_on_identical_states():
@@ -143,20 +147,20 @@ def test_fit_accepts_always_fail_on_identical_states():
         0.5,
         0.5,
     )
-    cert = fit_certificate(p, always_fail(2))
+    cert = fit_certificate(p, always_fail(2), np.zeros((2, 2)))
     assert cert is not None
     assert np.allclose(cert.z, 0.0)
 
 
 def test_fit_reaches_the_zero_witness_on_distinct_states_with_one_support():
     # the fidelity witness of two distinct states is not zero, so it cannot
-    # annihilate Eq = I; the chain's last candidate, Z = 0, certifies
+    # annihilate Eq = I; Z = 0 certifies
     rho0 = np.array([[0.6, 0.2j, 0.0], [-0.2j, 0.4, 0.0], [0.0, 0.0, 0.0]])
     rho1 = np.array([[0.3, -0.1, 0.0], [-0.1, 0.7, 0.0], [0.0, 0.0, 0.0]], complex)
     p = UsdProblem(DensityMatrix.from_matrix(rho0), DensityMatrix.from_matrix(rho1), 0.4, 0.6)
     m = always_fail(3)
-    assert fit_certificate(p, m, candidate=fidelity_witness(p)) is None
-    cert = fit_certificate(p, m)
+    assert fit_certificate(p, m, fidelity_witness(p)) is None
+    cert = fit_certificate(p, m, np.zeros((3, 3)))
     assert cert is not None
     assert not np.any(cert.z)
     assert verify_certificate(p, m, cert).ok
@@ -191,7 +195,7 @@ def test_verify_reports_all_residual_names():
 
 def test_projective_witness_is_the_closed_form(monkeypatch):
     """On the projective branch the solver's witness is the closed-form
-    symmetric candidate itself, so the numerical search never runs."""
+    symmetric witness itself."""
     rng = np.random.default_rng(17)
     problems = [bit_problem(mu) for mu in GRID]
     problems += [random_gu4_problem(rng) for _ in range(200)]
@@ -231,21 +235,20 @@ def _projective_case(states):
     p = states.bit_problem()
     rep = solve(p)
     assert set(np.atleast_1d(np.array(rep.branch, object))) == {Branch.GU_PROJECTIVE}
-    return p, rep.povm
+    return p, rep.povm, rep.certificate.z
 
 
 def _first_class_case(states):
     p = states.basis_problem()
-    return p, solve_first_class(p).povm
+    return p, solve_first_class(p).povm, fidelity_witness(p)
 
 
 @pytest.mark.parametrize("case", [_projective_case, _first_class_case],
                          ids=["projective_bit", "first_class_basis"])
 def test_fit_certifies_a_stack_row_by_row(case):
-    """With no candidate, a stack gets the witness each of its instances
-    gets on its own."""
-    p, m = case(build_states(STACK_MUS))
-    cert = fit_certificate(p, m)
+    """A stack's own witness certifies it, and each of its rows is the
+    witness, with the trace, that certifies that instance on its own."""
+    cert = fit_certificate(*case(build_states(STACK_MUS)))
     assert cert is not None
     for i, mu in enumerate(STACK_MUS):
         row = fit_certificate(*case(build_states(mu)))
@@ -254,10 +257,12 @@ def test_fit_certifies_a_stack_row_by_row(case):
         assert cert.success_trace[i] == row.success_trace, mu
 
 
-def _count_fit(monkeypatch, p, m, candidate=None):
-    """Fit a witness with the states' decompositions cached but not the
-    fidelity pair, counting numpy's eigh, eigvalsh and svd calls and the
-    fidelity witnesses built."""
+def test_fit_builds_no_closed_form_for_a_verifying_candidate(monkeypatch):
+    # with the states' decompositions cached but not the fidelity pair, the
+    # gate takes no eigh, eigvalsh or svd call and builds no fidelity witness
+    p = bit_problem(0.3)
+    rep = solve(p)
+    assert rep.branch is Branch.GU_PROJECTIVE
     for state in (p.rho0, p.rho1):
         state.spectrum, state.factor, state.support
     p = UsdProblem(p.rho0, p.rho1, p.eta0, p.eta1, p.gu_involution)
@@ -267,41 +272,20 @@ def _count_fit(monkeypatch, p, m, candidate=None):
                         lambda q: built.append(q) or build(q))
     certs = []
     calls = _count_calls(monkeypatch,
-                         lambda: certs.append(fit_certificate(p, m, candidate=candidate)))
+                         lambda: certs.append(fit_certificate(p, rep.povm, rep.certificate.z)))
     assert certs[0] is not None
-    return calls, len(built)
-
-
-def test_fit_builds_no_closed_form_for_a_verifying_candidate(monkeypatch):
-    p = bit_problem(0.3)
-    rep = solve(p)
-    assert rep.branch is Branch.GU_PROJECTIVE
-    assert _count_fit(monkeypatch, p, rep.povm, candidate=rep.certificate.z) == ({}, 0)
-
-
-def test_fit_builds_each_closed_form_only_after_the_last_failed(monkeypatch):
-    # projective: the fidelity witness is built and fails, then E0 is
-    # decomposed for the symmetric witness, which verifies
-    p = bit_problem(0.3)
-    rep = solve(p)
-    assert rep.branch is Branch.GU_PROJECTIVE
-    assert _count_fit(monkeypatch, p, rep.povm) == ({"svd": 1, "eigh": 1}, 1)
-    # first class: the fidelity witness verifies and nothing else is built
-    p = basis_problem(0.7)
-    rep = solve_first_class(p)
-    assert _count_fit(monkeypatch, p, rep.povm) == ({"svd": 1}, 1)
+    assert (calls, built) == ({}, [])
 
 
 @pytest.mark.parametrize("mu", [0.2, 0.3, 0.4])
 def test_oracle_dual_certifies_only_as_a_given_candidate(mu):
     """Without its involution the bit pair has no closed-form witness
-    below the regime boundary; only the oracle's dual, passed in
-    explicitly, certifies the oracle's measurement."""
+    below the regime boundary; the oracle's dual certifies the oracle's
+    measurement."""
     bit = bit_problem(mu)
     p = UsdProblem(bit.rho0, bit.rho1, bit.eta0, bit.eta1)
     oracle = oracle_optimize(p)
-    assert fit_certificate(p, oracle.povm) is None
-    cert = fit_certificate(p, oracle.povm, candidate=oracle.certificate.z)
+    cert = fit_certificate(p, oracle.povm, oracle.certificate.z)
     assert cert is not None
     assert verify_certificate(p, oracle.povm, cert).ok
 
@@ -355,7 +339,7 @@ def test_a_stack_that_passes_fit_certificate_passes_the_gate_on_every_row():
             z += (scale / spectral_norm(noise))[:, None, None] * noise
         else:
             report.povm = _moved_to_eq(p, report.povm, rng)
-        verdict = fit_certificate(p, report.povm, candidate=z) is not None
+        verdict = fit_certificate(p, report.povm, z) is not None
         rows = [_row_gate_passes(p, report, z, i) for i in range(n)]
         if verdict:
             assert all(rows)
@@ -375,7 +359,7 @@ def test_a_residual_between_half_and_full_bound_falls_back_to_row_solves(monkeyp
     k = report.branch.index(Branch.GU_PROJECTIVE)
     z = report.certificate.z.copy()
     z[k] += 0.75 * CERT_TOL * report.povm.e0[k]
-    assert fit_certificate(p, report.povm, candidate=z) is None
+    assert fit_certificate(p, report.povm, z) is None
     assert all(_row_gate_passes(p, report, z, i) for i in range(len(z)))
 
     expected = solve(_sweep_stack(GRID[::6])[0])

@@ -1,5 +1,6 @@
 import argparse
 import cProfile
+import dataclasses
 import json
 import os
 import pathlib
@@ -11,8 +12,8 @@ import pytest
 
 from conftest import first_class_instance
 from test_check_passes import _count_calls
-from usdisc import (DensityMatrix, UsdProblem, cli, failure_probability, oracle_optimize,
-                    rank_condition_check, serialize)
+from usdisc import (DensityMatrix, OptimalityCertificate, UsdProblem, cli, failure_probability,
+                    oracle_optimize, rank_condition_check, serialize)
 from usdisc.bb84 import bit_problem, find_mu0
 from usdisc.cli import main
 from usdisc.errors import BranchNotApplicable, NumericalFailure
@@ -125,15 +126,12 @@ def test_solve_falls_back_to_oracle(tmp_path):
 def test_solve_falls_back_when_projective_certificate_fails(tmp_path, monkeypatch):
     # an analytic branch that cannot certify itself hands over to the
     # oracle, whose own dual still certifies
-    import usdisc.certificates
     import usdisc.solvers
 
     def no_witness(p, x, u):
         return np.zeros((p.dim, p.dim), dtype=complex)
 
-    # both where the projective step names it and in fit_certificate's chain
     monkeypatch.setattr(usdisc.solvers, "symmetric_projective_witness", no_witness)
-    monkeypatch.setattr(usdisc.certificates, "symmetric_projective_witness", no_witness)
     inp = tmp_path / "problem.json"
     out = tmp_path / "report.json"
     write_problem(inp, bit_problem(0.3))
@@ -141,6 +139,33 @@ def test_solve_falls_back_when_projective_certificate_fails(tmp_path, monkeypatc
     obj = json.loads(out.read_text())
     assert obj["branch"] == "OracleOnly"
     assert "certificate" in obj
+
+
+def test_an_oracle_report_whose_dual_fails_carries_no_certificate(tmp_path, capsys, monkeypatch):
+    # the oracle's dual is the only witness an oracle report is gated with:
+    # scaled by 1.05 it misses the trace identity, the report keeps no
+    # certificate, and certify fails it for that alone
+    import usdisc.solvers
+
+    def scaled_dual(p):
+        result = oracle_optimize(p)
+        z = 1.05 * result.certificate.z
+        return dataclasses.replace(result, certificate=OptimalityCertificate(z))
+
+    monkeypatch.setattr(usdisc.solvers, "oracle_optimize", scaled_dual)
+    p = _bare_bit_pair()
+    report = solve(p)
+    assert report.branch is Branch.ORACLE_ONLY
+    assert report.certificate is None
+    inp, out = tmp_path / "bare.json", tmp_path / "bare-report.json"
+    write_problem(inp, p)
+    assert main(["solve", "--input", str(inp), "--output", str(out)]) == 0
+    assert "certificate" not in json.loads(out.read_text())
+    capsys.readouterr()
+    assert main(["certify", "--input", str(out)]) == 1
+    verdict = capsys.readouterr()
+    assert verdict.out.splitlines()[-1] == "FAIL: certificate_missing"
+    assert verdict.err == ""
 
 
 def _near_threshold_involution_pair():

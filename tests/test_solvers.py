@@ -357,22 +357,23 @@ def test_solve_takes_one_svd(monkeypatch, make):
 ], ids=["first_class", "symmetric_first_class", "projective"])
 def test_an_exact_branch_verifies_its_own_witness_once(monkeypatch, make, branch):
     # each exact branch gates its closed-form witness with one
-    # fit_certificate call given that witness alone, decided without
-    # verify_certificate, and the chain of closed-form witnesses is never started
+    # fit_certificate call given that witness, decided without
+    # verify_certificate
     import usdisc.certificates
     import usdisc.solvers
 
     calls = []
     for owner, name in ((usdisc.solvers, "fit_certificate"),
-                        (usdisc.certificates, "verify_certificate"),
-                        (usdisc.certificates, "_candidates")):
+                        (usdisc.certificates, "verify_certificate")):
         def wrapped(*args, _name=name, _original=getattr(owner, name), **kwargs):
-            calls.append((_name, kwargs.get("candidate") is not None))
+            calls.append((_name, args[2]))
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, wrapped)
-    assert solve(make()).branch is branch
-    assert calls == [("fit_certificate", True)]
+    report = solve(make())
+    assert report.branch is branch
+    assert [name for name, _ in calls] == ["fit_certificate"]
+    assert calls[0][1] is report.certificate.z
 
 
 @pytest.mark.parametrize("make", [

@@ -171,7 +171,7 @@ def test_fidelity_witness_verifies_on_first_class_pairs_of_unequal_rank(seed, d)
     while p.rho0.support.rank == p.rho1.support.rank:
         p = first_class_instance(rng, d)
     rep = solve_first_class(p)
-    cert = fit_certificate(p, rep.povm, candidate=fidelity_witness(p))
+    cert = fit_certificate(p, rep.povm, fidelity_witness(p))
     assert cert is not None
     # the witness Y Y^H on a full polar unitary of sqrt(rho0) sqrt(rho1),
     # whose completion off the supports leaves Z as the support factors give it
